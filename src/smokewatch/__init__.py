@@ -10,7 +10,6 @@ gesture corpora and sessions for desk-scale experiments.
 from .detect import (
     DetectionTrace,
     GestureRanges,
-    TraceEntry,
     detect_session,
     load_ranges,
     save_ranges,
@@ -27,6 +26,7 @@ from .errors import (
     InvalidSize,
     InvalidThreshold,
     LengthMismatch,
+    MalformedModel,
     MalformedRow,
     ModeMismatch,
     NonMonotonicTime,
@@ -61,7 +61,6 @@ from .signal import (
     extract_features,
     load_recording_csv,
     resample_uniform,
-    rolling_windows,
     window_count,
     write_recording_csv,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,6 +22,7 @@ from .errors import (
     EmptyTrace,
     InvalidSize,
     InvalidThreshold,
+    LengthMismatch,
     ModeMismatch,
     SessionTooShort,
 )
@@ -29,34 +30,28 @@ from .fileio import atomic_write_text
 from .signal import ChannelMode, SensorRecording, window_count
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    start: int
-    raw: float
-    smoking: bool
-
-
 @dataclass(frozen=True, eq=False)
 class DetectionTrace:
-    entries: tuple[TraceEntry, ...]
+    """One network output per window, anchored at the window's start index."""
+
+    starts: np.ndarray
+    outputs: np.ndarray
     width: int
     stride: int
     threshold: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "starts", np.asarray(self.starts, dtype=np.intp))
+        object.__setattr__(self, "outputs", np.asarray(self.outputs, dtype=np.float64))
+        if self.starts.ndim != 1 or self.starts.shape != self.outputs.shape:
+            raise LengthMismatch("starts and outputs must be 1-d and equally long")
+
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def starts(self) -> np.ndarray:
-        return np.array([e.start for e in self.entries], dtype=np.intp)
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return np.array([e.raw for e in self.entries])
+        return self.starts.shape[0]
 
     @property
     def decisions(self) -> np.ndarray:
-        return np.array([e.smoking for e in self.entries], dtype=bool)
+        return self.outputs >= self.threshold
 
 
 @dataclass(frozen=True)
@@ -126,14 +121,10 @@ def detect_session(network: mlp.Network, session: SensorRecording,
 
     feats = _window_features(session, width, stride, network.mode)
     outputs = mlp.forward_batch(network, feats)
-    starts = np.arange(feats.shape[0]) * stride
-    entries = tuple(
-        TraceEntry(start=int(s), raw=float(o), smoking=bool(o >= threshold))
-        for s, o in zip(starts, outputs)
-    )
-    assert len(entries) == window_count(len(session), width, stride)
-    return DetectionTrace(entries=entries, width=width, stride=stride,
-                          threshold=threshold)
+    starts = np.arange(feats.shape[0], dtype=np.intp) * stride
+    assert len(starts) == window_count(len(session), width, stride)
+    return DetectionTrace(starts=starts, outputs=outputs, width=width,
+                          stride=stride, threshold=threshold)
 
 
 def score_trace(trace: DetectionTrace,
@@ -168,12 +159,11 @@ def trace_to_plot_series(trace: DetectionTrace, session: SensorRecording
     Outputs appear only on rows where a window starts, matching a plot of
     the raw signal with the network trace superimposed.
     """
-    by_start = {e.start: e.raw for e in trace.entries}
-    return [
-        (i, float(session.x[i]), float(session.y[i]), float(session.z[i]),
-         by_start.get(i))
-        for i in range(len(session))
-    ]
+    outputs: list[float | None] = [None] * len(session)
+    for start, out in zip(trace.starts.tolist(), trace.outputs.tolist()):
+        outputs[start] = out
+    return list(zip(range(len(session)), session.x.tolist(), session.y.tolist(),
+                    session.z.tolist(), outputs))
 
 
 PLOT_HEADER = "i,x,y,z,output"
@@ -208,9 +198,10 @@ TRACE_HEADER = "start,output,smoking"
 
 
 def write_trace_csv(trace: DetectionTrace, path: Union[str, Path]) -> None:
+    rows = zip(trace.starts.tolist(), trace.outputs.tolist(),
+               trace.decisions.tolist())
     lines = [TRACE_HEADER]
-    for e in trace.entries:
-        lines.append(f"{e.start},{e.raw!r},{int(e.smoking)}")
+    lines.extend(f"{s},{o!r},{int(d)}" for s, o, d in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

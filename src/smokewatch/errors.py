@@ -29,6 +29,11 @@ class InvalidSize(SmokewatchError):
     """A size or count parameter is out of its valid range."""
 
 
+class MalformedModel(SmokewatchError):
+    """A model file lacks a key, holds an ill-typed value or has an
+    unsupported version."""
+
+
 class InvalidThreshold(SmokewatchError):
     """A decision threshold outside the open interval (0, 1)."""
 

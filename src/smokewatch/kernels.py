@@ -1,18 +1,10 @@
-"""Hot numeric kernels: batched forward pass and residual Jacobian.
-
-Each kernel has a numba-jitted implementation and a vectorized pure-numpy
-fallback. The jitted path is used when numba imports cleanly; set
-SMOKEWATCH_NO_NUMBA=1 to force the numpy path. `benchmarks/bench_kernels.py`
-compares the two.
+"""Hot numeric kernels: vectorized numpy forward pass and residual Jacobian.
 
 Weight-vector column order, shared with the optimizer: w1 row-major
 (hidden x input), then b1, then w2, then b2.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
@@ -22,7 +14,7 @@ OPEN_LO = float(np.nextafter(0.0, 1.0))
 OPEN_HI = float(np.nextafter(1.0, 0.0))
 
 
-def _logistic_np(z: np.ndarray) -> np.ndarray:
+def _logistic(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -31,14 +23,14 @@ def _logistic_np(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_forward_numpy(w1, b1, w2, b2, xn):
+def batch_forward(w1, b1, w2, b2, xn):
     """Outputs for normalized inputs xn (m, p) -> (m,)."""
     h = np.tanh(xn @ w1.T + b1)
-    y = _logistic_np(h @ w2 + b2)
+    y = _logistic(h @ w2 + b2)
     return np.clip(y, OPEN_LO, OPEN_HI)
 
 
-def batch_jacobian_numpy(w1, b1, w2, b2, xn):
+def batch_jacobian(w1, b1, w2, b2, xn):
     """Residual Jacobian and outputs for normalized inputs.
 
     Returns (J, y) with J of shape (m, n_weights); row s holds the gradient
@@ -48,7 +40,7 @@ def batch_jacobian_numpy(w1, b1, w2, b2, xn):
     m, p = xn.shape
     hsz = w1.shape[0]
     h = np.tanh(xn @ w1.T + b1)
-    y = np.clip(_logistic_np(h @ w2 + b2), OPEN_LO, OPEN_HI)
+    y = np.clip(_logistic(h @ w2 + b2), OPEN_LO, OPEN_HI)
     g = y * (1.0 - y)
     dz1 = g[:, None] * w2[None, :] * (1.0 - h * h)
     jac = np.empty((m, hsz * p + 2 * hsz + 1))
@@ -57,111 +49,3 @@ def batch_jacobian_numpy(w1, b1, w2, b2, xn):
     jac[:, hsz * p + hsz : hsz * p + 2 * hsz] = g[:, None] * h
     jac[:, -1] = g
     return jac, y
-
-
-def _forward_loop(w1, b1, w2, b2, xn, out):
-    m, p = xn.shape
-    hsz = w1.shape[0]
-    for s in range(m):
-        z2 = b2
-        for j in range(hsz):
-            a = b1[j]
-            for i in range(p):
-                a += w1[j, i] * xn[s, i]
-            z2 += w2[j] * math.tanh(a)
-        if z2 >= 0.0:
-            y = 1.0 / (1.0 + math.exp(-z2))
-        else:
-            ez = math.exp(z2)
-            y = ez / (1.0 + ez)
-        if y < OPEN_LO:
-            y = OPEN_LO
-        elif y > OPEN_HI:
-            y = OPEN_HI
-        out[s] = y
-
-
-def _jacobian_loop(w1, b1, w2, b2, xn, jac, out):
-    m, p = xn.shape
-    hsz = w1.shape[0]
-    hid = np.empty(hsz)
-    for s in range(m):
-        z2 = b2
-        for j in range(hsz):
-            a = b1[j]
-            for i in range(p):
-                a += w1[j, i] * xn[s, i]
-            hid[j] = math.tanh(a)
-            z2 += w2[j] * hid[j]
-        if z2 >= 0.0:
-            y = 1.0 / (1.0 + math.exp(-z2))
-        else:
-            ez = math.exp(z2)
-            y = ez / (1.0 + ez)
-        if y < OPEN_LO:
-            y = OPEN_LO
-        elif y > OPEN_HI:
-            y = OPEN_HI
-        out[s] = y
-        g = y * (1.0 - y)
-        for j in range(hsz):
-            d = g * w2[j] * (1.0 - hid[j] * hid[j])
-            base = j * p
-            for i in range(p):
-                jac[s, base + i] = d * xn[s, i]
-            jac[s, hsz * p + j] = d
-            jac[s, hsz * p + hsz + j] = g * hid[j]
-        jac[s, hsz * p + 2 * hsz] = g
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_DISABLED = _env_flag("SMOKEWATCH_NO_NUMBA")
-
-_forward_jit = None
-_jacobian_jit = None
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        _forward_jit = njit(cache=True)(_forward_loop)
-        _jacobian_jit = njit(cache=True)(_jacobian_loop)
-    except ImportError:
-        pass
-
-USING_NUMBA = _forward_jit is not None
-
-
-def batch_forward_numba(w1, b1, w2, b2, xn):
-    out = np.empty(xn.shape[0])
-    _forward_jit(w1, b1, w2, b2, xn, out)
-    return out
-
-
-def batch_jacobian_numba(w1, b1, w2, b2, xn):
-    m, p = xn.shape
-    hsz = w1.shape[0]
-    jac = np.empty((m, hsz * p + 2 * hsz + 1))
-    out = np.empty(m)
-    _jacobian_jit(w1, b1, w2, b2, xn, jac, out)
-    return jac, out
-
-
-if USING_NUMBA:
-    batch_forward = batch_forward_numba
-    batch_jacobian = batch_jacobian_numba
-else:
-    batch_forward = batch_forward_numpy
-    batch_jacobian = batch_jacobian_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs so later calls are hot."""
-    w1 = np.zeros((2, 3))
-    b1 = np.zeros(2)
-    w2 = np.zeros(2)
-    xn = np.zeros((1, 3))
-    batch_forward(w1, b1, w2, 0.0, xn)
-    batch_jacobian(w1, b1, w2, 0.0, xn)

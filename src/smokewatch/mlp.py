@@ -16,7 +16,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import kernels
-from .errors import EmptyBatch, InvalidSize, LengthMismatch
+from .errors import (
+    EmptyBatch,
+    InvalidSize,
+    InvalidThreshold,
+    LengthMismatch,
+    MalformedModel,
+)
 from .fileio import atomic_write_text
 from .signal import ChannelMode, FeatureVector
 
@@ -157,16 +163,6 @@ def _as_feature_matrix(network: Network, raw) -> np.ndarray:
     return arr
 
 
-def normalize(network: Network, raw) -> np.ndarray:
-    """Scaled network input for a raw feature vector (or matrix of them)."""
-    if isinstance(raw, FeatureVector):
-        raw = raw.values
-    arr = np.asarray(raw, dtype=np.float64)
-    single = arr.ndim == 1
-    out = network.norm.apply(_as_feature_matrix(network, arr))
-    return out[0] if single else out
-
-
 def forward(network: Network, raw) -> float:
     """Network output in the open interval (0, 1) for one feature vector."""
     arr = _as_feature_matrix(network, raw)
@@ -237,18 +233,32 @@ def save_model(network: Network, path: Union[str, Path],
 
 
 def load_model(path: Union[str, Path]) -> tuple[Network, float]:
-    """Read a model file; returns the network and its stored threshold."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    net = Network(
-        input_size=int(doc["input_size"]),
-        hidden_size=int(doc["hidden_size"]),
-        w1=np.asarray(doc["w1"], dtype=np.float64),
-        b1=np.asarray(doc["b1"], dtype=np.float64),
-        w2=np.asarray(doc["w2"], dtype=np.float64),
-        b2=float(doc["b2"]),
-        mode=ChannelMode.parse(doc["mode"]),
-        norm=NormParams(lo=doc["norm_min"], hi=doc["norm_max"]),
-    )
-    return net, float(doc["threshold"])
+    """Read a model file; returns the network and its stored threshold.
+
+    Raises MalformedModel for invalid JSON, a missing or ill-typed key or an
+    unsupported version, and InvalidThreshold for a threshold outside (0, 1).
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if doc.get("version") != MODEL_VERSION:
+            raise MalformedModel(
+                f"unsupported model version {doc.get('version')!r}")
+        net = Network(
+            input_size=int(doc["input_size"]),
+            hidden_size=int(doc["hidden_size"]),
+            w1=np.asarray(doc["w1"], dtype=np.float64),
+            b1=np.asarray(doc["b1"], dtype=np.float64),
+            w2=np.asarray(doc["w2"], dtype=np.float64),
+            b2=float(doc["b2"]),
+            mode=ChannelMode.parse(doc["mode"]),
+            norm=NormParams(lo=doc["norm_min"], hi=doc["norm_max"]),
+        )
+        threshold = float(doc["threshold"])
+    except KeyError as exc:
+        raise MalformedModel(f"model file lacks key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedModel(f"malformed model file: {exc}") from None
+    if not 0.0 < threshold < 1.0:
+        raise InvalidThreshold(
+            f"stored threshold {threshold!r} must lie strictly between 0 and 1")
+    return net, threshold

@@ -2,17 +2,17 @@
 
 Covers ingestion of 3-axis recordings from CSV, fixed-length resampling of
 isolated gestures, channel-mode feature extraction and rolling-window
-segmentation of continuous sessions. All types are immutable after
+counting for continuous sessions. All types are immutable after
 construction and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -102,13 +102,6 @@ class ChannelMode(Enum):
 ALL_MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMode.AVG)
 
 
-class SensorSample(NamedTuple):
-    t: float
-    x: float
-    y: float
-    z: float
-
-
 @dataclass(frozen=True, eq=False)
 class SensorRecording:
     """A timestamped 3-axis recording with label and device provenance.
@@ -147,21 +140,14 @@ class SensorRecording:
     def duration(self) -> float:
         return float(self.t[-1] - self.t[0])
 
-    def samples(self) -> Iterator[SensorSample]:
-        for i in range(len(self)):
-            yield SensorSample(float(self.t[i]), float(self.x[i]),
-                               float(self.y[i]), float(self.z[i]))
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureSeries:
-    """Per-axis values on a uniform time grid. `start` is the sample index
-    of the window origin when the series was cut from a longer session."""
+    """Per-axis values on a uniform time grid."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    start: int = 0
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
@@ -304,22 +290,3 @@ def window_count(length: int, width: int, stride: int) -> int:
         return 0
     return (length - width) // stride + 1
 
-
-def rolling_windows(session: SensorRecording, width: int, stride: int = 1) -> list[FeatureSeries]:
-    """Cut raw (uninterpolated) windows of `width` consecutive samples.
-
-    Windows start at sample indices 0, stride, 2*stride, ...; trailing
-    samples that cannot fill a window are discarded. Each window carries its
-    start index.
-    """
-    if width < 2:
-        raise InvalidSize("width must be >= 2")
-    if stride < 1:
-        raise InvalidSize("stride must be >= 1")
-    count = window_count(len(session), width, stride)
-    out = []
-    for k in range(count):
-        s = k * stride
-        out.append(FeatureSeries(x=session.x[s:s + width], y=session.y[s:s + width],
-                                 z=session.z[s:s + width], start=s))
-    return out

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,6 @@ from .errors import (
 from .fileio import atomic_write_text
 from .signal import (
     ChannelMode,
-    FeatureVector,
     GestureClass,
     SensorRecording,
     extract_features,
@@ -81,11 +80,6 @@ class LabeledDataset:
             targets=self.targets[indices],
             classes=tuple(self.classes[i] for i in indices),
         )
-
-    def items(self) -> Iterable[tuple[FeatureVector, float, GestureClass]]:
-        for i in range(len(self)):
-            yield (FeatureVector(mode=self.mode, values=self.features[i]),
-                   float(self.targets[i]), self.classes[i])
 
 
 def build_dataset(recordings: Sequence[SensorRecording], mode: ChannelMode,

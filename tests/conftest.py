@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from smokewatch import kernels, mlp
+from smokewatch import mlp
 from smokewatch.signal import ChannelMode, GestureClass, SensorRecording
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation must not leak into any timed assertion.
-    kernels.warmup()
 
 
 @pytest.fixture

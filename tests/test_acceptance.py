@@ -18,7 +18,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from smokewatch import cli, detect, kernels, metrics, mlp, synth
+from smokewatch import cli, detect, metrics, mlp, synth
 from smokewatch.errors import SessionTooShort
 from smokewatch.signal import ChannelMode, GestureClass
 from smokewatch.synth import DEFAULT_PROFILES, SessionKind
@@ -48,11 +48,6 @@ def verdict(num: int, name: str, ok: bool, detail: str, seconds: float,
     print(f"\nACCEPTANCE {num} ({name}): {status} — {detail} [{timing}]",
           flush=True)
     assert ok, f"criterion {num} ({name}): {detail} [{timing}]"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm():
-    kernels.warmup()
 
 
 @pytest.fixture(scope="module")
@@ -343,9 +338,9 @@ def test_acceptance_9_window_bookkeeping():
         trace = detect.detect_session(net, session, width=width, stride=stride)
         counted += 1
         expected = (length - width) // stride + 1
-        if len(trace) != expected or trace.entries[0].start != 0:
+        if len(trace) != expected or trace.starts[0] != 0:
             failures += 1
-        elif len(trace) > 1 and trace.entries[1].start != stride:
+        elif len(trace) > 1 and trace.starts[1] != stride:
             failures += 1
     elapsed = perf_counter() - t0
     verdict(9, "window bookkeeping", failures == 0,

@@ -180,6 +180,21 @@ def test_eval_missing_model_exits_1(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc.pop("norm_min"), "MalformedModel"),
+    (lambda doc: doc.update(version=2), "MalformedModel"),
+    (lambda doc: doc.update(threshold=1.5), "InvalidThreshold"),
+], ids=["missing-key", "bad-version", "bad-threshold"])
+def test_eval_malformed_model_exits_1(pipeline, tmp_path, capsys, edit, error):
+    doc = json.loads(pipeline["model"].read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("eval", "--model", str(bad), "--data", str(pipeline["data"]),
+               "--out", str(tmp_path / "out")) == 1
+    assert f"error: {error}:" in capsys.readouterr().err
+
+
 # --- detect ------------------------------------------------------------------
 
 def test_detect_scored_run(pipeline, tmp_path):

@@ -9,7 +9,6 @@ from smokewatch import mlp
 from smokewatch.detect import (
     DetectionTrace,
     GestureRanges,
-    TraceEntry,
     detect_session,
     load_ranges,
     read_plot_csv,
@@ -36,10 +35,9 @@ def zero_network(width: int, mode: ChannelMode = ChannelMode.X) -> mlp.Network:
 
 
 def make_trace(decisions, stride=1, width=4, threshold=0.5):
-    entries = tuple(
-        TraceEntry(start=i * stride, raw=0.9 if d else 0.1, smoking=bool(d))
-        for i, d in enumerate(decisions))
-    return DetectionTrace(entries=entries, width=width, stride=stride,
+    outputs = np.where(decisions, 0.9, 0.1)
+    return DetectionTrace(starts=np.arange(len(decisions)) * stride,
+                          outputs=outputs, width=width, stride=stride,
                           threshold=threshold)
 
 
@@ -108,7 +106,7 @@ def test_detect_session_exact_width_gives_one_window(rng):
     rec = make_recording(rng.normal(size=(25, 3)))
     trace = detect_session(zero_network(25), rec, width=25)
     assert len(trace) == 1
-    assert trace.entries[0].start == 0
+    assert trace.starts[0] == 0
 
 
 def test_detect_validates_options(rng):
@@ -138,10 +136,10 @@ def test_detect_windows_match_manual_forward(rng):
     rec = make_recording(rng.normal(size=(40, 3)))
     net = tiny_network(8, 3, seed=2)
     trace = detect_session(net, rec, width=8, stride=3, threshold=0.4)
-    for e in trace.entries:
-        window = rec.x[e.start:e.start + 8]
-        assert e.raw == pytest.approx(mlp.forward(net, window), rel=1e-12)
-        assert e.smoking == (e.raw >= 0.4)
+    for start, out, smoking in zip(trace.starts, trace.outputs, trace.decisions):
+        window = rec.x[start:start + 8]
+        assert out == pytest.approx(mlp.forward(net, window), rel=1e-12)
+        assert smoking == (out >= 0.4)
 
 
 # --- score_trace -------------------------------------------------------------
@@ -194,9 +192,8 @@ def test_score_trace_lower_threshold_never_undetects(rng):
     truth = GestureRanges(ranges=((5, 20), (33, 41)))
     detected_prev = None
     for thr in (0.9, 0.6, 0.3, 0.1):
-        entries = tuple(TraceEntry(start=i, raw=float(o), smoking=bool(o >= thr))
-                        for i, o in enumerate(outs))
-        trace = DetectionTrace(entries=entries, width=4, stride=1, threshold=thr)
+        trace = DetectionTrace(starts=np.arange(len(outs)), outputs=outs,
+                               width=4, stride=1, threshold=thr)
         _, flags = score_trace(trace, truth)
         if detected_prev is not None:
             assert all(not p or c for p, c in zip(detected_prev, flags))
@@ -204,7 +201,8 @@ def test_score_trace_lower_threshold_never_undetects(rng):
 
 
 def test_score_trace_rejects_empty():
-    trace = DetectionTrace(entries=(), width=4, stride=1, threshold=0.5)
+    trace = DetectionTrace(starts=[], outputs=[], width=4, stride=1,
+                           threshold=0.5)
     with pytest.raises(EmptyTrace):
         score_trace(trace, GestureRanges(ranges=()))
 
@@ -214,18 +212,18 @@ def test_score_trace_brute_force_recount(rng):
         n = int(rng.integers(1, 80))
         outs = rng.uniform(0, 1, n)
         thr = float(rng.uniform(0.2, 0.8))
-        entries = tuple(TraceEntry(start=i, raw=float(o), smoking=bool(o >= thr))
-                        for i, o in enumerate(outs))
-        trace = DetectionTrace(entries=entries, width=4, stride=1, threshold=thr)
+        trace = DetectionTrace(starts=np.arange(n), outputs=outs, width=4,
+                               stride=1, threshold=thr)
         a, b = sorted(int(v) for v in rng.integers(0, n + 4, 2))
         truth = GestureRanges(ranges=((a, b),)) if a < b else GestureRanges(ranges=())
         report, flags = score_trace(trace, truth)
         tp = tn = fp = fn = 0
-        for e in trace.entries:
-            is_pos = truth.contains(e.start)
-            if e.smoking and is_pos:
+        for start, out in zip(trace.starts.tolist(), outs.tolist()):
+            is_pos = truth.contains(start)
+            smoking = out >= thr
+            if smoking and is_pos:
                 tp += 1
-            elif e.smoking:
+            elif smoking:
                 fp += 1
             elif is_pos:
                 fn += 1

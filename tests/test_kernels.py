@@ -1,51 +1,10 @@
-"""The jitted kernels and their pure-numpy fallbacks must agree exactly
-(same operations, same order), and outputs must stay inside the open unit
-interval."""
+"""Kernel edge cases: outputs must stay inside the open unit interval and
+the logistic must stay finite at extreme inputs. Agreement with finite
+differences is checked in test_mlp.py and acceptance 2."""
 
 import numpy as np
-import pytest
 
 from smokewatch import kernels
-
-
-def random_net(rng, m, p, h):
-    xn = rng.normal(size=(m, p))
-    w1 = rng.normal(scale=0.7, size=(h, p))
-    b1 = rng.normal(size=h)
-    w2 = rng.normal(size=h)
-    b2 = float(rng.normal())
-    return w1, b1, w2, b2, xn
-
-
-def test_dispatch_is_configured():
-    # whichever path is active, both implementations stay importable
-    assert callable(kernels.batch_forward_numpy)
-    assert callable(kernels.batch_jacobian_numpy)
-    assert isinstance(kernels.USING_NUMBA, bool)
-
-
-def test_forward_paths_agree(rng):
-    for _ in range(25):
-        m = int(rng.integers(1, 12))
-        p = int(rng.integers(1, 15))
-        h = int(rng.integers(1, 6))
-        w1, b1, w2, b2, xn = random_net(rng, m, p, h)
-        a = kernels.batch_forward(w1, b1, w2, b2, xn)
-        b = kernels.batch_forward_numpy(w1, b1, w2, b2, xn)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
-
-
-def test_jacobian_paths_agree(rng):
-    for _ in range(25):
-        m = int(rng.integers(1, 10))
-        p = int(rng.integers(1, 12))
-        h = int(rng.integers(1, 5))
-        w1, b1, w2, b2, xn = random_net(rng, m, p, h)
-        ja, ya = kernels.batch_jacobian(w1, b1, w2, b2, xn)
-        jb, yb = kernels.batch_jacobian_numpy(w1, b1, w2, b2, xn)
-        assert ja.shape == (m, h * p + h + h + 1)
-        assert np.allclose(ya, yb, rtol=1e-13, atol=1e-15)
-        assert np.allclose(ja, jb, rtol=1e-12, atol=1e-14)
 
 
 def test_outputs_clamped_to_open_interval():

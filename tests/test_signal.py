@@ -28,7 +28,6 @@ from smokewatch.signal import (
     extract_features,
     load_recording_csv,
     resample_uniform,
-    rolling_windows,
     window_count,
     write_recording_csv,
 )
@@ -268,18 +267,3 @@ def test_window_count_matches_brute_force(rng):
         assert window_count(length, width, stride) == \
             brute_window_count(length, width, stride)
 
-
-def test_rolling_windows_contents(rng):
-    vals = rng.normal(size=(57, 3))
-    rec = make_recording(vals)
-    wins = rolling_windows(rec, width=10, stride=4)
-    assert len(wins) == window_count(57, 10, 4)
-    for k, w in enumerate(wins):
-        assert w.start == 4 * k
-        assert np.array_equal(w.x, rec.x[4 * k:4 * k + 10])
-        assert np.array_equal(w.z, rec.z[4 * k:4 * k + 10])
-
-
-def test_rolling_windows_short_session_is_empty(rng):
-    rec = make_recording(rng.normal(size=(9, 3)))
-    assert rolling_windows(rec, width=10) == []
