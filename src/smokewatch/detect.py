@@ -179,21 +179,6 @@ def write_plot_csv(trace: DetectionTrace, session: SensorRecording,
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_plot_csv(path: Union[str, Path]
-                  ) -> list[tuple[int, float, float, float, float | None]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != PLOT_HEADER:
-        raise ValueError(f"expected header {PLOT_HEADER!r}")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        i, x, y, z, out = line.split(",")
-        rows.append((int(i), float(x), float(y), float(z),
-                     float(out) if out else None))
-    return rows
-
-
 TRACE_HEADER = "start,output,smoking"
 
 

@@ -1,7 +1,7 @@
 """Hot numeric kernels: vectorized numpy forward pass and residual Jacobian.
 
-Weight-vector column order, shared with the optimizer: w1 row-major
-(hidden x input), then b1, then w2, then b2.
+Weight-vector column order, shared with `mlp.Network.to_weight_vector`: w1
+row-major (hidden x input), then b1, then w2, then b2.
 """
 
 from __future__ import annotations

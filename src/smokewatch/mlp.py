@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class NormParams:
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.float64))
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise LengthMismatch("norm min/max must be 1-d and equally long")
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("norm min/max must be finite")
         if np.any(self.hi < self.lo):
             raise ValueError("norm max must be >= min element-wise")
 
@@ -61,12 +63,15 @@ class NormParams:
 
         Values outside the captured range extrapolate linearly (no clamping).
         """
-        values = np.asarray(values, dtype=np.float64)
         span = self.hi - self.lo
-        mid = 0.5 * (self.lo + self.hi)
-        safe = np.where(span > 0.0, span, 1.0)
-        out = 2.0 * (values - mid) / safe
-        return np.where(span > 0.0, out, 0.0)
+        live = span > 0.0
+        # one output buffer, updated in place: bit-identical to
+        # 2 * (values - mid) / span with the dead elements zeroed
+        out = np.asarray(values, dtype=np.float64) - 0.5 * (self.lo + self.hi)
+        out *= 2.0
+        out /= np.where(live, span, 1.0)
+        out[..., ~live] = 0.0
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,22 +117,14 @@ class Network:
         return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
 
     def with_weights(self, vec: np.ndarray) -> "Network":
-        w1, b1, w2, b2 = split_weight_vector(vec, self.input_size, self.hidden_size)
-        return replace(self, w1=w1, b1=b1, w2=w2, b2=b2)
-
-
-def split_weight_vector(vec: np.ndarray, input_size: int, hidden_size: int):
-    """Inverse of Network.to_weight_vector; returns views where possible."""
-    vec = np.asarray(vec, dtype=np.float64)
-    expected = hidden_size * (input_size + 1) + hidden_size + 1
-    if vec.shape != (expected,):
-        raise LengthMismatch(f"weight vector must have {expected} entries")
-    k = hidden_size * input_size
-    w1 = vec[:k].reshape(hidden_size, input_size)
-    b1 = vec[k : k + hidden_size]
-    w2 = vec[k + hidden_size : k + 2 * hidden_size]
-    b2 = float(vec[-1])
-    return w1, b1, w2, b2
+        """Inverse of to_weight_vector; the new arrays are views of vec."""
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (self.n_weights,):
+            raise LengthMismatch(f"weight vector must have {self.n_weights} entries")
+        hsz, k = self.hidden_size, self.hidden_size * self.input_size
+        return replace(self, w1=vec[:k].reshape(hsz, self.input_size),
+                       b1=vec[k : k + hsz], w2=vec[k + hsz : k + 2 * hsz],
+                       b2=float(vec[-1]))
 
 
 def init_network(input_size: int, hidden_size: int = DEFAULT_HIDDEN,
@@ -150,64 +147,42 @@ def init_network(input_size: int, hidden_size: int = DEFAULT_HIDDEN,
                    mode=mode, norm=NormParams.identity(input_size))
 
 
-def _as_feature_matrix(network: Network, raw) -> np.ndarray:
+def _scaled_inputs(network: Network, raw) -> np.ndarray:
+    """Raw feature vector(s) -> contiguous (n, input_size) scaled matrix."""
     if isinstance(raw, FeatureVector):
         raw = raw.values
     arr = np.asarray(raw, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
+    if arr.ndim == 1:
         arr = arr[None, :]
     if arr.shape[1] != network.input_size:
         raise LengthMismatch(
             f"expected {network.input_size} input values, got {arr.shape[1]}")
-    return arr
+    return np.ascontiguousarray(network.norm.apply(arr))
 
 
 def forward(network: Network, raw) -> float:
     """Network output in the open interval (0, 1) for one feature vector."""
-    arr = _as_feature_matrix(network, raw)
-    xn = np.ascontiguousarray(network.norm.apply(arr))
-    return float(kernels.batch_forward(network.w1, network.b1, network.w2,
-                                       network.b2, xn)[0])
+    return float(forward_batch(network, raw)[0])
 
 
 def forward_batch(network: Network, features: np.ndarray) -> np.ndarray:
     """Outputs for a (n, input_size) matrix of raw feature vectors."""
-    arr = _as_feature_matrix(network, features)
-    xn = np.ascontiguousarray(network.norm.apply(arr))
     return kernels.batch_forward(network.w1, network.b1, network.w2,
-                                 network.b2, xn)
+                                 network.b2, _scaled_inputs(network, features))
 
 
 def outputs_and_jacobian(network: Network, features: np.ndarray):
-    """(outputs, residual Jacobian) for a raw feature matrix; the hot path."""
-    arr = _as_feature_matrix(network, features)
-    if arr.shape[0] == 0:
+    """(outputs, residual Jacobian) for a raw feature matrix.
+
+    Row s, column w of the Jacobian holds d output(x_s) / dw; columns follow
+    the packed weight-vector order.
+    """
+    xn = _scaled_inputs(network, features)
+    if xn.shape[0] == 0:
         raise EmptyBatch("jacobian needs at least one sample")
-    xn = np.ascontiguousarray(network.norm.apply(arr))
     jac, y = kernels.batch_jacobian(network.w1, network.b1, network.w2,
                                     network.b2, xn)
     return y, jac
-
-
-def jacobian(network: Network, batch: Sequence) -> np.ndarray:
-    """Residual Jacobian, one row per (feature vector, target) pair.
-
-    Row s, column w holds d(output(x_s) - target_s)/dw; columns follow the
-    packed weight-vector order.
-    """
-    if hasattr(batch, "features"):
-        features = batch.features
-    else:
-        if len(batch) == 0:
-            raise EmptyBatch("jacobian needs at least one sample")
-        rows = []
-        for item in batch:
-            vec = item[0]
-            rows.append(vec.values if isinstance(vec, FeatureVector) else np.asarray(vec, dtype=np.float64))
-        features = np.stack(rows)
-    _, jac = outputs_and_jacobian(network, features)
-    return jac
 
 
 def model_to_json(network: Network, threshold: float = DEFAULT_THRESHOLD) -> str:

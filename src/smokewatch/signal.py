@@ -197,7 +197,8 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     """Parse a `t,x,y,z` CSV into a SensorRecording.
 
     Raises EmptyRecording for fewer than 2 data rows, MalformedRow for a bad
-    header/field/column count and NonMonotonicTime for unordered timestamps.
+    header, column count or non-numeric or non-finite field, and
+    NonMonotonicTime for unordered timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
     """
@@ -218,6 +219,11 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     if len(rows) < 2:
         raise EmptyRecording(f"need at least 2 data rows, got {len(rows)}")
     data = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # map the first bad data row back to its line; blank lines are skipped
+        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        raise MalformedRow(f"line {linenos[np.flatnonzero(~finite)[0]]}: non-finite field")
     t = data[:, 0]
     if np.any(np.diff(t) <= 0.0):
         raise NonMonotonicTime("timestamps must be strictly increasing")

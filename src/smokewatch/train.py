@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.linalg
 
-from . import kernels, mlp
+from . import mlp
 from .errors import (
     EmptyBatch,
     EmptyDataset,
@@ -239,65 +239,49 @@ def lm_step(network: mlp.Network, batch: LabeledDataset, mu: float) -> np.ndarra
     return network.to_weight_vector() + delta
 
 
-def _dataset_sse(w1, b1, w2, b2, xn, targets) -> float:
-    y = kernels.batch_forward(w1, b1, w2, b2, xn)
-    e = targets - y
-    return float(e @ e)
-
-
 def train(train_set: LabeledDataset, val_set: LabeledDataset,
           config: TrainConfig = TrainConfig(), seed: int = 0,
           hidden_size: int = mlp.DEFAULT_HIDDEN) -> tuple[mlp.Network, TrainReport]:
     """Train one network; returns it with the report of the run.
 
-    Input scaling is captured from the training split. Stops on the SSE goal,
-    on `max_val_failures` epochs without a new best validation SSE (restoring
-    the best-validation weights), on the epoch limit, or when mu overflows.
+    Input scaling is captured from the training split. Each epoch builds the
+    Jacobian once and retries the damped step with growing mu until the
+    training SSE drops; the first candidate of an epoch is `lm_step`'s.
+    Stops on the SSE goal, on `max_val_failures` epochs without a new best
+    validation SSE (restoring the best-validation network), on the epoch
+    limit, or when mu overflows.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise EmptyDataset("train and validation sets must be non-empty")
     if train_set.input_size != val_set.input_size:
         raise LengthMismatch("train and validation feature lengths differ")
 
-    norm = mlp.NormParams.from_features(train_set.features)
-    net = mlp.init_network(train_set.input_size, hidden_size,
-                           np.random.default_rng(seed), mode=train_set.mode)
-    net = replace(net, norm=norm)
-
-    xn_train = np.ascontiguousarray(norm.apply(train_set.features))
-    xn_val = np.ascontiguousarray(norm.apply(val_set.features))
-    t_train = train_set.targets
-    t_val = val_set.targets
-
-    w = net.to_weight_vector()
-    isz, hsz = net.input_size, net.hidden_size
-
-    def unpack(vec):
-        return mlp.split_weight_vector(vec, isz, hsz)
+    net = replace(mlp.init_network(train_set.input_size, hidden_size,
+                                   np.random.default_rng(seed), mode=train_set.mode),
+                  norm=mlp.NormParams.from_features(train_set.features))
 
     mu = config.mu0
     best_val = np.inf
-    best_w = w
+    best_net = net
     val_failures = 0
     train_hist: list[float] = []
     val_hist: list[float] = []
     stop = StopReason.EPOCH_LIMIT
 
     for _ in range(config.max_epochs):
-        w1, b1, w2, b2 = unpack(w)
-        jac, y = kernels.batch_jacobian(w1, b1, w2, b2, xn_train)
-        err = t_train - y
+        y, jac = mlp.outputs_and_jacobian(net, train_set.features)
+        err = train_set.targets - y
         current_sse = float(err @ err)
         if not np.isfinite(current_sse):
             raise NumericalFailure("non-finite training error")
 
         accepted = False
         while True:
-            delta = solve_damped(jac, err, mu)
-            cand = w + delta
-            cand_sse = _dataset_sse(*unpack(cand), xn_train, t_train)
+            cand = net.with_weights(net.to_weight_vector()
+                                    + solve_damped(jac, err, mu))
+            cand_sse = batch_sse(cand, train_set)
             if np.isfinite(cand_sse) and cand_sse < current_sse:
-                w = cand
+                net = cand
                 current_sse = cand_sse
                 mu = max(mu / config.mu_dec, MU_FLOOR)
                 accepted = True
@@ -309,13 +293,13 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
             stop = StopReason.MU_OVERFLOW
             break
 
-        val_sse = _dataset_sse(*unpack(w), xn_val, t_val)
+        val_sse = batch_sse(net, val_set)
         train_hist.append(current_sse)
         val_hist.append(val_sse)
 
         if val_sse < best_val:
             best_val = val_sse
-            best_w = w
+            best_net = net
             val_failures = 0
         else:
             val_failures += 1
@@ -325,19 +309,18 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
             break
         if val_failures >= config.max_val_failures:
             stop = StopReason.VALIDATION_STOP
-            w = best_w
+            net = best_net
             break
 
-    final_net = net.with_weights(w.copy())
     report = TrainReport(
         epochs_run=len(train_hist),
-        final_train_sse=_dataset_sse(*unpack(w), xn_train, t_train),
-        final_val_sse=_dataset_sse(*unpack(w), xn_val, t_val),
+        final_train_sse=batch_sse(net, train_set),
+        final_val_sse=batch_sse(net, val_set),
         stop_reason=stop,
         train_sse_history=tuple(train_hist),
         val_sse_history=tuple(val_hist),
     )
-    return final_net, report
+    return net, report
 
 
 @dataclass(frozen=True)

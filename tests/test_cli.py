@@ -184,7 +184,8 @@ def test_eval_missing_model_exits_1(pipeline, tmp_path, capsys):
     (lambda doc: doc.pop("norm_min"), "MalformedModel"),
     (lambda doc: doc.update(version=2), "MalformedModel"),
     (lambda doc: doc.update(threshold=1.5), "InvalidThreshold"),
-], ids=["missing-key", "bad-version", "bad-threshold"])
+    (lambda doc: doc["norm_min"].__setitem__(0, float("nan")), "MalformedModel"),
+], ids=["missing-key", "bad-version", "bad-threshold", "nan-norm"])
 def test_eval_malformed_model_exits_1(pipeline, tmp_path, capsys, edit, error):
     doc = json.loads(pipeline["model"].read_text())
     edit(doc)

@@ -41,11 +41,25 @@ def test_norm_maps_training_range_to_unit_interval():
     assert out.tolist() == [0.0, 0.0]
 
 
-def test_norm_degenerate_element_maps_to_zero():
+def test_norm_degenerate_element_maps_to_zero(rng):
     norm = mlp.NormParams(lo=np.array([3.0, 0.0]), hi=np.array([3.0, 1.0]))
     out = norm.apply(np.array([99.0, 0.75]))
     assert out[0] == 0.0
     assert out[1] == pytest.approx(0.5)
+    # 2-d input: live columns bitwise equal the textbook formula, dead
+    # columns are +0.0, and the input is left untouched
+    lo = np.array([0.0, 3.0, -1.0, 2.0])
+    hi = np.array([1.0, 3.0, 4.0, 2.0])
+    norm = mlp.NormParams(lo=lo, hi=hi)
+    values = rng.normal(size=(7, 4)) * 5.0
+    before = values.copy()
+    out = norm.apply(values)
+    live = np.array([True, False, True, False])
+    mid, span = 0.5 * (lo + hi), hi - lo
+    assert np.array_equal(out[:, live], 2.0 * (values[:, live] - mid[live]) / span[live])
+    assert np.all(out[:, ~live] == 0.0)
+    assert not np.any(np.signbit(out[:, ~live]))
+    assert np.array_equal(values, before)
 
 
 def test_norm_extrapolates_outside_range():
@@ -198,16 +212,6 @@ def test_jacobian_zero_input_zeroes_w1_columns():
     _, jac = mlp.outputs_and_jacobian(net, feats)
     w1_cols = jac[:, : 3 * 4]
     assert np.all(w1_cols == 0.0)
-
-
-def test_jacobian_batch_api_accepts_pairs(rng):
-    net = tiny_network(5, 2, seed=3)
-    feats = rng.normal(size=(4, 5))
-    pairs = [(FeatureVector(mode=ChannelMode.X, values=feats[i]), 1.0)
-             for i in range(4)]
-    ja = mlp.jacobian(net, pairs)
-    _, jb = mlp.outputs_and_jacobian(net, feats)
-    assert np.allclose(ja, jb, rtol=1e-14, atol=0)
 
 
 def test_jacobian_rejects_empty_batch():

@@ -94,6 +94,17 @@ def test_load_csv_rejects_wrong_column_count():
         load_recording_csv(io.StringIO("t,x,y,z\n0.0,1,2\n0.1,1,2\n"))
 
 
+@pytest.mark.parametrize("column", [0, 2], ids=["t", "y"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_field(column, bad):
+    rows = [[f"{i * 0.02!r}", "0.5", "0.25", "1.0"] for i in range(4)]
+    rows[2][column] = bad
+    text = "\n".join([CSV_HEADER, *(",".join(r) for r in rows[:2]), "",
+                      *(",".join(r) for r in rows[2:])]) + "\n"
+    with pytest.raises(MalformedRow, match="^line 5: non-finite field$"):
+        load_recording_csv(io.StringIO(text))
+
+
 def test_load_csv_rejects_non_monotonic_time():
     text = "t,x,y,z\n0.0,1,2,3\n0.02,1,2,3\n0.02,1,2,3\n"
     with pytest.raises(NonMonotonicTime):

@@ -2,6 +2,8 @@
 oracles, the 70/15/15 partition, training-loop stop reasons, and
 best-of-restarts selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,21 @@ def test_lm_step_some_damping_descends(rng):
             break
         mu *= 10
     assert descended
+
+
+def test_train_first_epoch_takes_lm_step(rng):
+    # acceptance 3 checks lm_step; train() must take the very same step
+    ds = toy_dataset(rng, n=30)
+    tr, va = ds.subset(np.arange(0, 30, 2)), ds.subset(np.arange(1, 30, 2))
+    config = TrainConfig(max_epochs=1)
+    seed = 3
+    net0 = mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN, rng=seed)
+    net0 = replace(net0, norm=mlp.NormParams.from_features(tr.features))
+    step = lm_step(net0, tr, config.mu0)
+    assert batch_sse(net0.with_weights(step), tr) < batch_sse(net0, tr)
+    net, report = train(tr, va, config, seed=seed)
+    assert report.epochs_run == 1
+    assert np.array_equal(net.to_weight_vector(), step)
 
 
 def test_lm_step_rejects_empty_batch(rng):
