@@ -302,6 +302,7 @@ def cmd_detect(args) -> None:
                     for (s, e), d in zip(truth.ranges, detected)
                 ],
             },
+            "near_threshold_windows": trace.near_threshold_windows,
         }
         report_path = out / "detect_report.json"
         atomic_write_text(report_path, json.dumps(doc, indent=1) + "\n")

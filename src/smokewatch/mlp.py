@@ -126,6 +126,20 @@ class Network:
                        b1=vec[k : k + hsz], w2=vec[k + hsz : k + 2 * hsz],
                        b2=float(vec[-1]))
 
+    def raw_first_layer(self) -> tuple[np.ndarray, np.ndarray]:
+        """First-layer (w, b) acting on raw inputs, the scaling folded in.
+
+        `raw @ w.T + b` equals `norm.apply(raw) @ w1.T + b1` up to rounding:
+        w = w1 * (2 / span) and b = b1 - w @ mid, with zero columns where the
+        span is 0 (those inputs scale to 0 whatever their value).
+        """
+        lo, hi = self.norm.lo, self.norm.hi
+        span = hi - lo
+        live = span > 0.0
+        w = self.w1 * np.where(live, 2.0 / np.where(live, span, 1.0), 0.0)
+        b = self.b1 - w @ np.where(live, 0.5 * (lo + hi), 0.0)
+        return w, b
+
 
 def init_network(input_size: int, hidden_size: int = DEFAULT_HIDDEN,
                  rng: Union[np.random.Generator, int, None] = None,

@@ -205,20 +205,18 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     lines = _read_text(source).splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise MalformedRow(f"first line must be the header {CSV_HEADER!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise MalformedRow(f"line {lineno}: expected 4 columns, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: non-numeric field") from None
-    if len(rows) < 2:
-        raise EmptyRecording(f"need at least 2 data rows, got {len(rows)}")
-    data = np.asarray(rows, dtype=np.float64)
+    body = list(filter(str.strip, lines[1:]))  # blank lines are skipped
+    if any(line.count(",") != 3 for line in body):
+        _raise_first_bad_row(lines)
+    fields = ",".join(body).split(",") if body else []
+    try:
+        data = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+    except ValueError:
+        _raise_first_bad_row(lines)
+        raise
+    if len(body) < 2:
+        raise EmptyRecording(f"need at least 2 data rows, got {len(body)}")
+    data = data.reshape(len(body), 4)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         # map the first bad data row back to its line; blank lines are skipped
@@ -238,6 +236,21 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
         )
     return SensorRecording(t=t, x=data[:, 1], y=data[:, 2], z=data[:, 3],
                            label=label, device=device)
+
+
+def _raise_first_bad_row(lines: list[str]) -> None:
+    """Raise MalformedRow for the first data line with a bad column count or a
+    field that float() rejects; the slow path behind load_recording_csv."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise MalformedRow(f"line {lineno}: expected 4 columns, got {len(parts)}")
+        try:
+            list(map(float, parts))
+        except ValueError:
+            raise MalformedRow(f"line {lineno}: non-numeric field") from None
 
 
 def write_recording_csv(recording: SensorRecording, dest: Union[str, Path, IO[str]]) -> None:

@@ -206,12 +206,31 @@ def test_detect_scored_run(pipeline, tmp_path):
     trace_lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
     assert trace_lines[0] == "start,output,smoking"
     report = json.loads((tmp_path / "detect_report.json").read_text())
-    assert set(report) == {"per_window", "per_range"}
+    assert set(report) == {"per_window", "per_range", "near_threshold_windows"}
     per_range = report["per_range"]
     assert per_range["total"] == len(per_range["ranges"])
     assert per_range["detected"] == sum(r["detected"] for r in per_range["ranges"])
     assert (tmp_path / "plot.csv").exists()
     assert (tmp_path / "manifest_detect.json").exists()
+
+
+def test_detect_report_counts_near_threshold_windows(pipeline, tmp_path):
+    base = ["detect", "--model", str(pipeline["model"]),
+            "--session", str(pipeline["session"]),
+            "--ranges", str(pipeline["ranges"])]
+    assert run(*base, "--out", str(tmp_path / "a")) == 0
+    rows = (tmp_path / "a" / "trace.csv").read_text().strip().splitlines()[1:]
+    outputs = np.array([float(r.split(",")[1]) for r in rows])
+    report = json.loads((tmp_path / "a" / "detect_report.json").read_text())
+    assert report["near_threshold_windows"] == int(
+        np.sum(np.abs(outputs - 0.5) <= 1e-9))
+    # a threshold equal to a written output puts that window on the threshold
+    pick = float(outputs[np.argmin(np.abs(outputs - 0.5))])
+    assert run(*base, "--threshold", repr(pick), "--out", str(tmp_path / "b")) == 0
+    report = json.loads((tmp_path / "b" / "detect_report.json").read_text())
+    near = int(np.sum(np.abs(outputs - pick) <= 1e-9))
+    assert near >= 1
+    assert report["near_threshold_windows"] == near
 
 
 def test_detect_without_ranges_writes_no_report(pipeline, tmp_path):

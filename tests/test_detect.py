@@ -1,12 +1,17 @@
 """Rolling-window detection: trace construction, truth labeling, scoring
 against ground-truth ranges, and the plot/trace serializations."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_recording, tiny_network
 from smokewatch import mlp
 from smokewatch.detect import (
+    BLOCK_WINDOWS,
+    NEAR_THRESHOLD,
     DetectionTrace,
     GestureRanges,
     detect_session,
@@ -24,7 +29,7 @@ from smokewatch.errors import (
     ModeMismatch,
     SessionTooShort,
 )
-from smokewatch.signal import ChannelMode, window_count
+from smokewatch.signal import ALL_MODES, ChannelMode, window_count
 
 
 def zero_network(width: int, mode: ChannelMode = ChannelMode.X) -> mlp.Network:
@@ -139,6 +144,59 @@ def test_detect_windows_match_manual_forward(rng):
         window = rec.x[start:start + 8]
         assert out == pytest.approx(mlp.forward(net, window), rel=1e-12)
         assert smoking == (out >= 0.4)
+
+
+def cut_windows(rec, mode: ChannelMode, starts: np.ndarray, width: int) -> np.ndarray:
+    """Raw inputs of the windows at `starts`, cut by fancy indexing."""
+    cols = starts[:, None] + np.arange(width)[None, :]
+    x, y, z = rec.x[cols], rec.y[cols], rec.z[cols]
+    return {ChannelMode.X: x, ChannelMode.Y: y, ChannelMode.Z: z,
+            ChannelMode.XYZ: np.concatenate([x, y, z], axis=1),
+            ChannelMode.AVG: (x + y + z) / 3.0}[mode]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+def test_detect_blocks_match_forward_batch_on_cut_windows(mode, stride):
+    # window counts just below, at and just above one and two block
+    # boundaries; the scaling has dead inputs (lo == hi) that the session
+    # fills with non-zero values, which must not reach the network
+    rng = np.random.default_rng(99)
+    width = 200
+    size = mode.feature_length(width)
+    lo = rng.uniform(-1.5, 0.5, size)
+    hi = lo + rng.uniform(0.3, 3.0, size)
+    dead = rng.random(size) < 0.1
+    hi[dead] = lo[dead]
+    net = replace(tiny_network(size, 4, seed=5, mode=mode),
+                  norm=mlp.NormParams(lo=lo, hi=hi))
+    counts = [k * BLOCK_WINDOWS + d for k in (1, 2) for d in (-1, 0, 1)]
+    values = rng.normal(0.3, 0.6, size=((max(counts) - 1) * stride + width, 3))
+    for n in counts:
+        rec = make_recording(values[: (n - 1) * stride + width])
+        trace = detect_session(net, rec, width=width, stride=stride)
+        starts = np.arange(n) * stride
+        assert np.array_equal(trace.starts, starts)
+        want = mlp.forward_batch(net, cut_windows(rec, mode, starts, width))
+        assert np.max(np.abs(trace.outputs - want)) <= 1e-12
+        near = np.abs(want - 0.5) <= NEAR_THRESHOLD
+        assert not near.any()
+        assert np.array_equal(trace.decisions, want >= 0.5)
+
+
+def test_detect_memory_does_not_grow_with_the_session(rng):
+    # an XYZ detect over 50,000 samples holds blocks of windows, never the
+    # (49,801 x 600) window matrix (228 MiB) or a scaled copy of it
+    rec = make_recording(rng.normal(size=(50_000, 3)))
+    net = tiny_network(600, 10, seed=0, mode=ChannelMode.XYZ)
+    tracemalloc.start()
+    try:
+        trace = detect_session(net, rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 49_801
+    assert peak < 32 * 2**20
 
 
 # --- score_trace -------------------------------------------------------------

@@ -4,6 +4,7 @@ finite-difference oracle."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ def test_norm_degenerate_element_maps_to_zero(rng):
     assert np.all(out[:, ~live] == 0.0)
     assert not np.any(np.signbit(out[:, ~live]))
     assert np.array_equal(values, before)
+
+
+def test_raw_first_layer_folds_the_scaling(rng):
+    # the folded layer on raw inputs equals the first layer on scaled inputs;
+    # dead inputs (lo == hi) get zero weight columns whatever value they carry
+    net = tiny_network(6, 3, seed=4)
+    lo = np.array([0.0, 3.0, -1.0, 2.0, 0.9, -0.2])
+    hi = np.array([1.0, 3.0, 4.0, 2.0, 1.1, 0.3])
+    net = replace(net, norm=mlp.NormParams(lo=lo, hi=hi))
+    w, b = net.raw_first_layer()
+    assert np.all(w[:, [1, 3]] == 0.0)
+    raw = rng.normal(size=(9, 6)) * 5.0
+    want = net.norm.apply(raw) @ net.w1.T + net.b1
+    assert np.allclose(raw @ w.T + b, want, rtol=0.0, atol=1e-12)
 
 
 def test_norm_extrapolates_outside_range():

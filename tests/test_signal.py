@@ -6,6 +6,7 @@ independently of np.interp.
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,34 @@ def test_load_csv_rejects_non_finite_field(column, bad):
                       *(",".join(r) for r in rows[2:])]) + "\n"
     with pytest.raises(MalformedRow, match="^line 5: non-finite field$"):
         load_recording_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0.04,1,2", "line 5: expected 4 columns, got 3"),
+    ("0.04,1,2,3,4", "line 5: expected 4 columns, got 5"),
+    ("0.04,1,x,3", "line 5: non-numeric field"),
+    ("0.04,1,,3", "line 5: non-numeric field"),
+])
+def test_load_csv_names_the_line_after_a_blank_line(bad, message):
+    # rows 2-3, a blank line 4, the bad row on line 5, then a row that is bad
+    # the other way, so the first bad line in file order must be the one named
+    later = "0.06,1,y,3" if "columns" in message else "0.06,1,2"
+    text = "\n".join([CSV_HEADER, "0.0,1,2,3", "0.02,1,2,3", "", bad, later,
+                      "0.08,1,2,3"]) + "\n"
+    with pytest.raises(MalformedRow, match=f"^{re.escape(message)}$"):
+        load_recording_csv(io.StringIO(text))
+
+
+def test_load_csv_crlf_equals_lf(rng):
+    rec = make_recording(rng.normal(size=(30, 3)))
+    buf = io.StringIO()
+    write_recording_csv(rec, buf)
+    lf = buf.getvalue().replace("\n", "\n\n", 1)  # one blank line too
+    a = load_recording_csv(lf.encode("utf-8"))
+    b = load_recording_csv(lf.replace("\n", "\r\n").encode("utf-8"))
+    for name in ("t", "x", "y", "z"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(getattr(a, name), getattr(rec, name))
 
 
 def test_load_csv_rejects_non_monotonic_time():
