@@ -2,12 +2,14 @@
 
 The network slides across the session at a fixed stride; each output is
 anchored at its window's start sample index. The input scaling is folded into
-the first layer once per call (`Network.raw_first_layer`), and the windows
-are cut from strided views of the session in blocks of `BLOCK_WINDOWS`, each
-passed through `kernels.batch_forward`, so memory stays flat in the session
-length. Scoring against handpicked ground-truth ranges labels a window
-smoking iff its start index falls inside a range, and additionally flags each
-range as detected when at least one window starting inside it fired.
+the first layer once per call (`Network.raw_first_layer`), each signal is
+centred once so that the folded layer rounds like the scaled one, and the
+windows are cut from strided views of the centred signals in blocks of
+`BLOCK_WINDOWS`, each passed through `kernels.batch_forward`, so memory stays
+flat in the session length. Scoring against handpicked ground-truth ranges
+labels a window smoking iff its start index falls inside a range, and
+additionally flags each range as detected when at least one window starting
+inside it fired.
 """
 
 from __future__ import annotations
@@ -101,23 +103,19 @@ class GestureRanges:
         return labels
 
 
-def _axis_windows(session: SensorRecording, width: int, stride: int,
-                  mode: ChannelMode) -> tuple[np.ndarray, ...]:
-    """Strided (windows, width) views of the axes the mode reads; no copies."""
-    axes = {ChannelMode.X: (session.x,), ChannelMode.Y: (session.y,),
-            ChannelMode.Z: (session.z,)}.get(mode, (session.x, session.y, session.z))
-    return tuple(sliding_window_view(a, width)[::stride] for a in axes)
-
-
-def _block_inputs(views: tuple[np.ndarray, ...], mode: ChannelMode,
-                  lo: int, hi: int) -> np.ndarray:
-    """Raw network inputs of windows lo..hi-1 as one contiguous matrix."""
-    parts = [v[lo:hi] for v in views]
-    if mode is ChannelMode.XYZ:
-        return np.concatenate(parts, axis=1)
+def _signals(session: SensorRecording, mode: ChannelMode) -> tuple[np.ndarray, ...]:
+    """The per-sample signals the mode's windows are cut from."""
     if mode is ChannelMode.AVG:
-        return (parts[0] + parts[1] + parts[2]) / 3.0
-    return np.ascontiguousarray(parts[0])
+        return ((session.x + session.y + session.z) / 3.0,)
+    return {ChannelMode.X: (session.x,), ChannelMode.Y: (session.y,),
+            ChannelMode.Z: (session.z,)}.get(mode, (session.x, session.y, session.z))
+
+
+def _block_inputs(views: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
+    """Network inputs of windows lo..hi-1 as one contiguous matrix."""
+    if len(views) > 1:
+        return np.concatenate([v[lo:hi] for v in views], axis=1)
+    return np.ascontiguousarray(views[0][lo:hi])
 
 
 def detect_session(network: mlp.Network, session: SensorRecording,
@@ -140,14 +138,20 @@ def detect_session(network: mlp.Network, session: SensorRecording,
             f"session has {len(session)} samples, window needs {width}")
 
     n = window_count(len(session), width, stride)
-    views = _axis_windows(session, width, stride, network.mode)
-    w, b = network.raw_first_layer()
+    signals = _signals(session, network.mode)
+    # each signal is centred once on the mean of its inputs' scaling midpoints,
+    # which the folded first layer takes back into its bias
+    mid = 0.5 * (network.norm.lo + network.norm.hi)
+    centres = mid.reshape(len(signals), width).mean(axis=1)
+    w, b = network.raw_first_layer(np.repeat(centres, width))
+    views = tuple(sliding_window_view(s - c, width)[::stride]
+                  for s, c in zip(signals, centres))
     assert views[0].shape[0] == n
     outputs = np.empty(n)
     for lo in range(0, n, BLOCK_WINDOWS):
         hi = min(lo + BLOCK_WINDOWS, n)
-        block = _block_inputs(views, network.mode, lo, hi)
-        outputs[lo:hi] = kernels.batch_forward(w, b, network.w2, network.b2, block)
+        outputs[lo:hi] = kernels.batch_forward(w, b, network.w2, network.b2,
+                                               _block_inputs(views, lo, hi))
     starts = np.arange(n, dtype=np.intp) * stride
     return DetectionTrace(starts=starts, outputs=outputs, width=width,
                           stride=stride, threshold=threshold)

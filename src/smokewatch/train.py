@@ -2,8 +2,10 @@
 
 Full-batch damped least squares on the network output: each epoch solves
 (J'J + mu*I) delta = J'e with e = target - output, accepting a step only when
-it lowers the training sum of squared errors. The 70/15/15 partition and the
-best-of-N restart selection live here too.
+it lowers the training sum of squared errors. With fewer training rows than
+weights (every Table-1 fit) the epoch works on the dual system in Gram form
+(`kernels.batch_gram`, `gram_step`) and never builds J. The 70/15/15
+partition and the best-of-N restart selection live here too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.linalg
 
-from . import mlp
+from . import kernels, mlp
 from .errors import (
     EmptyBatch,
     EmptyDataset,
@@ -141,6 +143,10 @@ class TrainReport:
     stop_reason: StopReason
     train_sse_history: tuple[float, ...]
     val_sse_history: tuple[float, ...]
+    # per accepted epoch: the mu of the accepted step, and how many candidates
+    # (at mu, mu*mu_inc, ...) were rejected before it
+    mu_history: tuple[float, ...]
+    rejected_steps: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,6 +156,8 @@ class TrainReport:
             "stop_reason": self.stop_reason.value,
             "train_sse_history": list(self.train_sse_history),
             "val_sse_history": list(self.val_sse_history),
+            "mu_history": list(self.mu_history),
+            "rejected_steps": list(self.rejected_steps),
         }
 
 
@@ -196,7 +204,7 @@ def solve_damped(jac: np.ndarray, err: np.ndarray, mu: float) -> np.ndarray:
         raise NumericalFailure("non-finite jacobian or error")
 
     m, p = jac.shape
-    if p <= m:
+    if not _dual(m, p):
         a = jac.T @ jac
         a[np.diag_indices_from(a)] += mu
         rhs = jac.T @ err
@@ -206,6 +214,27 @@ def solve_damped(jac: np.ndarray, err: np.ndarray, mu: float) -> np.ndarray:
         a[np.diag_indices_from(a)] += mu
         alpha = _spd_solve(a, err)
         delta = jac.T @ alpha
+    if not np.all(np.isfinite(delta)):
+        raise NumericalFailure("non-finite step")
+    return delta
+
+
+def _dual(rows: int, n_weights: int) -> bool:
+    """Whether the m x m dual system is the smaller one (fewer rows than weights)."""
+    return n_weights > rows
+
+
+def gram_step(gram: np.ndarray, parts, xn: np.ndarray, err: np.ndarray,
+              mu: float) -> np.ndarray:
+    """`solve_damped`'s dual-branch step from the Gram form of the Jacobian.
+
+    Solves (JJ' + mu*I) alpha = e on the `kernels.batch_gram` matrix and maps
+    alpha back to delta = J'alpha with `kernels.gram_step_map`; J itself is
+    never built.
+    """
+    a = gram.copy()
+    a[np.diag_indices_from(a)] += mu
+    delta = kernels.gram_step_map(xn, parts, _spd_solve(a, err))
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("non-finite step")
     return delta
@@ -239,17 +268,26 @@ def lm_step(network: mlp.Network, batch: LabeledDataset, mu: float) -> np.ndarra
     return network.to_weight_vector() + delta
 
 
+def _sse(network: mlp.Network, xn: np.ndarray, targets: np.ndarray) -> float:
+    """`batch_sse` on inputs scaled once by the network's own scaling."""
+    e = targets - kernels.batch_forward(network.w1, network.b1, network.w2,
+                                        network.b2, xn)
+    return float(e @ e)
+
+
 def train(train_set: LabeledDataset, val_set: LabeledDataset,
           config: TrainConfig = TrainConfig(), seed: int = 0,
           hidden_size: int = mlp.DEFAULT_HIDDEN) -> tuple[mlp.Network, TrainReport]:
     """Train one network; returns it with the report of the run.
 
-    Input scaling is captured from the training split. Each epoch builds the
-    Jacobian once and retries the damped step with growing mu until the
-    training SSE drops; the first candidate of an epoch is `lm_step`'s.
-    Stops on the SSE goal, on `max_val_failures` epochs without a new best
-    validation SSE (restoring the best-validation network), on the epoch
-    limit, or when mu overflows.
+    Input scaling is captured from the training split, and both splits are
+    scaled once. Each epoch builds the Gram matrix JJ' (fewer rows than
+    weights) or the Jacobian (otherwise) once, then retries the damped step
+    with growing mu until the training SSE drops; the first candidate of an
+    epoch is `gram_step`'s or `solve_damped`'s at the current mu, which equals
+    `lm_step`'s. Stops on the SSE goal, on `max_val_failures` epochs without a
+    new best validation SSE (restoring the best-validation network), on the
+    epoch limit, or when mu overflows.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise EmptyDataset("train and validation sets must be non-empty")
@@ -259,6 +297,11 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
     net = replace(mlp.init_network(train_set.input_size, hidden_size,
                                    np.random.default_rng(seed), mode=train_set.mode),
                   norm=mlp.NormParams.from_features(train_set.features))
+    xn = net.norm.apply(train_set.features)
+    xn_val = net.norm.apply(val_set.features)
+    targets = train_set.targets
+    dual = _dual(len(train_set), net.n_weights)
+    k1 = xn @ xn.T + 1.0 if dual else None
 
     mu = config.mu0
     best_val = np.inf
@@ -266,26 +309,37 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
     val_failures = 0
     train_hist: list[float] = []
     val_hist: list[float] = []
+    mu_hist: list[float] = []
+    rejected_hist: list[int] = []
     stop = StopReason.EPOCH_LIMIT
 
     for _ in range(config.max_epochs):
-        y, jac = mlp.outputs_and_jacobian(net, train_set.features)
-        err = train_set.targets - y
+        if dual:
+            gram, y, parts = kernels.batch_gram(net.w1, net.b1, net.w2, net.b2, xn, k1)
+        else:
+            jac, y = kernels.batch_jacobian(net.w1, net.b1, net.w2, net.b2, xn)
+        err = targets - y
         current_sse = float(err @ err)
         if not np.isfinite(current_sse):
             raise NumericalFailure("non-finite training error")
 
+        w = net.to_weight_vector()
+        rejected = 0
         accepted = False
         while True:
-            cand = net.with_weights(net.to_weight_vector()
-                                    + solve_damped(jac, err, mu))
-            cand_sse = batch_sse(cand, train_set)
+            delta = (gram_step(gram, parts, xn, err, mu) if dual
+                     else solve_damped(jac, err, mu))
+            cand = net.with_weights(w + delta)
+            cand_sse = _sse(cand, xn, targets)
             if np.isfinite(cand_sse) and cand_sse < current_sse:
                 net = cand
                 current_sse = cand_sse
+                mu_hist.append(mu)
+                rejected_hist.append(rejected)
                 mu = max(mu / config.mu_dec, MU_FLOOR)
                 accepted = True
                 break
+            rejected += 1
             mu *= config.mu_inc
             if mu > config.mu_max:
                 break
@@ -293,7 +347,7 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
             stop = StopReason.MU_OVERFLOW
             break
 
-        val_sse = batch_sse(net, val_set)
+        val_sse = _sse(net, xn_val, val_set.targets)
         train_hist.append(current_sse)
         val_hist.append(val_sse)
 
@@ -314,11 +368,13 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
 
     report = TrainReport(
         epochs_run=len(train_hist),
-        final_train_sse=batch_sse(net, train_set),
-        final_val_sse=batch_sse(net, val_set),
+        final_train_sse=_sse(net, xn, targets),
+        final_val_sse=_sse(net, xn_val, val_set.targets),
         stop_reason=stop,
         train_sse_history=tuple(train_hist),
         val_sse_history=tuple(val_hist),
+        mu_history=tuple(mu_hist),
+        rejected_steps=tuple(rejected_hist),
     )
     return net, report
 

@@ -184,6 +184,26 @@ def test_detect_blocks_match_forward_batch_on_cut_windows(mode, stride):
         assert np.array_equal(trace.decisions, want >= 0.5)
 
 
+@pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+def test_detect_folded_layer_keeps_precision_on_offset_axes(mode):
+    # every axis sits at ~1 g with a scaling span of 0.5-1 mg (|mid|/span
+    # 1e3-2e3); folding the scaling into the first layer on uncentred raw
+    # values would cancel terms of that size and miss the 1e-12 bound
+    rng = np.random.default_rng(42)
+    width = 200
+    size = mode.feature_length(width)
+    lo = 1.0 + rng.normal(0.0, 2e-4, size)
+    hi = lo + rng.uniform(0.5e-3, 1.0e-3, size)
+    net = replace(tiny_network(size, mlp.DEFAULT_HIDDEN, seed=6, mode=mode),
+                  norm=mlp.NormParams(lo=lo, hi=hi))
+    rec = make_recording(1.0 + rng.normal(0.0, 5e-4, size=(1500, 3)))
+    trace = detect_session(net, rec, width=width)
+    want = mlp.forward_batch(net, cut_windows(rec, mode, trace.starts, width))
+    assert np.max(np.abs(trace.outputs - want)) <= 1e-12
+    assert not np.any(np.abs(want - 0.5) <= NEAR_THRESHOLD)
+    assert np.array_equal(trace.decisions, want >= 0.5)
+
+
 def test_detect_memory_does_not_grow_with_the_session(rng):
     # an XYZ detect over 50,000 samples holds blocks of windows, never the
     # (49,801 x 600) window matrix (228 MiB) or a scaled copy of it

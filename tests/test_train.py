@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import tiny_network
-from smokewatch import mlp
+import smokewatch.train as train_mod
+from smokewatch import kernels, mlp
 from smokewatch.errors import EmptyBatch, InvalidSize, NumericalFailure
 from smokewatch.signal import ChannelMode, GestureClass
 from smokewatch.train import (
+    MU_FLOOR,
     LabeledDataset,
     SplitRatios,
     StopReason,
@@ -19,6 +21,7 @@ from smokewatch.train import (
     TrainReport,
     batch_sse,
     build_dataset,
+    gram_step,
     lm_step,
     partition,
     select_best_restart,
@@ -147,18 +150,52 @@ def test_lm_step_some_damping_descends(rng):
 
 
 def test_train_first_epoch_takes_lm_step(rng):
-    # acceptance 3 checks lm_step; train() must take the very same step
+    # acceptance 3 checks lm_step on the Jacobian; train() takes the same
+    # step in Gram form: exactly gram_step's at mu0, and lm_step's to 1e-10
     ds = toy_dataset(rng, n=30)
     tr, va = ds.subset(np.arange(0, 30, 2)), ds.subset(np.arange(1, 30, 2))
     config = TrainConfig(max_epochs=1)
     seed = 3
     net0 = mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN, rng=seed)
     net0 = replace(net0, norm=mlp.NormParams.from_features(tr.features))
-    step = lm_step(net0, tr, config.mu0)
+    assert len(tr) < net0.n_weights  # the dual branch
+    xn = net0.norm.apply(tr.features)
+    gram, y, parts = kernels.batch_gram(net0.w1, net0.b1, net0.w2, net0.b2,
+                                        xn, xn @ xn.T + 1.0)
+    w0 = net0.to_weight_vector()
+    step = w0 + gram_step(gram, parts, xn, tr.targets - y, config.mu0)
+    oracle = lm_step(net0, tr, config.mu0)
+    assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle - w0)
     assert batch_sse(net0.with_weights(step), tr) < batch_sse(net0, tr)
     net, report = train(tr, va, config, seed=seed)
     assert report.epochs_run == 1
+    assert report.rejected_steps == (0,)
     assert np.array_equal(net.to_weight_vector(), step)
+
+
+@pytest.mark.parametrize("rows", [12, 13, 14])
+def test_train_takes_the_primal_path_unless_fewer_rows_than_weights(
+        monkeypatch, rows):
+    # 2 inputs and 3 hidden units make 13 weights; with 13 rows or more
+    # train() solves on J with solve_damped, with fewer on the Gram matrix
+    calls = {"gram": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "batch_gram", counted("gram", kernels.batch_gram))
+    monkeypatch.setattr(train_mod, "solve_damped", counted("solve", solve_damped))
+    ds = toy_dataset(np.random.default_rng(8), n=2 * rows, p=2)
+    tr, va = ds.subset(np.arange(0, 2 * rows, 2)), ds.subset(np.arange(1, 2 * rows, 2))
+    _, report = train(tr, va, TrainConfig(max_epochs=3), seed=1, hidden_size=3)
+    assert report.epochs_run >= 1
+    if rows < 13:
+        assert calls["solve"] == 0 and calls["gram"] >= report.epochs_run
+    else:
+        assert calls["gram"] == 0 and calls["solve"] >= report.epochs_run
 
 
 def test_lm_step_rejects_empty_batch(rng):
@@ -304,7 +341,35 @@ def test_report_json_shape(rng):
     doc = report.to_json_dict()
     assert doc["epochs_run"] == report.epochs_run
     assert doc["stop_reason"] in {r.value for r in StopReason}
-    assert len(doc["train_sse_history"]) == doc["epochs_run"]
+    for key in ("train_sse_history", "val_sse_history", "mu_history", "rejected_steps"):
+        assert len(doc[key]) == doc["epochs_run"]
+    assert all(isinstance(k, int) for k in doc["rejected_steps"])
+    assert doc["mu_history"] == list(report.mu_history)
+
+
+def test_report_records_how_mu_moved(rng):
+    # epoch 1 replayed by brute force: lm_step at mu0 * mu_inc**k for
+    # k = 0, 1, ... until a candidate lowers the training SSE
+    ds = toy_dataset(rng, n=30, separation=0.3)
+    tr, va, _ = partition(ds, SplitRatios(), seed=2)
+    config = TrainConfig(mu0=1e-6, max_epochs=6, sse_goal=1e-30)
+    seed = 4
+    _, report = train(tr, va, config, seed=seed)
+    net0 = replace(mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN, rng=seed),
+                   norm=mlp.NormParams.from_features(tr.features))
+    base = batch_sse(net0, tr)
+    k = 0
+    while batch_sse(net0.with_weights(
+            lm_step(net0, tr, config.mu0 * config.mu_inc ** k)), tr) >= base:
+        k += 1
+    assert k >= 1  # the replay covers rejected retries
+    assert report.rejected_steps[0] == k
+    assert report.mu_history[0] == pytest.approx(config.mu0 * config.mu_inc ** k, rel=1e-12)
+    # later epochs start from the last accepted mu divided by mu_dec
+    for e in range(1, report.epochs_run):
+        start = max(report.mu_history[e - 1] / config.mu_dec, MU_FLOOR)
+        assert report.mu_history[e] == pytest.approx(
+            start * config.mu_inc ** report.rejected_steps[e], rel=1e-12)
 
 
 def test_build_dataset_targets_follow_labels(rng):
