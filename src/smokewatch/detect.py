@@ -139,11 +139,7 @@ def detect_session(network: mlp.Network, session: SensorRecording,
 
     n = window_count(len(session), width, stride)
     signals = _signals(session, network.mode)
-    # each signal is centred once on the mean of its inputs' scaling midpoints,
-    # which the folded first layer takes back into its bias
-    mid = 0.5 * (network.norm.lo + network.norm.hi)
-    centres = mid.reshape(len(signals), width).mean(axis=1)
-    w, b = network.raw_first_layer(np.repeat(centres, width))
+    w, b, centres = network.raw_first_layer(len(signals))
     views = tuple(sliding_window_view(s - c, width)[::stride]
                   for s, c in zip(signals, centres))
     assert views[0].shape[0] == n

@@ -126,23 +126,28 @@ class Network:
                        b1=vec[k : k + hsz], w2=vec[k + hsz : k + 2 * hsz],
                        b2=float(vec[-1]))
 
-    def raw_first_layer(self, centre: Union[float, np.ndarray]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """First-layer (w, b) acting on centred raw inputs, the scaling folded in.
+    def raw_first_layer(self, signals: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First-layer (w, b) on centred raw inputs, the scaling folded in.
 
-        `(raw - centre) @ w.T + b` equals `norm.apply(raw) @ w1.T + b1` up to
-        rounding: w = w1 * (2 / span) and b = b1 - w @ (mid - centre), with
-        zero columns where the span is 0 (those inputs scale to 0 whatever
-        their value). `centre` is a scalar or one value per input. The
-        rounding grows with |mid - centre| / span, so a centre near mid keeps
-        it small on inputs with a large offset and a narrow range.
+        The inputs are `signals` equally long runs, one per signal the
+        windows are cut from. Each signal's centre c is the mean scaling
+        midpoint of its run, and `(raw - c) @ w.T + b` equals
+        `norm.apply(raw) @ w1.T + b1` up to rounding: w = w1 * (2 / span) and
+        b = b1 - w @ (mid - c), with zero columns where the span is 0 (those
+        inputs scale to 0 whatever their value). The rounding grows with
+        |mid - c| / span, so centring keeps it small on inputs with a large
+        offset and a narrow range. Returns (w, b, one centre per signal).
         """
         lo, hi = self.norm.lo, self.norm.hi
         span = hi - lo
         live = span > 0.0
+        mid = 0.5 * (lo + hi)
+        centres = mid.reshape(signals, -1).mean(axis=1)
         w = self.w1 * np.where(live, 2.0 / np.where(live, span, 1.0), 0.0)
-        b = self.b1 - w @ np.where(live, 0.5 * (lo + hi) - centre, 0.0)
-        return w, b
+        b = self.b1 - w @ np.where(
+            live, mid - np.repeat(centres, self.input_size // signals), 0.0)
+        return w, b, centres
 
 
 def init_network(input_size: int, hidden_size: int = DEFAULT_HIDDEN,
@@ -165,7 +170,7 @@ def init_network(input_size: int, hidden_size: int = DEFAULT_HIDDEN,
                    mode=mode, norm=NormParams.identity(input_size))
 
 
-def _scaled_inputs(network: Network, raw) -> np.ndarray:
+def scaled_inputs(network: Network, raw) -> np.ndarray:
     """Raw feature vector(s) -> contiguous (n, input_size) scaled matrix."""
     if isinstance(raw, FeatureVector):
         raw = raw.values
@@ -186,7 +191,7 @@ def forward(network: Network, raw) -> float:
 def forward_batch(network: Network, features: np.ndarray) -> np.ndarray:
     """Outputs for a (n, input_size) matrix of raw feature vectors."""
     return kernels.batch_forward(network.w1, network.b1, network.w2,
-                                 network.b2, _scaled_inputs(network, features))
+                                 network.b2, scaled_inputs(network, features))
 
 
 def outputs_and_jacobian(network: Network, features: np.ndarray):
@@ -195,7 +200,7 @@ def outputs_and_jacobian(network: Network, features: np.ndarray):
     Row s, column w of the Jacobian holds d output(x_s) / dw; columns follow
     the packed weight-vector order.
     """
-    xn = _scaled_inputs(network, features)
+    xn = scaled_inputs(network, features)
     if xn.shape[0] == 0:
         raise EmptyBatch("jacobian needs at least one sample")
     jac, y = kernels.batch_jacobian(network.w1, network.b1, network.w2,

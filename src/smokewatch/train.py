@@ -251,11 +251,17 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(a, b)
 
 
+def _sse(network: mlp.Network, xn: np.ndarray, targets: np.ndarray) -> float:
+    """Sum of squared errors on inputs already scaled by `mlp.scaled_inputs`."""
+    e = targets - kernels.batch_forward(network.w1, network.b1, network.w2,
+                                        network.b2, xn)
+    return float(e @ e)
+
+
 def batch_sse(network: mlp.Network, dataset: LabeledDataset) -> float:
     """Sum of squared errors of the network on a dataset."""
-    y = mlp.forward_batch(network, dataset.features)
-    e = dataset.targets - y
-    return float(e @ e)
+    return _sse(network, mlp.scaled_inputs(network, dataset.features),
+                dataset.targets)
 
 
 def lm_step(network: mlp.Network, batch: LabeledDataset, mu: float) -> np.ndarray:
@@ -266,13 +272,6 @@ def lm_step(network: mlp.Network, batch: LabeledDataset, mu: float) -> np.ndarra
     err = batch.targets - y
     delta = solve_damped(jac, err, mu)
     return network.to_weight_vector() + delta
-
-
-def _sse(network: mlp.Network, xn: np.ndarray, targets: np.ndarray) -> float:
-    """`batch_sse` on inputs scaled once by the network's own scaling."""
-    e = targets - kernels.batch_forward(network.w1, network.b1, network.w2,
-                                        network.b2, xn)
-    return float(e @ e)
 
 
 def train(train_set: LabeledDataset, val_set: LabeledDataset,
@@ -297,8 +296,8 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
     net = replace(mlp.init_network(train_set.input_size, hidden_size,
                                    np.random.default_rng(seed), mode=train_set.mode),
                   norm=mlp.NormParams.from_features(train_set.features))
-    xn = net.norm.apply(train_set.features)
-    xn_val = net.norm.apply(val_set.features)
+    xn = mlp.scaled_inputs(net, train_set.features)
+    xn_val = mlp.scaled_inputs(net, val_set.features)
     targets = train_set.targets
     dual = _dual(len(train_set), net.n_weights)
     k1 = xn @ xn.T + 1.0 if dual else None

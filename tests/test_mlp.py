@@ -70,16 +70,20 @@ def test_raw_first_layer_folds_the_scaling(rng):
     lo = np.array([0.0, 3.0, -1.0, 2.0, 0.9, -0.2])
     hi = np.array([1.0, 3.0, 4.0, 2.0, 1.1, 0.3])
     net = replace(net, norm=mlp.NormParams(lo=lo, hi=hi))
-    w, b = net.raw_first_layer(0.0)
-    assert np.all(w[:, [1, 3]] == 0.0)
     raw = rng.normal(size=(9, 6)) * 5.0
     want = net.norm.apply(raw) @ net.w1.T + net.b1
-    assert np.allclose(raw @ w.T + b, want, rtol=0.0, atol=1e-12)
-    # a centre moves into the bias only: same columns, inputs taken less it
-    centre = np.array([0.5, -7.0, 1.5, 2.0, 1.0, 0.0])
-    wc, bc = net.raw_first_layer(centre)
-    assert np.array_equal(wc, w)
-    assert np.allclose((raw - centre) @ wc.T + bc, want, rtol=0.0, atol=1e-12)
+    mid = 0.5 * (lo + hi)
+    w, b, centres = net.raw_first_layer(1)
+    assert np.all(w[:, [1, 3]] == 0.0)
+    assert np.array_equal(centres, [mid.mean()])
+    assert np.allclose((raw - centres[0]) @ w.T + b, want, rtol=0.0, atol=1e-12)
+    # two signals of three inputs each: one centre per signal, moved into
+    # the bias only, so the weight columns are the same
+    w2, b2, centres2 = net.raw_first_layer(2)
+    assert np.array_equal(w2, w)
+    assert np.array_equal(centres2, [mid[:3].mean(), mid[3:].mean()])
+    centred = raw - np.repeat(centres2, 3)
+    assert np.allclose(centred @ w2.T + b2, want, rtol=0.0, atol=1e-12)
 
 
 def test_norm_extrapolates_outside_range():

@@ -159,7 +159,7 @@ def test_train_first_epoch_takes_lm_step(rng):
     net0 = mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN, rng=seed)
     net0 = replace(net0, norm=mlp.NormParams.from_features(tr.features))
     assert len(tr) < net0.n_weights  # the dual branch
-    xn = net0.norm.apply(tr.features)
+    xn = mlp.scaled_inputs(net0, tr.features)
     gram, y, parts = kernels.batch_gram(net0.w1, net0.b1, net0.w2, net0.b2,
                                         xn, xn @ xn.T + 1.0)
     w0 = net0.to_weight_vector()
