@@ -14,7 +14,6 @@ from .detect import (
     load_ranges,
     save_ranges,
     score_trace,
-    trace_to_plot_series,
 )
 from .errors import (
     ContainsPositiveClass,
@@ -27,6 +26,7 @@ from .errors import (
     InvalidThreshold,
     LengthMismatch,
     MalformedModel,
+    MalformedRanges,
     MalformedRow,
     ModeMismatch,
     NonMonotonicTime,

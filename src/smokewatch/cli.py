@@ -277,8 +277,8 @@ def cmd_eval(args) -> None:
 def cmd_detect(args) -> None:
     network, stored_threshold = mlp.load_model(args.model)
     threshold = stored_threshold if args.threshold is None else args.threshold
-    session_path = Path(args.session)
-    session = load_recording_csv(session_path)
+    truth = None if args.ranges is None else detect_mod.load_ranges(args.ranges)
+    session = load_recording_csv(Path(args.session))
     trace = detect_mod.detect_session(network, session, width=args.width,
                                       stride=args.stride, threshold=threshold)
     out = Path(args.out)
@@ -287,8 +287,7 @@ def cmd_detect(args) -> None:
     detect_mod.write_trace_csv(trace, trace_path)
     written = [str(trace_path)]
     inputs = [str(args.model), str(args.session)]
-    if args.ranges is not None:
-        truth = detect_mod.load_ranges(args.ranges)
+    if truth is not None:
         report, detected = detect_mod.score_trace(trace, truth)
         hits = sum(detected)
         doc = {

@@ -9,7 +9,8 @@ windows are cut from strided views of the centred signals in blocks of
 flat in the session length. Scoring against handpicked ground-truth ranges
 labels a window smoking iff its start index falls inside a range, and
 additionally flags each range as detected when at least one window starting
-inside it fired.
+inside it fired. The trace and plot CSVs are formatted from the trace arrays
+`fileio.BLOCK_ROWS` rows at a time, so neither is ever held whole as text.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,10 +29,11 @@ from .errors import (
     InvalidSize,
     InvalidThreshold,
     LengthMismatch,
+    MalformedRanges,
     ModeMismatch,
     SessionTooShort,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_chunks, atomic_write_text, csv_blocks
 from .signal import ChannelMode, SensorRecording, window_count
 
 # Windows per forward call: a block of XYZ inputs is 1024 x 600 float64
@@ -85,16 +87,13 @@ class GestureRanges:
         prev_end = None
         for s, e in norm:
             if s >= e:
-                raise ValueError(f"range start {s} must precede end {e}")
+                raise MalformedRanges(f"range start {s} must precede end {e}")
             if prev_end is not None and s < prev_end:
-                raise ValueError("ranges must be sorted and non-overlapping")
+                raise MalformedRanges("ranges must be sorted and non-overlapping")
             prev_end = e
 
     def __len__(self) -> int:
         return len(self.ranges)
-
-    def contains(self, index: int) -> bool:
-        return any(s <= index < e for s, e in self.ranges)
 
     def label_indices(self, indices: np.ndarray) -> np.ndarray:
         labels = np.zeros(len(indices), dtype=bool)
@@ -178,47 +177,56 @@ def score_trace(trace: DetectionTrace,
     return report, detected
 
 
-def trace_to_plot_series(trace: DetectionTrace, session: SensorRecording
-                         ) -> list[tuple[int, float, float, float, float | None]]:
-    """One row per session sample: (index, x, y, z, output-or-None).
-
-    Outputs appear only on rows where a window starts, matching a plot of
-    the raw signal with the network trace superimposed.
-    """
-    outputs: list[float | None] = [None] * len(session)
-    for start, out in zip(trace.starts.tolist(), trace.outputs.tolist()):
-        outputs[start] = out
-    return list(zip(range(len(session)), session.x.tolist(), session.y.tolist(),
-                    session.z.tolist(), outputs))
-
-
 PLOT_HEADER = "i,x,y,z,output"
 
 
 def write_plot_csv(trace: DetectionTrace, session: SensorRecording,
                    path: Union[str, Path]) -> None:
-    rows = trace_to_plot_series(trace, session)
-    lines = [PLOT_HEADER]
-    for i, x, y, z, out in rows:
-        tail = "" if out is None else repr(out)
-        lines.append(f"{i},{x!r},{y!r},{z!r},{tail}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One row per session sample, `i,x,y,z,output`; the output column is
+    filled only on rows where a window starts (the last one, if several do)."""
+    order = np.argsort(trace.starts, kind="stable")
+    starts, outputs = trace.starts[order], trace.outputs[order]
+
+    def rows(lo: int, hi: int) -> Iterator[str]:
+        tails = [""] * (hi - lo)
+        a, b = np.searchsorted(starts, (lo, hi))
+        for start, out in zip(starts[a:b].tolist(), outputs[a:b].tolist()):
+            tails[start - lo] = repr(out)
+        block = zip(session.x[lo:hi].tolist(), session.y[lo:hi].tolist(),
+                    session.z[lo:hi].tolist(), tails)
+        return (f"{i},{x!r},{y!r},{z!r},{tail}"
+                for i, (x, y, z, tail) in enumerate(block, start=lo))
+
+    atomic_write_chunks(path, csv_blocks(PLOT_HEADER, len(session), rows))
 
 
 TRACE_HEADER = "start,output,smoking"
 
 
 def write_trace_csv(trace: DetectionTrace, path: Union[str, Path]) -> None:
-    rows = zip(trace.starts.tolist(), trace.outputs.tolist(),
-               trace.decisions.tolist())
-    lines = [TRACE_HEADER]
-    lines.extend(f"{s},{o!r},{int(d)}" for s, o, d in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    starts, outputs, decisions = trace.starts, trace.outputs, trace.decisions
+
+    def rows(lo: int, hi: int) -> Iterator[str]:
+        block = zip(starts[lo:hi].tolist(), outputs[lo:hi].tolist(),
+                    decisions[lo:hi].tolist())
+        return (f"{s},{o!r},{int(d)}" for s, o, d in block)
+
+    atomic_write_chunks(path, csv_blocks(TRACE_HEADER, len(trace), rows))
 
 
 def load_ranges(path: Union[str, Path]) -> GestureRanges:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GestureRanges(ranges=tuple((int(r["start"]), int(r["end"])) for r in doc))
+    """Read a `[{"start": int, "end": int}, ...]` file; MalformedRanges for
+    anything else or for ranges that GestureRanges rejects."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        pairs = tuple((r["start"], r["end"]) for r in doc)
+    except KeyError as exc:
+        raise MalformedRanges(f"a range lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise MalformedRanges(f'not a JSON list of {{"start", "end"}} objects: {exc}') from None
+    if any(type(v) is not int for pair in pairs for v in pair):
+        raise MalformedRanges("range starts and ends must be integers")
+    return GestureRanges(ranges=pairs)
 
 
 def save_ranges(ranges: GestureRanges, path: Union[str, Path]) -> None:

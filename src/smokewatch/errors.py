@@ -68,3 +68,8 @@ class SessionTooShort(SmokewatchError):
 
 class ModeMismatch(SmokewatchError):
     """Network channel mode is inconsistent with the requested operation."""
+
+
+class MalformedRanges(SmokewatchError, ValueError):
+    """A ranges file is not a JSON list of objects with integer start and
+    end, or holds empty, unsorted or overlapping ranges."""

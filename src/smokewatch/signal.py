@@ -3,20 +3,26 @@
 Covers ingestion of 3-axis recordings from CSV, fixed-length resampling of
 isolated gestures, channel-mode feature extraction and rolling-window
 counting for continuous sessions. All types are immutable after
-construction and every operation is a pure function of its inputs.
+construction and every operation is a pure function of its inputs. CSV text
+is read and written in blocks, so memory for a session holds its arrays,
+not its text.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterator, Union
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_chunks, csv_blocks
 
 from .errors import (
     EmptyRecording,
@@ -87,9 +93,6 @@ class ChannelMode(Enum):
     Z = "Z"
     XYZ = "XYZ"
     AVG = "AVG"
-
-    def feature_length(self, n: int = FEATURE_POINTS) -> int:
-        return 3 * n if self is ChannelMode.XYZ else n
 
     @classmethod
     def parse(cls, name: str) -> "ChannelMode":
@@ -180,16 +183,25 @@ class FeatureVector:
 
 Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 
+# Characters (bytes for a binary source) per read of a CSV source.
+READ_CHUNK = 1 << 18
 
-def _read_text(source: Source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+
+def _line_blocks(fh: Union[IO[bytes], IO[str]]) -> Iterator[str]:
+    """The text of fh in blocks cut after the last "\\n" of each read, so that
+    the blocks' splitlines() are, in order, the splitlines() of the whole text.
+    Bytes are decoded incrementally, so a character split by a read decodes."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    tail = ""
+    while chunk := fh.read(READ_CHUNK):
+        text = tail + (chunk if isinstance(chunk, str) else decode(chunk))
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        tail = text[cut:]
+    tail += decode(b"", final=True)
+    if tail:
+        yield tail
 
 
 def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOWN,
@@ -201,27 +213,45 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     NonMonotonicTime for unordered timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
+    The text is parsed in blocks of about READ_CHUNK characters and never held
+    whole. A non-finite field is raised only after the last block, so every
+    error is the one a parse of the whole text would raise.
     """
-    lines = _read_text(source).splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise MalformedRow(f"first line must be the header {CSV_HEADER!r}")
-    body = list(filter(str.strip, lines[1:]))  # blank lines are skipped
-    if any(line.count(",") != 3 for line in body):
-        _raise_first_bad_row(lines)
-    fields = ",".join(body).split(",") if body else []
-    try:
-        data = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
-    except ValueError:
-        _raise_first_bad_row(lines)
-        raise
-    if len(body) < 2:
-        raise EmptyRecording(f"need at least 2 data rows, got {len(body)}")
-    data = data.reshape(len(body), 4)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        # map the first bad data row back to its line; blank lines are skipped
-        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-        raise MalformedRow(f"line {linenos[np.flatnonzero(~finite)[0]]}: non-finite field")
+    if isinstance(source, (str, Path)):
+        opened = open(source, encoding="utf-8")
+    else:
+        opened = nullcontext(io.BytesIO(source) if isinstance(source, bytes) else source)
+    with opened as fh:
+        blocks = _line_blocks(fh)
+        head = next(blocks, "").splitlines()
+        if not head or head[0].strip() != CSV_HEADER:
+            raise MalformedRow(f"first line must be the header {CSV_HEADER!r}")
+        parts = []
+        lineno = 2  # the line number of lines[0]
+        nonfinite = None  # the line of the first non-finite field
+        for lines in chain([head[1:]], map(str.splitlines, blocks)):
+            body = list(filter(str.strip, lines))  # blank lines are skipped
+            if any(line.count(",") != 3 for line in body):
+                _raise_first_bad_row(lines, lineno)
+            fields = ",".join(body).split(",") if body else []
+            try:
+                data = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+            except ValueError:
+                _raise_first_bad_row(lines, lineno)
+                raise
+            data = data.reshape(len(body), 4)
+            finite = np.isfinite(data).all(axis=1)
+            if nonfinite is None and not finite.all():
+                linenos = [n for n, line in enumerate(lines, start=lineno) if line.strip()]
+                nonfinite = linenos[np.flatnonzero(~finite)[0]]
+            parts.append(data)
+            lineno += len(lines)
+    rows = sum(map(len, parts))
+    if rows < 2:
+        raise EmptyRecording(f"need at least 2 data rows, got {rows}")
+    if nonfinite is not None:
+        raise MalformedRow(f"line {nonfinite}: non-finite field")
+    data = np.concatenate(parts)
     t = data[:, 0]
     if np.any(np.diff(t) <= 0.0):
         raise NonMonotonicTime("timestamps must be strictly increasing")
@@ -238,10 +268,10 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
                            label=label, device=device)
 
 
-def _raise_first_bad_row(lines: list[str]) -> None:
+def _raise_first_bad_row(lines: list[str], first_lineno: int) -> None:
     """Raise MalformedRow for the first data line with a bad column count or a
     field that float() rejects; the slow path behind load_recording_csv."""
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -254,16 +284,19 @@ def _raise_first_bad_row(lines: list[str]) -> None:
 
 
 def write_recording_csv(recording: SensorRecording, dest: Union[str, Path, IO[str]]) -> None:
-    """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n)."""
-    rows = zip(recording.t.tolist(), recording.x.tolist(),
-               recording.y.tolist(), recording.z.tolist())
-    lines = [CSV_HEADER]
-    lines.extend(f"{t!r},{x!r},{y!r},{z!r}" for t, x, y, z in rows)
-    text = "\n".join(lines) + "\n"
+    """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n),
+    formatted in blocks of `fileio.BLOCK_ROWS` rows."""
+    cols = (recording.t, recording.x, recording.y, recording.z)
+
+    def rows(lo: int, hi: int) -> Iterator[str]:
+        block = zip(*(c[lo:hi].tolist() for c in cols))
+        return (f"{t!r},{x!r},{y!r},{z!r}" for t, x, y, z in block)
+
+    chunks = csv_blocks(CSV_HEADER, len(recording), rows)
     if isinstance(dest, (str, Path)):
-        atomic_write_text(dest, text)
+        atomic_write_chunks(dest, chunks)
     else:
-        dest.write(text)
+        dest.writelines(chunks)
 
 
 def resample_uniform(recording: SensorRecording, n: int = FEATURE_POINTS) -> FeatureSeries:

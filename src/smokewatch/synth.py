@@ -63,10 +63,6 @@ class GestureTemplate:
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
 
-    @property
-    def nominal_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
-
 
 @dataclass(frozen=True, eq=False)
 class DeviceProfile:

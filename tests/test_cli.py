@@ -2,13 +2,15 @@
 byte-identical reruns. Everything runs in-process through cli.main()."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smokewatch import cli
-from smokewatch.signal import GestureClass, write_recording_csv
+from smokewatch import cli, mlp
+from smokewatch.detect import GestureRanges, save_ranges
+from smokewatch.signal import ChannelMode, GestureClass, write_recording_csv
 
 from conftest import make_recording
 
@@ -264,6 +266,57 @@ def test_detect_short_session_exits_1(pipeline, tmp_path):
     write_recording_csv(rec, session)
     assert run("detect", "--model", str(pipeline["model"]),
                "--session", str(session), "--out", str(tmp_path)) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '[{"start": 3, "end": ',                       # invalid JSON
+    '{"start": 3, "end": 9}',                      # not a list
+    '[{"start": 3}]',                              # missing key
+    '[{"start": 3, "end": "9"}]',                  # non-integer value
+    '[{"start": 3, "end": 9.5}]',
+    '[{"start": 9, "end": 3}]',                    # start after end
+    '[{"start": 3, "end": 3}]',                    # empty
+    '[{"start": 10, "end": 20}, {"start": 0, "end": 5}]',   # unsorted
+    '[{"start": 0, "end": 12}, {"start": 10, "end": 20}]',  # overlapping
+], ids=["json", "list", "missing", "string", "float", "reversed", "empty",
+        "unsorted", "overlapping"])
+def test_detect_malformed_ranges_exits_1_before_writing(pipeline, tmp_path,
+                                                         capsys, text):
+    ranges = tmp_path / "bad.ranges.json"
+    ranges.write_text(text)
+    out = tmp_path / "out"
+    assert run("detect", "--model", str(pipeline["model"]),
+               "--session", str(pipeline["session"]), "--ranges", str(ranges),
+               "--plot", "--out", str(out)) == 1
+    assert "error: MalformedRanges:" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+def test_detect_memory_is_flat_in_the_session_length(tmp_path):
+    # an XYZ detect --ranges --plot holds the session's arrays (about 70 B
+    # per sample) but never its text; holding the text cost about 555 B per
+    # sample, 111 MiB at 200,000 samples
+    rng = np.random.default_rng(3)
+    xyz = rng.normal(0.0, 0.5, size=(200_000, 3))
+    model = tmp_path / "model.json"
+    mlp.save_model(mlp.init_network(600, mlp.DEFAULT_HIDDEN, rng=1,
+                                    mode=ChannelMode.XYZ), model)
+    ranges = tmp_path / "r.json"
+    save_ranges(GestureRanges(ranges=((100, 900), (50_000, 52_000))), ranges)
+    peaks = {}
+    for n in (100_000, 200_000):
+        session = tmp_path / f"s{n}.csv"
+        write_recording_csv(make_recording(xyz[:n]), session)
+        tracemalloc.start()
+        try:
+            assert run("detect", "--model", str(model), "--session", str(session),
+                       "--ranges", str(ranges), "--plot",
+                       "--out", str(tmp_path / f"d{n}")) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200_000] < 24 * 2**20
+    assert peaks[200_000] - peaks[100_000] < 10 * 2**20
 
 
 # --- shared behavior ----------------------------------------------------------

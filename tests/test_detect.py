@@ -18,7 +18,6 @@ from smokewatch.detect import (
     load_ranges,
     save_ranges,
     score_trace,
-    trace_to_plot_series,
     write_plot_csv,
     write_trace_csv,
 )
@@ -32,9 +31,12 @@ from smokewatch.errors import (
 from smokewatch.signal import ALL_MODES, ChannelMode, window_count
 
 
+def input_size(width: int, mode: ChannelMode) -> int:
+    return 3 * width if mode is ChannelMode.XYZ else width
+
+
 def zero_network(width: int, mode: ChannelMode = ChannelMode.X) -> mlp.Network:
-    size = 3 * width if mode is ChannelMode.XYZ else width
-    net = tiny_network(size, 2, seed=0, mode=mode)
+    net = tiny_network(input_size(width, mode), 2, seed=0, mode=mode)
     return net.with_weights(np.zeros(net.n_weights))
 
 
@@ -59,17 +61,15 @@ def test_ranges_validate_ordering():
 
 def test_ranges_membership_half_open():
     r = GestureRanges(ranges=((10, 20),))
-    assert not r.contains(9)
-    assert r.contains(10)
-    assert r.contains(19)
-    assert not r.contains(20)
+    assert r.label_indices(np.array([9, 10, 19, 20])).tolist() == [
+        False, True, True, False]
 
 
 def test_label_indices_matches_contains(rng):
     r = GestureRanges(ranges=((3, 7), (15, 16), (40, 55)))
     idx = rng.integers(0, 70, 200)
     labels = r.label_indices(idx)
-    assert labels.tolist() == [r.contains(int(i)) for i in idx]
+    assert labels.tolist() == [any(s <= i < e for s, e in r.ranges) for i in idx]
 
 
 def test_ranges_shift_by_k_shifts_labels(rng):
@@ -163,7 +163,7 @@ def test_detect_blocks_match_forward_batch_on_cut_windows(mode, stride):
     # fills with non-zero values, which must not reach the network
     rng = np.random.default_rng(99)
     width = 200
-    size = mode.feature_length(width)
+    size = input_size(width, mode)
     lo = rng.uniform(-1.5, 0.5, size)
     hi = lo + rng.uniform(0.3, 3.0, size)
     dead = rng.random(size) < 0.1
@@ -191,7 +191,7 @@ def test_detect_folded_layer_keeps_precision_on_offset_axes(mode):
     # values would cancel terms of that size and miss the 1e-12 bound
     rng = np.random.default_rng(42)
     width = 200
-    size = mode.feature_length(width)
+    size = input_size(width, mode)
     lo = 1.0 + rng.normal(0.0, 2e-4, size)
     hi = lo + rng.uniform(0.5e-3, 1.0e-3, size)
     net = replace(tiny_network(size, mlp.DEFAULT_HIDDEN, seed=6, mode=mode),
@@ -296,7 +296,7 @@ def test_score_trace_brute_force_recount(rng):
         report, flags = score_trace(trace, truth)
         tp = tn = fp = fn = 0
         for start, out in zip(trace.starts.tolist(), outs.tolist()):
-            is_pos = truth.contains(start)
+            is_pos = any(s <= start < e for s, e in truth.ranges)
             smoking = out >= thr
             if smoking and is_pos:
                 tp += 1
@@ -312,15 +312,18 @@ def test_score_trace_brute_force_recount(rng):
 
 # --- serializations ----------------------------------------------------------
 
-def test_plot_series_alignment(rng):
+def test_plot_series_alignment(rng, tmp_path):
     rec = make_recording(rng.normal(size=(30, 3)))
-    net = zero_network(10)
+    net = tiny_network(10, 2, seed=3)
     trace = detect_session(net, rec, width=10, stride=3)
-    rows = trace_to_plot_series(trace, rec)
-    assert len(rows) == 30
-    with_output = [r for r in rows if r[4] is not None]
-    assert len(with_output) == len(trace)
-    assert [r[0] for r in with_output] == trace.starts.tolist()
+    path = tmp_path / "plot.csv"
+    write_plot_csv(trace, rec, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(30))
+    assert [float(r[1]) for r in rows] == rec.x.tolist()
+    with_output = [r for r in rows if r[4]]
+    assert [int(r[0]) for r in with_output] == trace.starts.tolist()
+    assert [float(r[4]) for r in with_output] == trace.outputs.tolist()
 
 
 def test_plot_csv_format(tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_recording
+from smokewatch import signal
 from smokewatch.errors import (
     EmptyRecording,
     InvalidSize,
@@ -132,6 +133,77 @@ def test_load_csv_crlf_equals_lf(rng):
     for name in ("t", "x", "y", "z"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.array_equal(getattr(a, name), getattr(rec, name))
+
+
+def load_every_way(text: str, tmp_path, monkeypatch) -> list:
+    """load_recording_csv of the text from a path, bytes and str IO in one
+    read, then from str IO and IO[bytes] at every read size from 1 to the
+    whole text; each result is the (4, n) data or the error's message."""
+    def outcome(source):
+        try:
+            rec = load_recording_csv(source)
+        except MalformedRow as exc:
+            return f"MalformedRow: {exc}"
+        return np.stack([rec.t, rec.x, rec.y, rec.z])
+
+    data = text.encode("utf-8")
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    results = [outcome(path), outcome(data), outcome(io.StringIO(text))]
+    for size in range(1, len(data) + 1):
+        monkeypatch.setattr(signal, "READ_CHUNK", size)
+        results += [outcome(io.StringIO(text)), outcome(io.BytesIO(data))]
+    return results
+
+
+def assert_all(results: list, want) -> None:
+    for got in results:
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad, later, message", [
+    ("0.06,1,2", "0.08,1,y,3", "line 6: expected 4 columns, got 3"),
+    ("0.06,1,x,3", "0.08,1,2", "line 6: non-numeric field"),
+    ("0.06,nan,2,3", "0.08,inf,2,3", "line 6: non-finite field"),
+    # a non-numeric field anywhere is named before a non-finite one
+    ("0.06,nan,2,3", "0.08,1,y,3", "line 7: non-numeric field"),
+], ids=["columns", "non-numeric", "non-finite", "non-numeric-after-non-finite"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_load_csv_names_the_same_line_at_every_block_cut(bad, later, message, newline,
+                                                         tmp_path, monkeypatch):
+    # the read sizes include the cut after the blank lines 4-5, which opens
+    # the second block with the bad line 6, and the cut between them
+    text = newline.join([CSV_HEADER, "0.0,1,2,3", "0.02,1,2,3", "", "", bad, later,
+                         "0.1,1,2,3"]) + newline
+    assert_all(load_every_way(text, tmp_path, monkeypatch), f"MalformedRow: {message}")
+
+
+def test_load_csv_crlf_split_by_a_read_equals_lf(rng, tmp_path, monkeypatch):
+    rec = make_recording(rng.normal(size=(5, 3)))
+    buf = io.StringIO()
+    write_recording_csv(rec, buf)
+    crlf = buf.getvalue().replace("\n", "\r\n")
+    assert_all(load_every_way(crlf, tmp_path, monkeypatch),
+               np.stack([rec.t, rec.x, rec.y, rec.z]))
+
+
+def test_load_csv_last_line_without_newline(tmp_path, monkeypatch):
+    text = "t,x,y,z\n0.0,1,2,3\n0.02,4,5,6"
+    assert_all(load_every_way(text, tmp_path, monkeypatch),
+               np.array([[0.0, 0.02], [1, 4], [2, 5], [3, 6]]))
+    assert_all(load_every_way(text + "\n0.04,7,8", tmp_path, monkeypatch),
+               "MalformedRow: line 4: expected 4 columns, got 3")
+
+
+def test_load_csv_decodes_characters_split_by_a_read(tmp_path, monkeypatch):
+    # float() reads Arabic-Indic digits (2 bytes in UTF-8) and strips the em
+    # space (3 bytes); some read sizes split each of them
+    text = "t,x,y,z\n0.0,\u0661.5,2,3\u2003\n\u2003\n0.02,4,\u0665,6\n"
+    assert_all(load_every_way(text, tmp_path, monkeypatch),
+               np.array([[0.0, 0.02], [1.5, 4], [2, 5], [3, 6]]))
 
 
 def test_load_csv_rejects_non_monotonic_time():
@@ -266,10 +338,11 @@ def test_extract_avg_elementwise(rng):
     assert np.max(np.abs(v - expect)) <= 1e-15
 
 
-def test_mode_feature_length():
-    assert ChannelMode.X.feature_length(200) == 200
-    assert ChannelMode.XYZ.feature_length(200) == 600
-    assert ChannelMode.AVG.feature_length(128) == 128
+def test_mode_feature_length(rng):
+    for n in (200, 128):
+        s = _series(*rng.normal(size=(3, n)))
+        lengths = {m: len(extract_features(s, m)) for m in ChannelMode}
+        assert lengths == {m: 3 * n if m is ChannelMode.XYZ else n for m in ChannelMode}
 
 
 def test_mode_and_class_parsing():

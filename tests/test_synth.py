@@ -58,7 +58,7 @@ def test_template_validation():
 
 
 def test_smoking_template_nominal_four_seconds():
-    assert SMOKING_TPL.nominal_duration == pytest.approx(4.0)
+    assert sum(s.duration for s in SMOKING_TPL.segments) == pytest.approx(4.0)
 
 
 # --- generate_gesture --------------------------------------------------------
@@ -249,7 +249,7 @@ def test_load_synth_config_merges_over_defaults(tmp_path):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(doc))
     templates, profiles = load_synth_config(path)
-    assert templates[GestureClass.COUGH].nominal_duration == 2.0
+    assert sum(s.duration for s in templates[GestureClass.COUGH].segments) == 2.0
     assert templates[GestureClass.SMOKING] == DEFAULT_TEMPLATES[GestureClass.SMOKING]
     assert profiles["bench"].offset == (0.0, 0.0, 0.5)
     assert "watch-a" in profiles
