@@ -34,6 +34,7 @@ from .errors import (
     SessionTooShort,
     SmokewatchError,
     TooFewSamples,
+    UnorderedStarts,
 )
 from .metrics import (
     ConfusionCounts,

@@ -220,11 +220,9 @@ def cmd_train(args) -> None:
     written = []
     for mode in modes:
         dataset = train_mod.build_dataset(recordings, mode)
-        net, report, summaries = train_mod.train_best_of(
+        net, report, summaries, selected = train_mod.train_best_of(
             dataset, config=config, restarts=args.restarts,
             master_seed=args.seed, hidden_size=args.hidden)
-        selected = train_mod.select_best_restart(
-            [s.train_accuracy for s in summaries])
         model_path = out / f"model_{mode.value}.json"
         report_path = out / f"train_report_{mode.value}.json"
         mlp.save_model(net, model_path, threshold=args.threshold)
@@ -284,7 +282,8 @@ def cmd_detect(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    detect_mod.write_trace_csv(trace, trace_path)
+    plot_path = out / "plot.csv" if args.plot else None
+    detect_mod.write_trace_csv(trace, trace_path, session, plot_path)
     written = [str(trace_path)]
     inputs = [str(args.model), str(args.session)]
     if truth is not None:
@@ -309,9 +308,7 @@ def cmd_detect(args) -> None:
         inputs.append(str(args.ranges))
         print(f"detected {hits}/{len(truth)} ranges, "
               f"per-window specificity {report.specificity}")
-    if args.plot:
-        plot_path = out / "plot.csv"
-        detect_mod.write_plot_csv(trace, session, plot_path)
+    if plot_path is not None:
         written.append(str(plot_path))
     manifest = RunManifest(
         command="detect", seed=None,

@@ -7,23 +7,25 @@ centred once so that the folded layer rounds like the scaled one, and the
 windows are cut from strided views of the centred signals in blocks of
 `BLOCK_WINDOWS`, each passed through `kernels.batch_forward`, so memory stays
 flat in the session length. Scoring against handpicked ground-truth ranges
-labels a window smoking iff its start index falls inside a range, and
-additionally flags each range as detected when at least one window starting
-inside it fired. The trace and plot CSVs are formatted from the trace arrays
-`fileio.BLOCK_ROWS` rows at a time, so neither is ever held whole as text.
+labels a window smoking iff its start index falls inside a range (one
+`np.searchsorted` maps each start to its range), and flags each range as
+detected when at least one window starting inside it fired. The trace and
+plot CSVs are written in one pass over blocks of `fileio.BLOCK_ROWS` samples
+that formats each output once, so neither file is ever held whole as text.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import kernels, metrics, mlp
+from . import fileio, kernels, metrics, mlp
 from .errors import (
     EmptyTrace,
     InvalidSize,
@@ -32,8 +34,9 @@ from .errors import (
     MalformedRanges,
     ModeMismatch,
     SessionTooShort,
+    UnorderedStarts,
 )
-from .fileio import atomic_write_chunks, atomic_write_text, csv_blocks
+from .fileio import atomic_open, atomic_write_text
 from .signal import ChannelMode, SensorRecording, window_count
 
 # Windows per forward call: a block of XYZ inputs is 1024 x 600 float64
@@ -47,7 +50,8 @@ NEAR_THRESHOLD = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class DetectionTrace:
-    """One network output per window, anchored at the window's start index."""
+    """One network output per window, anchored at the window's start index;
+    the starts are non-negative and strictly increasing."""
 
     starts: np.ndarray
     outputs: np.ndarray
@@ -60,6 +64,8 @@ class DetectionTrace:
         object.__setattr__(self, "outputs", np.asarray(self.outputs, dtype=np.float64))
         if self.starts.ndim != 1 or self.starts.shape != self.outputs.shape:
             raise LengthMismatch("starts and outputs must be 1-d and equally long")
+        if len(self) and (self.starts[0] < 0 or np.any(np.diff(self.starts) <= 0)):
+            raise UnorderedStarts("window starts must be non-negative and strictly increasing")
 
     def __len__(self) -> int:
         return self.starts.shape[0]
@@ -77,11 +83,15 @@ class DetectionTrace:
 
 @dataclass(frozen=True)
 class GestureRanges:
-    """Sorted, non-overlapping half-open [start, end) sample-index ranges."""
+    """Sorted, non-overlapping half-open [start, end) sample-index ranges
+    with integer bounds (Python or numpy integers; not bools)."""
 
     ranges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        bounds = [v for pair in self.ranges for v in pair]
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in bounds):
+            raise MalformedRanges("range starts and ends must be integers")
         norm = tuple((int(s), int(e)) for s, e in self.ranges)
         object.__setattr__(self, "ranges", norm)
         prev_end = None
@@ -95,11 +105,15 @@ class GestureRanges:
     def __len__(self) -> int:
         return len(self.ranges)
 
+    def range_index(self, indices: np.ndarray) -> np.ndarray:
+        """Per index, the position of the range holding it, or -1."""
+        bounds = np.array(self.ranges, dtype=np.int64).ravel()
+        # s_j <= i < e_j iff i sorts right after s_j: an odd insertion point
+        k = np.searchsorted(bounds, indices, side="right")
+        return np.where(k % 2 == 1, k // 2, -1)
+
     def label_indices(self, indices: np.ndarray) -> np.ndarray:
-        labels = np.zeros(len(indices), dtype=bool)
-        for s, e in self.ranges:
-            labels |= (indices >= s) & (indices < e)
-        return labels
+        return self.range_index(indices) >= 0
 
 
 def _signals(session: SensorRecording, mode: ChannelMode) -> tuple[np.ndarray, ...]:
@@ -162,9 +176,9 @@ def score_trace(trace: DetectionTrace,
     """
     if len(trace) == 0:
         raise EmptyTrace("cannot score an empty trace")
-    starts = trace.starts
     decisions = trace.decisions
-    labels = truth.label_indices(starts)
+    which = truth.range_index(trace.starts)
+    labels = which >= 0
     c = metrics.confusion(decisions, labels)
     report = metrics.MetricsReport(
         counts=c, threshold=trace.threshold,
@@ -172,46 +186,68 @@ def score_trace(trace: DetectionTrace,
         sensitivity=metrics.sensitivity(c),
         accuracy=metrics.accuracy(c),
     )
-    detected = [bool(np.any(decisions & (starts >= s) & (starts < e)))
-                for s, e in truth.ranges]
-    return report, detected
+    detected = np.zeros(len(truth), dtype=bool)
+    detected[which[decisions & labels]] = True
+    return report, detected.tolist()
 
 
 PLOT_HEADER = "i,x,y,z,output"
+TRACE_HEADER = "start,output,smoking"
+
+
+def write_trace_csv(trace: DetectionTrace, path: Union[str, Path],
+                    session: Optional[SensorRecording] = None,
+                    plot_path: Union[str, Path, None] = None) -> None:
+    """One row per window, `start,output,smoking`; given a session and a
+    plot_path, also `write_plot_csv(trace, session, plot_path)`, in one pass."""
+    _write_csvs(trace, path, session, plot_path)
 
 
 def write_plot_csv(trace: DetectionTrace, session: SensorRecording,
                    path: Union[str, Path]) -> None:
     """One row per session sample, `i,x,y,z,output`; the output column is
-    filled only on rows where a window starts (the last one, if several do)."""
-    order = np.argsort(trace.starts, kind="stable")
-    starts, outputs = trace.starts[order], trace.outputs[order]
-
-    def rows(lo: int, hi: int) -> Iterator[str]:
-        tails = [""] * (hi - lo)
-        a, b = np.searchsorted(starts, (lo, hi))
-        for start, out in zip(starts[a:b].tolist(), outputs[a:b].tolist()):
-            tails[start - lo] = repr(out)
-        block = zip(session.x[lo:hi].tolist(), session.y[lo:hi].tolist(),
-                    session.z[lo:hi].tolist(), tails)
-        return (f"{i},{x!r},{y!r},{z!r},{tail}"
-                for i, (x, y, z, tail) in enumerate(block, start=lo))
-
-    atomic_write_chunks(path, csv_blocks(PLOT_HEADER, len(session), rows))
+    filled only on rows where a window starts. LengthMismatch if a window
+    starts past the session's last sample."""
+    _write_csvs(trace, None, session, path)
 
 
-TRACE_HEADER = "start,output,smoking"
-
-
-def write_trace_csv(trace: DetectionTrace, path: Union[str, Path]) -> None:
-    starts, outputs, decisions = trace.starts, trace.outputs, trace.decisions
-
-    def rows(lo: int, hi: int) -> Iterator[str]:
-        block = zip(starts[lo:hi].tolist(), outputs[lo:hi].tolist(),
-                    decisions[lo:hi].tolist())
-        return (f"{s},{o!r},{int(d)}" for s, o, d in block)
-
-    atomic_write_chunks(path, csv_blocks(TRACE_HEADER, len(trace), rows))
+def _write_csvs(trace: DetectionTrace, trace_path: Union[str, Path, None],
+                session: Optional[SensorRecording],
+                plot_path: Union[str, Path, None]) -> None:
+    """Per block of `fileio.BLOCK_ROWS` sample indices, formats the outputs of
+    the windows starting in it once, for the trace rows, the plot rows or
+    both; through `atomic_open`, so an error replaces neither target."""
+    starts, outputs = trace.starts, trace.outputs
+    smoking = trace.decisions.view(np.int8)
+    if plot_path is None:
+        n = int(starts[-1]) + 1 if len(trace) else 0
+    else:
+        n = len(session)
+        if len(trace) and starts[-1] >= n:
+            raise LengthMismatch(
+                f"a window starts at sample {starts[-1]} of a {n}-sample session")
+    with ExitStack() as stack:
+        tf = None if trace_path is None else stack.enter_context(atomic_open(trace_path))
+        pf = None if plot_path is None else stack.enter_context(atomic_open(plot_path))
+        if tf is not None:
+            tf.write(TRACE_HEADER + "\n")
+        if pf is not None:
+            pf.write(PLOT_HEADER + "\n")
+        for lo in range(0, n, fileio.BLOCK_ROWS):
+            hi = min(lo + fileio.BLOCK_ROWS, n)
+            a, b = np.searchsorted(starts, (lo, hi))
+            block = starts[a:b].tolist()
+            reprs = list(map(repr, outputs[a:b].tolist()))
+            if tf is not None:
+                tf.write("".join(f"{s},{o},{d}\n" for s, o, d in
+                                 zip(block, reprs, smoking[a:b].tolist())))
+            if pf is not None:
+                tails = [""] * (hi - lo)
+                for start, out in zip(block, reprs):
+                    tails[start - lo] = out
+                rows = zip(range(lo, hi), session.x[lo:hi].tolist(),
+                           session.y[lo:hi].tolist(), session.z[lo:hi].tolist(), tails)
+                pf.write("".join(f"{i},{x!r},{y!r},{z!r},{t}\n" for i, x, y, z, t in rows))
 
 
 def load_ranges(path: Union[str, Path]) -> GestureRanges:
@@ -224,8 +260,6 @@ def load_ranges(path: Union[str, Path]) -> GestureRanges:
         raise MalformedRanges(f"a range lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise MalformedRanges(f'not a JSON list of {{"start", "end"}} objects: {exc}') from None
-    if any(type(v) is not int for pair in pairs for v in pair):
-        raise MalformedRanges("range starts and ends must be integers")
     return GestureRanges(ranges=pairs)
 
 

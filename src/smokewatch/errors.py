@@ -70,6 +70,10 @@ class ModeMismatch(SmokewatchError):
     """Network channel mode is inconsistent with the requested operation."""
 
 
+class UnorderedStarts(SmokewatchError):
+    """Window start indices are negative or not strictly increasing."""
+
+
 class MalformedRanges(SmokewatchError, ValueError):
     """A ranges file is not a JSON list of objects with integer start and
     end, or holds empty, unsorted or overlapping ranges."""

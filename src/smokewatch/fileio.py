@@ -1,16 +1,18 @@
 """Small file helpers shared by model/report/trace writers.
 
-Files are written atomically (temp file, then rename). CSV writers format
-`BLOCK_ROWS` rows at a time and stream the blocks into the temp file, so no
-writer holds a whole session as text.
+Files are written atomically: `atomic_open` yields a temp file that replaces
+its target only on a clean exit, so several files can be written in lockstep
+and an error leaves every target as it was. CSV writers format `BLOCK_ROWS`
+rows at a time into the temp file, so no writer holds a session as text.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
@@ -23,15 +25,17 @@ _UMASK = os.umask(0)
 os.umask(_UMASK)
 
 
-def atomic_write_chunks(path: Union[str, Path], chunks: Iterable[str]) -> None:
-    """Write the chunks in order via a temp file in the same directory, then
-    rename; on any error the temp file is removed and the target untouched."""
+@contextmanager
+def atomic_open(path: Union[str, Path]) -> Iterator[TextIO]:
+    """A UTF-8 text file open for writing in place of `path`: a temp file in
+    the same directory, renamed over `path` when the block exits cleanly. On
+    any error the temp file is removed and the target left untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+            yield fh
         os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
@@ -40,15 +44,12 @@ def atomic_write_chunks(path: Union[str, Path], chunks: Iterable[str]) -> None:
         raise
 
 
+def atomic_write_chunks(path: Union[str, Path], chunks: Iterable[str]) -> None:
+    """Write the chunks in order through `atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.writelines(chunks)
+
+
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
     """Write via a temp file in the same directory, then rename."""
     atomic_write_chunks(path, (text,))
-
-
-def csv_blocks(header: str, n_rows: int,
-               rows: Callable[[int, int], Iterable[str]]) -> Iterator[str]:
-    """The header line, then rows 0..n_rows-1 formatted by `rows(lo, hi)`
-    BLOCK_ROWS at a time, one string per block; every line ends in "\\n"."""
-    yield header + "\n"
-    for lo in range(0, n_rows, BLOCK_ROWS):
-        yield "\n".join(rows(lo, min(lo + BLOCK_ROWS, n_rows))) + "\n"

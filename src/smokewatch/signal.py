@@ -22,7 +22,7 @@ from typing import IO, Iterator, Union
 
 import numpy as np
 
-from .fileio import atomic_write_chunks, csv_blocks
+from . import fileio
 
 from .errors import (
     EmptyRecording,
@@ -190,11 +190,24 @@ READ_CHUNK = 1 << 18
 def _line_blocks(fh: Union[IO[bytes], IO[str]]) -> Iterator[str]:
     """The text of fh in blocks cut after the last "\\n" of each read, so that
     the blocks' splitlines() are, in order, the splitlines() of the whole text.
-    Bytes are decoded incrementally, so a character split by a read decodes."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+    Bytes are decoded incrementally, so a character split by a read decodes;
+    bytes that are not UTF-8 raise MalformedRow naming their offset in fh."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0  # bytes read so far
+
+    def decode(chunk: bytes, final: bool = False) -> str:
+        try:
+            return decoder.decode(chunk, final)
+        except UnicodeDecodeError as exc:  # exc.object: held-back bytes + chunk
+            offset = read - len(exc.object) + exc.start
+            raise MalformedRow(f"byte {offset}: not UTF-8 ({exc.reason})") from None
+
     tail = ""
     while chunk := fh.read(READ_CHUNK):
-        text = tail + (chunk if isinstance(chunk, str) else decode(chunk))
+        if not isinstance(chunk, str):
+            read += len(chunk)
+            chunk = decode(chunk)
+        text = tail + chunk
         cut = text.rfind("\n") + 1
         if cut:
             yield text[:cut]
@@ -209,8 +222,8 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     """Parse a `t,x,y,z` CSV into a SensorRecording.
 
     Raises EmptyRecording for fewer than 2 data rows, MalformedRow for a bad
-    header, column count or non-numeric or non-finite field, and
-    NonMonotonicTime for unordered timestamps.
+    header, column count or non-numeric or non-finite field or for bytes
+    that are not UTF-8, and NonMonotonicTime for unordered timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
     The text is parsed in blocks of about READ_CHUNK characters and never held
@@ -218,7 +231,7 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     error is the one a parse of the whole text would raise.
     """
     if isinstance(source, (str, Path)):
-        opened = open(source, encoding="utf-8")
+        opened = open(source, "rb")
     else:
         opened = nullcontext(io.BytesIO(source) if isinstance(source, bytes) else source)
     with opened as fh:
@@ -288,15 +301,16 @@ def write_recording_csv(recording: SensorRecording, dest: Union[str, Path, IO[st
     formatted in blocks of `fileio.BLOCK_ROWS` rows."""
     cols = (recording.t, recording.x, recording.y, recording.z)
 
-    def rows(lo: int, hi: int) -> Iterator[str]:
-        block = zip(*(c[lo:hi].tolist() for c in cols))
-        return (f"{t!r},{x!r},{y!r},{z!r}" for t, x, y, z in block)
+    def blocks() -> Iterator[str]:
+        yield CSV_HEADER + "\n"
+        for lo in range(0, len(recording), fileio.BLOCK_ROWS):
+            rows = zip(*(c[lo:lo + fileio.BLOCK_ROWS].tolist() for c in cols))
+            yield "".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows)
 
-    chunks = csv_blocks(CSV_HEADER, len(recording), rows)
     if isinstance(dest, (str, Path)):
-        atomic_write_chunks(dest, chunks)
+        fileio.atomic_write_chunks(dest, blocks())
     else:
-        dest.writelines(chunks)
+        dest.writelines(blocks())
 
 
 def resample_uniform(recording: SensorRecording, n: int = FEATURE_POINTS) -> FeatureSeries:

@@ -418,9 +418,10 @@ def select_best_restart(accuracies: Sequence[float]) -> int:
 def train_best_of(dataset: LabeledDataset, ratios: SplitRatios = SplitRatios(),
                   config: TrainConfig = TrainConfig(), restarts: int = 10,
                   master_seed: int = 0, hidden_size: int = mlp.DEFAULT_HIDDEN,
-                  ) -> tuple[mlp.Network, TrainReport, list[RestartSummary]]:
+                  ) -> tuple[mlp.Network, TrainReport, list[RestartSummary], int]:
     """Independent restarts on one fixed partition; keeps the restart with
-    the highest training-set accuracy at threshold 0.5.
+    the highest training-set accuracy at threshold 0.5 and returns its
+    network, its report, every restart's summary and its index.
 
     Restart r initializes from seed master_seed XOR r, so the outcome does
     not depend on the order restarts execute in.
@@ -445,7 +446,7 @@ def train_best_of(dataset: LabeledDataset, ratios: SplitRatios = SplitRatios(),
             stop_reason=report.stop_reason,
         ))
     best = select_best_restart([s.train_accuracy for s in summaries])
-    return nets[best], reports[best], summaries
+    return nets[best], reports[best], summaries, best
 
 
 def save_report(report: TrainReport, summaries: Sequence[RestartSummary],

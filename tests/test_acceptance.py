@@ -66,7 +66,7 @@ def nets(table1):
     out = {}
     for mode in (ChannelMode.X, ChannelMode.Z, ChannelMode.XYZ):
         dataset = train_corpus.dataset(mode)
-        net, report, summaries = train_best_of(
+        net, report, summaries, _ = train_best_of(
             dataset, restarts=10, master_seed=MASTER_SEED)
         out[mode] = (net, summaries)
     SHARED["nets"] = perf_counter() - t0

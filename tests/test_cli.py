@@ -268,6 +268,14 @@ def test_detect_short_session_exits_1(pipeline, tmp_path):
                "--session", str(session), "--out", str(tmp_path)) == 1
 
 
+def test_detect_session_not_utf8_exits_1(pipeline, tmp_path, capsys):
+    session = tmp_path / "latin1.csv"
+    session.write_bytes(pipeline["session"].read_bytes() + b"0.5,\xff,2,3\n")
+    assert run("detect", "--model", str(pipeline["model"]),
+               "--session", str(session), "--out", str(tmp_path / "out")) == 1
+    assert "error: MalformedRow: byte " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     '[{"start": 3, "end": ',                       # invalid JSON
     '{"start": 3, "end": 9}',                      # not a list

@@ -25,9 +25,11 @@ from smokewatch.errors import (
     EmptyTrace,
     InvalidSize,
     InvalidThreshold,
+    MalformedRanges,
     ModeMismatch,
     SessionTooShort,
 )
+from smokewatch.fileio import BLOCK_ROWS
 from smokewatch.signal import ALL_MODES, ChannelMode, window_count
 
 
@@ -59,6 +61,19 @@ def test_ranges_validate_ordering():
         GestureRanges(ranges=((10, 12), (0, 5)))
 
 
+@pytest.mark.parametrize("pair", [(1.7, 5.9), (1.0, 5), (True, 3), (0, False),
+                                  ("1", 5), (None, 5), (np.float64(1), 5)])
+def test_ranges_reject_bounds_that_are_not_integers(pair):
+    with pytest.raises(MalformedRanges, match="integers"):
+        GestureRanges(ranges=(pair,))
+
+
+def test_ranges_accept_numpy_integers():
+    r = GestureRanges(ranges=((np.int64(2), np.int32(5)), (np.uint8(7), 9)))
+    assert r.ranges == ((2, 5), (7, 9))
+    assert all(type(v) is int for pair in r.ranges for v in pair)
+
+
 def test_ranges_membership_half_open():
     r = GestureRanges(ranges=((10, 20),))
     assert r.label_indices(np.array([9, 10, 19, 20])).tolist() == [
@@ -70,6 +85,9 @@ def test_label_indices_matches_contains(rng):
     idx = rng.integers(0, 70, 200)
     labels = r.label_indices(idx)
     assert labels.tolist() == [any(s <= i < e for s, e in r.ranges) for i in idx]
+    which = [next((j for j, (s, e) in enumerate(r.ranges) if s <= i < e), -1)
+             for i in idx]
+    assert r.range_index(idx).tolist() == which
 
 
 def test_ranges_shift_by_k_shifts_labels(rng):
@@ -284,30 +302,58 @@ def test_score_trace_rejects_empty():
         score_trace(trace, GestureRanges(ranges=()))
 
 
+def random_ranges(rng, hi: int) -> GestureRanges:
+    """Up to 5 sorted ranges inside [0, hi); some touch their neighbour."""
+    points = np.unique(rng.integers(0, hi, 10)).tolist()
+    pairs = []
+    for s, e in zip(points[::2], points[1::2]):
+        if pairs and rng.random() < 0.3:
+            s = pairs[-1][1]  # touching: [a, s) then [s, e)
+        pairs.append((s, e))
+    return GestureRanges(ranges=tuple(pairs))
+
+
+def brute_force_score(starts, outputs, thr, truth):
+    """(tp, tn, fp, fn) and the detected flags, one window at a time."""
+    tp = tn = fp = fn = 0
+    detected = [False] * len(truth)
+    for start, out in zip(starts, outputs):
+        hits = [j for j, (s, e) in enumerate(truth.ranges) if s <= start < e]
+        smoking = out >= thr
+        if smoking and hits:
+            tp += 1
+        elif smoking:
+            fp += 1
+        elif hits:
+            fn += 1
+        else:
+            tn += 1
+        for j in hits:
+            detected[j] = detected[j] or smoking
+    return (tp, tn, fp, fn), detected
+
+
 def test_score_trace_brute_force_recount(rng):
-    for _ in range(30):
-        n = int(rng.integers(1, 80))
+    # random ranges at strides 1 to 7, plus ranges whose bounds sit on
+    # fileio.BLOCK_ROWS edges of a longer trace
+    cases = []
+    for _ in range(40):
+        n, stride = int(rng.integers(1, 80)), int(rng.choice([1, 2, 3, 7]))
+        cases.append((n, stride, random_ranges(rng, n * stride + 4)))
+    b = BLOCK_ROWS
+    cases.append((3 * b, 1, GestureRanges(ranges=((b - 1, b), (b, 2 * b), (2 * b + 1, 3 * b)))))
+    cases.append((b + 2, 3, GestureRanges(ranges=((b - 3, b + 3), (2 * b, 3 * b + 1)))))
+    for n, stride, truth in cases:
         outs = rng.uniform(0, 1, n)
         thr = float(rng.uniform(0.2, 0.8))
-        trace = DetectionTrace(starts=np.arange(n), outputs=outs, width=4,
-                               stride=1, threshold=thr)
-        a, b = sorted(int(v) for v in rng.integers(0, n + 4, 2))
-        truth = GestureRanges(ranges=((a, b),)) if a < b else GestureRanges(ranges=())
+        trace = DetectionTrace(starts=np.arange(n) * stride, outputs=outs, width=4,
+                               stride=stride, threshold=thr)
         report, flags = score_trace(trace, truth)
-        tp = tn = fp = fn = 0
-        for start, out in zip(trace.starts.tolist(), outs.tolist()):
-            is_pos = any(s <= start < e for s, e in truth.ranges)
-            smoking = out >= thr
-            if smoking and is_pos:
-                tp += 1
-            elif smoking:
-                fp += 1
-            elif is_pos:
-                fn += 1
-            else:
-                tn += 1
+        counts, detected = brute_force_score(trace.starts.tolist(), outs.tolist(),
+                                             thr, truth)
         assert (report.counts.tp, report.counts.tn,
-                report.counts.fp, report.counts.fn) == (tp, tn, fp, fn)
+                report.counts.fp, report.counts.fn) == counts
+        assert flags == detected
 
 
 # --- serializations ----------------------------------------------------------

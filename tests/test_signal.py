@@ -206,6 +206,23 @@ def test_load_csv_decodes_characters_split_by_a_read(tmp_path, monkeypatch):
                np.array([[0.0, 0.02], [1.5, 4], [2, 5], [3, 6]]))
 
 
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x80A", b"\xe2\x80"],
+                         ids=["invalid-start", "invalid-continuation", "truncated"])
+def test_load_csv_names_the_byte_offset_of_bytes_not_utf8(bad, tmp_path, monkeypatch):
+    # the offset counts from the start of the file at every read size, so the
+    # bad bytes fall in the first read and in later ones, some split by a read
+    good = "t,x,y,z\n0.0,\u0661,2,3\n0.02,4,5,6\n".encode("utf-8")
+    for data in (bad + good, good[:20] + bad + good[20:], good + bad):
+        offset = data.index(bad)
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        for size in range(1, len(data) + 1):
+            monkeypatch.setattr(signal, "READ_CHUNK", size)
+            for source in (path, data, io.BytesIO(data)):
+                with pytest.raises(MalformedRow, match=f"^byte {offset}: not UTF-8"):
+                    load_recording_csv(source)
+
+
 def test_load_csv_rejects_non_monotonic_time():
     text = "t,x,y,z\n0.0,1,2,3\n0.02,1,2,3\n0.02,1,2,3\n"
     with pytest.raises(NonMonotonicTime):

@@ -105,6 +105,56 @@ def test_solver_rejects_bad_inputs():
         solve_damped(np.array([[np.nan, 1.0]]), np.ones(1), 1.0)
 
 
+def network_jacobian(inputs: int, rows: int, hidden: int, seed: int):
+    """First-layer weights, inputs, J and an error vector of a random net."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-0.5, 0.5, (hidden, inputs))
+    b1 = rng.uniform(-0.5, 0.5, hidden)
+    w2 = rng.uniform(-0.5, 0.5, hidden)
+    xn = rng.uniform(-1.0, 1.0, (rows, inputs))
+    jac, y = kernels.batch_jacobian(w1, b1, w2, 0.1, xn)
+    return (w1, b1, w2, xn), jac, rng.choice([0.0, 1.0], rows) - y
+
+
+def svd_oracle(jac, err):
+    """mu -> the LM step V diag(s / (s^2 + mu)) U'e from the thin SVD J = U S V'."""
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    ue = u.T @ err
+    return lambda mu: vt.T @ (s / (s * s + mu) * ue)
+
+
+MUS = [10.0 ** k for k in range(-12, 13)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("inputs", [200, 600])
+def test_dual_steps_match_the_svd_oracle_at_table1_shapes(inputs, seed):
+    # 98 training rows against 2,021 or 6,021 weights; measured agreement
+    # was at most 1.1e-14 relative over these seeds and every mu
+    (w1, b1, w2, xn), jac, err = network_jacobian(inputs, 98, mlp.DEFAULT_HIDDEN, seed)
+    gram, _, parts = kernels.batch_gram(w1, b1, w2, 0.1, xn, xn @ xn.T + 1.0)
+    step = svd_oracle(jac, err)
+    for mu in MUS:
+        want = step(mu)
+        for got in (solve_damped(jac, err, mu), gram_step(gram, parts, xn, err, mu)):
+            assert np.linalg.norm(got - want) <= 5e-14 * np.linalg.norm(want), mu
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_primal_step_matches_the_svd_oracle(seed):
+    # 40 rows against 11 weights: the normal equations J'J square the
+    # condition number k of J, so the bound is k^2 * eps; measured agreement
+    # was at most 0.04 of it
+    _, jac, err = network_jacobian(3, 40, 2, seed)
+    s = np.linalg.svd(jac, compute_uv=False)
+    bound = (s[0] / s[-1]) ** 2 * np.finfo(float).eps
+    step = svd_oracle(jac, err)
+    for mu in MUS:
+        want = step(mu)
+        got = solve_damped(jac, err, mu)
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want), mu
+
+
 def test_lm_step_tiny_mu_solves_linear_least_squares(rng):
     # constant-Jacobian problem driven through the same solver lm_step uses
     jac = rng.normal(size=(40, 6))
@@ -310,9 +360,9 @@ def test_select_best_restart_argmax_and_tiebreak():
 
 def test_train_best_of_selects_max_accuracy(rng):
     ds = toy_dataset(rng, n=30, separation=0.4)
-    net, report, summaries = train_best_of(
+    net, report, summaries, best = train_best_of(
         ds, config=TrainConfig(max_epochs=10), restarts=4, master_seed=11)
-    best = select_best_restart([s.train_accuracy for s in summaries])
+    assert best == select_best_restart([s.train_accuracy for s in summaries])
     assert summaries[best].train_accuracy == max(
         s.train_accuracy for s in summaries)
     assert report.epochs_run == summaries[best].epochs_run
@@ -321,10 +371,11 @@ def test_train_best_of_selects_max_accuracy(rng):
 
 def test_train_best_of_single_restart_equals_train(rng):
     ds = toy_dataset(rng, n=30)
-    net_a, rep_a, _ = train_best_of(
+    net_a, rep_a, _, selected = train_best_of(
         ds, config=TrainConfig(max_epochs=8), restarts=1, master_seed=6)
     tr, va, _ = partition(ds, SplitRatios(), seed=6)
     net_b, rep_b = train(tr, va, TrainConfig(max_epochs=8), seed=6 ^ 0)
+    assert selected == 0
     assert np.array_equal(net_a.to_weight_vector(), net_b.to_weight_vector())
     assert rep_a.train_sse_history == rep_b.train_sse_history
 
