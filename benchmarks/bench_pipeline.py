@@ -5,8 +5,8 @@ Records, for the Table-1 training corpus of seed 7 (the README seed):
 - best-of-10 wall time of `train_best_of` (10 restarts) per channel mode;
 - one LM step at Table-1 scale for the X and XYZ modes, best of 200: the
   oracle step (`mlp.outputs_and_jacobian` plus `train.solve_damped`) and the
-  Gram step (`kernels.batch_gram` plus `train.gram_step`), with their max
-  relative difference;
+  Gram step (`kernels.batch_gram` plus `train.damped_step`, stored under the
+  key `gram_step`), with their max relative difference;
 - the environment: Python, numpy and scipy versions, nproc and the BLAS
   thread variables.
 
@@ -27,6 +27,7 @@ import platform
 import statistics
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -73,7 +74,8 @@ def step_rows(dataset: train.LabeledDataset) -> dict:
 
     def gram():
         g, y, parts = kernels.batch_gram(net.w1, net.b1, net.w2, net.b2, xn, k1)
-        return train.gram_step(g, parts, xn, tr.targets - y, mu)
+        return train.damped_step(g, tr.targets - y, mu,
+                                 partial(kernels.gram_step_map, xn, parts))
 
     want = oracle()
     return {"rows": len(tr), "n_weights": net.n_weights,

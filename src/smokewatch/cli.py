@@ -104,27 +104,16 @@ def _parse_int(text: str, what: str) -> int:
     return value
 
 
-def _parse_gesture_counts(text: str) -> dict[GestureClass, int]:
-    counts: dict[GestureClass, int] = {}
+def _parse_counts(text: str, parse) -> dict:
+    """`NAME=N,...` (a bare NAME counts 1) -> {parse(NAME): total N}."""
+    counts: dict = {}
     for item in text.split(","):
         name, _, num = item.partition("=")
         try:
-            cls = GestureClass.parse(name)
+            key = parse(name)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        counts[cls] = counts.get(cls, 0) + (_parse_int(num, name) if num else 1)
-    return counts
-
-
-def _parse_session_counts(text: str) -> dict[synth.SessionKind, int]:
-    counts: dict[synth.SessionKind, int] = {}
-    for item in text.split(","):
-        name, _, num = item.partition("=")
-        try:
-            kind = synth.SessionKind.parse(name)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        counts[kind] = counts.get(kind, 0) + (_parse_int(num, name) if num else 1)
+        counts[key] = counts.get(key, 0) + (_parse_int(num, name) if num else 1)
     return counts
 
 
@@ -190,11 +179,11 @@ def cmd_synth(args) -> None:
         written += _write_corpus(test_c, out / "test")
         written += _write_sessions(sessions, out / "sessions")
     elif args.gestures is not None:
-        counts = _parse_gesture_counts(args.gestures)
+        counts = _parse_counts(args.gestures, GestureClass.parse)
         corpus = synth.generate_corpus(counts, profile, args.seed, templates)
         written += _write_corpus(corpus, out)
     else:
-        counts = _parse_session_counts(args.sessions)
+        counts = _parse_counts(args.sessions, synth.SessionKind.parse)
         sessions = synth.generate_sessions(counts, profile, args.seed, templates)
         written += _write_sessions(sessions, out)
     manifest = RunManifest(
@@ -209,8 +198,10 @@ def cmd_synth(args) -> None:
 
 def cmd_train(args) -> None:
     modes = _parse_modes(args.modes)
-    if args.restarts < 1:
-        raise UsageError("--restarts must be >= 1")
+    for flag, value in (("--restarts", args.restarts), ("--hidden", args.hidden),
+                        ("--max-epochs", args.max_epochs)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1")
     if not 0.0 < args.threshold < 1.0:
         raise UsageError("--threshold must lie strictly between 0 and 1")
     recordings = load_dataset_dir(Path(args.data))

@@ -77,3 +77,8 @@ class UnorderedStarts(SmokewatchError):
 class MalformedRanges(SmokewatchError, ValueError):
     """A ranges file is not a JSON list of objects with integer start and
     end, or holds empty, unsorted or overlapping ranges."""
+
+
+class MalformedConfig(SmokewatchError, ValueError):
+    """A synth config is not JSON, lacks a template key, or names an unknown
+    class or an invalid template or profile value."""

@@ -21,6 +21,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
+from .errors import MalformedConfig
 from .signal import (
     CONFOUNDER_CLASSES,
     ChannelMode,
@@ -438,14 +439,21 @@ def load_synth_config(path: Union[str, Path]):
     "levels": [x, y, z]}, ...], "rest": [x, y, z], "duration_jitter": f,
     "amplitude_jitter": f, "noise_sigma": f}}, "profiles": {"<name>":
     {"offset": [x, y, z], "scale": [x, y, z], "noise_sigma": f}}}.
-    All keys are optional; omitted entries keep their defaults.
+    Keys are optional except a template's segments and their fields;
+    omitted entries keep their defaults. Raises MalformedConfig for anything
+    else.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    templates = dict(DEFAULT_TEMPLATES)
-    for name, tdoc in doc.get("templates", {}).items():
-        cls = GestureClass.parse(name)
-        templates[cls] = _template_from_dict(cls, tdoc)
-    profiles = dict(DEFAULT_PROFILES)
-    for name, pdoc in doc.get("profiles", {}).items():
-        profiles[name] = _profile_from_dict(name, pdoc)
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        templates = dict(DEFAULT_TEMPLATES)
+        for name, tdoc in doc.get("templates", {}).items():
+            cls = GestureClass.parse(name)
+            templates[cls] = _template_from_dict(cls, tdoc)
+        profiles = dict(DEFAULT_PROFILES)
+        for name, pdoc in doc.get("profiles", {}).items():
+            profiles[name] = _profile_from_dict(name, pdoc)
+    except KeyError as exc:
+        raise MalformedConfig(f"synth config lacks key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        raise MalformedConfig(f"malformed synth config: {exc}") from None
     return templates, profiles

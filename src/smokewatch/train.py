@@ -2,10 +2,11 @@
 
 Full-batch damped least squares on the network output: each epoch solves
 (J'J + mu*I) delta = J'e with e = target - output, accepting a step only when
-it lowers the training sum of squared errors. With fewer training rows than
-weights (every Table-1 fit) the epoch works on the dual system in Gram form
-(`kernels.batch_gram`, `gram_step`) and never builds J. The 70/15/15
-partition and the best-of-N restart selection live here too.
+it lowers the training sum of squared errors. Every solve goes through
+`damped_step`. With fewer training rows than weights (every Table-1 fit) the
+epoch works on the dual system in Gram form (`kernels.batch_gram`) and never
+builds J. The 70/15/15 partition and the best-of-N restart selection live
+here too.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -185,12 +187,11 @@ def partition(dataset: LabeledDataset, ratios: SplitRatios,
 
 
 def solve_damped(jac: np.ndarray, err: np.ndarray, mu: float) -> np.ndarray:
-    """Solve (J'J + mu*I) delta = J'e by a dense symmetric factorization.
+    """Solve (J'J + mu*I) delta = J'e with `damped_step`, checking J and e.
 
     When there are fewer samples than weights the equivalent dual system
     (JJ' + mu*I) alpha = e, delta = J'alpha is solved instead; it is the same
-    delta at a fraction of the cost. One iterative-refinement pass keeps the
-    residual small.
+    delta at a fraction of the cost.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -202,21 +203,9 @@ def solve_damped(jac: np.ndarray, err: np.ndarray, mu: float) -> np.ndarray:
         raise EmptyBatch("cannot solve with zero samples")
     if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(err))):
         raise NumericalFailure("non-finite jacobian or error")
-
-    m, p = jac.shape
-    if not _dual(m, p):
-        a = jac.T @ jac
-        a[np.diag_indices_from(a)] += mu
-        rhs = jac.T @ err
-        delta = _spd_solve(a, rhs)
-    else:
-        a = jac @ jac.T
-        a[np.diag_indices_from(a)] += mu
-        alpha = _spd_solve(a, err)
-        delta = jac.T @ alpha
-    if not np.all(np.isfinite(delta)):
-        raise NumericalFailure("non-finite step")
-    return delta
+    if _dual(*jac.shape):
+        return damped_step(jac @ jac.T, err, mu, lambda alpha: jac.T @ alpha)
+    return damped_step(jac.T @ jac, jac.T @ err, mu)
 
 
 def _dual(rows: int, n_weights: int) -> bool:
@@ -224,31 +213,29 @@ def _dual(rows: int, n_weights: int) -> bool:
     return n_weights > rows
 
 
-def gram_step(gram: np.ndarray, parts, xn: np.ndarray, err: np.ndarray,
-              mu: float) -> np.ndarray:
-    """`solve_damped`'s dual-branch step from the Gram form of the Jacobian.
+def damped_step(a: np.ndarray, rhs: np.ndarray, mu: float,
+                back: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
+    """The solution x of (a + mu*I) x = rhs, or back(x) when back is given.
 
-    Solves (JJ' + mu*I) alpha = e on the `kernels.batch_gram` matrix and maps
-    alpha back to delta = J'alpha with `kernels.gram_step_map`; J itself is
-    never built.
+    a is symmetric positive semi-definite (J'J, or JJ' with back mapping
+    alpha to J'alpha) and is left unchanged, so an epoch builds it once for
+    all its mu retries. A
+    Cholesky solve with one iterative-refinement pass keeps the residual
+    small. Raises NumericalFailure when the step is not finite.
     """
-    a = gram.copy()
+    a = a.copy()
     a[np.diag_indices_from(a)] += mu
-    delta = kernels.gram_step_map(xn, parts, _spd_solve(a, err))
+    try:
+        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+        x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        # one refinement pass; cheap relative to the factorization
+        x += scipy.linalg.cho_solve(factor, rhs - a @ x, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        x = np.linalg.solve(a, rhs)
+    delta = x if back is None else back(x)
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("non-finite step")
     return delta
-
-
-def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-        x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-        # one refinement pass; cheap relative to the factorization
-        x += scipy.linalg.cho_solve(factor, b - a @ x, check_finite=False)
-        return x
-    except scipy.linalg.LinAlgError:
-        return np.linalg.solve(a, b)
 
 
 def _sse(network: mlp.Network, xn: np.ndarray, targets: np.ndarray) -> float:
@@ -256,12 +243,6 @@ def _sse(network: mlp.Network, xn: np.ndarray, targets: np.ndarray) -> float:
     e = targets - kernels.batch_forward(network.w1, network.b1, network.w2,
                                         network.b2, xn)
     return float(e @ e)
-
-
-def batch_sse(network: mlp.Network, dataset: LabeledDataset) -> float:
-    """Sum of squared errors of the network on a dataset."""
-    return _sse(network, mlp.scaled_inputs(network, dataset.features),
-                dataset.targets)
 
 
 def lm_step(network: mlp.Network, batch: LabeledDataset, mu: float) -> np.ndarray:
@@ -274,19 +255,35 @@ def lm_step(network: mlp.Network, batch: LabeledDataset, mu: float) -> np.ndarra
     return network.to_weight_vector() + delta
 
 
+def _epoch_system(net: mlp.Network, xn: np.ndarray, targets: np.ndarray, k1):
+    """An epoch's damped system (a, rhs, back) for `damped_step`, and e = t - y.
+
+    With k1 (the dual branch) a is the Gram matrix JJ' of `kernels.batch_gram`,
+    rhs is e and back maps alpha to J'alpha; otherwise a is J'J and rhs J'e,
+    and J is dropped on return.
+    """
+    if k1 is not None:
+        gram, y, parts = kernels.batch_gram(net.w1, net.b1, net.w2, net.b2, xn, k1)
+        err = targets - y
+        return gram, err, partial(kernels.gram_step_map, xn, parts), err
+    jac, y = kernels.batch_jacobian(net.w1, net.b1, net.w2, net.b2, xn)
+    err = targets - y
+    return jac.T @ jac, jac.T @ err, None, err
+
+
 def train(train_set: LabeledDataset, val_set: LabeledDataset,
           config: TrainConfig = TrainConfig(), seed: int = 0,
           hidden_size: int = mlp.DEFAULT_HIDDEN) -> tuple[mlp.Network, TrainReport]:
     """Train one network; returns it with the report of the run.
 
     Input scaling is captured from the training split, and both splits are
-    scaled once. Each epoch builds the Gram matrix JJ' (fewer rows than
-    weights) or the Jacobian (otherwise) once, then retries the damped step
-    with growing mu until the training SSE drops; the first candidate of an
-    epoch is `gram_step`'s or `solve_damped`'s at the current mu, which equals
-    `lm_step`'s. Stops on the SSE goal, on `max_val_failures` epochs without a
-    new best validation SSE (restoring the best-validation network), on the
-    epoch limit, or when mu overflows.
+    scaled once. Each epoch builds its damped system once, the Gram matrix JJ'
+    (fewer rows than weights) or J'J, then retries `damped_step` with growing
+    mu until the training SSE drops; the first candidate of an epoch is
+    `solve_damped`'s at the current mu, which equals `lm_step`'s. Stops on the
+    SSE goal, on `max_val_failures` epochs without a new best validation SSE
+    (restoring the best-validation network), on the epoch limit, or when mu
+    overflows.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise EmptyDataset("train and validation sets must be non-empty")
@@ -299,8 +296,7 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
     xn = mlp.scaled_inputs(net, train_set.features)
     xn_val = mlp.scaled_inputs(net, val_set.features)
     targets = train_set.targets
-    dual = _dual(len(train_set), net.n_weights)
-    k1 = xn @ xn.T + 1.0 if dual else None
+    k1 = xn @ xn.T + 1.0 if _dual(len(train_set), net.n_weights) else None
 
     mu = config.mu0
     best_val = np.inf
@@ -313,11 +309,7 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
     stop = StopReason.EPOCH_LIMIT
 
     for _ in range(config.max_epochs):
-        if dual:
-            gram, y, parts = kernels.batch_gram(net.w1, net.b1, net.w2, net.b2, xn, k1)
-        else:
-            jac, y = kernels.batch_jacobian(net.w1, net.b1, net.w2, net.b2, xn)
-        err = targets - y
+        a, rhs, back, err = _epoch_system(net, xn, targets, k1)
         current_sse = float(err @ err)
         if not np.isfinite(current_sse):
             raise NumericalFailure("non-finite training error")
@@ -326,9 +318,7 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
         rejected = 0
         accepted = False
         while True:
-            delta = (gram_step(gram, parts, xn, err, mu) if dual
-                     else solve_damped(jac, err, mu))
-            cand = net.with_weights(w + delta)
+            cand = net.with_weights(w + damped_step(a, rhs, mu, back))
             cand_sse = _sse(cand, xn, targets)
             if np.isfinite(cand_sse) and cand_sse < current_sse:
                 net = cand
@@ -342,6 +332,7 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
             mu *= config.mu_inc
             if mu > config.mu_max:
                 break
+        del a, rhs, back  # freed before the next epoch builds its own
         if not accepted:
             stop = StopReason.MU_OVERFLOW
             break

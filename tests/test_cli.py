@@ -120,6 +120,23 @@ def test_synth_config_override(tmp_path):
     assert (out / "cough__bench__000.csv").exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"templates": {"cough": {',                                   # invalid JSON
+    '{"templates": {"cough": {"rest": [0, 0, 1]}}}',               # no segments
+    '{"templates": {"cough": {"segments": [{"duration": 1}]}}}',   # no levels
+    '{"templates": {"juggling": {"segments": []}}}',               # unknown class
+    '{"profiles": {"bench": {"scale": [1, 0, 1]}}}',               # scale <= 0
+], ids=["json", "segments", "levels", "class", "scale"])
+def test_synth_malformed_config_exits_1_before_writing(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run("synth", "--gestures", "cough=1", "--config", str(cfg),
+               "--out", str(out)) == 1
+    assert "error: MalformedConfig:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- train -------------------------------------------------------------------
 
 def test_train_writes_model_and_report(pipeline):
@@ -142,6 +159,16 @@ def test_train_option_validation(pipeline, tmp_path):
                "--out", str(tmp_path)) == 2
     assert run("train", "--data", data, "--modes", "X,W",
                "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--hidden", "--max-epochs"])
+def test_train_counts_below_one_are_usage_errors(tmp_path, capsys, flag):
+    # checked before the dataset loads: the data directory does not exist
+    out = tmp_path / "out"
+    assert run("train", "--data", str(tmp_path / "nowhere"), flag, "0",
+               "--out", str(out)) == 2
+    assert f"error: {flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_rejects_missing_dataset(tmp_path):

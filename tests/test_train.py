@@ -2,7 +2,9 @@
 oracles, the 70/15/15 partition, training-loop stop reasons, and
 best-of-restarts selection."""
 
+import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,9 +21,8 @@ from smokewatch.train import (
     StopReason,
     TrainConfig,
     TrainReport,
-    batch_sse,
     build_dataset,
-    gram_step,
+    damped_step,
     lm_step,
     partition,
     select_best_restart,
@@ -38,6 +39,12 @@ def index_dataset(n: int) -> LabeledDataset:
     return LabeledDataset(mode=ChannelMode.X, features=feats,
                           targets=np.zeros(n),
                           classes=(GestureClass.DRINKING,) * n)
+
+
+def sse(network, dataset: LabeledDataset) -> float:
+    """Sum of squared errors of the network on a dataset."""
+    e = dataset.targets - mlp.forward_batch(network, dataset.features)
+    return float(e @ e)
 
 
 def toy_dataset(rng, n=24, p=6, separation=3.0) -> LabeledDataset:
@@ -133,10 +140,11 @@ def test_dual_steps_match_the_svd_oracle_at_table1_shapes(inputs, seed):
     # was at most 1.1e-14 relative over these seeds and every mu
     (w1, b1, w2, xn), jac, err = network_jacobian(inputs, 98, mlp.DEFAULT_HIDDEN, seed)
     gram, _, parts = kernels.batch_gram(w1, b1, w2, 0.1, xn, xn @ xn.T + 1.0)
+    back = partial(kernels.gram_step_map, xn, parts)
     step = svd_oracle(jac, err)
     for mu in MUS:
         want = step(mu)
-        for got in (solve_damped(jac, err, mu), gram_step(gram, parts, xn, err, mu)):
+        for got in (solve_damped(jac, err, mu), damped_step(gram, err, mu, back)):
             assert np.linalg.norm(got - want) <= 5e-14 * np.linalg.norm(want), mu
 
 
@@ -187,12 +195,12 @@ def test_lm_step_some_damping_descends(rng):
     # produce one that does (this is what the accept/retry loop relies on)
     ds = toy_dataset(rng)
     net = tiny_network(ds.input_size, 3, seed=0)
-    base = batch_sse(net, ds)
+    base = sse(net, ds)
     descended = False
     mu = 1e-3
     while mu <= 1e8:
         candidate = lm_step(net, ds, mu)
-        if batch_sse(net.with_weights(candidate), ds) < base:
+        if sse(net.with_weights(candidate), ds) < base:
             descended = True
             break
         mu *= 10
@@ -201,7 +209,7 @@ def test_lm_step_some_damping_descends(rng):
 
 def test_train_first_epoch_takes_lm_step(rng):
     # acceptance 3 checks lm_step on the Jacobian; train() takes the same
-    # step in Gram form: exactly gram_step's at mu0, and lm_step's to 1e-10
+    # step in Gram form: exactly damped_step's at mu0, and lm_step's to 1e-10
     ds = toy_dataset(rng, n=30)
     tr, va = ds.subset(np.arange(0, 30, 2)), ds.subset(np.arange(1, 30, 2))
     config = TrainConfig(max_epochs=1)
@@ -213,10 +221,11 @@ def test_train_first_epoch_takes_lm_step(rng):
     gram, y, parts = kernels.batch_gram(net0.w1, net0.b1, net0.w2, net0.b2,
                                         xn, xn @ xn.T + 1.0)
     w0 = net0.to_weight_vector()
-    step = w0 + gram_step(gram, parts, xn, tr.targets - y, config.mu0)
+    step = w0 + damped_step(gram, tr.targets - y, config.mu0,
+                            partial(kernels.gram_step_map, xn, parts))
     oracle = lm_step(net0, tr, config.mu0)
     assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle - w0)
-    assert batch_sse(net0.with_weights(step), tr) < batch_sse(net0, tr)
+    assert sse(net0.with_weights(step), tr) < sse(net0, tr)
     net, report = train(tr, va, config, seed=seed)
     assert report.epochs_run == 1
     assert report.rejected_steps == (0,)
@@ -227,8 +236,8 @@ def test_train_first_epoch_takes_lm_step(rng):
 def test_train_takes_the_primal_path_unless_fewer_rows_than_weights(
         monkeypatch, rows):
     # 2 inputs and 3 hidden units make 13 weights; with 13 rows or more
-    # train() solves on J with solve_damped, with fewer on the Gram matrix
-    calls = {"gram": 0, "solve": 0}
+    # train() builds J once per epoch, with fewer the Gram matrix
+    calls = {"gram": 0, "jacobian": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -237,15 +246,66 @@ def test_train_takes_the_primal_path_unless_fewer_rows_than_weights(
         return wrapper
 
     monkeypatch.setattr(kernels, "batch_gram", counted("gram", kernels.batch_gram))
-    monkeypatch.setattr(train_mod, "solve_damped", counted("solve", solve_damped))
+    monkeypatch.setattr(kernels, "batch_jacobian",
+                        counted("jacobian", kernels.batch_jacobian))
     ds = toy_dataset(np.random.default_rng(8), n=2 * rows, p=2)
     tr, va = ds.subset(np.arange(0, 2 * rows, 2)), ds.subset(np.arange(1, 2 * rows, 2))
     _, report = train(tr, va, TrainConfig(max_epochs=3), seed=1, hidden_size=3)
     assert report.epochs_run >= 1
-    if rows < 13:
-        assert calls["solve"] == 0 and calls["gram"] >= report.epochs_run
-    else:
-        assert calls["gram"] == 0 and calls["solve"] >= report.epochs_run
+    built = calls["gram"] if rows < 13 else calls["jacobian"]
+    assert built == report.epochs_run
+    assert calls["jacobian" if rows < 13 else "gram"] == 0
+
+
+@pytest.mark.parametrize("rows", [12, 14])
+def test_train_frees_each_epoch_system_before_the_next(monkeypatch, rows):
+    # J is gone once J'J and J'e exist, and neither J nor the matrix that
+    # damped_step solves on outlives its epoch into the next build
+    built = []
+
+    def build(fn):
+        def wrapper(*args):
+            assert all(ref() is None for ref in built)
+            out = fn(*args)
+            built.append(weakref.ref(out[0]))
+            return out
+        return wrapper
+
+    def step(a, rhs, mu, back=None):
+        assert all(ref() is None or ref() is a for ref in built)
+        built.append(weakref.ref(a))
+        return damped_step(a, rhs, mu, back)
+
+    monkeypatch.setattr(kernels, "batch_gram", build(kernels.batch_gram))
+    monkeypatch.setattr(kernels, "batch_jacobian", build(kernels.batch_jacobian))
+    monkeypatch.setattr(train_mod, "damped_step", step)
+    ds = toy_dataset(np.random.default_rng(8), n=2 * rows, p=2)
+    tr, va = ds.subset(np.arange(0, 2 * rows, 2)), ds.subset(np.arange(1, 2 * rows, 2))
+    _, report = train(tr, va, TrainConfig(max_epochs=3), seed=1, hidden_size=3)
+    assert report.epochs_run >= 2
+
+
+@pytest.mark.parametrize("seed", [0, 4, 7])
+def test_train_replays_a_primal_epoch_with_rejected_retries(seed):
+    # 60 rows against 13 weights: the primal branch. With mu0 = 1e-12 the
+    # first candidates overshoot, so the accepted step is the k-th retry and
+    # equals solve_damped's on J at that mu bit for bit
+    ds = toy_dataset(np.random.default_rng(seed), n=120, p=2, separation=0.3)
+    tr, va = ds.subset(np.arange(0, 120, 2)), ds.subset(np.arange(1, 120, 2))
+    config = TrainConfig(mu0=1e-12, max_epochs=1, sse_goal=1e-30)
+    net, report = train(tr, va, config, seed=seed, hidden_size=3)
+    net0 = replace(mlp.init_network(2, 3, rng=seed),
+                   norm=mlp.NormParams.from_features(tr.features))
+    assert len(tr) > net0.n_weights
+    k = report.rejected_steps[0]
+    assert k >= 1
+    mu = config.mu0
+    for _ in range(k):
+        mu *= config.mu_inc
+    assert report.mu_history == (mu,)
+    y, jac = mlp.outputs_and_jacobian(net0, tr.features)
+    want = net0.to_weight_vector() + solve_damped(jac, tr.targets - y, mu)
+    assert np.array_equal(net.to_weight_vector(), want)
 
 
 def test_lm_step_rejects_empty_batch(rng):
@@ -408,9 +468,9 @@ def test_report_records_how_mu_moved(rng):
     _, report = train(tr, va, config, seed=seed)
     net0 = replace(mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN, rng=seed),
                    norm=mlp.NormParams.from_features(tr.features))
-    base = batch_sse(net0, tr)
+    base = sse(net0, tr)
     k = 0
-    while batch_sse(net0.with_weights(
+    while sse(net0.with_weights(
             lm_step(net0, tr, config.mu0 * config.mu_inc ** k)), tr) >= base:
         k += 1
     assert k >= 1  # the replay covers rejected retries
