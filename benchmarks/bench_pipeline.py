@@ -58,12 +58,12 @@ def best_of(fn, repeats: int) -> dict:
 
 
 def step_rows(dataset: train.LabeledDataset) -> dict:
-    """One LM step from a fresh restart on the 70% training split, at mu0."""
-    tr, _, _ = train.partition(dataset, train.SplitRatios(), SEED)
+    """One LM step from a fresh restart on the 70% training split, at MU0."""
+    tr, _, _ = train.partition(dataset, SEED)
     net = replace(mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN,
                                    np.random.default_rng(SEED), mode=tr.mode),
                   norm=mlp.NormParams.from_features(tr.features))
-    mu = train.TrainConfig().mu0
+    mu = train.MU0
 
     def oracle():
         y, jac = mlp.outputs_and_jacobian(net, tr.features)
@@ -90,8 +90,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="BENCH_pipeline.json")
     args = ap.parse_args(argv)
 
-    corpus, _, _ = synth.generate_table1(master_seed=SEED)
-    datasets = {mode: corpus.dataset(mode) for mode in MODES}
+    recordings, _, _ = synth.generate_table1(master_seed=SEED)
+    datasets = {mode: train.build_dataset(recordings, mode) for mode in MODES}
     run = {
         "env": {
             "python": platform.python_version(),

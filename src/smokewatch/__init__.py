@@ -66,7 +66,6 @@ from .signal import (
     write_recording_csv,
 )
 from .synth import (
-    Corpus,
     DeviceProfile,
     GestureTemplate,
     SessionKind,
@@ -80,9 +79,7 @@ from .synth import (
 # so the `train` attribute keeps naming the submodule itself.
 from .train import (
     LabeledDataset,
-    SplitRatios,
     StopReason,
-    TrainConfig,
     TrainReport,
     build_dataset,
     lm_step,

@@ -104,6 +104,14 @@ def _parse_int(text: str, what: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a usage error (exit 2) unless an integer >= 0."""
+    value = int(text)  # argparse reports a ValueError as a usage error too
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_counts(text: str, parse) -> dict:
     """`NAME=N,...` (a bare NAME counts 1) -> {parse(NAME): total N}."""
     counts: dict = {}
@@ -138,11 +146,11 @@ def _resolve_synth_setup(args):
     return templates, profiles[args.profile]
 
 
-def _write_corpus(corpus: synth.Corpus, directory: Path) -> list[str]:
+def _write_corpus(recordings: Sequence[SensorRecording], directory: Path) -> list[str]:
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     counters: dict[tuple, int] = {}
-    for rec in corpus.recordings:
+    for rec in recordings:
         key = (rec.label, rec.device)
         i = counters.get(key, 0)
         counters[key] = i + 1
@@ -180,8 +188,8 @@ def cmd_synth(args) -> None:
         written += _write_sessions(sessions, out / "sessions")
     elif args.gestures is not None:
         counts = _parse_counts(args.gestures, GestureClass.parse)
-        corpus = synth.generate_corpus(counts, profile, args.seed, templates)
-        written += _write_corpus(corpus, out)
+        recordings = synth.generate_corpus(counts, profile, args.seed, templates)
+        written += _write_corpus(recordings, out)
     else:
         counts = _parse_counts(args.sessions, synth.SessionKind.parse)
         sessions = synth.generate_sessions(counts, profile, args.seed, templates)
@@ -207,13 +215,12 @@ def cmd_train(args) -> None:
     recordings = load_dataset_dir(Path(args.data))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = train_mod.TrainConfig(max_epochs=args.max_epochs)
     written = []
     for mode in modes:
         dataset = train_mod.build_dataset(recordings, mode)
         net, report, summaries, selected = train_mod.train_best_of(
-            dataset, config=config, restarts=args.restarts,
-            master_seed=args.seed, hidden_size=args.hidden)
+            dataset, restarts=args.restarts, master_seed=args.seed,
+            hidden_size=args.hidden, max_epochs=args.max_epochs)
         model_path = out / f"model_{mode.value}.json"
         report_path = out / f"train_report_{mode.value}.json"
         mlp.save_model(net, model_path, threshold=args.threshold)
@@ -232,18 +239,12 @@ def cmd_train(args) -> None:
     save_manifest(manifest, out)
 
 
-def _resample_points(network: mlp.Network) -> int:
-    if network.mode is ChannelMode.XYZ:
-        return network.input_size // 3
-    return network.input_size
-
-
 def cmd_eval(args) -> None:
     network, stored_threshold = mlp.load_model(args.model)
     threshold = stored_threshold if args.threshold is None else args.threshold
     recordings = load_dataset_dir(Path(args.data))
-    dataset = train_mod.build_dataset(recordings, network.mode,
-                                      n=_resample_points(network))
+    dataset = train_mod.build_dataset(
+        recordings, network.mode, n=network.input_size // network.mode.signal_count)
     outputs = mlp.forward_batch(network, dataset.features)
     truths = [t == 1.0 for t in dataset.targets]
     report = metrics_mod.evaluate(outputs, truths, threshold)
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--sessions", metavar="KIND=N,...",
                       help="continuous sessions per kind "
                            "(smoking/eating/drinking/chapstick)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--profile", default="watch-a")
     p.add_argument("--config", help="JSON template/profile overrides")
     p.add_argument("--out", default=".")
@@ -338,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--modes", default="X,Y,Z,XYZ,AVG")
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--hidden", type=int, default=mlp.DEFAULT_HIDDEN)
-    p.add_argument("--max-epochs", type=int, default=200)
+    p.add_argument("--max-epochs", type=int, default=train_mod.DEFAULT_MAX_EPOCHS)
     p.add_argument("--threshold", type=float, default=mlp.DEFAULT_THRESHOLD,
                    help="decision threshold stored in the model file")
     p.add_argument("--out", default=".")

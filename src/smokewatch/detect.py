@@ -37,7 +37,7 @@ from .errors import (
     UnorderedStarts,
 )
 from .fileio import atomic_open, atomic_write_text
-from .signal import ChannelMode, SensorRecording, window_count
+from .signal import SensorRecording, window_count
 
 # Windows per forward call: a block of XYZ inputs is 1024 x 600 float64
 # (4.7 MiB). 4096-window blocks made an XYZ detect on 100,000 samples about
@@ -116,14 +116,6 @@ class GestureRanges:
         return self.range_index(indices) >= 0
 
 
-def _signals(session: SensorRecording, mode: ChannelMode) -> tuple[np.ndarray, ...]:
-    """The per-sample signals the mode's windows are cut from."""
-    if mode is ChannelMode.AVG:
-        return ((session.x + session.y + session.z) / 3.0,)
-    return {ChannelMode.X: (session.x,), ChannelMode.Y: (session.y,),
-            ChannelMode.Z: (session.z,)}.get(mode, (session.x, session.y, session.z))
-
-
 def _block_inputs(views: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
     """Network inputs of windows lo..hi-1 as one contiguous matrix."""
     if len(views) > 1:
@@ -141,8 +133,7 @@ def detect_session(network: mlp.Network, session: SensorRecording,
         raise InvalidSize("stride must be >= 1")
     if not 0.0 < threshold < 1.0:
         raise InvalidThreshold("threshold must lie strictly between 0 and 1")
-    expected = 3 * width if network.mode is ChannelMode.XYZ else width
-    if network.input_size != expected:
+    if network.input_size != network.mode.signal_count * width:
         raise ModeMismatch(
             f"{network.mode.value} network with {network.input_size} inputs "
             f"cannot consume width-{width} windows")
@@ -151,8 +142,8 @@ def detect_session(network: mlp.Network, session: SensorRecording,
             f"session has {len(session)} samples, window needs {width}")
 
     n = window_count(len(session), width, stride)
-    signals = _signals(session, network.mode)
-    w, b, centres = network.raw_first_layer(len(signals))
+    signals = network.mode.signals(session.x, session.y, session.z)
+    w, b, centres = network.raw_first_layer()
     views = tuple(sliding_window_view(s - c, width)[::stride]
                   for s, c in zip(signals, centres))
     assert views[0].shape[0] == n
@@ -176,18 +167,11 @@ def score_trace(trace: DetectionTrace,
     """
     if len(trace) == 0:
         raise EmptyTrace("cannot score an empty trace")
-    decisions = trace.decisions
     which = truth.range_index(trace.starts)
     labels = which >= 0
-    c = metrics.confusion(decisions, labels)
-    report = metrics.MetricsReport(
-        counts=c, threshold=trace.threshold,
-        specificity=metrics.specificity(c),
-        sensitivity=metrics.sensitivity(c),
-        accuracy=metrics.accuracy(c),
-    )
+    report = metrics.evaluate(trace.outputs, labels, trace.threshold)
     detected = np.zeros(len(truth), dtype=bool)
-    detected[which[decisions & labels]] = True
+    detected[which[trace.decisions & labels]] = True
     return report, detected.tolist()
 
 

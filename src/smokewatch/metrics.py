@@ -24,10 +24,14 @@ from .fileio import atomic_write_text
 from .signal import GestureClass
 
 
-def classify(output: float, threshold: float = 0.5) -> bool:
-    """True (smoking) iff output >= threshold; equality resolves positive."""
+def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise InvalidThreshold("threshold must lie strictly between 0 and 1")
+
+
+def classify(output: float, threshold: float = 0.5) -> bool:
+    """True (smoking) iff output >= threshold; equality resolves positive."""
+    _check_threshold(threshold)
     return output >= threshold
 
 
@@ -100,9 +104,10 @@ class MetricsReport:
 
 def evaluate(outputs: Sequence[float], truths: Sequence[bool],
              threshold: float = 0.5) -> MetricsReport:
-    """Classify raw outputs at the threshold and assemble the full report."""
-    preds = [classify(float(o), threshold) for o in outputs]
-    c = confusion(preds, truths)
+    """Classify raw outputs at the threshold, as `classify` does, and
+    assemble the full report."""
+    _check_threshold(threshold)
+    c = confusion(np.asarray(outputs, dtype=np.float64) >= threshold, truths)
     return MetricsReport(counts=c, threshold=threshold,
                          specificity=specificity(c), sensitivity=sensitivity(c),
                          accuracy=accuracy(c))

@@ -126,13 +126,12 @@ class Network:
                        b1=vec[k : k + hsz], w2=vec[k + hsz : k + 2 * hsz],
                        b2=float(vec[-1]))
 
-    def raw_first_layer(self, signals: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def raw_first_layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """First-layer (w, b) on centred raw inputs, the scaling folded in.
 
-        The inputs are `signals` equally long runs, one per signal the
-        windows are cut from. Each signal's centre c is the mean scaling
-        midpoint of its run, and `(raw - c) @ w.T + b` equals
+        The inputs are `mode.signal_count` equally long runs, one per signal
+        of the mode. Each signal's centre c is the mean scaling midpoint of
+        its run, and `(raw - c) @ w.T + b` equals
         `norm.apply(raw) @ w1.T + b1` up to rounding: w = w1 * (2 / span) and
         b = b1 - w @ (mid - c), with zero columns where the span is 0 (those
         inputs scale to 0 whatever their value). The rounding grows with
@@ -143,6 +142,7 @@ class Network:
         span = hi - lo
         live = span > 0.0
         mid = 0.5 * (lo + hi)
+        signals = self.mode.signal_count
         centres = mid.reshape(signals, -1).mean(axis=1)
         w = self.w1 * np.where(live, 2.0 / np.where(live, span, 1.0), 0.0)
         b = self.b1 - w @ np.where(

@@ -101,6 +101,21 @@ class ChannelMode(Enum):
         except ValueError:
             raise ValueError(f"unknown channel mode {name!r}") from None
 
+    @property
+    def signal_count(self) -> int:
+        """How many signals the mode's network inputs are made of."""
+        return 3 if self is ChannelMode.XYZ else 1
+
+    def signals(self, x: np.ndarray, y: np.ndarray,
+                z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The mode's signals from the three axes: one axis verbatim, all
+        three (XYZ) or their per-sample mean (AVG)."""
+        if self is ChannelMode.XYZ:
+            return (x, y, z)
+        if self is ChannelMode.AVG:
+            return ((x + y + z) / 3.0,)
+        return ({"X": x, "Y": y, "Z": z}[self.value],)
+
 
 ALL_MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMode.AVG)
 
@@ -222,8 +237,9 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     """Parse a `t,x,y,z` CSV into a SensorRecording.
 
     Raises EmptyRecording for fewer than 2 data rows, MalformedRow for a bad
-    header, column count or non-numeric or non-finite field or for bytes
-    that are not UTF-8, and NonMonotonicTime for unordered timestamps.
+    header, column count or non-numeric or non-finite field, for a negative
+    first timestamp or for bytes that are not UTF-8, and NonMonotonicTime
+    for unordered timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
     The text is parsed in blocks of about READ_CHUNK characters and never held
@@ -242,6 +258,7 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
         parts = []
         lineno = 2  # the line number of lines[0]
         nonfinite = None  # the line of the first non-finite field
+        first = None  # the line of the first data row
         for lines in chain([head[1:]], map(str.splitlines, blocks)):
             body = list(filter(str.strip, lines))  # blank lines are skipped
             if any(line.count(",") != 3 for line in body):
@@ -253,6 +270,8 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
                 _raise_first_bad_row(lines, lineno)
                 raise
             data = data.reshape(len(body), 4)
+            if first is None and body:
+                first = next(n for n, line in enumerate(lines, start=lineno) if line.strip())
             finite = np.isfinite(data).all(axis=1)
             if nonfinite is None and not finite.all():
                 linenos = [n for n, line in enumerate(lines, start=lineno) if line.strip()]
@@ -266,6 +285,8 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
         raise MalformedRow(f"line {nonfinite}: non-finite field")
     data = np.concatenate(parts)
     t = data[:, 0]
+    if t[0] < 0.0:
+        raise MalformedRow(f"line {first}: negative timestamp")
     if np.any(np.diff(t) <= 0.0):
         raise NonMonotonicTime("timestamps must be strictly increasing")
     median_gap = float(np.median(np.diff(t)))
@@ -334,19 +355,10 @@ def resample_uniform(recording: SensorRecording, n: int = FEATURE_POINTS) -> Fea
 def extract_features(series: FeatureSeries, mode: ChannelMode) -> FeatureVector:
     """Select the network input for a channel mode.
 
-    X/Y/Z pass the axis through verbatim, XYZ concatenates x then y then z,
-    AVG takes the per-timestep mean of the three axes.
+    The mode's signals (`ChannelMode.signals`) concatenated: XYZ is x then
+    y then z.
     """
-    if mode is ChannelMode.X:
-        values = series.x.copy()
-    elif mode is ChannelMode.Y:
-        values = series.y.copy()
-    elif mode is ChannelMode.Z:
-        values = series.z.copy()
-    elif mode is ChannelMode.XYZ:
-        values = np.concatenate([series.x, series.y, series.z])
-    else:
-        values = (series.x + series.y + series.z) / 3.0
+    values = np.concatenate(mode.signals(series.x, series.y, series.z))
     return FeatureVector(mode=mode, values=values)
 
 

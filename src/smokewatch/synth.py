@@ -21,15 +21,14 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
+from .detect import GestureRanges
 from .errors import MalformedConfig
 from .signal import (
     CONFOUNDER_CLASSES,
-    ChannelMode,
     GestureClass,
     NOMINAL_RATE_HZ,
     SensorRecording,
 )
-from .train import LabeledDataset, build_dataset
 
 # Wrist at rest: flat, gravity on the z axis.
 REST = (0.0, 0.0, 1.0)
@@ -84,15 +83,15 @@ class DeviceProfile:
         return values * np.asarray(self.scale) + np.asarray(self.offset)
 
 
-def _envelope(template: GestureTemplate, dur_scale: float, amp_scale: float,
-              rate: float) -> np.ndarray:
+def _envelope(template: GestureTemplate, dur_scale: float,
+              amp_scale: float) -> np.ndarray:
     """Sample the jittered piecewise raised-cosine envelope -> (n, 3)."""
     rest = np.asarray(template.rest)
     durations = np.array([s.duration for s in template.segments]) * dur_scale
     levels = rest + (np.array([s.levels for s in template.segments]) - rest) * amp_scale
     bounds = np.concatenate([[0.0], np.cumsum(durations)])
-    n = max(int(round(bounds[-1] * rate)), 2)
-    t = np.arange(n) / rate
+    n = max(int(round(bounds[-1] * NOMINAL_RATE_HZ)), 2)
+    t = np.arange(n) / NOMINAL_RATE_HZ
     seg = np.clip(np.searchsorted(bounds, t, side="right") - 1, 0, len(durations) - 1)
     u = (t - bounds[seg]) / durations[seg]
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(u, 0.0, 1.0)))
@@ -101,14 +100,14 @@ def _envelope(template: GestureTemplate, dur_scale: float, amp_scale: float,
 
 
 def _gesture_values(template: GestureTemplate, profile: DeviceProfile,
-                    rng: np.random.Generator, rate: float) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     dur_scale = 1.0
     amp_scale = 1.0
     if template.duration_jitter > 0:
         dur_scale += template.duration_jitter * rng.uniform(-1.0, 1.0)
     if template.amplitude_jitter > 0:
         amp_scale += template.amplitude_jitter * rng.uniform(-1.0, 1.0)
-    values = _envelope(template, dur_scale, amp_scale, rate)
+    values = _envelope(template, dur_scale, amp_scale)
     if template.noise_sigma > 0:
         values = values + rng.normal(0.0, template.noise_sigma, values.shape)
     values = profile.apply(values)
@@ -118,8 +117,8 @@ def _gesture_values(template: GestureTemplate, profile: DeviceProfile,
 
 
 def _idle_values(duration: float, profile: DeviceProfile,
-                 rng: np.random.Generator, rate: float) -> np.ndarray:
-    n = max(int(round(duration * rate)), 1)
+                 rng: np.random.Generator) -> np.ndarray:
+    n = max(int(round(duration * NOMINAL_RATE_HZ)), 1)
     values = np.tile(np.asarray(REST), (n, 1))
     values = values + rng.normal(0.0, IDLE_NOISE_SIGMA, values.shape)
     values = profile.apply(values)
@@ -129,14 +128,13 @@ def _idle_values(duration: float, profile: DeviceProfile,
 
 
 def generate_gesture(template: GestureTemplate, profile: DeviceProfile,
-                     rng: Union[np.random.Generator, int, None] = None,
-                     rate: float = NOMINAL_RATE_HZ) -> SensorRecording:
-    """One isolated gesture recording at the given sampling rate."""
+                     rng: Union[np.random.Generator, int, None] = None) -> SensorRecording:
+    """One isolated gesture recording at the nominal 50 Hz."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    values = _gesture_values(template, profile, rng, rate)
+    values = _gesture_values(template, profile, rng)
     n = values.shape[0]
-    return SensorRecording(t=np.arange(n) / rate, x=values[:, 0],
+    return SensorRecording(t=np.arange(n) / NOMINAL_RATE_HZ, x=values[:, 0],
                            y=values[:, 1], z=values[:, 2],
                            label=template.gesture, device=profile.name)
 
@@ -239,22 +237,6 @@ DEFAULT_PROFILES: dict[str, DeviceProfile] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class Corpus:
-    """Labeled recordings; feature datasets materialize per channel mode."""
-
-    recordings: tuple[SensorRecording, ...]
-
-    def __len__(self) -> int:
-        return len(self.recordings)
-
-    def count(self, cls: GestureClass) -> int:
-        return sum(1 for r in self.recordings if r.label is cls)
-
-    def dataset(self, mode: ChannelMode, n: int = 200) -> LabeledDataset:
-        return build_dataset(self.recordings, mode, n)
-
-
 def mixed_counts(n_nonsmoking: int, n_smoking: int) -> dict[GestureClass, int]:
     """Distribute a non-smoking total round-robin over the six confounders."""
     if n_nonsmoking < 0 or n_smoking < 0:
@@ -279,8 +261,8 @@ def generate_corpus(counts: Mapping[GestureClass, int],
                     profile: DeviceProfile = DEFAULT_PROFILES["watch-a"],
                     master_seed: int = 0,
                     templates: Optional[Mapping[GestureClass, GestureTemplate]] = None,
-                    rate: float = NOMINAL_RATE_HZ, stream: int = TRAIN_STREAM) -> Corpus:
-    """Seeded corpus of isolated gestures.
+                    stream: int = TRAIN_STREAM) -> tuple[SensorRecording, ...]:
+    """Seeded corpus of isolated gestures, in class order.
 
     Recording i of class c is generated from the seed tuple
     (master_seed, stream, class position, i), so per-class streams do not
@@ -294,8 +276,8 @@ def generate_corpus(counts: Mapping[GestureClass, int],
             raise ValueError("counts must be >= 0")
         for i in range(n):
             rng = np.random.default_rng([master_seed, stream, ci, i])
-            recordings.append(generate_gesture(templates[cls], profile, rng, rate))
-    return Corpus(recordings=tuple(recordings))
+            recordings.append(generate_gesture(templates[cls], profile, rng))
+    return tuple(recordings)
 
 
 class SessionKind(Enum):
@@ -322,8 +304,7 @@ _SESSION_GESTURE = {
 
 def generate_session(kind: SessionKind, profile: DeviceProfile,
                      rng: Union[np.random.Generator, int, None] = None,
-                     templates: Optional[Mapping[GestureClass, GestureTemplate]] = None,
-                     rate: float = NOMINAL_RATE_HZ):
+                     templates: Optional[Mapping[GestureClass, GestureTemplate]] = None):
     """A continuous session: gestures interleaved with idle wrist time.
 
     Smoking sessions hold 7 to 10 puffs and return the exact sample-index
@@ -331,31 +312,29 @@ def generate_session(kind: SessionKind, profile: DeviceProfile,
 
     Returns (SensorRecording, GestureRanges).
     """
-    from .detect import GestureRanges
-
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     templates = DEFAULT_TEMPLATES if templates is None else templates
     template = templates[_SESSION_GESTURE[kind]]
 
     n_gestures = int(rng.integers(7, 11))
-    chunks = [_idle_values(rng.uniform(2.5, 6.0), profile, rng, rate)]
+    chunks = [_idle_values(rng.uniform(2.5, 6.0), profile, rng)]
     cursor = chunks[0].shape[0]
     ranges = []
     for _ in range(n_gestures):
-        g = _gesture_values(template, profile, rng, rate)
+        g = _gesture_values(template, profile, rng)
         if kind is SessionKind.SMOKING:
             ranges.append((cursor, cursor + g.shape[0]))
         chunks.append(g)
         cursor += g.shape[0]
-        idle = _idle_values(rng.uniform(2.5, 6.0), profile, rng, rate)
+        idle = _idle_values(rng.uniform(2.5, 6.0), profile, rng)
         chunks.append(idle)
         cursor += idle.shape[0]
 
     values = np.concatenate(chunks, axis=0)
     n = values.shape[0]
     recording = SensorRecording(
-        t=np.arange(n) / rate, x=values[:, 0], y=values[:, 1], z=values[:, 2],
+        t=np.arange(n) / NOMINAL_RATE_HZ, x=values[:, 0], y=values[:, 1], z=values[:, 2],
         label=_SESSION_GESTURE[kind], device=profile.name)
     return recording, GestureRanges(ranges=tuple(ranges))
 
@@ -365,8 +344,7 @@ _KIND_ORDER = list(SessionKind)
 
 def generate_sessions(counts: Mapping[SessionKind, int], profile: DeviceProfile,
                       master_seed: int = 0,
-                      templates: Optional[Mapping[GestureClass, GestureTemplate]] = None,
-                      rate: float = NOMINAL_RATE_HZ):
+                      templates: Optional[Mapping[GestureClass, GestureTemplate]] = None):
     """Seeded batch of sessions; session i of a kind draws from the seed
     tuple (master_seed, session stream, kind position, i).
 
@@ -379,7 +357,7 @@ def generate_sessions(counts: Mapping[SessionKind, int], profile: DeviceProfile,
             raise ValueError("counts must be >= 0")
         for i in range(n):
             rng = np.random.default_rng([master_seed, SESSION_STREAM, ki, i])
-            recording, ranges = generate_session(kind, profile, rng, templates, rate)
+            recording, ranges = generate_session(kind, profile, rng, templates)
             out.append((kind, recording, ranges))
     return out
 
@@ -398,15 +376,14 @@ TABLE1_SESSION_COUNTS = {
 
 def generate_table1(profile: DeviceProfile = DEFAULT_PROFILES["watch-a"],
                     master_seed: int = 0,
-                    templates: Optional[Mapping[GestureClass, GestureTemplate]] = None,
-                    rate: float = NOMINAL_RATE_HZ):
-    """The full standard corpus: (train Corpus, test Corpus, sessions list)."""
+                    templates: Optional[Mapping[GestureClass, GestureTemplate]] = None):
+    """The full standard corpus: (train recordings, test recordings, sessions list)."""
     train = generate_corpus(TABLE1_TRAIN_COUNTS, profile, master_seed,
-                            templates, rate, stream=TRAIN_STREAM)
+                            templates, stream=TRAIN_STREAM)
     test = generate_corpus(TABLE1_TEST_COUNTS, profile, master_seed,
-                           templates, rate, stream=TEST_STREAM)
+                           templates, stream=TEST_STREAM)
     sessions = generate_sessions(TABLE1_SESSION_COUNTS, profile, master_seed,
-                                 templates, rate)
+                                 templates)
     return train, test, sessions
 
 

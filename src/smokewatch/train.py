@@ -38,7 +38,23 @@ from .signal import (
     resample_uniform,
 )
 
+# The paper's one training recipe. LM damping starts at MU0, grows by MU_INC
+# after each rejected candidate and shrinks by MU_DEC after each accepted one;
+# an epoch that needs mu above MU_MAX ends the run. Training also stops at
+# SSE_GOAL, or after MAX_VAL_FAILURES epochs without a new best validation
+# SSE. train() reads these when it is called.
+MU0 = 1e-3
+MU_INC = 10.0
+MU_DEC = 10.0
+MU_MAX = 1e10
 MU_FLOOR = 1e-20
+SSE_GOAL = 1e-6
+MAX_VAL_FAILURES = 6
+DEFAULT_MAX_EPOCHS = 200
+# The train and validation shares of `partition`; the test split takes the
+# remaining 15%.
+TRAIN_SHARE = 0.70
+VAL_SHARE = 0.15
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,36 +116,6 @@ def build_dataset(recordings: Sequence[SensorRecording], mode: ChannelMode,
     return LabeledDataset(mode=mode, features=feats, targets=targets, classes=classes)
 
 
-@dataclass(frozen=True)
-class SplitRatios:
-    train: float = 0.70
-    val: float = 0.15
-    test: float = 0.15
-
-    def __post_init__(self):
-        if min(self.train, self.val, self.test) < 0:
-            raise ValueError("ratios must be non-negative")
-        if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-            raise ValueError("ratios must sum to 1")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    mu0: float = 1e-3
-    mu_inc: float = 10.0
-    mu_dec: float = 10.0
-    mu_max: float = 1e10
-    max_epochs: int = 200
-    max_val_failures: int = 6
-    sse_goal: float = 1e-6
-
-    def __post_init__(self):
-        if self.mu0 <= 0 or self.mu_inc <= 1 or self.mu_dec <= 1:
-            raise ValueError("mu0 must be positive; mu factors must exceed 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-
-
 class StopReason(Enum):
     CONVERGED = "converged"
     VALIDATION_STOP = "validation_stop"
@@ -146,7 +132,7 @@ class TrainReport:
     train_sse_history: tuple[float, ...]
     val_sse_history: tuple[float, ...]
     # per accepted epoch: the mu of the accepted step, and how many candidates
-    # (at mu, mu*mu_inc, ...) were rejected before it
+    # (at mu, mu*MU_INC, ...) were rejected before it
     mu_history: tuple[float, ...]
     rejected_steps: tuple[int, ...]
 
@@ -167,9 +153,10 @@ def _half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def partition(dataset: LabeledDataset, ratios: SplitRatios,
+def partition(dataset: LabeledDataset,
               seed: int) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Seeded shuffle, then contiguous cuts at round(N*train), round(N*(train+val)).
+    """Seeded shuffle, then contiguous 70/15/15 cuts at round(N*TRAIN_SHARE)
+    and round(N*(TRAIN_SHARE + VAL_SHARE)).
 
     Cuts round half-up so sizes are reproducible for any N; the three parts
     are disjoint and cover the input.
@@ -178,8 +165,8 @@ def partition(dataset: LabeledDataset, ratios: SplitRatios,
     if n == 0:
         raise EmptyDataset("cannot partition an empty dataset")
     perm = np.random.default_rng(seed).permutation(n)
-    c1 = min(_half_up(n * ratios.train), n)
-    c2 = min(_half_up(n * (ratios.train + ratios.val)), n)
+    c1 = min(_half_up(n * TRAIN_SHARE), n)
+    c2 = min(_half_up(n * (TRAIN_SHARE + VAL_SHARE)), n)
     c2 = max(c2, c1)
     return (dataset.subset(perm[:c1]),
             dataset.subset(perm[c1:c2]),
@@ -271,9 +258,9 @@ def _epoch_system(net: mlp.Network, xn: np.ndarray, targets: np.ndarray, k1):
     return jac.T @ jac, jac.T @ err, None, err
 
 
-def train(train_set: LabeledDataset, val_set: LabeledDataset,
-          config: TrainConfig = TrainConfig(), seed: int = 0,
-          hidden_size: int = mlp.DEFAULT_HIDDEN) -> tuple[mlp.Network, TrainReport]:
+def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
+          hidden_size: int = mlp.DEFAULT_HIDDEN,
+          max_epochs: int = DEFAULT_MAX_EPOCHS) -> tuple[mlp.Network, TrainReport]:
     """Train one network; returns it with the report of the run.
 
     Input scaling is captured from the training split, and both splits are
@@ -281,10 +268,12 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
     (fewer rows than weights) or J'J, then retries `damped_step` with growing
     mu until the training SSE drops; the first candidate of an epoch is
     `solve_damped`'s at the current mu, which equals `lm_step`'s. Stops on the
-    SSE goal, on `max_val_failures` epochs without a new best validation SSE
+    SSE goal, on MAX_VAL_FAILURES epochs without a new best validation SSE
     (restoring the best-validation network), on the epoch limit, or when mu
     overflows.
     """
+    if max_epochs < 1:
+        raise InvalidSize("max_epochs must be >= 1")
     if len(train_set) == 0 or len(val_set) == 0:
         raise EmptyDataset("train and validation sets must be non-empty")
     if train_set.input_size != val_set.input_size:
@@ -298,7 +287,7 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
     targets = train_set.targets
     k1 = xn @ xn.T + 1.0 if _dual(len(train_set), net.n_weights) else None
 
-    mu = config.mu0
+    mu = MU0
     best_val = np.inf
     best_net = net
     val_failures = 0
@@ -308,7 +297,7 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
     rejected_hist: list[int] = []
     stop = StopReason.EPOCH_LIMIT
 
-    for _ in range(config.max_epochs):
+    for _ in range(max_epochs):
         a, rhs, back, err = _epoch_system(net, xn, targets, k1)
         current_sse = float(err @ err)
         if not np.isfinite(current_sse):
@@ -325,12 +314,12 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
                 current_sse = cand_sse
                 mu_hist.append(mu)
                 rejected_hist.append(rejected)
-                mu = max(mu / config.mu_dec, MU_FLOOR)
+                mu = max(mu / MU_DEC, MU_FLOOR)
                 accepted = True
                 break
             rejected += 1
-            mu *= config.mu_inc
-            if mu > config.mu_max:
+            mu *= MU_INC
+            if mu > MU_MAX:
                 break
         del a, rhs, back  # freed before the next epoch builds its own
         if not accepted:
@@ -348,10 +337,10 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset,
         else:
             val_failures += 1
 
-        if current_sse <= config.sse_goal:
+        if current_sse <= SSE_GOAL:
             stop = StopReason.CONVERGED
             break
-        if val_failures >= config.max_val_failures:
+        if val_failures >= MAX_VAL_FAILURES:
             stop = StopReason.VALIDATION_STOP
             net = best_net
             break
@@ -406,9 +395,9 @@ def select_best_restart(accuracies: Sequence[float]) -> int:
     return best
 
 
-def train_best_of(dataset: LabeledDataset, ratios: SplitRatios = SplitRatios(),
-                  config: TrainConfig = TrainConfig(), restarts: int = 10,
+def train_best_of(dataset: LabeledDataset, restarts: int = 10,
                   master_seed: int = 0, hidden_size: int = mlp.DEFAULT_HIDDEN,
+                  max_epochs: int = DEFAULT_MAX_EPOCHS,
                   ) -> tuple[mlp.Network, TrainReport, list[RestartSummary], int]:
     """Independent restarts on one fixed partition; keeps the restart with
     the highest training-set accuracy at threshold 0.5 and returns its
@@ -419,13 +408,13 @@ def train_best_of(dataset: LabeledDataset, ratios: SplitRatios = SplitRatios(),
     """
     if restarts < 1:
         raise InvalidSize("restarts must be >= 1")
-    train_split, val_split, _ = partition(dataset, ratios, master_seed)
+    train_split, val_split, _ = partition(dataset, master_seed)
     nets = []
     reports = []
     summaries = []
     for r in range(restarts):
         seed = master_seed ^ r
-        net, report = train(train_split, val_split, config, seed, hidden_size)
+        net, report = train(train_split, val_split, seed, hidden_size, max_epochs)
         acc = _train_accuracy(net, train_split)
         nets.append(net)
         reports.append(report)

@@ -24,7 +24,7 @@ from smokewatch.signal import ChannelMode, GestureClass
 from smokewatch.synth import DEFAULT_PROFILES, SessionKind
 from smokewatch.train import (
     LabeledDataset,
-    SplitRatios,
+    build_dataset,
     lm_step,
     partition,
     solve_damped,
@@ -65,7 +65,7 @@ def nets(table1):
     t0 = perf_counter()
     out = {}
     for mode in (ChannelMode.X, ChannelMode.Z, ChannelMode.XYZ):
-        dataset = train_corpus.dataset(mode)
+        dataset = build_dataset(train_corpus, mode)
         net, report, summaries, _ = train_best_of(
             dataset, restarts=10, master_seed=MASTER_SEED)
         out[mode] = (net, summaries)
@@ -187,15 +187,14 @@ def index_dataset(n: int) -> LabeledDataset:
 
 def test_acceptance_4_partition_shape_and_coverage():
     t0 = perf_counter()
-    ratios = SplitRatios(0.70, 0.15, 0.15)
-    tr, va, te = partition(index_dataset(140), ratios, seed=0)
+    tr, va, te = partition(index_dataset(140), seed=0)
     sizes_ok = (len(tr), len(va), len(te)) == (98, 21, 21)
     rng = np.random.default_rng(404)
     failures = 0
     for _ in range(1000):
         n = int(rng.integers(1, 500))
         seed = int(rng.integers(0, 2**31))
-        parts = partition(index_dataset(n), ratios, seed)
+        parts = partition(index_dataset(n), seed)
         ids = np.concatenate([p.features[:, 0] for p in parts])
         if len(ids) != n or not np.array_equal(np.sort(ids), np.arange(n)):
             failures += 1
@@ -214,7 +213,7 @@ def test_acceptance_5_training_anchor(table1, nets):
     _, xyz_summaries = nets[ChannelMode.XYZ]
     xyz_acc = max(s.train_accuracy for s in xyz_summaries)
     z_net, _ = nets[ChannelMode.Z]
-    z_ds = train_corpus.dataset(ChannelMode.Z)
+    z_ds = build_dataset(train_corpus, ChannelMode.Z)
     z_report = metrics.evaluate(mlp.forward_batch(z_net, z_ds.features),
                                 [t == 1.0 for t in z_ds.targets], 0.5)
     elapsed = perf_counter() - t0 + shared_cost("table1", "nets")

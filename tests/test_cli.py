@@ -171,6 +171,16 @@ def test_train_counts_below_one_are_usage_errors(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_is_a_usage_error(pipeline, tmp_path, capsys, command):
+    source = (["--gestures", "smoking=1"] if command == "synth"
+              else ["--data", str(pipeline["data"]), "--modes", "X"])
+    out = tmp_path / "out"
+    assert run(command, *source, "--seed", "-1", "--out", str(out)) == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_missing_dataset(tmp_path):
     assert run("train", "--data", str(tmp_path / "nowhere"),
                "--out", str(tmp_path)) == 2
@@ -301,6 +311,18 @@ def test_detect_session_not_utf8_exits_1(pipeline, tmp_path, capsys):
     assert run("detect", "--model", str(pipeline["model"]),
                "--session", str(session), "--out", str(tmp_path / "out")) == 1
     assert "error: MalformedRow: byte " in capsys.readouterr().err
+
+
+def test_detect_negative_first_timestamp_exits_1(pipeline, tmp_path, capsys):
+    header, first, rest = pipeline["session"].read_text().split("\n", 2)
+    assert first.startswith("0.0,")
+    session = tmp_path / "negative.csv"
+    session.write_text("\n".join([header, "-0.02" + first[3:], rest]))
+    out = tmp_path / "out"
+    assert run("detect", "--model", str(pipeline["model"]),
+               "--session", str(session), "--out", str(out)) == 1
+    assert "error: MalformedRow: line 2: negative timestamp" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [

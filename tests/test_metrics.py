@@ -97,6 +97,25 @@ def test_metric_formulas():
         accuracy(ConfusionCounts(0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
+def test_evaluate_rejects_degenerate_threshold(bad):
+    with pytest.raises(InvalidThreshold):
+        evaluate([0.5, 0.2], [True, False], bad)
+
+
+def test_evaluate_classifies_as_classify_does():
+    # outputs on the threshold and one ulp to either side, as a list and
+    # as an array
+    thr = 0.44
+    outs = [thr, float(np.nextafter(thr, 0.0)), float(np.nextafter(thr, 1.0)), 0.1, 0.9]
+    truths = [True, True, False, False, True]
+    want = brute_counts([classify(o, thr) for o in outs], truths)
+    assert want == (2, 1, 1, 1)
+    for given in (outs, np.array(outs)):
+        c = evaluate(given, truths, thr).counts
+        assert (c.tp, c.tn, c.fp, c.fn) == want
+
+
 def test_counts_must_be_non_negative():
     with pytest.raises(ValueError):
         ConfusionCounts(-1, 0, 0, 0)

@@ -73,17 +73,24 @@ def test_raw_first_layer_folds_the_scaling(rng):
     raw = rng.normal(size=(9, 6)) * 5.0
     want = net.norm.apply(raw) @ net.w1.T + net.b1
     mid = 0.5 * (lo + hi)
-    w, b, centres = net.raw_first_layer(1)
+    w, b, centres = net.raw_first_layer()
     assert np.all(w[:, [1, 3]] == 0.0)
     assert np.array_equal(centres, [mid.mean()])
     assert np.allclose((raw - centres[0]) @ w.T + b, want, rtol=0.0, atol=1e-12)
-    # two signals of three inputs each: one centre per signal, moved into
-    # the bias only, so the weight columns are the same
-    w2, b2, centres2 = net.raw_first_layer(2)
-    assert np.array_equal(w2, w)
-    assert np.array_equal(centres2, [mid[:3].mean(), mid[3:].mean()])
-    centred = raw - np.repeat(centres2, 3)
-    assert np.allclose(centred @ w2.T + b2, want, rtol=0.0, atol=1e-12)
+    # an XYZ net reads three signals of 200 inputs each: one centre per
+    # signal, each moved into the bias only
+    lo3, hi3 = np.tile(lo, 100), np.tile(hi, 100)
+    xyz = replace(tiny_network(600, 3, seed=4, mode=ChannelMode.XYZ),
+                  norm=mlp.NormParams(lo=lo3, hi=hi3))
+    w3, b3, centres3 = xyz.raw_first_layer()
+    mid3 = 0.5 * (lo3 + hi3)
+    assert np.array_equal(centres3, [mid3[:200].mean(), mid3[200:400].mean(),
+                                     mid3[400:].mean()])
+    assert np.all(w3[:, 1::6] == 0.0) and np.all(w3[:, 3::6] == 0.0)
+    raw3 = rng.normal(size=(9, 600)) * 5.0
+    want3 = xyz.norm.apply(raw3) @ xyz.w1.T + xyz.b1
+    centred = raw3 - np.repeat(centres3, 200)
+    assert np.allclose(centred @ w3.T + b3, want3, rtol=0.0, atol=1e-12)
 
 
 def test_norm_extrapolates_outside_range():

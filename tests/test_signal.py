@@ -164,6 +164,18 @@ def assert_all(results: list, want) -> None:
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("t,x,y,z\n-0.02,0,0,1\n0,0,0,1\n0.02,0,0,1\n", 2),
+    ("t,x,y,z\n\n \n-1e-9,0,0,1\n\n0,0,0,1\n", 4),
+    ("t,x,y,z\n-0.04,0,0,1\n-0.02,0,0,1\n", 2),
+], ids=["first-row", "after-blank-lines", "all-negative"])
+def test_load_csv_names_a_negative_first_timestamp(text, line, tmp_path, monkeypatch):
+    # the line of the first data row, wherever the reads cut the lines
+    # before it; a negative timestamp after a non-negative one is unordered
+    assert_all(load_every_way(text, tmp_path, monkeypatch),
+               f"MalformedRow: line {line}: negative timestamp")
+
+
 @pytest.mark.parametrize("bad, later, message", [
     ("0.06,1,2", "0.08,1,y,3", "line 6: expected 4 columns, got 3"),
     ("0.06,1,x,3", "0.08,1,2", "line 6: non-numeric field"),
@@ -360,6 +372,8 @@ def test_mode_feature_length(rng):
         s = _series(*rng.normal(size=(3, n)))
         lengths = {m: len(extract_features(s, m)) for m in ChannelMode}
         assert lengths == {m: 3 * n if m is ChannelMode.XYZ else n for m in ChannelMode}
+        # detect and eval size their inputs by signal_count
+        assert all(lengths[m] == m.signal_count * n for m in ChannelMode)
 
 
 def test_mode_and_class_parsing():

@@ -17,9 +17,7 @@ from smokewatch.signal import ChannelMode, GestureClass
 from smokewatch.train import (
     MU_FLOOR,
     LabeledDataset,
-    SplitRatios,
     StopReason,
-    TrainConfig,
     TrainReport,
     build_dataset,
     damped_step,
@@ -212,7 +210,6 @@ def test_train_first_epoch_takes_lm_step(rng):
     # step in Gram form: exactly damped_step's at mu0, and lm_step's to 1e-10
     ds = toy_dataset(rng, n=30)
     tr, va = ds.subset(np.arange(0, 30, 2)), ds.subset(np.arange(1, 30, 2))
-    config = TrainConfig(max_epochs=1)
     seed = 3
     net0 = mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN, rng=seed)
     net0 = replace(net0, norm=mlp.NormParams.from_features(tr.features))
@@ -221,12 +218,12 @@ def test_train_first_epoch_takes_lm_step(rng):
     gram, y, parts = kernels.batch_gram(net0.w1, net0.b1, net0.w2, net0.b2,
                                         xn, xn @ xn.T + 1.0)
     w0 = net0.to_weight_vector()
-    step = w0 + damped_step(gram, tr.targets - y, config.mu0,
+    step = w0 + damped_step(gram, tr.targets - y, train_mod.MU0,
                             partial(kernels.gram_step_map, xn, parts))
-    oracle = lm_step(net0, tr, config.mu0)
+    oracle = lm_step(net0, tr, train_mod.MU0)
     assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle - w0)
     assert sse(net0.with_weights(step), tr) < sse(net0, tr)
-    net, report = train(tr, va, config, seed=seed)
+    net, report = train(tr, va, seed=seed, max_epochs=1)
     assert report.epochs_run == 1
     assert report.rejected_steps == (0,)
     assert np.array_equal(net.to_weight_vector(), step)
@@ -250,7 +247,7 @@ def test_train_takes_the_primal_path_unless_fewer_rows_than_weights(
                         counted("jacobian", kernels.batch_jacobian))
     ds = toy_dataset(np.random.default_rng(8), n=2 * rows, p=2)
     tr, va = ds.subset(np.arange(0, 2 * rows, 2)), ds.subset(np.arange(1, 2 * rows, 2))
-    _, report = train(tr, va, TrainConfig(max_epochs=3), seed=1, hidden_size=3)
+    _, report = train(tr, va, seed=1, hidden_size=3, max_epochs=3)
     assert report.epochs_run >= 1
     built = calls["gram"] if rows < 13 else calls["jacobian"]
     assert built == report.epochs_run
@@ -281,27 +278,28 @@ def test_train_frees_each_epoch_system_before_the_next(monkeypatch, rows):
     monkeypatch.setattr(train_mod, "damped_step", step)
     ds = toy_dataset(np.random.default_rng(8), n=2 * rows, p=2)
     tr, va = ds.subset(np.arange(0, 2 * rows, 2)), ds.subset(np.arange(1, 2 * rows, 2))
-    _, report = train(tr, va, TrainConfig(max_epochs=3), seed=1, hidden_size=3)
+    _, report = train(tr, va, seed=1, hidden_size=3, max_epochs=3)
     assert report.epochs_run >= 2
 
 
 @pytest.mark.parametrize("seed", [0, 4, 7])
-def test_train_replays_a_primal_epoch_with_rejected_retries(seed):
+def test_train_replays_a_primal_epoch_with_rejected_retries(monkeypatch, seed):
     # 60 rows against 13 weights: the primal branch. With mu0 = 1e-12 the
     # first candidates overshoot, so the accepted step is the k-th retry and
     # equals solve_damped's on J at that mu bit for bit
     ds = toy_dataset(np.random.default_rng(seed), n=120, p=2, separation=0.3)
     tr, va = ds.subset(np.arange(0, 120, 2)), ds.subset(np.arange(1, 120, 2))
-    config = TrainConfig(mu0=1e-12, max_epochs=1, sse_goal=1e-30)
-    net, report = train(tr, va, config, seed=seed, hidden_size=3)
+    monkeypatch.setattr(train_mod, "MU0", 1e-12)
+    monkeypatch.setattr(train_mod, "SSE_GOAL", 1e-30)
+    net, report = train(tr, va, seed=seed, hidden_size=3, max_epochs=1)
     net0 = replace(mlp.init_network(2, 3, rng=seed),
                    norm=mlp.NormParams.from_features(tr.features))
     assert len(tr) > net0.n_weights
     k = report.rejected_steps[0]
     assert k >= 1
-    mu = config.mu0
+    mu = 1e-12
     for _ in range(k):
-        mu *= config.mu_inc
+        mu *= train_mod.MU_INC
     assert report.mu_history == (mu,)
     y, jac = mlp.outputs_and_jacobian(net0, tr.features)
     want = net0.to_weight_vector() + solve_damped(jac, tr.targets - y, mu)
@@ -319,13 +317,13 @@ def test_lm_step_rejects_empty_batch(rng):
 # --- partition ---------------------------------------------------------------
 
 def test_partition_table_sizes():
-    tr, va, te = partition(index_dataset(140), SplitRatios(), seed=0)
+    tr, va, te = partition(index_dataset(140), seed=0)
     assert (len(tr), len(va), len(te)) == (98, 21, 21)
 
 
 def test_partition_half_up_rounding():
     # N=10: cuts at round(7.0)=7 and round(8.5)=9 -> (7, 2, 1)
-    tr, va, te = partition(index_dataset(10), SplitRatios(), seed=1)
+    tr, va, te = partition(index_dataset(10), seed=1)
     assert (len(tr), len(va), len(te)) == (7, 2, 1)
 
 
@@ -333,7 +331,7 @@ def test_partition_disjoint_and_covering(rng):
     for _ in range(50):
         n = int(rng.integers(10, 400))
         seed = int(rng.integers(0, 10**9))
-        tr, va, te = partition(index_dataset(n), SplitRatios(), seed)
+        tr, va, te = partition(index_dataset(n), seed)
         ids = np.concatenate([tr.features[:, 0], va.features[:, 0],
                               te.features[:, 0]])
         assert len(ids) == n
@@ -341,27 +339,20 @@ def test_partition_disjoint_and_covering(rng):
 
 
 def test_partition_seed_determinism():
-    a = partition(index_dataset(50), SplitRatios(), seed=7)
-    b = partition(index_dataset(50), SplitRatios(), seed=7)
+    a = partition(index_dataset(50), seed=7)
+    b = partition(index_dataset(50), seed=7)
     for x, y in zip(a, b):
         assert np.array_equal(x.features, y.features)
-    c = partition(index_dataset(50), SplitRatios(), seed=8)
+    c = partition(index_dataset(50), seed=8)
     assert not np.array_equal(a[0].features, c[0].features)
-
-
-def test_split_ratios_validate():
-    with pytest.raises(ValueError):
-        SplitRatios(0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        SplitRatios(-0.1, 0.6, 0.5)
 
 
 # --- train loop --------------------------------------------------------------
 
 def test_train_reaches_goal_on_separable_data(rng):
     ds = toy_dataset(rng, n=40)
-    tr, va, te = partition(ds, SplitRatios(), seed=3)
-    net, report = train(tr, va, TrainConfig(), seed=5)
+    tr, va, te = partition(ds, seed=3)
+    net, report = train(tr, va, seed=5)
     assert report.stop_reason in (StopReason.CONVERGED, StopReason.VALIDATION_STOP,
                                   StopReason.EPOCH_LIMIT)
     assert report.final_train_sse < 0.25 * report.train_sse_history[0]
@@ -369,43 +360,46 @@ def test_train_reaches_goal_on_separable_data(rng):
     assert np.mean(preds == (tr.targets == 1.0)) == 1.0
 
 
-def test_train_degenerate_goal_stops_first_epoch(rng):
+def test_train_degenerate_goal_stops_first_epoch(rng, monkeypatch):
     ds = toy_dataset(rng)
-    tr, va, _ = partition(ds, SplitRatios(), seed=0)
-    net, report = train(tr, va, TrainConfig(sse_goal=1e9), seed=1)
+    tr, va, _ = partition(ds, seed=0)
+    monkeypatch.setattr(train_mod, "SSE_GOAL", 1e9)
+    net, report = train(tr, va, seed=1)
     assert report.epochs_run == 1
     assert report.stop_reason is StopReason.CONVERGED
 
 
-def test_train_epoch_limit(rng):
+def test_train_epoch_limit(rng, monkeypatch):
     ds = toy_dataset(rng, separation=0.1)
-    tr, va, _ = partition(ds, SplitRatios(), seed=0)
-    net, report = train(tr, va, TrainConfig(max_epochs=3, sse_goal=1e-30), seed=1)
+    tr, va, _ = partition(ds, seed=0)
+    monkeypatch.setattr(train_mod, "SSE_GOAL", 1e-30)
+    net, report = train(tr, va, seed=1, max_epochs=3)
     assert report.epochs_run <= 3
     assert len(report.train_sse_history) == report.epochs_run
 
 
-def test_train_sse_history_non_increasing(rng):
+def test_train_sse_history_non_increasing(rng, monkeypatch):
     ds = toy_dataset(rng, separation=0.5)
-    tr, va, _ = partition(ds, SplitRatios(), seed=2)
-    _, report = train(tr, va, TrainConfig(max_epochs=40, sse_goal=1e-30), seed=3)
+    tr, va, _ = partition(ds, seed=2)
+    monkeypatch.setattr(train_mod, "SSE_GOAL", 1e-30)
+    _, report = train(tr, va, seed=3, max_epochs=40)
     hist = report.train_sse_history
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
 
 def test_train_is_deterministic(rng):
     ds = toy_dataset(rng)
-    tr, va, _ = partition(ds, SplitRatios(), seed=0)
-    n1, r1 = train(tr, va, TrainConfig(max_epochs=20), seed=9)
-    n2, r2 = train(tr, va, TrainConfig(max_epochs=20), seed=9)
+    tr, va, _ = partition(ds, seed=0)
+    n1, r1 = train(tr, va, seed=9, max_epochs=20)
+    n2, r2 = train(tr, va, seed=9, max_epochs=20)
     assert np.array_equal(n1.to_weight_vector(), n2.to_weight_vector())
     assert r1.train_sse_history == r2.train_sse_history
 
 
 def test_train_normalizes_from_training_split(rng):
     ds = toy_dataset(rng)
-    tr, va, _ = partition(ds, SplitRatios(), seed=4)
-    net, _ = train(tr, va, TrainConfig(max_epochs=5), seed=0)
+    tr, va, _ = partition(ds, seed=4)
+    net, _ = train(tr, va, seed=0, max_epochs=5)
     assert np.array_equal(net.norm.lo, tr.features.min(axis=0))
     assert np.array_equal(net.norm.hi, tr.features.max(axis=0))
 
@@ -421,7 +415,7 @@ def test_select_best_restart_argmax_and_tiebreak():
 def test_train_best_of_selects_max_accuracy(rng):
     ds = toy_dataset(rng, n=30, separation=0.4)
     net, report, summaries, best = train_best_of(
-        ds, config=TrainConfig(max_epochs=10), restarts=4, master_seed=11)
+        ds, restarts=4, master_seed=11, max_epochs=10)
     assert best == select_best_restart([s.train_accuracy for s in summaries])
     assert summaries[best].train_accuracy == max(
         s.train_accuracy for s in summaries)
@@ -432,9 +426,9 @@ def test_train_best_of_selects_max_accuracy(rng):
 def test_train_best_of_single_restart_equals_train(rng):
     ds = toy_dataset(rng, n=30)
     net_a, rep_a, _, selected = train_best_of(
-        ds, config=TrainConfig(max_epochs=8), restarts=1, master_seed=6)
-    tr, va, _ = partition(ds, SplitRatios(), seed=6)
-    net_b, rep_b = train(tr, va, TrainConfig(max_epochs=8), seed=6 ^ 0)
+        ds, restarts=1, master_seed=6, max_epochs=8)
+    tr, va, _ = partition(ds, seed=6)
+    net_b, rep_b = train(tr, va, seed=6 ^ 0, max_epochs=8)
     assert selected == 0
     assert np.array_equal(net_a.to_weight_vector(), net_b.to_weight_vector())
     assert rep_a.train_sse_history == rep_b.train_sse_history
@@ -445,10 +439,19 @@ def test_train_best_of_rejects_zero_restarts(rng):
         train_best_of(toy_dataset(rng), restarts=0)
 
 
+@pytest.mark.parametrize("max_epochs", [0, -1])
+def test_train_rejects_max_epochs_below_one(rng, max_epochs):
+    tr, va, _ = partition(toy_dataset(rng), seed=0)
+    with pytest.raises(InvalidSize):
+        train(tr, va, max_epochs=max_epochs)
+    with pytest.raises(InvalidSize):
+        train_best_of(toy_dataset(rng), restarts=1, max_epochs=max_epochs)
+
+
 def test_report_json_shape(rng):
     ds = toy_dataset(rng)
-    tr, va, _ = partition(ds, SplitRatios(), seed=0)
-    _, report = train(tr, va, TrainConfig(max_epochs=4), seed=0)
+    tr, va, _ = partition(ds, seed=0)
+    _, report = train(tr, va, seed=0, max_epochs=4)
     doc = report.to_json_dict()
     assert doc["epochs_run"] == report.epochs_run
     assert doc["stop_reason"] in {r.value for r in StopReason}
@@ -458,29 +461,31 @@ def test_report_json_shape(rng):
     assert doc["mu_history"] == list(report.mu_history)
 
 
-def test_report_records_how_mu_moved(rng):
-    # epoch 1 replayed by brute force: lm_step at mu0 * mu_inc**k for
+def test_report_records_how_mu_moved(rng, monkeypatch):
+    # epoch 1 replayed by brute force: lm_step at MU0 * MU_INC**k for
     # k = 0, 1, ... until a candidate lowers the training SSE
     ds = toy_dataset(rng, n=30, separation=0.3)
-    tr, va, _ = partition(ds, SplitRatios(), seed=2)
-    config = TrainConfig(mu0=1e-6, max_epochs=6, sse_goal=1e-30)
+    tr, va, _ = partition(ds, seed=2)
+    mu0, mu_inc, mu_dec = 1e-6, train_mod.MU_INC, train_mod.MU_DEC
+    monkeypatch.setattr(train_mod, "MU0", mu0)
+    monkeypatch.setattr(train_mod, "SSE_GOAL", 1e-30)
     seed = 4
-    _, report = train(tr, va, config, seed=seed)
+    _, report = train(tr, va, seed=seed, max_epochs=6)
     net0 = replace(mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN, rng=seed),
                    norm=mlp.NormParams.from_features(tr.features))
     base = sse(net0, tr)
     k = 0
     while sse(net0.with_weights(
-            lm_step(net0, tr, config.mu0 * config.mu_inc ** k)), tr) >= base:
+            lm_step(net0, tr, mu0 * mu_inc ** k)), tr) >= base:
         k += 1
     assert k >= 1  # the replay covers rejected retries
     assert report.rejected_steps[0] == k
-    assert report.mu_history[0] == pytest.approx(config.mu0 * config.mu_inc ** k, rel=1e-12)
-    # later epochs start from the last accepted mu divided by mu_dec
+    assert report.mu_history[0] == pytest.approx(mu0 * mu_inc ** k, rel=1e-12)
+    # later epochs start from the last accepted mu divided by MU_DEC
     for e in range(1, report.epochs_run):
-        start = max(report.mu_history[e - 1] / config.mu_dec, MU_FLOOR)
+        start = max(report.mu_history[e - 1] / mu_dec, MU_FLOOR)
         assert report.mu_history[e] == pytest.approx(
-            start * config.mu_inc ** report.rejected_steps[e], rel=1e-12)
+            start * mu_inc ** report.rejected_steps[e], rel=1e-12)
 
 
 def test_build_dataset_targets_follow_labels(rng):
