@@ -1,7 +1,10 @@
 """LM training rows of the pipeline benchmark, written to BENCH_pipeline.json.
 
-Records, for the Table-1 training corpus of seed 7 (the README seed):
+Records, for the Table-1 corpus of seed 7 (the README seed):
 
+- best-of-50 wall time of `synth.generate_table1`, and a SHA-256 over every
+  recording's t/x/y/z bytes and every session's ranges, so two runs on
+  different source trees show whether they synthesize the same corpus;
 - best-of-10 wall time of `train_best_of` (10 restarts) per channel mode;
 - one LM step at Table-1 scale for the X and XYZ modes, best of 200: the
   oracle step (`mlp.outputs_and_jacobian` plus `train.solve_damped`) and the
@@ -15,12 +18,16 @@ labels, so one file holds the numbers from before and after a change:
 
     PYTHONPATH=src python3 benchmarks/bench_pipeline.py --label after
 
+The script exits 1 when the Gram step and the oracle step differ by more
+than MAX_REL_DIFF, so a run of it is an equivalence check.
+
 BLAS/OpenMP threads default to 1, as in smokebench, unless already set.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -45,7 +52,9 @@ from smokewatch.signal import ChannelMode  # noqa: E402
 MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMode.AVG)
 RESTARTS = 10
 REPEATS = 10
+SYNTH_REPEATS = 50
 SEED = 7
+MAX_REL_DIFF = 1e-12
 
 
 def best_of(fn, repeats: int) -> dict:
@@ -55,6 +64,20 @@ def best_of(fn, repeats: int) -> dict:
         fn()
         times.append(perf_counter() - t0)
     return {"min_s": min(times), "median_s": statistics.median(times), "n": repeats}
+
+
+def synth_row() -> dict:
+    """generate_table1 timing and a digest of everything it returns."""
+    train_c, test_c, sessions = synth.generate_table1(master_seed=SEED)
+    digest = hashlib.sha256()
+    for rec in list(train_c) + list(test_c) + [rec for _, rec, _ in sessions]:
+        for arr in (rec.t, rec.x, rec.y, rec.z):
+            digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    for _, _, ranges in sessions:
+        digest.update(np.array(ranges.ranges, dtype=np.int64).reshape(-1, 2).tobytes())
+    return {"generate_table1": best_of(lambda: synth.generate_table1(master_seed=SEED),
+                                       SYNTH_REPEATS),
+            "sha256": digest.hexdigest()}
 
 
 def step_rows(dataset: train.LabeledDataset) -> dict:
@@ -102,6 +125,7 @@ def main(argv=None) -> int:
             "threads": {v: os.environ[v] for v in THREAD_VARS},
         },
         "seed": SEED,
+        "synth": synth_row(),
         "train_best_of": {
             mode.value: best_of(lambda ds=ds: train.train_best_of(
                 ds, restarts=RESTARTS, master_seed=SEED), REPEATS)
@@ -115,6 +139,11 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     json.dump(run, sys.stdout, indent=1)
     print()
+    worst = max(row["max_rel_diff"] for row in run["lm_step"].values())
+    if worst > MAX_REL_DIFF:
+        print(f"gram step differs from the oracle step by {worst:.3g} "
+              f"(> {MAX_REL_DIFF:g})", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -22,6 +22,7 @@ from . import detect as detect_mod
 from . import metrics as metrics_mod
 from . import mlp, synth
 from . import train as train_mod
+from .errors import MissingTemplate
 from .fileio import atomic_write_text
 from .signal import (
     ChannelMode,
@@ -177,6 +178,15 @@ def _write_sessions(sessions, directory: Path) -> list[str]:
 
 def cmd_synth(args) -> None:
     templates, profile = _resolve_synth_setup(args)
+    if args.gestures is not None:
+        counts = _parse_counts(args.gestures, GestureClass.parse)
+        for cls in counts:
+            try:
+                synth.template_for(cls, templates)
+            except MissingTemplate as exc:
+                raise UsageError(str(exc)) from None
+    elif args.sessions is not None:
+        counts = _parse_counts(args.sessions, synth.SessionKind.parse)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -187,11 +197,9 @@ def cmd_synth(args) -> None:
         written += _write_corpus(test_c, out / "test")
         written += _write_sessions(sessions, out / "sessions")
     elif args.gestures is not None:
-        counts = _parse_counts(args.gestures, GestureClass.parse)
         recordings = synth.generate_corpus(counts, profile, args.seed, templates)
         written += _write_corpus(recordings, out)
     else:
-        counts = _parse_counts(args.sessions, synth.SessionKind.parse)
         sessions = synth.generate_sessions(counts, profile, args.seed, templates)
         written += _write_sessions(sessions, out)
     manifest = RunManifest(

@@ -82,3 +82,8 @@ class MalformedRanges(SmokewatchError, ValueError):
 class MalformedConfig(SmokewatchError, ValueError):
     """A synth config is not JSON, lacks a template key, or names an unknown
     class or an invalid template or profile value."""
+
+
+class MissingTemplate(SmokewatchError, ValueError):
+    """A corpus or session asks for a gesture class that has no synth
+    template."""

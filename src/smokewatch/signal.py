@@ -143,12 +143,12 @@ class SensorRecording:
             raise LengthMismatch("t, x, y, z must have identical lengths")
         if n < 2:
             raise EmptyRecording("a recording needs at least 2 samples")
-        if not (np.all(np.isfinite(self.t)) and self.t[0] >= 0.0):
+        if not (np.isfinite(self.t).all() and self.t[0] >= 0.0):
             raise ValueError("timestamps must be finite and non-negative")
-        if np.any(np.diff(self.t) <= 0.0):
+        if (self.t[1:] <= self.t[:-1]).any():
             raise NonMonotonicTime("timestamps must be strictly increasing")
         for name in ("x", "y", "z"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} values must be finite")
 
     def __len__(self) -> int:

@@ -9,20 +9,31 @@ segments produce the oscillatory gestures (coughing, scratching, brushing).
 Per-gesture jitter scales the whole duration and the level deviations from
 the rest pose; Gaussian noise is added per sample. A device profile applies
 a per-axis affine map plus optional extra noise, emulating a second watch.
+
+Each generator makes its random draws one gesture at a time and in a fixed
+order: per gesture the duration and amplitude uniforms, then the
+template-noise and profile-noise normals; per session the gesture count,
+then the idle and gesture draws interleaved. Only after the draws are the
+envelopes of a whole batch computed, in one vectorized pass. A batch is
+every gesture of one class in a corpus, or every gesture of one session.
+The pass does per sample what the one-gesture-at-a-time code did, so its
+output is bit-identical to it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .detect import GestureRanges
-from .errors import MalformedConfig
+from .errors import MalformedConfig, MissingTemplate
 from .signal import (
     CONFOUNDER_CLASSES,
     GestureClass,
@@ -35,15 +46,31 @@ REST = (0.0, 0.0, 1.0)
 IDLE_NOISE_SIGMA = 0.015
 
 
+def _finite_triple(what: str, values) -> tuple[float, float, float]:
+    out = tuple(float(v) for v in values)
+    if len(out) != 3 or not all(map(math.isfinite, out)):
+        raise ValueError(f"{what} must hold 3 finite values, got {list(out)}")
+    return out
+
+
+def _nonnegative(what: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Segment:
     duration: float
     levels: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+        duration = float(self.duration)
+        if not (math.isfinite(duration) and duration > 0.0):
+            raise ValueError(f"segment duration must be finite and > 0, got {duration}")
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "levels", _finite_triple("segment levels", self.levels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,14 +81,39 @@ class GestureTemplate:
     duration_jitter: float = 0.15
     amplitude_jitter: float = 0.10
     noise_sigma: float = 0.02
+    # Constants of the envelope pass, built once: the segment durations (k,)
+    # and each segment's level minus the rest pose (k, 3).
+    durations: np.ndarray = field(init=False, repr=False)
+    deltas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "rest", tuple(float(v) for v in self.rest))
-        if not self.segments:
+        segments = tuple(self.segments)
+        if not segments:
             raise ValueError("a template needs at least one segment")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
+        rest = _finite_triple("rest", self.rest)
+        duration_jitter = float(self.duration_jitter)
+        if not 0.0 <= duration_jitter < 1.0:
+            raise ValueError(f"duration jitter must lie in [0, 1), got {duration_jitter}")
+        durations = np.array([s.duration for s in segments])
+        deltas = np.array([s.levels for s in segments]) - np.asarray(rest)
+        durations.flags.writeable = deltas.flags.writeable = False
+        for name, value in (("segments", segments), ("rest", rest),
+                            ("duration_jitter", duration_jitter),
+                            ("amplitude_jitter",
+                             _nonnegative("amplitude jitter", self.amplitude_jitter)),
+                            ("noise_sigma", _nonnegative("noise sigma", self.noise_sigma)),
+                            ("durations", durations), ("deltas", deltas)):
+            object.__setattr__(self, name, value)
+
+    def sample_count(self, dur_scale: float) -> int:
+        """Samples in one gesture whose durations are scaled by dur_scale.
+
+        Adds the scaled durations one after another, as the envelope pass's
+        cumsum does, so both see the same total."""
+        total = 0.0
+        for s in self.segments:
+            total += s.duration * dur_scale
+        return max(int(round(total * NOMINAL_RATE_HZ)), 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,59 +124,108 @@ class DeviceProfile:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
-        object.__setattr__(self, "scale", tuple(float(v) for v in self.scale))
+        object.__setattr__(self, "offset", _finite_triple("offset", self.offset))
+        object.__setattr__(self, "scale", _finite_triple("scale", self.scale))
         if min(self.scale) <= 0:
             raise ValueError("scale factors must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
+        object.__setattr__(self, "noise_sigma", _nonnegative("noise sigma", self.noise_sigma))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values * np.asarray(self.scale) + np.asarray(self.offset)
 
 
-def _envelope(template: GestureTemplate, dur_scale: float,
-              amp_scale: float) -> np.ndarray:
-    """Sample the jittered piecewise raised-cosine envelope -> (n, 3)."""
-    rest = np.asarray(template.rest)
-    durations = np.array([s.duration for s in template.segments]) * dur_scale
-    levels = rest + (np.array([s.levels for s in template.segments]) - rest) * amp_scale
-    bounds = np.concatenate([[0.0], np.cumsum(durations)])
-    n = max(int(round(bounds[-1] * NOMINAL_RATE_HZ)), 2)
-    t = np.arange(n) / NOMINAL_RATE_HZ
-    seg = np.clip(np.searchsorted(bounds, t, side="right") - 1, 0, len(durations) - 1)
-    u = (t - bounds[seg]) / durations[seg]
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(u, 0.0, 1.0)))
-    start_levels = np.vstack([rest, levels[:-1]])
-    return start_levels[seg] + (levels[seg] - start_levels[seg]) * ramp[:, None]
+class _Draws(NamedTuple):
+    """What one gesture or idle chunk drew: its noise and device noise are
+    (n, 3), or None where the sigma is 0; idle chunks keep scales of 1."""
+
+    n: int
+    noise: Optional[np.ndarray]
+    device_noise: Optional[np.ndarray]
+    dur_scale: float = 1.0
+    amp_scale: float = 1.0
 
 
-def _gesture_values(template: GestureTemplate, profile: DeviceProfile,
-                    rng: np.random.Generator) -> np.ndarray:
+def _normals(rng: np.random.Generator, sigma: float, n: int) -> Optional[np.ndarray]:
+    return rng.normal(0.0, sigma, (n, 3)) if sigma > 0 else None
+
+
+def _draw_gesture(template: GestureTemplate, profile: DeviceProfile,
+                  rng: np.random.Generator) -> _Draws:
     dur_scale = 1.0
     amp_scale = 1.0
     if template.duration_jitter > 0:
         dur_scale += template.duration_jitter * rng.uniform(-1.0, 1.0)
     if template.amplitude_jitter > 0:
         amp_scale += template.amplitude_jitter * rng.uniform(-1.0, 1.0)
-    values = _envelope(template, dur_scale, amp_scale)
+    n = template.sample_count(dur_scale)
+    noise = _normals(rng, template.noise_sigma, n)
+    return _Draws(n, noise, _normals(rng, profile.noise_sigma, n), dur_scale, amp_scale)
+
+
+def _draw_idle(profile: DeviceProfile, rng: np.random.Generator) -> _Draws:
+    n = max(int(round(rng.uniform(2.5, 6.0) * NOMINAL_RATE_HZ)), 1)
+    noise = _normals(rng, IDLE_NOISE_SIGMA, n)
+    return _Draws(n, noise, _normals(rng, profile.noise_sigma, n))
+
+
+def _envelopes(template: GestureTemplate,
+               draws: Sequence[_Draws]) -> tuple[np.ndarray, np.ndarray]:
+    """The jittered piecewise raised-cosine envelopes of a batch of gestures
+    of one template, plus their template noise, stacked -> ((N, 3) values,
+    (N,) per-gesture times from 0)."""
+    ns = np.array([d.n for d in draws])
+    batch, k = len(draws), len(template.segments)
+    rest = np.asarray(template.rest)
+    durations = template.durations * np.array([d.dur_scale for d in draws])[:, None]
+    bounds = np.zeros((batch, k + 1))
+    np.cumsum(durations, axis=1, out=bounds[:, 1:])
+    levels = rest + template.deltas * np.array([d.amp_scale for d in draws])[:, None, None]
+    start_levels = np.concatenate([np.broadcast_to(rest, (batch, 1, 3)), levels[:, :-1]],
+                                  axis=1)
+    rises = levels - start_levels
+
+    g = np.repeat(np.arange(batch), ns)
+    t = (np.arange(g.shape[0]) - np.repeat(np.cumsum(ns) - ns, ns)) / NOMINAL_RATE_HZ
+    # the segment holding t: the inner bounds <= t, which is
+    # clip(searchsorted(bounds, t, side="right") - 1, 0, k - 1)
+    seg = (bounds[g, 1:k] <= t[:, None]).sum(axis=1)
+    u = (t - bounds[g, seg]) / durations[g, seg]
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(u, 0.0, 1.0)))
+    values = start_levels[g, seg] + rises[g, seg] * ramp[:, None]
     if template.noise_sigma > 0:
-        values = values + rng.normal(0.0, template.noise_sigma, values.shape)
+        values += np.concatenate([d.noise for d in draws])
+    return values, t
+
+
+def _on_device(profile: DeviceProfile, values: np.ndarray,
+               draws: Sequence[_Draws]) -> np.ndarray:
+    """Apply the profile's affine map, then add its noise, to stacked chunks."""
     values = profile.apply(values)
     if profile.noise_sigma > 0:
-        values = values + rng.normal(0.0, profile.noise_sigma, values.shape)
+        values += np.concatenate([d.device_noise for d in draws])
     return values
 
 
-def _idle_values(duration: float, profile: DeviceProfile,
-                 rng: np.random.Generator) -> np.ndarray:
-    n = max(int(round(duration * NOMINAL_RATE_HZ)), 1)
-    values = np.tile(np.asarray(REST), (n, 1))
-    values = values + rng.normal(0.0, IDLE_NOISE_SIGMA, values.shape)
-    values = profile.apply(values)
-    if profile.noise_sigma > 0:
-        values = values + rng.normal(0.0, profile.noise_sigma, values.shape)
-    return values
+def _gesture_recordings(template: GestureTemplate, profile: DeviceProfile,
+                        rngs) -> list[SensorRecording]:
+    """One gesture recording per generator, drawn in turn, enveloped at once."""
+    draws = [_draw_gesture(template, profile, rng) for rng in rngs]
+    values, t = _envelopes(template, draws)
+    x, y, z = np.ascontiguousarray(_on_device(profile, values, draws).T)
+    ends = accumulate(d.n for d in draws)
+    return [SensorRecording(t=t[e - d.n:e], x=x[e - d.n:e], y=y[e - d.n:e],
+                            z=z[e - d.n:e], label=template.gesture, device=profile.name)
+            for d, e in zip(draws, ends)]
+
+
+def template_for(cls: GestureClass,
+                 templates: Mapping[GestureClass, GestureTemplate]) -> GestureTemplate:
+    """The template of a class; MissingTemplate names the classes that have one."""
+    if cls not in templates:
+        known = ", ".join(c.value for c in templates)
+        raise MissingTemplate(f"gesture class {cls.value!r} has no template "
+                              f"(classes with templates: {known})")
+    return templates[cls]
 
 
 def generate_gesture(template: GestureTemplate, profile: DeviceProfile,
@@ -132,11 +233,7 @@ def generate_gesture(template: GestureTemplate, profile: DeviceProfile,
     """One isolated gesture recording at the nominal 50 Hz."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    values = _gesture_values(template, profile, rng)
-    n = values.shape[0]
-    return SensorRecording(t=np.arange(n) / NOMINAL_RATE_HZ, x=values[:, 0],
-                           y=values[:, 1], z=values[:, 2],
-                           label=template.gesture, device=profile.name)
+    return _gesture_recordings(template, profile, [rng])[0]
 
 
 def _seg(duration, x, y, z):
@@ -274,9 +371,9 @@ def generate_corpus(counts: Mapping[GestureClass, int],
         n = counts.get(cls, 0)
         if n < 0:
             raise ValueError("counts must be >= 0")
-        for i in range(n):
-            rng = np.random.default_rng([master_seed, stream, ci, i])
-            recordings.append(generate_gesture(templates[cls], profile, rng))
+        if n:
+            rngs = [np.random.default_rng([master_seed, stream, ci, i]) for i in range(n)]
+            recordings += _gesture_recordings(template_for(cls, templates), profile, rngs)
     return tuple(recordings)
 
 
@@ -315,28 +412,26 @@ def generate_session(kind: SessionKind, profile: DeviceProfile,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     templates = DEFAULT_TEMPLATES if templates is None else templates
-    template = templates[_SESSION_GESTURE[kind]]
+    template = template_for(_SESSION_GESTURE[kind], templates)
 
     n_gestures = int(rng.integers(7, 11))
-    chunks = [_idle_values(rng.uniform(2.5, 6.0), profile, rng)]
-    cursor = chunks[0].shape[0]
-    ranges = []
+    draws = [_draw_idle(profile, rng)]  # idle, gesture, idle, ..., gesture, idle
     for _ in range(n_gestures):
-        g = _gesture_values(template, profile, rng)
-        if kind is SessionKind.SMOKING:
-            ranges.append((cursor, cursor + g.shape[0]))
-        chunks.append(g)
-        cursor += g.shape[0]
-        idle = _idle_values(rng.uniform(2.5, 6.0), profile, rng)
-        chunks.append(idle)
-        cursor += idle.shape[0]
+        draws += (_draw_gesture(template, profile, rng), _draw_idle(profile, rng))
+    idles, gestures = draws[0::2], draws[1::2]
+    idle = np.asarray(REST) + np.concatenate([d.noise for d in idles])
+    chunks = [None] * len(draws)
+    chunks[0::2] = np.split(idle, list(accumulate(d.n for d in idles[:-1])))
+    chunks[1::2] = np.split(_envelopes(template, gestures)[0],
+                            list(accumulate(d.n for d in gestures[:-1])))
+    values = _on_device(profile, np.concatenate(chunks), draws)
 
-    values = np.concatenate(chunks, axis=0)
-    n = values.shape[0]
-    recording = SensorRecording(
-        t=np.arange(n) / NOMINAL_RATE_HZ, x=values[:, 0], y=values[:, 1], z=values[:, 2],
-        label=_SESSION_GESTURE[kind], device=profile.name)
-    return recording, GestureRanges(ranges=tuple(ranges))
+    ends = list(accumulate(d.n for d in draws))
+    ranges = tuple(zip(ends[0::2], ends[1::2])) if kind is SessionKind.SMOKING else ()
+    x, y, z = np.ascontiguousarray(values.T)
+    recording = SensorRecording(t=np.arange(ends[-1]) / NOMINAL_RATE_HZ, x=x, y=y, z=z,
+                                label=_SESSION_GESTURE[kind], device=profile.name)
+    return recording, GestureRanges(ranges=ranges)
 
 
 _KIND_ORDER = list(SessionKind)
@@ -388,25 +483,14 @@ def generate_table1(profile: DeviceProfile = DEFAULT_PROFILES["watch-a"],
 
 
 def _template_from_dict(cls: GestureClass, doc: dict) -> GestureTemplate:
-    segments = tuple(Segment(float(s["duration"]), tuple(s["levels"]))
-                     for s in doc["segments"])
-    return GestureTemplate(
-        gesture=cls,
-        segments=segments,
-        rest=tuple(doc.get("rest", REST)),
-        duration_jitter=float(doc.get("duration_jitter", 0.15)),
-        amplitude_jitter=float(doc.get("amplitude_jitter", 0.10)),
-        noise_sigma=float(doc.get("noise_sigma", 0.02)),
-    )
+    segments = tuple(Segment(s["duration"], s["levels"]) for s in doc["segments"])
+    keys = ("rest", "duration_jitter", "amplitude_jitter", "noise_sigma")
+    return GestureTemplate(cls, segments, **{k: doc[k] for k in keys if k in doc})
 
 
 def _profile_from_dict(name: str, doc: dict) -> DeviceProfile:
-    return DeviceProfile(
-        name=name,
-        offset=tuple(doc.get("offset", (0.0, 0.0, 0.0))),
-        scale=tuple(doc.get("scale", (1.0, 1.0, 1.0))),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-    )
+    keys = ("offset", "scale", "noise_sigma")
+    return DeviceProfile(name, **{k: doc[k] for k in keys if k in doc})
 
 
 def load_synth_config(path: Union[str, Path]):
@@ -417,8 +501,11 @@ def load_synth_config(path: Union[str, Path]):
     "amplitude_jitter": f, "noise_sigma": f}}, "profiles": {"<name>":
     {"offset": [x, y, z], "scale": [x, y, z], "noise_sigma": f}}}.
     Keys are optional except a template's segments and their fields;
-    omitted entries keep their defaults. Raises MalformedConfig for anything
-    else.
+    omitted entries keep their defaults. Durations are finite and > 0;
+    levels, rest, offset and scale hold 3 finite values each, and scale
+    factors are > 0; noise sigmas are finite and >= 0; duration_jitter lies
+    in [0, 1) and amplitude_jitter is finite and >= 0. Raises
+    MalformedConfig for anything else.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

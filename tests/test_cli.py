@@ -105,6 +105,21 @@ def test_synth_sources_are_mutually_exclusive(tmp_path):
     assert run("synth", "--out", str(tmp_path)) == 2
 
 
+def test_synth_class_without_template_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("synth", "--gestures", "smoking=1,unknown=2", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "'unknown' has no template" in err
+    assert "classes with templates: smoking, drinking," in err
+    assert not out.exists()
+
+
+def test_synth_unknown_session_kind_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    assert run("synth", "--sessions", "juggling=1", "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_synth_unknown_profile(tmp_path):
     assert run("synth", "--gestures", "smoking=1", "--profile", "toaster",
                "--out", str(tmp_path)) == 2
@@ -126,7 +141,18 @@ def test_synth_config_override(tmp_path):
     '{"templates": {"cough": {"segments": [{"duration": 1}]}}}',   # no levels
     '{"templates": {"juggling": {"segments": []}}}',               # unknown class
     '{"profiles": {"bench": {"scale": [1, 0, 1]}}}',               # scale <= 0
-], ids=["json", "segments", "levels", "class", "scale"])
+    '{"templates": {"cough": {"segments": [{"duration": 1, "levels": [0.5, 0.5]}]}}}',
+    '{"templates": {"cough": {"segments": [{"duration": NaN, "levels": [0, 0, 1]}]}}}',
+    '{"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, NaN, 1]}]}}}',
+    '{"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}], '
+    '"rest": [0, 1]}}}',
+    '{"profiles": {"bench": {"offset": [0, 1]}}}',
+    '{"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}], '
+    '"noise_sigma": NaN}}}',
+    '{"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}], '
+    '"duration_jitter": 1.5}}}',
+], ids=["json", "segments", "levels", "class", "scale", "levels-2", "duration-nan",
+        "level-nan", "rest-2", "offset-2", "sigma-nan", "jitter-1.5"])
 def test_synth_malformed_config_exits_1_before_writing(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

@@ -16,6 +16,7 @@ from smokewatch import signal
 from smokewatch.errors import (
     EmptyRecording,
     InvalidSize,
+    LengthMismatch,
     MalformedRow,
     NonMonotonicTime,
     TooFewSamples,
@@ -267,6 +268,29 @@ def test_recording_validation():
         SensorRecording(t=t[:1], x=ones[:1], y=ones[:1], z=ones[:1])
     with pytest.raises(ValueError):
         SensorRecording(t=t, x=ones * np.nan, y=ones, z=ones)
+
+
+_T5 = np.arange(5) / 50
+
+
+@pytest.mark.parametrize("t, y, error, message", [
+    (np.r_[np.nan, _T5[1:]], np.ones(5), ValueError,
+     "timestamps must be finite and non-negative"),
+    (np.r_[-0.02, _T5[1:]], np.ones(5), ValueError,
+     "timestamps must be finite and non-negative"),
+    (np.r_[_T5[:3], _T5[2:4]], np.ones(5), NonMonotonicTime,
+     "timestamps must be strictly increasing"),
+    (_T5, np.r_[1.0, 1.0, np.nan, 1.0, 1.0], ValueError, "y values must be finite"),
+    (_T5, np.ones(4), LengthMismatch, "t, x, y, z must have identical lengths"),
+    (_T5[:1], np.ones(1), EmptyRecording, "a recording needs at least 2 samples"),
+], ids=["nan-first-t", "negative-first-t", "repeated-t", "nan-y", "lengths", "one-sample"])
+def test_recording_validation_names_each_fault(t, y, error, message):
+    # the class and message each fault raised before the checks became
+    # ndarray methods
+    with pytest.raises(error) as info:
+        SensorRecording(t=t, x=np.ones(len(t)), y=y, z=np.ones(len(t)))
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # --- resampling --------------------------------------------------------------

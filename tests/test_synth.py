@@ -1,19 +1,33 @@
 """Generator guarantees: seed determinism, affine device transparency,
 nominal durations, session ground truth, and the conserved-shape quality
-gate for smoking gestures."""
+gate for smoking gestures.
+
+Batched-pass oracle: the one-gesture-at-a-time generator (`ref_envelope`,
+`ref_gesture_values`, `ref_idle_values`, `ref_session`) is kept here as the
+reference, and the batched corpora and sessions must equal it bit for bit.
+"""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from smokewatch.errors import MalformedConfig, MissingTemplate
 from smokewatch.signal import ChannelMode, CONFOUNDER_CLASSES, GestureClass, \
-    extract_features, resample_uniform
+    NOMINAL_RATE_HZ, SensorRecording, extract_features, resample_uniform
 from smokewatch.synth import (
     DEFAULT_PROFILES,
     DEFAULT_TEMPLATES,
+    IDLE_NOISE_SIGMA,
     REST,
+    SESSION_STREAM,
+    TABLE1_SESSION_COUNTS,
+    TABLE1_TEST_COUNTS,
+    TABLE1_TRAIN_COUNTS,
+    TEST_STREAM,
+    TRAIN_STREAM,
     DeviceProfile,
     GestureTemplate,
     Segment,
@@ -55,6 +69,45 @@ def test_template_validation():
         GestureTemplate(GestureClass.COUGH, ())
     with pytest.raises(ValueError):
         DeviceProfile(name="bad", scale=(0.0, 1.0, 1.0))
+
+
+NAN = float("nan")
+SEG = Segment(1.0, (0.5, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Segment(NAN, (0, 0, 1)), "segment duration must be finite and > 0"),
+    (lambda: Segment(float("inf"), (0, 0, 1)), "segment duration must be finite and > 0"),
+    (lambda: Segment(-1.0, (0, 0, 1)), "segment duration must be finite and > 0"),
+    (lambda: Segment(1.0, (0.5, 0.5)), "segment levels must hold 3 finite values"),
+    (lambda: Segment(1.0, (0.5, 0.5, 1, 0)), "segment levels must hold 3 finite values"),
+    (lambda: Segment(1.0, (0.5, NAN, 1)), "segment levels must hold 3 finite values"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), rest=(0, 1)),
+     "rest must hold 3 finite values"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), rest=(0, 0, float("inf"))),
+     "rest must hold 3 finite values"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), noise_sigma=NAN),
+     "noise sigma must be finite and >= 0"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), noise_sigma=-0.1),
+     "noise sigma must be finite and >= 0"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), duration_jitter=1.0),
+     "duration jitter must lie in [0, 1)"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), duration_jitter=-0.1),
+     "duration jitter must lie in [0, 1)"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), duration_jitter=NAN),
+     "duration jitter must lie in [0, 1)"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), amplitude_jitter=NAN),
+     "amplitude jitter must be finite and >= 0"),
+    (lambda: GestureTemplate(GestureClass.COUGH, (SEG,), amplitude_jitter=-0.1),
+     "amplitude jitter must be finite and >= 0"),
+    (lambda: DeviceProfile(name="b", offset=(0, 1)), "offset must hold 3 finite values"),
+    (lambda: DeviceProfile(name="b", scale=(1, NAN, 1)), "scale must hold 3 finite values"),
+    (lambda: DeviceProfile(name="b", noise_sigma=float("inf")),
+     "noise sigma must be finite and >= 0"),
+])
+def test_template_and_profile_values_are_checked(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_smoking_template_nominal_four_seconds():
@@ -256,3 +309,200 @@ def test_load_synth_config_merges_over_defaults(tmp_path):
     rec = generate_gesture(templates[GestureClass.COUGH], profiles["bench"], rng=0)
     assert len(rec) == 100
     assert rec.z[0] == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("doc", [
+    {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0.5, 0.5]}]}}},
+    {"templates": {"cough": {"segments": [{"duration": NAN, "levels": [0.5, 0.5, 1]}]}}},
+    {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0.5, NAN, 1]}]}}},
+    {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}],
+                             "rest": [0, 1]}}},
+    {"profiles": {"bench": {"offset": [0, 1]}}},
+    {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}],
+                             "noise_sigma": NAN}}},
+    {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}],
+                             "duration_jitter": 1.5}}},
+], ids=["levels-2", "duration-nan", "level-nan", "rest-2", "offset-2", "sigma-nan",
+        "jitter-1.5"])
+def test_load_synth_config_rejects_bad_values(tmp_path, doc):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(doc))  # json writes NaN, as Python reads it
+    with pytest.raises(MalformedConfig):
+        load_synth_config(path)
+
+
+def test_class_without_template_is_named():
+    with pytest.raises(MissingTemplate, match="'unknown' has no template"):
+        generate_corpus({GestureClass.UNKNOWN: 1}, WATCH_A)
+    assert generate_corpus({GestureClass.UNKNOWN: 0}, WATCH_A) == ()
+    with pytest.raises(MissingTemplate, match="'smoking' has no template"):
+        generate_session(SessionKind.SMOKING, WATCH_A, rng=0, templates={})
+
+
+# --- batched pass against the one-gesture-at-a-time reference -----------------
+# The reference is the generator as it was before envelopes were computed per
+# batch: every gesture draws, envelopes and applies its device by itself.
+
+def ref_envelope(template, dur_scale, amp_scale):
+    rest = np.asarray(template.rest)
+    durations = np.array([s.duration for s in template.segments]) * dur_scale
+    levels = rest + (np.array([s.levels for s in template.segments]) - rest) * amp_scale
+    bounds = np.concatenate([[0.0], np.cumsum(durations)])
+    n = max(int(round(bounds[-1] * NOMINAL_RATE_HZ)), 2)
+    t = np.arange(n) / NOMINAL_RATE_HZ
+    seg = np.clip(np.searchsorted(bounds, t, side="right") - 1, 0, len(durations) - 1)
+    u = (t - bounds[seg]) / durations[seg]
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(u, 0.0, 1.0)))
+    start_levels = np.vstack([rest, levels[:-1]])
+    return start_levels[seg] + (levels[seg] - start_levels[seg]) * ramp[:, None]
+
+
+def ref_gesture_values(template, profile, rng):
+    dur_scale = 1.0
+    amp_scale = 1.0
+    if template.duration_jitter > 0:
+        dur_scale += template.duration_jitter * rng.uniform(-1.0, 1.0)
+    if template.amplitude_jitter > 0:
+        amp_scale += template.amplitude_jitter * rng.uniform(-1.0, 1.0)
+    values = ref_envelope(template, dur_scale, amp_scale)
+    if template.noise_sigma > 0:
+        values = values + rng.normal(0.0, template.noise_sigma, values.shape)
+    values = profile.apply(values)
+    if profile.noise_sigma > 0:
+        values = values + rng.normal(0.0, profile.noise_sigma, values.shape)
+    return values
+
+
+def ref_idle_values(duration, profile, rng):
+    n = max(int(round(duration * NOMINAL_RATE_HZ)), 1)
+    values = np.tile(np.asarray(REST), (n, 1))
+    values = values + rng.normal(0.0, IDLE_NOISE_SIGMA, values.shape)
+    values = profile.apply(values)
+    if profile.noise_sigma > 0:
+        values = values + rng.normal(0.0, profile.noise_sigma, values.shape)
+    return values
+
+
+def ref_recording(values, label, device):
+    return SensorRecording(t=np.arange(values.shape[0]) / NOMINAL_RATE_HZ,
+                           x=values[:, 0], y=values[:, 1], z=values[:, 2],
+                           label=label, device=device)
+
+
+def ref_gesture(template, profile, rng):
+    return ref_recording(ref_gesture_values(template, profile, rng),
+                         template.gesture, profile.name)
+
+
+def ref_corpus(counts, profile, master_seed, stream, templates=DEFAULT_TEMPLATES):
+    return [ref_gesture(templates[cls], profile,
+                        np.random.default_rng([master_seed, stream, ci, i]))
+            for ci, cls in enumerate(GestureClass) for i in range(counts.get(cls, 0))]
+
+
+SESSION_CLASS = {SessionKind.SMOKING: GestureClass.SMOKING,
+                 SessionKind.EATING: GestureClass.EATING,
+                 SessionKind.DRINKING: GestureClass.DRINKING,
+                 SessionKind.CHAPSTICK: GestureClass.CHAPSTICK}
+
+
+def ref_session(kind, profile, rng, templates=DEFAULT_TEMPLATES):
+    template = templates[SESSION_CLASS[kind]]
+    n_gestures = int(rng.integers(7, 11))
+    chunks = [ref_idle_values(rng.uniform(2.5, 6.0), profile, rng)]
+    cursor = chunks[0].shape[0]
+    ranges = []
+    for _ in range(n_gestures):
+        g = ref_gesture_values(template, profile, rng)
+        if kind is SessionKind.SMOKING:
+            ranges.append((cursor, cursor + g.shape[0]))
+        chunks.append(g)
+        cursor += g.shape[0]
+        idle = ref_idle_values(rng.uniform(2.5, 6.0), profile, rng)
+        chunks.append(idle)
+        cursor += idle.shape[0]
+    values = np.concatenate(chunks, axis=0)
+    return ref_recording(values, SESSION_CLASS[kind], profile.name), tuple(ranges)
+
+
+def assert_same_recording(got, want):
+    for name in ("t", "x", "y", "z"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.label is want.label
+    assert got.device == want.device
+
+
+def assert_same_session(got, want):
+    (rec, ranges), (want_rec, want_ranges) = got, want
+    assert_same_recording(rec, want_rec)
+    assert ranges.ranges == want_ranges
+
+
+@pytest.mark.parametrize("profile", ["watch-a", "watch-b"])
+def test_table1_equals_the_per_gesture_reference(profile):
+    profile = DEFAULT_PROFILES[profile]
+    for seed in range(10):
+        train_c, test_c, sessions = generate_table1(profile, master_seed=seed)
+        for got, want in zip(train_c, ref_corpus(TABLE1_TRAIN_COUNTS, profile, seed,
+                                                  TRAIN_STREAM), strict=True):
+            assert_same_recording(got, want)
+        for got, want in zip(test_c, ref_corpus(TABLE1_TEST_COUNTS, profile, seed,
+                                                 TEST_STREAM), strict=True):
+            assert_same_recording(got, want)
+        want_sessions = [
+            (kind, ref_session(kind, profile,
+                               np.random.default_rng([seed, SESSION_STREAM, ki, i])))
+            for ki, kind in enumerate(SessionKind)
+            for i in range(TABLE1_SESSION_COUNTS.get(kind, 0))]
+        assert [k for k, _, _ in sessions] == [k for k, _ in want_sessions]
+        for (_, rec, ranges), (_, want) in zip(sessions, want_sessions):
+            assert_same_session((rec, ranges), want)
+
+
+@pytest.mark.parametrize("cls", list(DEFAULT_TEMPLATES), ids=lambda c: c.value)
+def test_generate_gesture_equals_the_reference(cls):
+    for template in (DEFAULT_TEMPLATES[cls], quiet(DEFAULT_TEMPLATES[cls])):
+        for profile in (WATCH_A, WATCH_B):
+            for seed in range(3):
+                assert_same_recording(generate_gesture(template, profile, rng=seed),
+                                      ref_gesture(template, profile,
+                                                  np.random.default_rng(seed)))
+
+
+def random_template(rng):
+    """1-9 segments of 0.05-2 s; half the templates put every duration on the
+    50 Hz grid, so samples fall exactly on segment bounds; half are quiet."""
+    k = int(rng.integers(1, 10))
+    durations = rng.uniform(0.05, 2.0, k)
+    if rng.random() < 0.5:
+        durations = np.maximum(np.round(durations * NOMINAL_RATE_HZ), 3) / NOMINAL_RATE_HZ
+    segments = tuple(Segment(d, tuple(rng.uniform(-1.5, 1.5, 3))) for d in durations)
+    jitter = rng.random() < 0.5
+    noisy = rng.random() < 0.5
+    return GestureTemplate(
+        GestureClass.SMOKING, segments, rest=tuple(rng.uniform(-1.0, 1.0, 3)),
+        duration_jitter=float(rng.uniform(0.0, 0.9)) if jitter else 0.0,
+        amplitude_jitter=float(rng.uniform(0.0, 0.5)) if jitter else 0.0,
+        noise_sigma=float(rng.uniform(0.0, 0.05)) if noisy else 0.0)
+
+
+def test_random_templates_equal_the_reference():
+    rng = np.random.default_rng(2024)
+    noisy_profile = DeviceProfile(name="n", offset=(0.1, -0.2, 0.05),
+                                  scale=(0.9, 1.2, 1.05), noise_sigma=0.01)
+    for case in range(50):
+        template = random_template(rng)
+        templates = {GestureClass.SMOKING: template}
+        for profile in (WATCH_A, noisy_profile):
+            assert_same_recording(generate_gesture(template, profile, rng=case),
+                                  ref_gesture(template, profile,
+                                              np.random.default_rng(case)))
+            counts = {GestureClass.SMOKING: 4}
+            for got, want in zip(
+                    generate_corpus(counts, profile, case, templates),
+                    ref_corpus(counts, profile, case, TRAIN_STREAM, templates), strict=True):
+                assert_same_recording(got, want)
+            assert_same_session(
+                generate_session(SessionKind.SMOKING, profile, case, templates),
+                ref_session(SessionKind.SMOKING, profile, np.random.default_rng(case),
+                            templates))
