@@ -33,7 +33,6 @@ from .errors import (
     NumericalFailure,
     SessionTooShort,
     SmokewatchError,
-    TooFewSamples,
     UnorderedStarts,
 )
 from .metrics import (
@@ -55,8 +54,6 @@ from .mlp import (
 )
 from .signal import (
     ChannelMode,
-    FeatureSeries,
-    FeatureVector,
     GestureClass,
     SensorRecording,
     extract_features,

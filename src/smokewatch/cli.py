@@ -6,15 +6,17 @@ gesture named `<class>__<device>__<id>.csv`; sessions pair a CSV with a
 next to its outputs. All files are written atomically and all commands are
 deterministic given their manifest, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 usage error, 1 runtime failure.
+Exit codes: 0 success, 2 usage error, 1 runtime failure. Out-of-range
+numeric options are usage errors, raised before any input is read; the
+argparse parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,29 +41,12 @@ class UsageError(Exception):
     """Bad options or bad dataset layout; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    seed: Optional[int]
-    options: dict
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    version: str = TOOL_VERSION
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "command": self.command,
-            "seed": self.seed,
-            "options": dict(self.options),
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-        }
-
-
-def save_manifest(manifest: RunManifest, out_dir: Path) -> Path:
-    path = out_dir / f"manifest_{manifest.command}.json"
-    atomic_write_text(path, json.dumps(manifest.to_json_dict(), indent=1) + "\n")
+def save_manifest(out: Path, command: str, seed: Optional[int], options: dict,
+                  inputs: Sequence[str] = (), outputs: Sequence[str] = ()) -> Path:
+    doc = {"version": TOOL_VERSION, "command": command, "seed": seed,
+           "options": options, "inputs": list(inputs), "outputs": list(outputs)}
+    path = out / f"manifest_{command}.json"
+    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
     return path
 
 
@@ -202,24 +187,16 @@ def cmd_synth(args) -> None:
     else:
         sessions = synth.generate_sessions(counts, profile, args.seed, templates)
         written += _write_sessions(sessions, out)
-    manifest = RunManifest(
-        command="synth", seed=args.seed,
-        options={"corpus": args.corpus, "gestures": args.gestures,
-                 "sessions": args.sessions, "profile": args.profile,
-                 "config": args.config},
-        outputs=tuple(written))
-    save_manifest(manifest, out)
+    save_manifest(out, "synth", args.seed,
+                  {"corpus": args.corpus, "gestures": args.gestures,
+                   "sessions": args.sessions, "profile": args.profile,
+                   "config": args.config},
+                  outputs=written)
     print(f"wrote {len(written)} files under {out}")
 
 
 def cmd_train(args) -> None:
     modes = _parse_modes(args.modes)
-    for flag, value in (("--restarts", args.restarts), ("--hidden", args.hidden),
-                        ("--max-epochs", args.max_epochs)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1")
-    if not 0.0 < args.threshold < 1.0:
-        raise UsageError("--threshold must lie strictly between 0 and 1")
     recordings = load_dataset_dir(Path(args.data))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,13 +215,11 @@ def cmd_train(args) -> None:
         acc = summaries[selected].train_accuracy
         print(f"{mode.value}: restart {selected} selected, "
               f"train accuracy {acc:.3f} -> {model_path}")
-    manifest = RunManifest(
-        command="train", seed=args.seed,
-        options={"modes": args.modes, "restarts": args.restarts,
-                 "hidden": args.hidden, "max_epochs": args.max_epochs,
-                 "threshold": args.threshold},
-        inputs=(str(args.data),), outputs=tuple(written))
-    save_manifest(manifest, out)
+    save_manifest(out, "train", args.seed,
+                  {"modes": args.modes, "restarts": args.restarts,
+                   "hidden": args.hidden, "max_epochs": args.max_epochs,
+                   "threshold": args.threshold},
+                  inputs=[str(args.data)], outputs=written)
 
 
 def cmd_eval(args) -> None:
@@ -263,12 +238,10 @@ def cmd_eval(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"eval_report_{network.mode.value}.json"
     metrics_mod.save_eval_report(report, attribution, report_path)
-    manifest = RunManifest(
-        command="eval", seed=None,
-        options={"model": str(args.model), "threshold": threshold},
-        inputs=(str(args.model), str(args.data)),
-        outputs=(str(report_path),))
-    save_manifest(manifest, out)
+    save_manifest(out, "eval", None,
+                  {"model": str(args.model), "threshold": threshold},
+                  inputs=[str(args.model), str(args.data)],
+                  outputs=[str(report_path)])
     print(f"accuracy {report.accuracy:.3f} -> {report_path}")
 
 
@@ -310,16 +283,29 @@ def cmd_detect(args) -> None:
               f"per-window specificity {report.specificity}")
     if plot_path is not None:
         written.append(str(plot_path))
-    manifest = RunManifest(
-        command="detect", seed=None,
-        options={"model": str(args.model), "width": args.width,
-                 "stride": args.stride, "threshold": threshold,
-                 "plot": bool(args.plot)},
-        inputs=tuple(inputs), outputs=tuple(written))
-    save_manifest(manifest, out)
+    save_manifest(out, "detect", None,
+                  {"model": str(args.model), "width": args.width,
+                   "stride": args.stride, "threshold": threshold,
+                   "plot": bool(args.plot)},
+                  inputs=inputs, outputs=written)
     print(f"{len(trace)} windows -> {trace_path}")
 
 
+def _check_options(args) -> None:
+    """UsageError for an integer option below its least value or a --threshold
+    outside (0, 1), for the options the command has; run before it reads a
+    file or makes a directory."""
+    for name, least in (("restarts", 1), ("hidden", 1), ("max_epochs", 1),
+                        ("width", 2), ("stride", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None and not 0.0 < threshold < 1.0:
+        raise UsageError("--threshold must lie strictly between 0 and 1")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smokewatch",
@@ -384,6 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_options(args)
         args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -179,28 +179,15 @@ PLOT_HEADER = "i,x,y,z,output"
 TRACE_HEADER = "start,output,smoking"
 
 
-def write_trace_csv(trace: DetectionTrace, path: Union[str, Path],
+def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
                     session: Optional[SensorRecording] = None,
                     plot_path: Union[str, Path, None] = None) -> None:
-    """One row per window, `start,output,smoking`; given a session and a
-    plot_path, also `write_plot_csv(trace, session, plot_path)`, in one pass."""
-    _write_csvs(trace, path, session, plot_path)
-
-
-def write_plot_csv(trace: DetectionTrace, session: SensorRecording,
-                   path: Union[str, Path]) -> None:
-    """One row per session sample, `i,x,y,z,output`; the output column is
-    filled only on rows where a window starts. LengthMismatch if a window
-    starts past the session's last sample."""
-    _write_csvs(trace, None, session, path)
-
-
-def _write_csvs(trace: DetectionTrace, trace_path: Union[str, Path, None],
-                session: Optional[SensorRecording],
-                plot_path: Union[str, Path, None]) -> None:
-    """Per block of `fileio.BLOCK_ROWS` sample indices, formats the outputs of
-    the windows starting in it once, for the trace rows, the plot rows or
-    both; through `atomic_open`, so an error replaces neither target."""
+    """One row per window, `start,output,smoking`, at path (None writes no
+    trace); given a session and a plot_path, also the rows of
+    `write_plot_csv(trace, session, plot_path)`. Per block of
+    `fileio.BLOCK_ROWS` sample indices the outputs of the windows starting in
+    it are formatted once, for both files; through `atomic_open`, so an error
+    replaces neither target."""
     starts, outputs = trace.starts, trace.outputs
     smoking = trace.decisions.view(np.int8)
     if plot_path is None:
@@ -211,7 +198,7 @@ def _write_csvs(trace: DetectionTrace, trace_path: Union[str, Path, None],
             raise LengthMismatch(
                 f"a window starts at sample {starts[-1]} of a {n}-sample session")
     with ExitStack() as stack:
-        tf = None if trace_path is None else stack.enter_context(atomic_open(trace_path))
+        tf = None if path is None else stack.enter_context(atomic_open(path))
         pf = None if plot_path is None else stack.enter_context(atomic_open(plot_path))
         if tf is not None:
             tf.write(TRACE_HEADER + "\n")
@@ -232,6 +219,14 @@ def _write_csvs(trace: DetectionTrace, trace_path: Union[str, Path, None],
                 rows = zip(range(lo, hi), session.x[lo:hi].tolist(),
                            session.y[lo:hi].tolist(), session.z[lo:hi].tolist(), tails)
                 pf.write("".join(f"{i},{x!r},{y!r},{z!r},{t}\n" for i, x, y, z, t in rows))
+
+
+def write_plot_csv(trace: DetectionTrace, session: SensorRecording,
+                   path: Union[str, Path]) -> None:
+    """One row per session sample, `i,x,y,z,output`; the output column is
+    filled only on rows where a window starts. LengthMismatch if a window
+    starts past the session's last sample."""
+    write_trace_csv(trace, None, session, path)
 
 
 def load_ranges(path: Union[str, Path]) -> GestureRanges:

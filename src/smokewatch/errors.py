@@ -17,10 +17,6 @@ class NonMonotonicTime(SmokewatchError):
     """Timestamps are not strictly increasing."""
 
 
-class TooFewSamples(SmokewatchError):
-    """A recording is too short for the requested operation."""
-
-
 class LengthMismatch(SmokewatchError):
     """Two sequences that must agree in length do not."""
 

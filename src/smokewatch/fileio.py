@@ -1,9 +1,10 @@
-"""Small file helpers shared by model/report/trace writers.
+"""Atomic file writes shared by the model, report, trace and CSV writers.
 
-Files are written atomically: `atomic_open` yields a temp file that replaces
-its target only on a clean exit, so several files can be written in lockstep
-and an error leaves every target as it was. CSV writers format `BLOCK_ROWS`
-rows at a time into the temp file, so no writer holds a session as text.
+`atomic_open` yields a temp file that replaces its target only on a clean
+exit, so several files can be written in lockstep and an error leaves every
+target as it was; `atomic_write_text` writes one string through it. CSV
+writers format `BLOCK_ROWS` rows at a time into the temp file, so no writer
+holds a session as text.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterator, TextIO, Union
 
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
@@ -44,12 +45,7 @@ def atomic_open(path: Union[str, Path]) -> Iterator[TextIO]:
         raise
 
 
-def atomic_write_chunks(path: Union[str, Path], chunks: Iterable[str]) -> None:
-    """Write the chunks in order through `atomic_open`."""
-    with atomic_open(path) as fh:
-        fh.writelines(chunks)
-
-
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    atomic_write_chunks(path, (text,))
+    """Write text through `atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.write(text)

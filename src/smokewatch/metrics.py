@@ -8,7 +8,7 @@ denominator is zero are reported as None rather than forced to 0 or 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -92,14 +92,7 @@ class MetricsReport:
     accuracy: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "counts": {"tp": self.counts.tp, "tn": self.counts.tn,
-                       "fp": self.counts.fp, "fn": self.counts.fn},
-            "threshold": self.threshold,
-            "specificity": self.specificity,
-            "sensitivity": self.sensitivity,
-            "accuracy": self.accuracy,
-        }
+        return asdict(self)
 
 
 def evaluate(outputs: Sequence[float], truths: Sequence[bool],
@@ -117,15 +110,15 @@ def fp_attribution(outputs: Sequence[tuple[float, GestureClass]],
                    threshold: float = 0.5) -> dict[GestureClass, int]:
     """Per-class false-positive counts over non-smoking outputs only.
 
-    Every class present in the input appears in the result, zero or not.
+    Every class present in the input appears in the result, zero or not. An
+    output counts as positive as `classify` decides: output >= threshold.
     """
+    _check_threshold(threshold)
     counts: dict[GestureClass, int] = {}
     for output, cls in outputs:
         if cls.is_smoking:
             raise ContainsPositiveClass("attribution input must be non-smoking only")
-        counts.setdefault(cls, 0)
-        if classify(float(output), threshold):
-            counts[cls] += 1
+        counts[cls] = counts.get(cls, 0) + (float(output) >= threshold)
     return counts
 
 

@@ -24,7 +24,7 @@ from .errors import (
     MalformedModel,
 )
 from .fileio import atomic_write_text
-from .signal import ChannelMode, FeatureVector
+from .signal import ChannelMode
 
 MODEL_VERSION = 1
 DEFAULT_HIDDEN = 10
@@ -102,11 +102,9 @@ class Network:
             raise InvalidSize("b1 and w2 must have hidden_size entries")
         if self.norm.lo.shape[0] != self.input_size:
             raise LengthMismatch("norm length must equal input_size")
-        for arr in (self.w1, self.b1, self.w2):
+        for arr in (self.w1, self.b1, self.w2, self.b2):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("weights must be finite")
-        if not np.isfinite(self.b2):
-            raise ValueError("weights must be finite")
 
     @property
     def n_weights(self) -> int:
@@ -172,8 +170,6 @@ def init_network(input_size: int, hidden_size: int = DEFAULT_HIDDEN,
 
 def scaled_inputs(network: Network, raw) -> np.ndarray:
     """Raw feature vector(s) -> contiguous (n, input_size) scaled matrix."""
-    if isinstance(raw, FeatureVector):
-        raw = raw.values
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -208,7 +204,8 @@ def outputs_and_jacobian(network: Network, features: np.ndarray):
     return y, jac
 
 
-def model_to_json(network: Network, threshold: float = DEFAULT_THRESHOLD) -> str:
+def save_model(network: Network, path: Union[str, Path],
+               threshold: float = DEFAULT_THRESHOLD) -> None:
     doc = {
         "version": MODEL_VERSION,
         "mode": network.mode.value,
@@ -222,12 +219,7 @@ def model_to_json(network: Network, threshold: float = DEFAULT_THRESHOLD) -> str
         "b2": network.b2,
         "threshold": threshold,
     }
-    return json.dumps(doc, indent=1)
-
-
-def save_model(network: Network, path: Union[str, Path],
-               threshold: float = DEFAULT_THRESHOLD) -> None:
-    atomic_write_text(path, model_to_json(network, threshold) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
 def load_model(path: Union[str, Path]) -> tuple[Network, float]:

@@ -1,11 +1,11 @@
 """Accelerometer signal handling.
 
 Covers ingestion of 3-axis recordings from CSV, fixed-length resampling of
-isolated gestures, channel-mode feature extraction and rolling-window
-counting for continuous sessions. All types are immutable after
-construction and every operation is a pure function of its inputs. CSV text
-is read and written in blocks, so memory for a session holds its arrays,
-not its text.
+isolated gestures to plain (x, y, z) arrays, channel-mode feature extraction
+into one 1-d network input and rolling-window counting for continuous
+sessions. Recordings are immutable after construction and every operation is
+a pure function of its inputs. CSV text is read and written in blocks, so
+memory for a session holds its arrays, not its text.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     LengthMismatch,
     MalformedRow,
     NonMonotonicTime,
-    TooFewSamples,
 )
 
 # Both source devices sample at 50 Hz; isolated gestures are stretched to a
@@ -154,47 +153,6 @@ class SensorRecording:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureSeries:
-    """Per-axis values on a uniform time grid."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if not (self.x.shape == self.y.shape == self.z.shape) or self.x.ndim != 1:
-            raise LengthMismatch("x, y, z must be 1-d and of identical length")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Fixed-length network input; 3n values for XYZ, n otherwise."""
-
-    mode: ChannelMode
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1:
-            raise LengthMismatch("feature values must be 1-d")
-        if self.mode is ChannelMode.XYZ and self.values.shape[0] % 3 != 0:
-            raise LengthMismatch("XYZ feature length must be a multiple of 3")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 
@@ -287,8 +245,8 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     t = data[:, 0]
     if t[0] < 0.0:
         raise MalformedRow(f"line {first}: negative timestamp")
-    if np.any(np.diff(t) <= 0.0):
-        raise NonMonotonicTime("timestamps must be strictly increasing")
+    recording = SensorRecording(t=t, x=data[:, 1], y=data[:, 2], z=data[:, 3],
+                                label=label, device=device)
     median_gap = float(np.median(np.diff(t)))
     nominal = 1.0 / NOMINAL_RATE_HZ
     if abs(median_gap - nominal) > 0.2 * nominal:
@@ -298,8 +256,7 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
             SampleRateWarning,
             stacklevel=2,
         )
-    return SensorRecording(t=t, x=data[:, 1], y=data[:, 2], z=data[:, 3],
-                           label=label, device=device)
+    return recording
 
 
 def _raise_first_bad_row(lines: list[str], first_lineno: int) -> None:
@@ -321,45 +278,36 @@ def write_recording_csv(recording: SensorRecording, dest: Union[str, Path, IO[st
     """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n),
     formatted in blocks of `fileio.BLOCK_ROWS` rows."""
     cols = (recording.t, recording.x, recording.y, recording.z)
-
-    def blocks() -> Iterator[str]:
-        yield CSV_HEADER + "\n"
+    opened = fileio.atomic_open(dest) if isinstance(dest, (str, Path)) else nullcontext(dest)
+    with opened as fh:
+        fh.write(CSV_HEADER + "\n")
         for lo in range(0, len(recording), fileio.BLOCK_ROWS):
             rows = zip(*(c[lo:lo + fileio.BLOCK_ROWS].tolist() for c in cols))
-            yield "".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows)
-
-    if isinstance(dest, (str, Path)):
-        fileio.atomic_write_chunks(dest, blocks())
-    else:
-        dest.writelines(blocks())
+            fh.write("".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows))
 
 
-def resample_uniform(recording: SensorRecording, n: int = FEATURE_POINTS) -> FeatureSeries:
-    """Piecewise-linear resampling onto n uniform times over [t_first, t_last].
+def resample_uniform(recording: SensorRecording,
+                     n: int = FEATURE_POINTS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Piecewise-linear resampling onto n uniform times over [t_first, t_last]:
+    the (x, y, z) arrays of n values each.
 
     The first and last output values equal the recording's first and last
     sample values exactly.
     """
     if n < 2:
         raise InvalidSize("n must be >= 2")
-    if len(recording) < 2:
-        raise TooFewSamples("resampling needs at least 2 samples")
     grid = np.linspace(recording.t[0], recording.t[-1], n)
-    return FeatureSeries(
-        x=np.interp(grid, recording.t, recording.x),
-        y=np.interp(grid, recording.t, recording.y),
-        z=np.interp(grid, recording.t, recording.z),
-    )
+    return tuple(np.interp(grid, recording.t, a)
+                 for a in (recording.x, recording.y, recording.z))
 
 
-def extract_features(series: FeatureSeries, mode: ChannelMode) -> FeatureVector:
-    """Select the network input for a channel mode.
-
-    The mode's signals (`ChannelMode.signals`) concatenated: XYZ is x then
-    y then z.
+def extract_features(series: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     mode: ChannelMode) -> np.ndarray:
+    """The network input for a channel mode from resampled (x, y, z): the
+    mode's signals (`ChannelMode.signals`) concatenated, so XYZ is x then y
+    then z; 3n values for XYZ, n otherwise.
     """
-    values = np.concatenate(mode.signals(series.x, series.y, series.z))
-    return FeatureVector(mode=mode, values=values)
+    return np.concatenate(mode.signals(*series))
 
 
 def window_count(length: int, width: int, stride: int) -> int:

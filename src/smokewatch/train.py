@@ -12,7 +12,7 @@ here too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -107,10 +107,8 @@ def build_dataset(recordings: Sequence[SensorRecording], mode: ChannelMode,
     """Resample each recording to n points and extract mode features."""
     if len(recordings) == 0:
         raise EmptyDataset("no recordings to build a dataset from")
-    feats = np.stack([
-        extract_features(resample_uniform(rec, n), mode).values
-        for rec in recordings
-    ])
+    feats = np.stack([extract_features(resample_uniform(rec, n), mode)
+                      for rec in recordings])
     targets = np.array([rec.label.target for rec in recordings])
     classes = tuple(rec.label for rec in recordings)
     return LabeledDataset(mode=mode, features=feats, targets=targets, classes=classes)
@@ -369,15 +367,7 @@ class RestartSummary:
     stop_reason: StopReason
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "train_accuracy": self.train_accuracy,
-            "epochs_run": self.epochs_run,
-            "final_train_sse": self.final_train_sse,
-            "final_val_sse": self.final_val_sse,
-            "stop_reason": self.stop_reason.value,
-        }
+        return {**asdict(self), "stop_reason": self.stop_reason.value}
 
 
 def _train_accuracy(network: mlp.Network, dataset: LabeledDataset) -> float:
@@ -388,11 +378,7 @@ def _train_accuracy(network: mlp.Network, dataset: LabeledDataset) -> float:
 
 def select_best_restart(accuracies: Sequence[float]) -> int:
     """Index of the highest accuracy; ties go to the lowest index."""
-    best = 0
-    for i in range(1, len(accuracies)):
-        if accuracies[i] > accuracies[best]:
-            best = i
-    return best
+    return int(np.argmax(accuracies))
 
 
 def train_best_of(dataset: LabeledDataset, restarts: int = 10,

@@ -197,6 +197,69 @@ def test_train_counts_below_one_are_usage_errors(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+THRESHOLD_ERROR = "error: --threshold must lie strictly between 0 and 1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", "{missing}", "--threshold", "1.5"], THRESHOLD_ERROR),
+    (["eval", "--model", "{missing}", "--data", "{missing}",
+      "--threshold", "1.5"], THRESHOLD_ERROR),
+    (["eval", "--model", "{missing}", "--data", "{missing}",
+      "--threshold", "nan"], THRESHOLD_ERROR),
+    (["detect", "--model", "{missing}", "--session", "{missing}",
+      "--threshold", "0"], THRESHOLD_ERROR),
+    (["detect", "--model", "{missing}", "--session", "{missing}",
+      "--stride", "0"], "error: --stride must be >= 1"),
+    (["detect", "--model", "{missing}", "--session", "{missing}",
+      "--width", "1"], "error: --width must be >= 2"),
+], ids=["train-threshold", "eval-threshold", "eval-threshold-nan",
+        "detect-threshold", "detect-stride", "detect-width"])
+def test_out_of_range_options_are_usage_errors(tmp_path, capsys, argv, message):
+    # checked before any input is read: the inputs do not exist, and reading
+    # one would exit 1
+    out = tmp_path / "out"
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_namespaces_stay_apart(pipeline, tmp_path,
+                                                        monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    parse_args = cli.argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        namespace = parse_args(self, *args, **kwargs)
+        seen.append(dict(vars(namespace)))
+        return namespace
+
+    models, evals = tmp_path / "m", tmp_path / "e"
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", spy)
+    assert run("train", "--data", str(pipeline["data"]), "--modes", "X",
+               "--restarts", "1", "--max-epochs", "3", "--threshold", "0.7",
+               "--out", str(models)) == 0
+    assert run("eval", "--model", str(models / "model_X.json"),
+               "--data", str(pipeline["data"]), "--out", str(evals)) == 0
+    assert run("eval", "--restarts", "2") == 2
+    train_ns, eval_ns = seen[:2]
+    assert train_ns["threshold"] == 0.7 and train_ns["restarts"] == 1
+    assert eval_ns["threshold"] is None
+    assert set(eval_ns) == {"command", "model", "data", "threshold", "out", "handler"}
+    # eval takes the model's stored threshold, not a value left from train
+    manifest = json.loads((evals / "manifest_eval.json").read_text())
+    assert manifest["options"]["threshold"] == 0.7
+    report = json.loads((evals / "eval_report_X.json").read_text())
+    assert report["threshold"] == 0.7
+    # after the failed parse, a default train run sees the defaults again
+    assert run("train", "--data", str(pipeline["data"]), "--modes", "X",
+               "--restarts", "1", "--max-epochs", "3",
+               "--out", str(tmp_path / "m2")) == 0
+    assert seen[-1]["threshold"] == mlp.DEFAULT_THRESHOLD
+    assert seen[-1]["restarts"] == 1
+
+
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_negative_seed_is_a_usage_error(pipeline, tmp_path, capsys, command):
     source = (["--gestures", "smoking=1"] if command == "synth"
@@ -431,6 +494,26 @@ def test_reruns_are_byte_identical(pipeline, tmp_path):
         assert run(*argv) == 0
     assert snapshot(out) == first
     assert len(first) >= 7 + 3 + 3
+
+
+def test_json_key_order(pipeline, tmp_path):
+    # the manifest, restart and eval-report dicts are built from dataclass
+    # fields or a literal; a reordered field reorders the written keys
+    assert run("eval", "--model", str(pipeline["model"]),
+               "--data", str(pipeline["data"]), "--out", str(tmp_path)) == 0
+    manifest_keys = ["version", "command", "seed", "options", "inputs", "outputs"]
+    for path in (pipeline["data"] / "manifest_synth.json",
+                 pipeline["models"] / "manifest_train.json",
+                 tmp_path / "manifest_eval.json"):
+        assert list(json.loads(path.read_text())) == manifest_keys
+    report = json.loads(pipeline["report"].read_text())
+    for restart in report["restarts"]:
+        assert list(restart) == ["index", "seed", "train_accuracy", "epochs_run",
+                                 "final_train_sse", "final_val_sse", "stop_reason"]
+    report = json.loads((tmp_path / "eval_report_X.json").read_text())
+    assert list(report) == ["counts", "threshold", "specificity", "sensitivity",
+                            "accuracy", "fp_attribution"]
+    assert list(report["counts"]) == ["tp", "tn", "fp", "fn"]
 
 
 def test_filename_roundtrip():

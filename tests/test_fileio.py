@@ -17,7 +17,7 @@ from conftest import make_recording
 from smokewatch import detect, fileio
 from smokewatch.detect import DetectionTrace, write_plot_csv, write_trace_csv
 from smokewatch.errors import LengthMismatch, UnorderedStarts
-from smokewatch.fileio import BLOCK_ROWS, atomic_write_chunks, atomic_write_text
+from smokewatch.fileio import BLOCK_ROWS, atomic_open, atomic_write_text
 from smokewatch.signal import write_recording_csv
 
 
@@ -29,13 +29,14 @@ def test_atomic_writes_get_the_mode_of_a_plain_open(tmp_path):
     with open(tmp_path / "plain.txt", "w") as fh:
         fh.write("x")
     atomic_write_text(tmp_path / "text.txt", "x")
-    atomic_write_chunks(tmp_path / "chunks.txt", iter(["x", "y"]))
+    with atomic_open(tmp_path / "chunks.txt") as fh:
+        fh.writelines(iter(["x", "y"]))
     assert mode_of(tmp_path / "text.txt") == mode_of(tmp_path / "plain.txt")
     assert mode_of(tmp_path / "chunks.txt") == mode_of(tmp_path / "plain.txt")
     assert (tmp_path / "chunks.txt").read_text() == "xy"
 
 
-def test_atomic_write_chunks_failure_leaves_the_target_alone(tmp_path):
+def test_atomic_open_failure_leaves_the_target_alone(tmp_path):
     target = tmp_path / "t.csv"
     target.write_text("old\n")
 
@@ -43,8 +44,8 @@ def test_atomic_write_chunks_failure_leaves_the_target_alone(tmp_path):
         yield "new\n"
         raise RuntimeError("formatting failed")
 
-    with pytest.raises(RuntimeError):
-        atomic_write_chunks(target, chunks())
+    with pytest.raises(RuntimeError), atomic_open(target) as fh:
+        fh.writelines(chunks())
     assert target.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 

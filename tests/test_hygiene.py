@@ -1,0 +1,61 @@
+"""Source hygiene, checked with the standard library only.
+
+The benchmark's tracer patches the functions named in
+`smokebench/tracing.py` TARGETS; a target that no longer exists would
+otherwise show up only in a traced benchmark run. Every package module is
+also scanned for imported names that it never uses.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "smokewatch"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def load_targets():
+    spec = importlib.util.spec_from_file_location(
+        "smokebench_tracing", ROOT / "smokebench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports (not from __future__) but never loads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("module, function",
+                         [(m, f) for m, f, _ in load_targets()])
+def test_every_traced_target_exists(module, function):
+    mod = importlib.import_module(f"smokewatch.{module}")
+    assert callable(getattr(mod, function, None)), f"smokewatch.{module}.{function}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_an_unused_import():
+    assert unused_imports("import os\nfrom typing import Any, Union\nx: Union\n") == [
+        "line 1: os", "line 2: Any"]

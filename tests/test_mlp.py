@@ -12,7 +12,7 @@ import pytest
 from conftest import tiny_network
 from smokewatch import mlp
 from smokewatch.errors import EmptyBatch, InvalidSize, LengthMismatch
-from smokewatch.signal import ChannelMode, FeatureVector
+from smokewatch.signal import ChannelMode, extract_features
 
 
 def fd_jacobian(network, features, eps=1e-6):
@@ -193,7 +193,8 @@ def test_forward_uses_normalization():
 
 def test_forward_accepts_feature_vector_and_checks_length(rng):
     net = tiny_network(6, 2, seed=1)
-    fv = FeatureVector(mode=ChannelMode.X, values=rng.normal(size=6))
+    # the network input of an X-mode feature vector: a 1-d array
+    fv = extract_features(tuple(rng.normal(size=(3, 6))), ChannelMode.X)
     out = mlp.forward(net, fv)
     assert 0.0 < out < 1.0
     with pytest.raises(LengthMismatch):

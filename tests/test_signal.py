@@ -19,12 +19,10 @@ from smokewatch.errors import (
     LengthMismatch,
     MalformedRow,
     NonMonotonicTime,
-    TooFewSamples,
 )
 from smokewatch.signal import (
     CSV_HEADER,
     ChannelMode,
-    FeatureSeries,
     GestureClass,
     SampleRateWarning,
     SensorRecording,
@@ -298,24 +296,24 @@ def test_recording_validation_names_each_fault(t, y, error, message):
 def test_resample_constant_signal():
     rec = make_recording(np.full((17, 3), 0.5))
     series = resample_uniform(rec, 200)
-    assert series.x.shape == (200,)
-    assert np.all(series.x == 0.5)
-    assert np.all(series.z == 0.5)
+    assert series[0].shape == (200,)
+    assert np.all(series[0] == 0.5)
+    assert np.all(series[2] == 0.5)
 
 
 def test_resample_two_point_midpoint():
     rec = SensorRecording(t=np.array([0.0, 1.0]), x=np.array([0.0, 1.0]),
                           y=np.array([1.0, 0.0]), z=np.array([0.0, 0.0]))
     series = resample_uniform(rec, 3)
-    assert series.x.tolist() == [0.0, 0.5, 1.0]
-    assert series.y.tolist() == [1.0, 0.5, 0.0]
+    assert series[0].tolist() == [0.0, 0.5, 1.0]
+    assert series[1].tolist() == [1.0, 0.5, 0.0]
 
 
 def test_resample_identity_on_uniform_input(rng):
     rec = make_recording(rng.normal(size=(200, 3)))
     series = resample_uniform(rec, 200)
-    assert np.allclose(series.x, rec.x, rtol=1e-12, atol=0)
-    assert np.allclose(series.y, rec.y, rtol=1e-12, atol=0)
+    assert np.allclose(series[0], rec.x, rtol=1e-12, atol=0)
+    assert np.allclose(series[1], rec.y, rtol=1e-12, atol=0)
 
 
 def test_resample_preserves_endpoints(rng):
@@ -326,8 +324,7 @@ def test_resample_preserves_endpoints(rng):
     vals = rng.normal(size=(len(t), 3))
     rec = SensorRecording(t=t, x=vals[:, 0], y=vals[:, 1], z=vals[:, 2])
     series = resample_uniform(rec, 123)
-    for axis in "xyz":
-        got = getattr(series, axis)
+    for got, axis in zip(series, "xyz"):
         ref = getattr(rec, axis)
         assert got[0] == pytest.approx(ref[0], rel=1e-12)
         assert got[-1] == pytest.approx(ref[-1], rel=1e-12)
@@ -343,7 +340,7 @@ def test_resample_matches_slow_oracle(rng):
         series = resample_uniform(rec, n)
         at = np.linspace(t[0], t[-1], n)
         expect = interp_oracle(t.tolist(), vals[:, 0].tolist(), at)
-        assert np.allclose(series.x, expect, rtol=1e-10, atol=1e-12)
+        assert np.allclose(series[0], expect, rtol=1e-10, atol=1e-12)
 
 
 def test_resample_validates_sizes():
@@ -355,22 +352,21 @@ def test_resample_validates_sizes():
 # --- feature extraction ------------------------------------------------------
 
 def _series(x, y, z):
-    return FeatureSeries(x=np.asarray(x, float), y=np.asarray(y, float),
-                         z=np.asarray(z, float))
+    return (np.asarray(x, float), np.asarray(y, float), np.asarray(z, float))
 
 
 def test_extract_single_axes(rng):
     vals = rng.normal(size=(200, 3))
     s = _series(vals[:, 0], vals[:, 1], vals[:, 2])
-    assert np.array_equal(extract_features(s, ChannelMode.X).values, vals[:, 0])
-    assert np.array_equal(extract_features(s, ChannelMode.Y).values, vals[:, 1])
-    assert np.array_equal(extract_features(s, ChannelMode.Z).values, vals[:, 2])
+    assert np.array_equal(extract_features(s, ChannelMode.X), vals[:, 0])
+    assert np.array_equal(extract_features(s, ChannelMode.Y), vals[:, 1])
+    assert np.array_equal(extract_features(s, ChannelMode.Z), vals[:, 2])
 
 
 def test_extract_xyz_concatenation_order(rng):
     vals = rng.normal(size=(200, 3))
     s = _series(vals[:, 0], vals[:, 1], vals[:, 2])
-    v = extract_features(s, ChannelMode.XYZ).values
+    v = extract_features(s, ChannelMode.XYZ)
     assert v.shape == (600,)
     assert np.array_equal(v[0:200], vals[:, 0])
     assert np.array_equal(v[200:400], vals[:, 1])
@@ -379,14 +375,14 @@ def test_extract_xyz_concatenation_order(rng):
 
 def test_extract_avg_constant():
     s = _series(np.ones(200), np.full(200, 2.0), np.full(200, 3.0))
-    v = extract_features(s, ChannelMode.AVG).values
+    v = extract_features(s, ChannelMode.AVG)
     assert np.all(v == 2.0)
 
 
 def test_extract_avg_elementwise(rng):
     vals = rng.normal(size=(64, 3))
     s = _series(vals[:, 0], vals[:, 1], vals[:, 2])
-    v = extract_features(s, ChannelMode.AVG).values
+    v = extract_features(s, ChannelMode.AVG)
     expect = (vals[:, 0] + vals[:, 1] + vals[:, 2]) / 3
     assert np.max(np.abs(v - expect)) <= 1e-15
 

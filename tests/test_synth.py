@@ -176,8 +176,7 @@ def test_gesture_labels_and_device_names():
 def test_smoking_shape_is_conserved_across_seeds():
     # pairwise correlation of resampled x-channels stays high (quality gate)
     corpus = generate_corpus({GestureClass.SMOKING: 20}, WATCH_A, master_seed=3)
-    rows = [extract_features(resample_uniform(r), ChannelMode.X).values
-            for r in corpus]
+    rows = [extract_features(resample_uniform(r), ChannelMode.X) for r in corpus]
     corr = np.corrcoef(np.vstack(rows))
     off_diag = corr[~np.eye(20, dtype=bool)]
     assert off_diag.min() >= 0.9
