@@ -28,7 +28,6 @@ from .errors import (
     MalformedModel,
     MalformedRanges,
     MalformedRow,
-    ModeMismatch,
     NonMonotonicTime,
     NumericalFailure,
     SessionTooShort,

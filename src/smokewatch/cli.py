@@ -24,7 +24,7 @@ from . import detect as detect_mod
 from . import metrics as metrics_mod
 from . import mlp, synth
 from . import train as train_mod
-from .errors import MissingTemplate
+from .errors import MalformedRanges, MissingTemplate
 from .fileio import atomic_write_text
 from .signal import (
     ChannelMode,
@@ -115,9 +115,12 @@ def _parse_modes(text: str) -> list[ChannelMode]:
     modes = []
     for name in text.split(","):
         try:
-            modes.append(ChannelMode.parse(name))
+            mode = ChannelMode.parse(name)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        if mode in modes:
+            raise UsageError(f"mode {mode.value} is given twice in --modes")
+        modes.append(mode)
     return modes
 
 
@@ -226,8 +229,7 @@ def cmd_eval(args) -> None:
     network, stored_threshold = mlp.load_model(args.model)
     threshold = stored_threshold if args.threshold is None else args.threshold
     recordings = load_dataset_dir(Path(args.data))
-    dataset = train_mod.build_dataset(
-        recordings, network.mode, n=network.input_size // network.mode.signal_count)
+    dataset = train_mod.build_dataset(recordings, network.mode, n=network.window)
     outputs = mlp.forward_batch(network, dataset.features)
     truths = [t == 1.0 for t in dataset.targets]
     report = metrics_mod.evaluate(outputs, truths, threshold)
@@ -250,8 +252,12 @@ def cmd_detect(args) -> None:
     threshold = stored_threshold if args.threshold is None else args.threshold
     truth = None if args.ranges is None else detect_mod.load_ranges(args.ranges)
     session = load_recording_csv(Path(args.session))
-    trace = detect_mod.detect_session(network, session, width=args.width,
-                                      stride=args.stride, threshold=threshold)
+    if truth is not None and truth.ranges and truth.ranges[-1][1] > len(session):
+        raise MalformedRanges(
+            f"range {list(truth.ranges[-1])} ends past the session's "
+            f"{len(session)} samples")
+    trace = detect_mod.detect_session(network, session, stride=args.stride,
+                                      threshold=threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
@@ -284,7 +290,7 @@ def cmd_detect(args) -> None:
     if plot_path is not None:
         written.append(str(plot_path))
     save_manifest(out, "detect", None,
-                  {"model": str(args.model), "width": args.width,
+                  {"model": str(args.model), "width": network.window,
                    "stride": args.stride, "threshold": threshold,
                    "plot": bool(args.plot)},
                   inputs=inputs, outputs=written)
@@ -296,7 +302,7 @@ def _check_options(args) -> None:
     outside (0, 1), for the options the command has; run before it reads a
     file or makes a directory."""
     for name, least in (("restarts", 1), ("hidden", 1), ("max_epochs", 1),
-                        ("width", 2), ("stride", 1)):
+                        ("stride", 1)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
@@ -353,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--session", required=True, help="session recording CSV")
     p.add_argument("--ranges", help="ground-truth ranges JSON for scoring")
-    p.add_argument("--width", type=int, default=200)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--plot", action="store_true",

@@ -32,7 +32,6 @@ from .errors import (
     InvalidThreshold,
     LengthMismatch,
     MalformedRanges,
-    ModeMismatch,
     SessionTooShort,
     UnorderedStarts,
 )
@@ -55,8 +54,6 @@ class DetectionTrace:
 
     starts: np.ndarray
     outputs: np.ndarray
-    width: int
-    stride: int
     threshold: float
 
     def __post_init__(self):
@@ -124,19 +121,14 @@ def _block_inputs(views: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray
 
 
 def detect_session(network: mlp.Network, session: SensorRecording,
-                   width: int = 200, stride: int = 1,
-                   threshold: float = 0.5) -> DetectionTrace:
-    """Run the network over every full rolling window of the session."""
-    if width < 2:
-        raise InvalidSize("width must be >= 2")
+                   stride: int = 1, threshold: float = 0.5) -> DetectionTrace:
+    """Run the network over every full rolling window of the session; the
+    window is the network's per-signal input length (`Network.window`)."""
+    width = network.window
     if stride < 1:
         raise InvalidSize("stride must be >= 1")
     if not 0.0 < threshold < 1.0:
         raise InvalidThreshold("threshold must lie strictly between 0 and 1")
-    if network.input_size != network.mode.signal_count * width:
-        raise ModeMismatch(
-            f"{network.mode.value} network with {network.input_size} inputs "
-            f"cannot consume width-{width} windows")
     if len(session) < width:
         raise SessionTooShort(
             f"session has {len(session)} samples, window needs {width}")
@@ -153,8 +145,7 @@ def detect_session(network: mlp.Network, session: SensorRecording,
         outputs[lo:hi] = kernels.batch_forward(w, b, network.w2, network.b2,
                                                _block_inputs(views, lo, hi))
     starts = np.arange(n, dtype=np.intp) * stride
-    return DetectionTrace(starts=starts, outputs=outputs, width=width,
-                          stride=stride, threshold=threshold)
+    return DetectionTrace(starts=starts, outputs=outputs, threshold=threshold)
 
 
 def score_trace(trace: DetectionTrace,

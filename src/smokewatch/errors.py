@@ -62,10 +62,6 @@ class SessionTooShort(SmokewatchError):
     """A session has no room for even one full window."""
 
 
-class ModeMismatch(SmokewatchError):
-    """Network channel mode is inconsistent with the requested operation."""
-
-
 class UnorderedStarts(SmokewatchError):
     """Window start indices are negative or not strictly increasing."""
 

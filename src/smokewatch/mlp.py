@@ -110,6 +110,11 @@ class Network:
     def n_weights(self) -> int:
         return self.hidden_size * (self.input_size + 1) + self.hidden_size + 1
 
+    @property
+    def window(self) -> int:
+        """Samples of each signal in one input: the detect window."""
+        return self.input_size // self.mode.signal_count
+
     def to_weight_vector(self) -> np.ndarray:
         """Pack weights as [w1 row-major, b1, w2, b2]."""
         return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
@@ -140,11 +145,9 @@ class Network:
         span = hi - lo
         live = span > 0.0
         mid = 0.5 * (lo + hi)
-        signals = self.mode.signal_count
-        centres = mid.reshape(signals, -1).mean(axis=1)
+        centres = mid.reshape(self.mode.signal_count, self.window).mean(axis=1)
         w = self.w1 * np.where(live, 2.0 / np.where(live, span, 1.0), 0.0)
-        b = self.b1 - w @ np.where(
-            live, mid - np.repeat(centres, self.input_size // signals), 0.0)
+        b = self.b1 - w @ np.where(live, mid - np.repeat(centres, self.window), 0.0)
         return w, b, centres
 
 

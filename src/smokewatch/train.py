@@ -12,7 +12,7 @@ here too.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -59,31 +59,24 @@ VAL_SHARE = 0.15
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Feature vectors with 0/1 targets and their gesture classes.
-
-    Targets are 1 exactly for smoking items; all feature vectors share one
-    length (enforced by the matrix shape).
-    """
+    """Feature vectors with their gesture classes; all feature vectors share
+    one length (enforced by the matrix shape). `targets` is 1.0 exactly for
+    smoking items and 0.0 for the rest."""
 
     mode: ChannelMode
     features: np.ndarray
-    targets: np.ndarray
     classes: tuple[GestureClass, ...]
+    targets: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=np.float64))
         object.__setattr__(self, "classes", tuple(self.classes))
         if self.features.ndim != 2:
             raise LengthMismatch("features must be a 2-d matrix")
-        n = self.features.shape[0]
-        if self.targets.shape != (n,) or len(self.classes) != n:
-            raise LengthMismatch("features, targets and classes must align")
-        for target, cls in zip(self.targets, self.classes):
-            if target not in (0.0, 1.0):
-                raise ValueError("targets must be exactly 0 or 1")
-            if (target == 1.0) != cls.is_smoking:
-                raise ValueError("target must be 1 iff the class is smoking")
+        if len(self.classes) != self.features.shape[0]:
+            raise LengthMismatch("features and classes must align")
+        object.__setattr__(self, "targets", np.array(
+            [cls.target for cls in self.classes], dtype=np.float64))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -94,12 +87,8 @@ class LabeledDataset:
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=np.intp)
-        return LabeledDataset(
-            mode=self.mode,
-            features=self.features[indices],
-            targets=self.targets[indices],
-            classes=tuple(self.classes[i] for i in indices),
-        )
+        return LabeledDataset(mode=self.mode, features=self.features[indices],
+                              classes=tuple(self.classes[i] for i in indices))
 
 
 def build_dataset(recordings: Sequence[SensorRecording], mode: ChannelMode,
@@ -109,9 +98,8 @@ def build_dataset(recordings: Sequence[SensorRecording], mode: ChannelMode,
         raise EmptyDataset("no recordings to build a dataset from")
     feats = np.stack([extract_features(resample_uniform(rec, n), mode)
                       for rec in recordings])
-    targets = np.array([rec.label.target for rec in recordings])
-    classes = tuple(rec.label for rec in recordings)
-    return LabeledDataset(mode=mode, features=feats, targets=targets, classes=classes)
+    return LabeledDataset(mode=mode, features=feats,
+                          classes=tuple(rec.label for rec in recordings))
 
 
 class StopReason(Enum):

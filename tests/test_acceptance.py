@@ -161,7 +161,6 @@ def test_acceptance_3_lm_step_solves_least_squares():
     # the same solver is what lm_step applies to the network jacobian
     ds = LabeledDataset(mode=ChannelMode.X,
                         features=rng.uniform(-1, 1, size=(8, 4)),
-                        targets=np.array([0.0, 1.0] * 4),
                         classes=(GestureClass.YAWN, GestureClass.SMOKING) * 4)
     net = mlp.init_network(4, 2, rng=1)
     y, net_jac = mlp.outputs_and_jacobian(net, ds.features)
@@ -181,7 +180,6 @@ def index_dataset(n: int) -> LabeledDataset:
     feats = np.zeros((n, 2))
     feats[:, 0] = np.arange(n)
     return LabeledDataset(mode=ChannelMode.X, features=feats,
-                          targets=np.zeros(n),
                           classes=(GestureClass.DRINKING,) * n)
 
 
@@ -329,12 +327,12 @@ def test_acceptance_9_window_bookkeeping():
         session = make_recording(rng.uniform(-0.5, 0.5, size=(length, 3)))
         if length < width:
             try:
-                detect.detect_session(net, session, width=width, stride=stride)
+                detect.detect_session(net, session, stride=stride)
                 failures += 1
             except SessionTooShort:
                 short_ok += 1
             continue
-        trace = detect.detect_session(net, session, width=width, stride=stride)
+        trace = detect.detect_session(net, session, stride=stride)
         counted += 1
         expected = (length - width) // stride + 1
         if len(trace) != expected or trace.starts[0] != 0:

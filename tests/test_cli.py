@@ -10,7 +10,12 @@ import pytest
 
 from smokewatch import cli, mlp
 from smokewatch.detect import GestureRanges, save_ranges
-from smokewatch.signal import ChannelMode, GestureClass, write_recording_csv
+from smokewatch.signal import (
+    ChannelMode,
+    GestureClass,
+    load_recording_csv,
+    write_recording_csv,
+)
 
 from conftest import make_recording
 
@@ -202,6 +207,8 @@ THRESHOLD_ERROR = "error: --threshold must lie strictly between 0 and 1"
 
 @pytest.mark.parametrize("argv, message", [
     (["train", "--data", "{missing}", "--threshold", "1.5"], THRESHOLD_ERROR),
+    (["train", "--data", "{missing}", "--modes", "X,Y,x"],
+     "error: mode X is given twice in --modes"),
     (["eval", "--model", "{missing}", "--data", "{missing}",
       "--threshold", "1.5"], THRESHOLD_ERROR),
     (["eval", "--model", "{missing}", "--data", "{missing}",
@@ -211,9 +218,10 @@ THRESHOLD_ERROR = "error: --threshold must lie strictly between 0 and 1"
     (["detect", "--model", "{missing}", "--session", "{missing}",
       "--stride", "0"], "error: --stride must be >= 1"),
     (["detect", "--model", "{missing}", "--session", "{missing}",
-      "--width", "1"], "error: --width must be >= 2"),
-], ids=["train-threshold", "eval-threshold", "eval-threshold-nan",
-        "detect-threshold", "detect-stride", "detect-width"])
+      "--width", "200"], "unrecognized arguments: --width 200"),
+], ids=["train-threshold", "train-repeated-mode", "eval-threshold",
+        "eval-threshold-nan", "detect-threshold", "detect-stride",
+        "detect-no-width"])
 def test_out_of_range_options_are_usage_errors(tmp_path, capsys, argv, message):
     # checked before any input is read: the inputs do not exist, and reading
     # one would exit 1
@@ -377,7 +385,7 @@ def test_detect_window_arithmetic(pipeline, tmp_path):
     for stride, expected in ((1, 801), (10, 81)):
         out = tmp_path / f"s{stride}"
         assert run("detect", "--model", str(pipeline["model"]),
-                   "--session", str(session), "--width", "200",
+                   "--session", str(session),
                    "--stride", str(stride), "--out", str(out)) == 0
         rows = (out / "trace.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == expected
@@ -424,8 +432,9 @@ def test_detect_negative_first_timestamp_exits_1(pipeline, tmp_path, capsys):
     '[{"start": 3, "end": 3}]',                    # empty
     '[{"start": 10, "end": 20}, {"start": 0, "end": 5}]',   # unsorted
     '[{"start": 0, "end": 12}, {"start": 10, "end": 20}]',  # overlapping
+    '[{"start": 0, "end": 5}, {"start": 900000, "end": 900100}]',  # past the end
 ], ids=["json", "list", "missing", "string", "float", "reversed", "empty",
-        "unsorted", "overlapping"])
+        "unsorted", "overlapping", "past-the-session"])
 def test_detect_malformed_ranges_exits_1_before_writing(pipeline, tmp_path,
                                                          capsys, text):
     ranges = tmp_path / "bad.ranges.json"
@@ -436,6 +445,20 @@ def test_detect_malformed_ranges_exits_1_before_writing(pipeline, tmp_path,
                "--plot", "--out", str(out)) == 1
     assert "error: MalformedRanges:" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
+
+
+def test_detect_ranges_must_end_inside_the_session(pipeline, tmp_path, capsys):
+    # ranges are half-open, so the last one may end at the sample count
+    n = len(load_recording_csv(pipeline["session"]))
+    for end, code in ((n, 0), (n + 1, 1)):
+        ranges = tmp_path / f"{end}.ranges.json"
+        save_ranges(GestureRanges(ranges=((0, 5), (n - 300, end))), ranges)
+        out = tmp_path / f"out{end}"
+        assert run("detect", "--model", str(pipeline["model"]),
+                   "--session", str(pipeline["session"]), "--ranges", str(ranges),
+                   "--out", str(out)) == code
+        assert out.exists() == (code == 0)
+    assert f"range [{n - 300}, {n + 1}] ends past" in capsys.readouterr().err
 
 
 def test_detect_memory_is_flat_in_the_session_length(tmp_path):

@@ -26,7 +26,6 @@ from smokewatch.errors import (
     InvalidSize,
     InvalidThreshold,
     MalformedRanges,
-    ModeMismatch,
     SessionTooShort,
 )
 from smokewatch.fileio import BLOCK_ROWS
@@ -42,11 +41,10 @@ def zero_network(width: int, mode: ChannelMode = ChannelMode.X) -> mlp.Network:
     return net.with_weights(np.zeros(net.n_weights))
 
 
-def make_trace(decisions, stride=1, width=4, threshold=0.5):
+def make_trace(decisions, stride=1, threshold=0.5):
     outputs = np.where(decisions, 0.9, 0.1)
     return DetectionTrace(starts=np.arange(len(decisions)) * stride,
-                          outputs=outputs, width=width, stride=stride,
-                          threshold=threshold)
+                          outputs=outputs, threshold=threshold)
 
 
 # --- GestureRanges -----------------------------------------------------------
@@ -103,9 +101,9 @@ def test_ranges_shift_by_k_shifts_labels(rng):
 def test_detect_session_window_arithmetic(rng):
     rec = make_recording(rng.normal(size=(1000, 3)))
     net = zero_network(200)
-    trace = detect_session(net, rec, width=200, stride=1)
+    trace = detect_session(net, rec, stride=1)
     assert len(trace) == 801
-    trace10 = detect_session(net, rec, width=200, stride=10)
+    trace10 = detect_session(net, rec, stride=10)
     assert len(trace10) == 81
     assert trace10.starts.tolist() == list(range(0, 801, 10))
 
@@ -113,7 +111,7 @@ def test_detect_session_window_arithmetic(rng):
 def test_detect_zero_network_equality_rule(rng):
     # all-zero weights output exactly 0.5; at threshold 0.5 every decision fires
     rec = make_recording(rng.normal(size=(50, 3)))
-    trace = detect_session(zero_network(10), rec, width=10, threshold=0.5)
+    trace = detect_session(zero_network(10), rec, threshold=0.5)
     assert np.all(trace.outputs == 0.5)
     assert np.all(trace.decisions)
 
@@ -121,12 +119,12 @@ def test_detect_zero_network_equality_rule(rng):
 def test_detect_session_too_short(rng):
     rec = make_recording(rng.normal(size=(199, 3)))
     with pytest.raises(SessionTooShort):
-        detect_session(zero_network(200), rec, width=200)
+        detect_session(zero_network(200), rec)
 
 
 def test_detect_session_exact_width_gives_one_window(rng):
     rec = make_recording(rng.normal(size=(25, 3)))
-    trace = detect_session(zero_network(25), rec, width=25)
+    trace = detect_session(zero_network(25), rec)
     assert len(trace) == 1
     assert trace.starts[0] == 0
 
@@ -135,29 +133,36 @@ def test_detect_validates_options(rng):
     rec = make_recording(rng.normal(size=(40, 3)))
     net = zero_network(10)
     with pytest.raises(InvalidSize):
-        detect_session(net, rec, width=1)
-    with pytest.raises(InvalidSize):
-        detect_session(net, rec, width=10, stride=0)
+        detect_session(net, rec, stride=0)
     with pytest.raises(InvalidThreshold):
-        detect_session(net, rec, width=10, threshold=1.0)
-    with pytest.raises(ModeMismatch):
-        detect_session(net, rec, width=12)
+        detect_session(net, rec, threshold=1.0)
 
 
 def test_detect_xyz_mode_consumes_triple_width(rng):
-    # an XYZ network has 600 inputs, so only width 200 matches it
+    # an XYZ network has 600 inputs, so its window is 200 samples
     rec = make_recording(rng.normal(size=(220, 3)))
     net = zero_network(200, mode=ChannelMode.XYZ)
-    trace = detect_session(net, rec, width=200)
+    trace = detect_session(net, rec)
     assert len(trace) == 21
-    with pytest.raises(ModeMismatch):
-        detect_session(net, rec, width=100)
+
+
+@pytest.mark.parametrize("mode, width", [
+    (ChannelMode.XYZ, 200), (ChannelMode.X, 1), (ChannelMode.X, 7),
+    (ChannelMode.Y, 50), (ChannelMode.AVG, 200)],
+    ids=["XYZ-200", "X-1", "X-7", "Y-50", "AVG-200"])
+def test_detect_window_is_the_networks_input_per_signal(mode, width, rng):
+    # L - w + 1 windows at stride 1 over L samples for a network of w inputs
+    # per signal (a recording holds at least 2 samples)
+    net = zero_network(width, mode)
+    for length in (max(width, 2), width + 1, 3 * width + 5):
+        trace = detect_session(net, make_recording(rng.normal(size=(length, 3))))
+        assert trace.starts.tolist() == list(range(length - width + 1))
 
 
 def test_detect_windows_match_manual_forward(rng):
     rec = make_recording(rng.normal(size=(40, 3)))
     net = tiny_network(8, 3, seed=2)
-    trace = detect_session(net, rec, width=8, stride=3, threshold=0.4)
+    trace = detect_session(net, rec, stride=3, threshold=0.4)
     for start, out, smoking in zip(trace.starts, trace.outputs, trace.decisions):
         window = rec.x[start:start + 8]
         assert out == pytest.approx(mlp.forward(net, window), rel=1e-12)
@@ -192,7 +197,7 @@ def test_detect_blocks_match_forward_batch_on_cut_windows(mode, stride):
     values = rng.normal(0.3, 0.6, size=((max(counts) - 1) * stride + width, 3))
     for n in counts:
         rec = make_recording(values[: (n - 1) * stride + width])
-        trace = detect_session(net, rec, width=width, stride=stride)
+        trace = detect_session(net, rec, stride=stride)
         starts = np.arange(n) * stride
         assert np.array_equal(trace.starts, starts)
         want = mlp.forward_batch(net, cut_windows(rec, mode, starts, width))
@@ -215,7 +220,7 @@ def test_detect_folded_layer_keeps_precision_on_offset_axes(mode):
     net = replace(tiny_network(size, mlp.DEFAULT_HIDDEN, seed=6, mode=mode),
                   norm=mlp.NormParams(lo=lo, hi=hi))
     rec = make_recording(1.0 + rng.normal(0.0, 5e-4, size=(1500, 3)))
-    trace = detect_session(net, rec, width=width)
+    trace = detect_session(net, rec)
     want = mlp.forward_batch(net, cut_windows(rec, mode, trace.starts, width))
     assert np.max(np.abs(trace.outputs - want)) <= 1e-12
     assert not np.any(np.abs(want - 0.5) <= NEAR_THRESHOLD)
@@ -288,7 +293,7 @@ def test_score_trace_lower_threshold_never_undetects(rng):
     detected_prev = None
     for thr in (0.9, 0.6, 0.3, 0.1):
         trace = DetectionTrace(starts=np.arange(len(outs)), outputs=outs,
-                               width=4, stride=1, threshold=thr)
+                               threshold=thr)
         _, flags = score_trace(trace, truth)
         if detected_prev is not None:
             assert all(not p or c for p, c in zip(detected_prev, flags))
@@ -296,8 +301,7 @@ def test_score_trace_lower_threshold_never_undetects(rng):
 
 
 def test_score_trace_rejects_empty():
-    trace = DetectionTrace(starts=[], outputs=[], width=4, stride=1,
-                           threshold=0.5)
+    trace = DetectionTrace(starts=[], outputs=[], threshold=0.5)
     with pytest.raises(EmptyTrace):
         score_trace(trace, GestureRanges(ranges=()))
 
@@ -346,8 +350,8 @@ def test_score_trace_brute_force_recount(rng):
     for n, stride, truth in cases:
         outs = rng.uniform(0, 1, n)
         thr = float(rng.uniform(0.2, 0.8))
-        trace = DetectionTrace(starts=np.arange(n) * stride, outputs=outs, width=4,
-                               stride=stride, threshold=thr)
+        trace = DetectionTrace(starts=np.arange(n) * stride, outputs=outs,
+                               threshold=thr)
         report, flags = score_trace(trace, truth)
         counts, detected = brute_force_score(trace.starts.tolist(), outs.tolist(),
                                              thr, truth)
@@ -361,7 +365,7 @@ def test_score_trace_brute_force_recount(rng):
 def test_plot_series_alignment(rng, tmp_path):
     rec = make_recording(rng.normal(size=(30, 3)))
     net = tiny_network(10, 2, seed=3)
-    trace = detect_session(net, rec, width=10, stride=3)
+    trace = detect_session(net, rec, stride=3)
     path = tmp_path / "plot.csv"
     write_plot_csv(trace, rec, path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -375,7 +379,7 @@ def test_plot_series_alignment(rng, tmp_path):
 def test_plot_csv_format(tmp_path):
     rec = make_recording(np.array([[0.5, -1.0, 0.25], [0.1, 0.2, 0.3]]))
     trace = DetectionTrace(starts=np.array([0]), outputs=np.array([0.75]),
-                           width=2, stride=2, threshold=0.5)
+                           threshold=0.5)
     path = tmp_path / "plot.csv"
     write_plot_csv(trace, rec, path)
     lines = path.read_text().splitlines()

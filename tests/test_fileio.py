@@ -70,7 +70,7 @@ def test_writers_equal_one_shot_formatting(n, tmp_path):
     for stride in (1, 3, BLOCK_ROWS + 1):
         starts = list(range(0, n, stride))
         trace = DetectionTrace(starts=starts, outputs=rng.uniform(0, 1, len(starts)),
-                               width=2, stride=stride, threshold=0.5)
+                               threshold=0.5)
         outputs = dict(zip(starts, trace.outputs.tolist()))
         want_trace = "\n".join(["start,output,smoking"] + [
             f"{i},{o!r},{int(o >= 0.5)}" for i, o in outputs.items()]) + "\n"
@@ -106,7 +106,7 @@ def test_a_failing_plot_write_replaces_neither_file(allowed, tmp_path, monkeypat
     monkeypatch.setattr(fileio, "BLOCK_ROWS", 4)
     rec = make_recording(np.arange(30.0).reshape(10, 3))
     trace = DetectionTrace(starts=np.arange(8), outputs=np.linspace(0, 1, 8),
-                           width=2, stride=1, threshold=0.5)
+                           threshold=0.5)
     (tmp_path / "t.csv").write_text("old trace\n")
     (tmp_path / "p.csv").write_text("old plot\n")
 
@@ -129,13 +129,12 @@ def test_trace_rejects_unordered_starts():
     for starts in ([7, 2, 9], [0, 2, 2, 5], [-1, 3]):  # unsorted, repeated, negative
         with pytest.raises(UnorderedStarts):
             DetectionTrace(starts=np.array(starts), outputs=np.zeros(len(starts)),
-                           width=1, stride=1, threshold=0.5)
+                           threshold=0.5)
 
 
 def test_plot_rejects_windows_past_the_session(tmp_path):
     rec = make_recording(np.zeros((5, 3)))
-    trace = DetectionTrace(starts=[0, 5], outputs=[0.1, 0.2], width=1, stride=5,
-                           threshold=0.5)
+    trace = DetectionTrace(starts=[0, 5], outputs=[0.1, 0.2], threshold=0.5)
     with pytest.raises(LengthMismatch):
         write_plot_csv(trace, rec, tmp_path / "p.csv")
     assert not (tmp_path / "p.csv").exists()

@@ -3,7 +3,8 @@
 The benchmark's tracer patches the functions named in
 `smokebench/tracing.py` TARGETS; a target that no longer exists would
 otherwise show up only in a traced benchmark run. Every package module is
-also scanned for imported names that it never uses.
+also scanned for imported names that it never uses, and every error class
+must be raised somewhere in the package.
 """
 
 import ast
@@ -44,6 +45,24 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """SmokewatchError subclasses defined in errors_source that no `raise`
+    in sources names (as `X`, `X(...)` or `module.X(...)`)."""
+    errors = set()
+    for node in ast.parse(errors_source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in errors | {"SmokewatchError"}
+                for b in node.bases):
+            errors.add(node.name)
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return sorted(errors - raised)
+
+
 @pytest.mark.parametrize("module, function",
                          [(m, f) for m, f, _ in load_targets()])
 def test_every_traced_target_exists(module, function):
@@ -54,6 +73,24 @@ def test_every_traced_target_exists(module, function):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_error_class_is_raised():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(encoding="utf-8"),
+                           sources) == []
+
+
+def test_the_scan_finds_an_unraised_error():
+    errors = ("class SmokewatchError(Exception): pass\n"
+              "class A(SmokewatchError): pass\n"
+              "class B(A, ValueError): pass\n"
+              "class C(SmokewatchError): pass\n"
+              "class D(SmokewatchError): pass\n"
+              "class Other(Exception): pass\n")
+    sources = ["raise A('x') from None\n", "try:\n    pass\nexcept C:\n    raise\n",
+               "from . import errors\nraise errors.D\n"]
+    assert unraised_errors(errors, sources) == ["B", "C"]
 
 
 def test_the_scan_finds_an_unused_import():

@@ -35,7 +35,6 @@ def index_dataset(n: int) -> LabeledDataset:
     feats = np.zeros((n, 2))
     feats[:, 0] = np.arange(n)
     return LabeledDataset(mode=ChannelMode.X, features=feats,
-                          targets=np.zeros(n),
                           classes=(GestureClass.DRINKING,) * n)
 
 
@@ -51,10 +50,8 @@ def toy_dataset(rng, n=24, p=6, separation=3.0) -> LabeledDataset:
     neg = rng.normal(size=(half, p)) - separation
     pos = rng.normal(size=(n - half, p)) + separation
     feats = np.vstack([neg, pos])
-    targets = np.array([0.0] * half + [1.0] * (n - half))
     classes = (GestureClass.COUGH,) * half + (GestureClass.SMOKING,) * (n - half)
-    return LabeledDataset(mode=ChannelMode.X, features=feats,
-                          targets=targets, classes=classes)
+    return LabeledDataset(mode=ChannelMode.X, features=feats, classes=classes)
 
 
 # --- solve_damped against closed forms ---------------------------------------
