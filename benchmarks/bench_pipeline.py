@@ -1,6 +1,7 @@
 """LM training rows of the pipeline benchmark, written to BENCH_pipeline.json.
 
-Records, for the Table-1 corpus of seed 7 (the README seed):
+Records, for the Table-1 corpus of seed 7 (the README seed) unless said
+otherwise:
 
 - best-of-50 wall time of `synth.generate_table1`, and a SHA-256 over every
   recording's t/x/y/z bytes and every session's ranges, so two runs on
@@ -9,9 +10,17 @@ Records, for the Table-1 corpus of seed 7 (the README seed):
 - one LM step at Table-1 scale for the X and XYZ modes, best of 200: the
   oracle step (`mlp.outputs_and_jacobian` plus `train.solve_damped`) and the
   Gram step (`kernels.batch_gram` plus `train.damped_step`, stored under the
-  key `gram_step`), with their max relative difference;
-- the environment: Python, numpy and scipy versions, nproc and the BLAS
-  thread variables.
+  key `gram_step`), with their max relative difference, and
+  `train.damped_step` alone on the prebuilt Gram matrix (`damped_step`);
+- the primal shape of the smokebench `big_corpus` workload (2,170 training
+  rows of seed 7's 3,100-gesture X corpus against 2,021 weights):
+  `train.damped_step` on the prebuilt J'J, best of 10, and its step against
+  the SVD closed form for mu = 1e-12 ... 1e12, with the bound k^2 * eps of
+  `tests/test_train.py::test_primal_step_matches_the_svd_oracle`;
+- `import smokewatch.cli` in a fresh interpreter: best-of-5 wall time of the
+  process, its peak resident set and whether it loaded scipy;
+- the environment: Python and numpy versions, nproc and the BLAS thread
+  variables.
 
 Each run is stored under its `--label` in the output file, keeping the other
 labels, so one file holds the numbers from before and after a change:
@@ -19,7 +28,9 @@ labels, so one file holds the numbers from before and after a change:
     PYTHONPATH=src python3 benchmarks/bench_pipeline.py --label after
 
 The script exits 1 when the Gram step and the oracle step differ by more
-than MAX_REL_DIFF, so a run of it is an equivalence check.
+than MAX_REL_DIFF, or when the primal step leaves the SVD oracle's bound, so
+a run of it is an equivalence check. The smokewatch sources are the ones the
+script imports, so `PYTHONPATH=<other checkout>/src` measures another tree.
 
 BLAS/OpenMP threads default to 1, as in smokebench, unless already set.
 """
@@ -32,6 +43,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
@@ -44,8 +56,8 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402  (after the thread variables)
-import scipy  # noqa: E402
 
+import smokewatch  # noqa: E402
 from smokewatch import kernels, mlp, synth, train  # noqa: E402
 from smokewatch.signal import ChannelMode  # noqa: E402
 
@@ -53,8 +65,13 @@ MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMo
 RESTARTS = 10
 REPEATS = 10
 SYNTH_REPEATS = 50
+IMPORT_REPEATS = 5
 SEED = 7
 MAX_REL_DIFF = 1e-12
+# big_corpus: 3,100 gestures (smokebench's `class_counts`), 70% of them train
+BIG_SMOKING = 448
+BIG_CONFOUNDERS = 6 * 442
+MUS = [10.0 ** k for k in range(-12, 13)]
 
 
 def best_of(fn, repeats: int) -> dict:
@@ -80,12 +97,18 @@ def synth_row() -> dict:
             "sha256": digest.hexdigest()}
 
 
+def fresh_restart(dataset: train.LabeledDataset):
+    """The 70% training split and an untrained network scaled to it, as a
+    restart of `train.train` starts."""
+    tr, _, _ = train.partition(dataset, SEED)
+    return tr, replace(mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN,
+                                        np.random.default_rng(SEED), mode=tr.mode),
+                       norm=mlp.NormParams.from_features(tr.features))
+
+
 def step_rows(dataset: train.LabeledDataset) -> dict:
     """One LM step from a fresh restart on the 70% training split, at MU0."""
-    tr, _, _ = train.partition(dataset, SEED)
-    net = replace(mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN,
-                                   np.random.default_rng(SEED), mode=tr.mode),
-                  norm=mlp.NormParams.from_features(tr.features))
+    tr, net = fresh_restart(dataset)
     mu = train.MU0
 
     def oracle():
@@ -100,11 +123,66 @@ def step_rows(dataset: train.LabeledDataset) -> dict:
         return train.damped_step(g, tr.targets - y, mu,
                                  partial(kernels.gram_step_map, xn, parts))
 
+    g, y, parts = kernels.batch_gram(net.w1, net.b1, net.w2, net.b2, xn, k1)
+    err, back = tr.targets - y, partial(kernels.gram_step_map, xn, parts)
     want = oracle()
     return {"rows": len(tr), "n_weights": net.n_weights,
             "oracle_step": best_of(oracle, 20 * REPEATS),
             "gram_step": best_of(gram, 20 * REPEATS),
+            "damped_step": best_of(lambda: train.damped_step(g, err, mu, back), 20 * REPEATS),
             "max_rel_diff": float(np.max(np.abs(gram() - want)) / np.max(np.abs(want)))}
+
+
+def primal_rows() -> dict:
+    """damped_step at the big_corpus shape, timed and checked against the SVD.
+
+    A fresh X restart on the 70% split; J'J and J'e are built once, as an
+    epoch of `train.train` builds them. The SVD oracle's step at mu is
+    V diag(s / (s^2 + mu)) U'e from the thin SVD J = U S V'.
+    """
+    recordings = synth.generate_corpus(synth.mixed_counts(BIG_CONFOUNDERS, BIG_SMOKING),
+                                       master_seed=SEED)
+    tr, net = fresh_restart(train.build_dataset(recordings, ChannelMode.X))
+    y, jac = mlp.outputs_and_jacobian(net, tr.features)
+    err = tr.targets - y
+    a, rhs = jac.T @ jac, jac.T @ err
+    timing = best_of(lambda: train.damped_step(a, rhs, train.MU0), REPEATS)
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    ue = u.T @ err
+    worst = 0.0
+    for mu in MUS:
+        want = vt.T @ (s / (s * s + mu) * ue)
+        got = train.damped_step(a, rhs, mu)
+        worst = max(worst, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
+    return {"rows": len(tr), "n_weights": net.n_weights, "damped_step": timing,
+            "svd_oracle": {"mus": [MUS[0], MUS[-1]], "max_rel_err": worst,
+                           "bound": float((s[0] / s[-1]) ** 2 * np.finfo(float).eps)}}
+
+
+def import_row() -> dict:
+    """`import smokewatch.cli` in fresh interpreters: process wall time and
+    peak RSS, from the sources this script imported.
+
+    The child reads its peak from VmHWM in /proc/self/status, not from
+    `ru_maxrss`: Linux carries a process's `ru_maxrss` across fork and exec,
+    so a child of this script would report this script's own resident set.
+    Started from a shell, the two agree to within 0.2 MiB.
+    """
+    code = ("import sys, smokewatch.cli; "
+            "hwm = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]; "
+            "print(hwm, any(k.startswith('scipy') for k in sys.modules))")
+    src = str(Path(smokewatch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    times, rss = [], []
+    for _ in range(IMPORT_REPEATS):
+        t0 = perf_counter()
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        times.append(perf_counter() - t0)
+        rss.append(int(out[0]) / 1024.0)
+    return {"min_s": min(times), "median_s": statistics.median(times),
+            "n": IMPORT_REPEATS, "peak_rss_mib": statistics.median(rss),
+            "scipy_loaded": out[1] == "True"}
 
 
 def main(argv=None) -> int:
@@ -119,7 +197,6 @@ def main(argv=None) -> int:
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
             "threads": {v: os.environ[v] for v in THREAD_VARS},
@@ -132,6 +209,8 @@ def main(argv=None) -> int:
             for mode, ds in datasets.items()},
         "lm_step": {mode.value: step_rows(datasets[mode])
                     for mode in (ChannelMode.X, ChannelMode.XYZ)},
+        "primal_step": primal_rows(),
+        "import_cli": import_row(),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -139,12 +218,18 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     json.dump(run, sys.stdout, indent=1)
     print()
+    code = 0
     worst = max(row["max_rel_diff"] for row in run["lm_step"].values())
     if worst > MAX_REL_DIFF:
         print(f"gram step differs from the oracle step by {worst:.3g} "
               f"(> {MAX_REL_DIFF:g})", file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    svd = run["primal_step"]["svd_oracle"]
+    if svd["max_rel_err"] > svd["bound"]:
+        print(f"primal step differs from the SVD oracle by {svd['max_rel_err']:.3g} "
+              f"(> k^2 * eps = {svd['bound']:.3g})", file=sys.stderr)
+        code = 1
+    return code
 
 
 if __name__ == "__main__":

@@ -81,7 +81,8 @@ class DetectionTrace:
 @dataclass(frozen=True)
 class GestureRanges:
     """Sorted, non-overlapping half-open [start, end) sample-index ranges
-    with integer bounds (Python or numpy integers; not bools)."""
+    with integer bounds (Python or numpy integers; not bools) that start at
+    sample 0 or later."""
 
     ranges: tuple[tuple[int, int], ...]
 
@@ -93,6 +94,8 @@ class GestureRanges:
         object.__setattr__(self, "ranges", norm)
         prev_end = None
         for s, e in norm:
+            if s < 0:
+                raise MalformedRanges(f"range start {s} lies before sample 0")
             if s >= e:
                 raise MalformedRanges(f"range start {s} must precede end {e}")
             if prev_end is not None and s < prev_end:

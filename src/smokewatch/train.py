@@ -3,10 +3,10 @@
 Full-batch damped least squares on the network output: each epoch solves
 (J'J + mu*I) delta = J'e with e = target - output, accepting a step only when
 it lowers the training sum of squared errors. Every solve goes through
-`damped_step`. With fewer training rows than weights (every Table-1 fit) the
-epoch works on the dual system in Gram form (`kernels.batch_gram`) and never
-builds J. The 70/15/15 partition and the best-of-N restart selection live
-here too.
+`damped_step`: one LU solve (`np.linalg.solve`) with no refinement pass. With
+fewer training rows than weights (every Table-1 fit) the epoch works on the
+dual system in Gram form (`kernels.batch_gram`) and never builds J. The
+70/15/15 partition and the best-of-N restart selection live here too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels, mlp
 from .errors import (
@@ -191,20 +190,21 @@ def damped_step(a: np.ndarray, rhs: np.ndarray, mu: float,
     """The solution x of (a + mu*I) x = rhs, or back(x) when back is given.
 
     a is symmetric positive semi-definite (J'J, or JJ' with back mapping
-    alpha to J'alpha) and is left unchanged, so an epoch builds it once for
-    all its mu retries. A
-    Cholesky solve with one iterative-refinement pass keeps the residual
-    small. Raises NumericalFailure when the step is not finite.
+    alpha to J'alpha), so an epoch builds it once for all its mu retries.
+    One LU solve (`np.linalg.solve`), with no refinement pass. mu is added to
+    a's diagonal in place, and the saved diagonal is written back on return,
+    so a is left unchanged without a copy of it. Raises NumericalFailure when
+    the system is singular or the step is not finite.
     """
-    a = a.copy()
-    a[np.diag_indices_from(a)] += mu
+    diag = np.diag_indices_from(a)
+    saved = a[diag]
+    a[diag] += mu
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-        x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        # one refinement pass; cheap relative to the factorization
-        x += scipy.linalg.cho_solve(factor, rhs - a @ x, check_finite=False)
-    except scipy.linalg.LinAlgError:
         x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise NumericalFailure("singular damped system") from None
+    finally:
+        a[diag] = saved
     delta = x if back is None else back(x)
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("non-finite step")

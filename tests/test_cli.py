@@ -433,8 +433,9 @@ def test_detect_negative_first_timestamp_exits_1(pipeline, tmp_path, capsys):
     '[{"start": 10, "end": 20}, {"start": 0, "end": 5}]',   # unsorted
     '[{"start": 0, "end": 12}, {"start": 10, "end": 20}]',  # overlapping
     '[{"start": 0, "end": 5}, {"start": 900000, "end": 900100}]',  # past the end
+    '[{"start": -500, "end": -100}, {"start": 0, "end": 50}]',     # before sample 0
 ], ids=["json", "list", "missing", "string", "float", "reversed", "empty",
-        "unsorted", "overlapping", "past-the-session"])
+        "unsorted", "overlapping", "past-the-session", "before-the-session"])
 def test_detect_malformed_ranges_exits_1_before_writing(pipeline, tmp_path,
                                                          capsys, text):
     ranges = tmp_path / "bad.ranges.json"

@@ -57,6 +57,10 @@ def test_ranges_validate_ordering():
         GestureRanges(ranges=((0, 6), (4, 9)))
     with pytest.raises(ValueError):
         GestureRanges(ranges=((10, 12), (0, 5)))
+    with pytest.raises(MalformedRanges, match="before sample 0"):
+        GestureRanges(ranges=((-500, -100), (0, 50)))
+    with pytest.raises(MalformedRanges, match="before sample 0"):
+        GestureRanges(ranges=((-1, 5),))
 
 
 @pytest.mark.parametrize("pair", [(1.7, 5.9), (1.0, 5), (True, 3), (0, False),

@@ -4,12 +4,15 @@ The benchmark's tracer patches the functions named in
 `smokebench/tracing.py` TARGETS; a target that no longer exists would
 otherwise show up only in a traced benchmark run. Every package module is
 also scanned for imported names that it never uses, and every error class
-must be raised somewhere in the package.
+must be raised somewhere in the package. The package needs numpy alone, so
+importing its CLI must not load scipy.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,3 +99,14 @@ def test_the_scan_finds_an_unraised_error():
 def test_the_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom typing import Any, Union\nx: Union\n") == [
         "line 1: os", "line 2: Any"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter: this test process may have imported scipy already
+    code = ("import sys, smokewatch.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

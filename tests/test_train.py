@@ -107,6 +107,20 @@ def test_solver_rejects_bad_inputs():
         solve_damped(np.array([[np.nan, 1.0]]), np.ones(1), 1.0)
 
 
+def test_damped_step_leaves_a_unchanged_and_names_a_singular_system(rng):
+    # a diagonal of 1e-20 does not survive (a + mu) - mu at mu = 1e10
+    jac = rng.normal(size=(5, 3)) * 1e-10
+    a = jac.T @ jac
+    want = a.copy()
+    damped_step(a, np.ones(3), 1e10)
+    assert np.array_equal(a, want)
+    # 1 + 1e-20 rounds to 1, so the damped matrix stays exactly singular
+    a = np.ones((2, 2))
+    with pytest.raises(NumericalFailure, match="singular"):
+        damped_step(a, np.ones(2), 1e-20)
+    assert np.array_equal(a, np.ones((2, 2)))
+
+
 def network_jacobian(inputs: int, rows: int, hidden: int, seed: int):
     """First-layer weights, inputs, J and an error vector of a random net."""
     rng = np.random.default_rng(seed)
