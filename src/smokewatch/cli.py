@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import __version__
 from . import detect as detect_mod
 from . import metrics as metrics_mod
 from . import mlp, synth
 from . import train as train_mod
 from .errors import MalformedRanges, MissingTemplate
-from .fileio import atomic_write_text
+from .fileio import write_json
 from .signal import (
     ChannelMode,
     GestureClass,
@@ -34,7 +34,7 @@ from .signal import (
     write_recording_csv,
 )
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 
 class UsageError(Exception):
@@ -46,7 +46,7 @@ def save_manifest(out: Path, command: str, seed: Optional[int], options: dict,
     doc = {"version": TOOL_VERSION, "command": command, "seed": seed,
            "options": options, "inputs": list(inputs), "outputs": list(outputs)}
     path = out / f"manifest_{command}.json"
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc)
     return path
 
 
@@ -87,14 +87,6 @@ def _parse_int(text: str, what: str) -> int:
         raise UsageError(f"bad {what} count {text!r}") from None
     if value < 0:
         raise UsageError(f"{what} count must be >= 0, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type of --seed: a usage error (exit 2) unless an integer >= 0."""
-    value = int(text)  # argparse reports a ValueError as a usage error too
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -282,7 +274,7 @@ def cmd_detect(args) -> None:
             "near_threshold_windows": trace.near_threshold_windows,
         }
         report_path = out / "detect_report.json"
-        atomic_write_text(report_path, json.dumps(doc, indent=1) + "\n")
+        write_json(report_path, doc)
         written.append(str(report_path))
         inputs.append(str(args.ranges))
         print(f"detected {hits}/{len(truth)} ranges, "
@@ -301,8 +293,8 @@ def _check_options(args) -> None:
     """UsageError for an integer option below its least value or a --threshold
     outside (0, 1), for the options the command has; run before it reads a
     file or makes a directory."""
-    for name, least in (("restarts", 1), ("hidden", 1), ("max_epochs", 1),
-                        ("stride", 1)):
+    for name, least in (("seed", 0), ("restarts", 1), ("hidden", 1),
+                        ("max_epochs", 1), ("stride", 1)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
@@ -329,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--sessions", metavar="KIND=N,...",
                       help="continuous sessions per kind "
                            "(smoking/eating/drinking/chapstick)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", default="watch-a")
     p.add_argument("--config", help="JSON template/profile overrides")
     p.add_argument("--out", default=".")
@@ -339,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--modes", default="X,Y,Z,XYZ,AVG")
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", type=int, default=mlp.DEFAULT_HIDDEN)
     p.add_argument("--max-epochs", type=int, default=train_mod.DEFAULT_MAX_EPOCHS)
     p.add_argument("--threshold", type=float, default=mlp.DEFAULT_THRESHOLD,

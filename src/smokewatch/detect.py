@@ -16,7 +16,6 @@ that formats each output once, so neither file is ever held whole as text.
 
 from __future__ import annotations
 
-import json
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,7 @@ from .errors import (
     SessionTooShort,
     UnorderedStarts,
 )
-from .fileio import atomic_open, atomic_write_text
+from .fileio import atomic_open, read_json, write_json
 from .signal import SensorRecording, window_count
 
 # Windows per forward call: a block of XYZ inputs is 1024 x 600 float64
@@ -227,7 +226,7 @@ def load_ranges(path: Union[str, Path]) -> GestureRanges:
     """Read a `[{"start": int, "end": int}, ...]` file; MalformedRanges for
     anything else or for ranges that GestureRanges rejects."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path)
         pairs = tuple((r["start"], r["end"]) for r in doc)
     except KeyError as exc:
         raise MalformedRanges(f"a range lacks the key {exc}") from None
@@ -238,4 +237,4 @@ def load_ranges(path: Union[str, Path]) -> GestureRanges:
 
 def save_ranges(ranges: GestureRanges, path: Union[str, Path]) -> None:
     doc = [{"start": s, "end": e} for s, e in ranges.ranges]
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc)

@@ -1,14 +1,17 @@
-"""Atomic file writes shared by the model, report, trace and CSV writers.
+"""Atomic file writes and the JSON artifact format.
 
 `atomic_open` yields a temp file that replaces its target only on a clean
 exit, so several files can be written in lockstep and an error leaves every
 target as it was; `atomic_write_text` writes one string through it. CSV
 writers format `BLOCK_ROWS` rows at a time into the temp file, so no writer
-holds a session as text.
+holds a session as text. Models, reports, ranges and manifests are JSON with
+a one-space indent and a final newline, written by `write_json` and read by
+`read_json`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -49,3 +52,13 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
     """Write text through `atomic_open`."""
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def write_json(path: Union[str, Path], doc) -> None:
+    """Write `doc` as an artifact: one-space indent, final newline, atomic."""
+    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+
+
+def read_json(path: Union[str, Path]):
+    """Decode a UTF-8 JSON file; ValueError for invalid JSON or UTF-8."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))

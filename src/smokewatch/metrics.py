@@ -7,7 +7,6 @@ denominator is zero are reported as None rather than forced to 0 or 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -20,7 +19,7 @@ from .errors import (
     InvalidThreshold,
     LengthMismatch,
 )
-from .fileio import atomic_write_text
+from .fileio import write_json
 from .signal import GestureClass
 
 
@@ -128,4 +127,4 @@ def save_eval_report(report: MetricsReport,
     doc = report.to_json_dict()
     doc["fp_attribution"] = {cls.value: n for cls, n in sorted(
         attribution.items(), key=lambda kv: kv[0].value)}
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc)

@@ -8,7 +8,6 @@ computed analytically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
@@ -23,8 +22,8 @@ from .errors import (
     LengthMismatch,
     MalformedModel,
 )
-from .fileio import atomic_write_text
-from .signal import ChannelMode
+from .fileio import read_json, write_json
+from .signal import ChannelMode, FEATURE_POINTS
 
 MODEL_VERSION = 1
 DEFAULT_HIDDEN = 10
@@ -90,7 +89,7 @@ class Network:
     def __post_init__(self):
         if self.input_size < 1 or self.hidden_size < 1:
             raise InvalidSize("input_size and hidden_size must be >= 1")
-        if (self.mode is ChannelMode.XYZ) != (self.input_size == 600):
+        if (self.mode is ChannelMode.XYZ) != (self.input_size == 3 * FEATURE_POINTS):
             raise InvalidSize("XYZ networks take 600 inputs; other modes must not")
         object.__setattr__(self, "w1", np.asarray(self.w1, dtype=np.float64))
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
@@ -222,7 +221,7 @@ def save_model(network: Network, path: Union[str, Path],
         "b2": network.b2,
         "threshold": threshold,
     }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path: Union[str, Path]) -> tuple[Network, float]:
@@ -232,7 +231,7 @@ def load_model(path: Union[str, Path]) -> tuple[Network, float]:
     unsupported version, and InvalidThreshold for a threshold outside (0, 1).
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path)
         if doc.get("version") != MODEL_VERSION:
             raise MalformedModel(
                 f"unsupported model version {doc.get('version')!r}")

@@ -22,7 +22,6 @@ output is bit-identical to it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,6 +33,7 @@ import numpy as np
 
 from .detect import GestureRanges
 from .errors import MalformedConfig, MissingTemplate
+from .fileio import read_json
 from .signal import (
     CONFOUNDER_CLASSES,
     GestureClass,
@@ -508,7 +508,7 @@ def load_synth_config(path: Union[str, Path]):
     MalformedConfig for anything else.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path)
         templates = dict(DEFAULT_TEMPLATES)
         for name, tdoc in doc.get("templates", {}).items():
             cls = GestureClass.parse(name)

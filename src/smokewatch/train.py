@@ -11,7 +11,6 @@ dual system in Gram form (`kernels.batch_gram`) and never builds J. The
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -28,9 +27,10 @@ from .errors import (
     LengthMismatch,
     NumericalFailure,
 )
-from .fileio import atomic_write_text
+from .fileio import write_json
 from .signal import (
     ChannelMode,
+    FEATURE_POINTS,
     GestureClass,
     SensorRecording,
     extract_features,
@@ -91,7 +91,7 @@ class LabeledDataset:
 
 
 def build_dataset(recordings: Sequence[SensorRecording], mode: ChannelMode,
-                  n: int = 200) -> LabeledDataset:
+                  n: int = FEATURE_POINTS) -> LabeledDataset:
     """Resample each recording to n points and extract mode features."""
     if len(recordings) == 0:
         raise EmptyDataset("no recordings to build a dataset from")
@@ -150,9 +150,8 @@ def partition(dataset: LabeledDataset,
     if n == 0:
         raise EmptyDataset("cannot partition an empty dataset")
     perm = np.random.default_rng(seed).permutation(n)
-    c1 = min(_half_up(n * TRAIN_SHARE), n)
-    c2 = min(_half_up(n * (TRAIN_SHARE + VAL_SHARE)), n)
-    c2 = max(c2, c1)
+    c1 = _half_up(n * TRAIN_SHARE)
+    c2 = _half_up(n * (TRAIN_SHARE + VAL_SHARE))
     return (dataset.subset(perm[:c1]),
             dataset.subset(perm[c1:c2]),
             dataset.subset(perm[c2:]))
@@ -409,4 +408,4 @@ def save_report(report: TrainReport, summaries: Sequence[RestartSummary],
     doc["restarts"] = [s.to_json_dict() for s in summaries]
     if selected_index is not None:
         doc["selected_restart"] = selected_index
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc)

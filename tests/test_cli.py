@@ -274,7 +274,7 @@ def test_negative_seed_is_a_usage_error(pipeline, tmp_path, capsys, command):
               else ["--data", str(pipeline["data"]), "--modes", "X"])
     out = tmp_path / "out"
     assert run(command, *source, "--seed", "-1", "--out", str(out)) == 2
-    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert "error: --seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,18 +5,23 @@ The benchmark's tracer patches the functions named in
 otherwise show up only in a traced benchmark run. Every package module is
 also scanned for imported names that it never uses, and every error class
 must be raised somewhere in the package. The package needs numpy alone, so
-importing its CLI must not load scipy.
+importing its CLI must not load scipy. The package root holds only the
+version, `fileio` alone encodes JSON, and the README's library example runs
+as written.
 """
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from smokewatch import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smokewatch"
@@ -110,3 +115,45 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports (`a` for `a.b`)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_fileio_imports_json():
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if "json" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert importers == ["fileio.py"]
+
+
+def test_the_package_root_binds_only_its_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = [target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets]
+    others = [type(node).__name__ for node in tree.body
+              if not isinstance(node, ast.Assign)
+              and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    assert (bound, others) == (["__version__"], [])
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "accuracy" in capsys.readouterr().out
+
+
+def test_the_tool_version_is_the_package_version():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    # a regex, not tomllib: tomllib is new in Python 3.11
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert cli.TOOL_VERSION == version

@@ -339,8 +339,7 @@ def test_partition_half_up_rounding():
 
 
 def test_partition_disjoint_and_covering(rng):
-    for _ in range(50):
-        n = int(rng.integers(10, 400))
+    for n in range(1, 400):
         seed = int(rng.integers(0, 10**9))
         tr, va, te = partition(index_dataset(n), seed)
         ids = np.concatenate([tr.features[:, 0], va.features[:, 0],
