@@ -94,12 +94,12 @@ def _parse_counts(text: str, parse) -> dict:
     """`NAME=N,...` (a bare NAME counts 1) -> {parse(NAME): total N}."""
     counts: dict = {}
     for item in text.split(","):
-        name, _, num = item.partition("=")
+        name, sep, num = item.partition("=")
         try:
             key = parse(name)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        counts[key] = counts.get(key, 0) + (_parse_int(num, name) if num else 1)
+        counts[key] = counts.get(key, 0) + (_parse_int(num, name) if sep else 1)
     return counts
 
 
@@ -223,11 +223,8 @@ def cmd_eval(args) -> None:
     recordings = load_dataset_dir(Path(args.data))
     dataset = train_mod.build_dataset(recordings, network.mode, n=network.window)
     outputs = mlp.forward_batch(network, dataset.features)
-    truths = [t == 1.0 for t in dataset.targets]
-    report = metrics_mod.evaluate(outputs, truths, threshold)
-    pairs = [(float(o), c) for o, c in zip(outputs, dataset.classes)
-             if not c.is_smoking]
-    attribution = metrics_mod.fp_attribution(pairs, threshold)
+    report = metrics_mod.evaluate(outputs, dataset.smoking, threshold)
+    attribution = metrics_mod.fp_attribution(outputs, dataset.classes, threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"eval_report_{network.mode.value}.json"

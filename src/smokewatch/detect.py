@@ -28,7 +28,6 @@ from . import fileio, kernels, metrics, mlp
 from .errors import (
     EmptyTrace,
     InvalidSize,
-    InvalidThreshold,
     LengthMismatch,
     MalformedRanges,
     SessionTooShort,
@@ -68,7 +67,7 @@ class DetectionTrace:
 
     @property
     def decisions(self) -> np.ndarray:
-        return self.outputs >= self.threshold
+        return metrics.decide(self.outputs, self.threshold)
 
     @property
     def near_threshold_windows(self) -> int:
@@ -111,9 +110,6 @@ class GestureRanges:
         k = np.searchsorted(bounds, indices, side="right")
         return np.where(k % 2 == 1, k // 2, -1)
 
-    def label_indices(self, indices: np.ndarray) -> np.ndarray:
-        return self.range_index(indices) >= 0
-
 
 def _block_inputs(views: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
     """Network inputs of windows lo..hi-1 as one contiguous matrix."""
@@ -129,8 +125,7 @@ def detect_session(network: mlp.Network, session: SensorRecording,
     width = network.window
     if stride < 1:
         raise InvalidSize("stride must be >= 1")
-    if not 0.0 < threshold < 1.0:
-        raise InvalidThreshold("threshold must lie strictly between 0 and 1")
+    metrics.check_threshold(threshold)
     if len(session) < width:
         raise SessionTooShort(
             f"session has {len(session)} samples, window needs {width}")

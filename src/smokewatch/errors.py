@@ -50,10 +50,6 @@ class EmptyTrace(SmokewatchError):
     """A detection trace with no entries cannot be scored."""
 
 
-class ContainsPositiveClass(SmokewatchError):
-    """False-positive attribution received a smoking-labeled output."""
-
-
 class NumericalFailure(SmokewatchError):
     """Non-finite values encountered during optimization."""
 

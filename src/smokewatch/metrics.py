@@ -1,8 +1,10 @@
-"""Thresholded classification and the three headline rates.
+"""The smoking decision and the three headline rates.
 
+Smoking is the positive class throughout, and `decide` is the one place an
+output meets the threshold: an output at or above it counts as smoking.
 Specificity = TN/(TN+FP), sensitivity = TP/(TP+FN), accuracy =
-(TP+TN)/total, with smoking as the positive class throughout. Rates whose
-denominator is zero are reported as None rather than forced to 0 or 1.
+(TP+TN)/total. Rates whose denominator is zero are reported as None rather
+than forced to 0 or 1.
 """
 
 from __future__ import annotations
@@ -13,25 +15,21 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    ContainsPositiveClass,
-    EmptyInput,
-    InvalidThreshold,
-    LengthMismatch,
-)
+from .errors import EmptyInput, InvalidThreshold, LengthMismatch
 from .fileio import write_json
 from .signal import GestureClass
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise InvalidThreshold("threshold must lie strictly between 0 and 1")
 
 
-def classify(output: float, threshold: float = 0.5) -> bool:
-    """True (smoking) iff output >= threshold; equality resolves positive."""
-    _check_threshold(threshold)
-    return output >= threshold
+def decide(outputs: Sequence[float], threshold: float) -> np.ndarray:
+    """Per output, True (smoking) iff output >= threshold; equality resolves
+    positive. InvalidThreshold for a threshold outside (0, 1)."""
+    check_threshold(threshold)
+    return np.asarray(outputs, dtype=np.float64) >= threshold
 
 
 @dataclass(frozen=True)
@@ -96,28 +94,28 @@ class MetricsReport:
 
 def evaluate(outputs: Sequence[float], truths: Sequence[bool],
              threshold: float = 0.5) -> MetricsReport:
-    """Classify raw outputs at the threshold, as `classify` does, and
-    assemble the full report."""
-    _check_threshold(threshold)
-    c = confusion(np.asarray(outputs, dtype=np.float64) >= threshold, truths)
+    """Decide raw outputs at the threshold and assemble the full report."""
+    c = confusion(decide(outputs, threshold), truths)
     return MetricsReport(counts=c, threshold=threshold,
                          specificity=specificity(c), sensitivity=sensitivity(c),
                          accuracy=accuracy(c))
 
 
-def fp_attribution(outputs: Sequence[tuple[float, GestureClass]],
+def fp_attribution(outputs: Sequence[float], classes: Sequence[GestureClass],
                    threshold: float = 0.5) -> dict[GestureClass, int]:
-    """Per-class false-positive counts over non-smoking outputs only.
+    """Per-class false-positive counts: outputs that `decide` calls smoking,
+    over the non-smoking items only (the smoking ones are skipped).
 
-    Every class present in the input appears in the result, zero or not. An
-    output counts as positive as `classify` decides: output >= threshold.
+    Every non-smoking class present in the input appears in the result, zero
+    or not.
     """
-    _check_threshold(threshold)
+    fired = decide(outputs, threshold)
+    if fired.shape != (len(classes),):
+        raise LengthMismatch("outputs and classes must be 1-d and equal length")
     counts: dict[GestureClass, int] = {}
-    for output, cls in outputs:
-        if cls.is_smoking:
-            raise ContainsPositiveClass("attribution input must be non-smoking only")
-        counts[cls] = counts.get(cls, 0) + (float(output) >= threshold)
+    for hit, cls in zip(fired.tolist(), classes):
+        if not cls.is_smoking:
+            counts[cls] = counts.get(cls, 0) + hit
     return counts
 
 

@@ -227,8 +227,9 @@ def save_model(network: Network, path: Union[str, Path],
 def load_model(path: Union[str, Path]) -> tuple[Network, float]:
     """Read a model file; returns the network and its stored threshold.
 
-    Raises MalformedModel for invalid JSON, a missing or ill-typed key or an
-    unsupported version, and InvalidThreshold for a threshold outside (0, 1).
+    Raises MalformedModel for invalid JSON, a missing or ill-typed key, an
+    unsupported version or arrays whose shapes do not fit the stated sizes
+    and mode, and InvalidThreshold for a threshold outside (0, 1).
     """
     try:
         doc = read_json(path)
@@ -250,6 +251,8 @@ def load_model(path: Union[str, Path]) -> tuple[Network, float]:
         raise MalformedModel(f"model file lacks key {exc.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedModel(f"malformed model file: {exc}") from None
+    except (InvalidSize, LengthMismatch) as exc:
+        raise MalformedModel(str(exc)) from None
     if not 0.0 < threshold < 1.0:
         raise InvalidThreshold(
             f"stored threshold {threshold!r} must lie strictly between 0 and 1")

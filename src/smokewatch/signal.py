@@ -60,11 +60,6 @@ class GestureClass(Enum):
     def is_smoking(self) -> bool:
         return self is GestureClass.SMOKING
 
-    @property
-    def target(self) -> float:
-        """Network training target: 1 for the positive class, else 0."""
-        return 1.0 if self.is_smoking else 0.0
-
     @classmethod
     def parse(cls, name: str) -> "GestureClass":
         try:

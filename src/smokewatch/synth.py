@@ -345,8 +345,6 @@ def mixed_counts(n_nonsmoking: int, n_smoking: int) -> dict[GestureClass, int]:
     return counts
 
 
-_CLASS_ORDER = list(GestureClass)
-
 # Seed-stream tags keep the train corpus, test corpus and session draws
 # statistically independent under one master seed.
 TRAIN_STREAM = 0
@@ -367,7 +365,7 @@ def generate_corpus(counts: Mapping[GestureClass, int],
     """
     templates = DEFAULT_TEMPLATES if templates is None else templates
     recordings = []
-    for ci, cls in enumerate(_CLASS_ORDER):
+    for ci, cls in enumerate(GestureClass):
         n = counts.get(cls, 0)
         if n < 0:
             raise ValueError("counts must be >= 0")
@@ -391,14 +389,6 @@ class SessionKind(Enum):
             raise ValueError(f"unknown session kind {name!r}") from None
 
 
-_SESSION_GESTURE = {
-    SessionKind.SMOKING: GestureClass.SMOKING,
-    SessionKind.EATING: GestureClass.EATING,
-    SessionKind.DRINKING: GestureClass.DRINKING,
-    SessionKind.CHAPSTICK: GestureClass.CHAPSTICK,
-}
-
-
 def generate_session(kind: SessionKind, profile: DeviceProfile,
                      rng: Union[np.random.Generator, int, None] = None,
                      templates: Optional[Mapping[GestureClass, GestureTemplate]] = None):
@@ -412,7 +402,8 @@ def generate_session(kind: SessionKind, profile: DeviceProfile,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     templates = DEFAULT_TEMPLATES if templates is None else templates
-    template = template_for(_SESSION_GESTURE[kind], templates)
+    label = GestureClass(kind.value)
+    template = template_for(label, templates)
 
     n_gestures = int(rng.integers(7, 11))
     draws = [_draw_idle(profile, rng)]  # idle, gesture, idle, ..., gesture, idle
@@ -430,11 +421,8 @@ def generate_session(kind: SessionKind, profile: DeviceProfile,
     ranges = tuple(zip(ends[0::2], ends[1::2])) if kind is SessionKind.SMOKING else ()
     x, y, z = np.ascontiguousarray(values.T)
     recording = SensorRecording(t=np.arange(ends[-1]) / NOMINAL_RATE_HZ, x=x, y=y, z=z,
-                                label=_SESSION_GESTURE[kind], device=profile.name)
+                                label=label, device=profile.name)
     return recording, GestureRanges(ranges=ranges)
-
-
-_KIND_ORDER = list(SessionKind)
 
 
 def generate_sessions(counts: Mapping[SessionKind, int], profile: DeviceProfile,
@@ -446,7 +434,7 @@ def generate_sessions(counts: Mapping[SessionKind, int], profile: DeviceProfile,
     Returns a list of (SessionKind, SensorRecording, GestureRanges).
     """
     out = []
-    for ki, kind in enumerate(_KIND_ORDER):
+    for ki, kind in enumerate(SessionKind):
         n = counts.get(kind, 0)
         if n < 0:
             raise ValueError("counts must be >= 0")

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import kernels, mlp
+from . import kernels, metrics, mlp
 from .errors import (
     EmptyBatch,
     EmptyDataset,
@@ -59,12 +59,13 @@ VAL_SHARE = 0.15
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Feature vectors with their gesture classes; all feature vectors share
-    one length (enforced by the matrix shape). `targets` is 1.0 exactly for
-    smoking items and 0.0 for the rest."""
+    one length (enforced by the matrix shape). `smoking` is True exactly for
+    smoking items, and `targets`, the training targets, is it as 1.0/0.0."""
 
     mode: ChannelMode
     features: np.ndarray
     classes: tuple[GestureClass, ...]
+    smoking: np.ndarray = field(init=False)
     targets: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -74,8 +75,9 @@ class LabeledDataset:
             raise LengthMismatch("features must be a 2-d matrix")
         if len(self.classes) != self.features.shape[0]:
             raise LengthMismatch("features and classes must align")
-        object.__setattr__(self, "targets", np.array(
-            [cls.target for cls in self.classes], dtype=np.float64))
+        smoking = np.array([cls.is_smoking for cls in self.classes], dtype=bool)
+        object.__setattr__(self, "smoking", smoking)
+        object.__setattr__(self, "targets", smoking.astype(np.float64))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -110,7 +112,6 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class TrainReport:
-    epochs_run: int
     final_train_sse: float
     final_val_sse: float
     stop_reason: StopReason
@@ -120,6 +121,10 @@ class TrainReport:
     # (at mu, mu*MU_INC, ...) were rejected before it
     mu_history: tuple[float, ...]
     rejected_steps: tuple[int, ...]
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.train_sse_history)
 
     def to_json_dict(self) -> dict:
         return {
@@ -331,7 +336,6 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
             break
 
     report = TrainReport(
-        epochs_run=len(train_hist),
         final_train_sse=_sse(net, xn, targets),
         final_val_sse=_sse(net, xn_val, val_set.targets),
         stop_reason=stop,
@@ -355,12 +359,6 @@ class RestartSummary:
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "stop_reason": self.stop_reason.value}
-
-
-def _train_accuracy(network: mlp.Network, dataset: LabeledDataset) -> float:
-    y = mlp.forward_batch(network, dataset.features)
-    preds = y >= 0.5
-    return float(np.mean(preds == (dataset.targets == 1.0)))
 
 
 def select_best_restart(accuracies: Sequence[float]) -> int:
@@ -388,7 +386,8 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
     for r in range(restarts):
         seed = master_seed ^ r
         net, report = train(train_split, val_split, seed, hidden_size, max_epochs)
-        acc = _train_accuracy(net, train_split)
+        acc = metrics.evaluate(mlp.forward_batch(net, train_split.features),
+                               train_split.smoking, 0.5).accuracy
         nets.append(net)
         reports.append(report)
         summaries.append(RestartSummary(
@@ -403,9 +402,8 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
 
 
 def save_report(report: TrainReport, summaries: Sequence[RestartSummary],
-                path: Union[str, Path], selected_index: int | None = None) -> None:
+                path: Union[str, Path], selected_index: int) -> None:
     doc = report.to_json_dict()
     doc["restarts"] = [s.to_json_dict() for s in summaries]
-    if selected_index is not None:
-        doc["selected_restart"] = selected_index
+    doc["selected_restart"] = selected_index
     write_json(path, doc)

@@ -94,9 +94,13 @@ def test_synth_rejects_unknown_class(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_synth_rejects_bad_count(tmp_path):
+def test_synth_rejects_bad_count(tmp_path, capsys):
     assert run("synth", "--gestures", "smoking=-1", "--out", str(tmp_path)) == 2
     assert run("synth", "--gestures", "smoking=two", "--out", str(tmp_path)) == 2
+    # an "=" with no count is a bad count, not the bare name's 1
+    assert run("synth", "--gestures", "smoking=", "--out", str(tmp_path)) == 2
+    assert "bad smoking count ''" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_bare_class_means_one(tmp_path):
@@ -321,7 +325,11 @@ def test_eval_missing_model_exits_1(pipeline, tmp_path, capsys):
     (lambda doc: doc.update(version=2), "MalformedModel"),
     (lambda doc: doc.update(threshold=1.5), "InvalidThreshold"),
     (lambda doc: doc["norm_min"].__setitem__(0, float("nan")), "MalformedModel"),
-], ids=["missing-key", "bad-version", "bad-threshold", "nan-norm"])
+    (lambda doc: doc["w1"].pop(), "MalformedModel"),
+    (lambda doc: doc["norm_min"].pop(), "MalformedModel"),
+    (lambda doc: doc.update(mode="XYZ"), "MalformedModel"),
+], ids=["missing-key", "bad-version", "bad-threshold", "nan-norm", "short-w1",
+        "short-norm-min", "xyz-on-200-inputs"])
 def test_eval_malformed_model_exits_1(pipeline, tmp_path, capsys, edit, error):
     doc = json.loads(pipeline["model"].read_text())
     edit(doc)

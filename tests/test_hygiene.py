@@ -6,8 +6,8 @@ otherwise show up only in a traced benchmark run. Every package module is
 also scanned for imported names that it never uses, and every error class
 must be raised somewhere in the package. The package needs numpy alone, so
 importing its CLI must not load scipy. The package root holds only the
-version, `fileio` alone encodes JSON, and the README's library example runs
-as written.
+version, `fileio` alone encodes JSON, `metrics` alone compares outputs
+with a threshold, and the README's library example runs as written.
 """
 
 import ast
@@ -132,6 +132,30 @@ def test_only_fileio_imports_json():
     importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
                  if "json" in imported_modules(p.read_text(encoding="utf-8"))]
     assert importers == ["fileio.py"]
+
+
+def threshold_compares(source: str) -> list[int]:
+    """Lines of `>=` comparisons with an operand named `threshold` (a name or
+    an attribute) or the constant 0.5."""
+    def is_threshold(node):
+        return (getattr(node, "id", getattr(node, "attr", None)) == "threshold"
+                or (isinstance(node, ast.Constant) and node.value == 0.5))
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, ast.GtE) for op in node.ops)
+            and any(is_threshold(x) for x in [node.left, *node.comparators])]
+
+
+def test_only_metrics_decides_smoking():
+    found = {p.name: threshold_compares(p.read_text(encoding="utf-8"))
+             for p in MODULES if p.name != "metrics.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_decision_scan_finds_a_threshold_compare():
+    assert threshold_compares("a = y >= 0.5\nb = y >= self.threshold\n"
+                              "c = y >= threshold\nd = y > threshold\n"
+                              "e = 0.4 <= threshold\nf = y >= 0.25\n") == [1, 2, 3]
 
 
 def test_the_package_root_binds_only_its_version():

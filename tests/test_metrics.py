@@ -5,17 +5,12 @@ Undefined on empty denominators)."""
 import numpy as np
 import pytest
 
-from smokewatch.errors import (
-    ContainsPositiveClass,
-    EmptyInput,
-    InvalidThreshold,
-    LengthMismatch,
-)
+from smokewatch.errors import EmptyInput, InvalidThreshold, LengthMismatch
 from smokewatch.metrics import (
     ConfusionCounts,
     accuracy,
-    classify,
     confusion,
+    decide,
     evaluate,
     fp_attribution,
     sensitivity,
@@ -39,29 +34,27 @@ def brute_counts(preds, truths):
     return tp, tn, fp, fn
 
 
-def test_classify_basic():
-    assert classify(0.9, 0.5) is True
-    assert classify(0.3, 0.5) is False
-    assert classify(0.79, 0.8) is False
-    assert classify(0.81, 0.8) is True
+def test_decide_basic():
+    assert decide([0.9, 0.3], 0.5).tolist() == [True, False]
+    assert decide(np.array([0.79, 0.81]), 0.8).tolist() == [False, True]
+    assert decide([0.3], 0.5).dtype == bool
 
 
-def test_classify_equality_is_positive():
-    assert classify(0.5, 0.5) is True
-    assert classify(0.8, 0.8) is True
+def test_decide_equality_is_positive():
+    assert decide([0.5], 0.5).tolist() == [True]
+    assert decide([0.8], 0.8).tolist() == [True]
 
 
-def test_classify_monotone_in_output():
-    outs = np.linspace(0.01, 0.99, 53)
-    decisions = [classify(o, 0.44) for o in outs]
+def test_decide_monotone_in_output():
+    decisions = decide(np.linspace(0.01, 0.99, 53), 0.44).tolist()
     # once True, stays True
     assert decisions == sorted(decisions)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
-def test_classify_rejects_degenerate_threshold(bad):
+def test_decide_rejects_degenerate_threshold(bad):
     with pytest.raises(InvalidThreshold):
-        classify(0.5, bad)
+        decide([0.5], bad)
 
 
 def test_confusion_perfect_table():
@@ -103,13 +96,13 @@ def test_evaluate_rejects_degenerate_threshold(bad):
         evaluate([0.5, 0.2], [True, False], bad)
 
 
-def test_evaluate_classifies_as_classify_does():
+def test_evaluate_decides_as_decide_does():
     # outputs on the threshold and one ulp to either side, as a list and
     # as an array
     thr = 0.44
     outs = [thr, float(np.nextafter(thr, 0.0)), float(np.nextafter(thr, 1.0)), 0.1, 0.9]
     truths = [True, True, False, False, True]
-    want = brute_counts([classify(o, thr) for o in outs], truths)
+    want = brute_counts(decide(outs, thr).tolist(), truths)
     assert want == (2, 1, 1, 1)
     for given in (outs, np.array(outs)):
         c = evaluate(given, truths, thr).counts
@@ -161,44 +154,52 @@ def test_metrics_lie_in_unit_interval(rng):
 
 
 def test_fp_attribution_counts():
-    pairs = [
-        (0.9, GestureClass.COUGH),
-        (0.2, GestureClass.COUGH),
-        (0.7, GestureClass.DRINKING),
-        (0.1, GestureClass.YAWN),
-    ]
-    att = fp_attribution(pairs, 0.5)
+    att = fp_attribution(
+        [0.9, 0.2, 0.7, 0.1],
+        [GestureClass.COUGH, GestureClass.COUGH, GestureClass.DRINKING, GestureClass.YAWN],
+        0.5)
     assert att[GestureClass.COUGH] == 1
     assert att[GestureClass.DRINKING] == 1
     assert att[GestureClass.YAWN] == 0
 
 
 def test_fp_attribution_single_cough():
-    assert fp_attribution([(0.9, GestureClass.COUGH)], 0.5) == {
+    assert fp_attribution([0.9], [GestureClass.COUGH], 0.5) == {
         GestureClass.COUGH: 1}
 
 
 def test_fp_attribution_all_below_threshold():
-    pairs = [(0.1, GestureClass.YAWN), (0.2, GestureClass.COUGH)]
-    att = fp_attribution(pairs, 0.5)
+    att = fp_attribution([0.1, 0.2], [GestureClass.YAWN, GestureClass.COUGH], 0.5)
     assert all(v == 0 for v in att.values())
 
 
-def test_fp_attribution_rejects_smoking():
-    with pytest.raises(ContainsPositiveClass):
-        fp_attribution([(0.9, GestureClass.SMOKING)], 0.5)
+def test_fp_attribution_skips_smoking():
+    assert fp_attribution([0.9, 0.9], [GestureClass.SMOKING, GestureClass.COUGH],
+                          0.5) == {GestureClass.COUGH: 1}
+    assert fp_attribution([0.9], [GestureClass.SMOKING], 0.5) == {}
+
+
+def test_fp_attribution_checks_its_inputs():
+    with pytest.raises(LengthMismatch):
+        fp_attribution([0.9, 0.1], [GestureClass.COUGH], 0.5)
+    with pytest.raises(InvalidThreshold):
+        fp_attribution([0.9], [GestureClass.COUGH], 1.0)
 
 
 def test_fp_attribution_reconciles_with_confusion(rng):
-    classes = [c for c in GestureClass if not c.is_smoking]
+    # smoking items mixed in: they are skipped, and every other firing
+    # output is one of the confusion table's false positives
+    classes = list(GestureClass)
     for _ in range(50):
         n = int(rng.integers(1, 60))
         outs = rng.uniform(0, 1, n)
         labels = [classes[i] for i in rng.integers(0, len(classes), n)]
         thr = float(rng.uniform(0.1, 0.9))
-        att = fp_attribution(list(zip(outs, labels)), thr)
-        c = confusion([o >= thr for o in outs], [False] * n)
+        att = fp_attribution(outs, labels, thr)
+        c = confusion([o >= thr for o in outs], [cls.is_smoking for cls in labels])
         assert sum(att.values()) == c.fp
+        assert GestureClass.SMOKING not in att
+        assert set(att) == {cls for cls in labels if not cls.is_smoking}
 
 
 def test_report_json_uses_null_for_undefined():

@@ -325,6 +325,18 @@ def test_lm_step_rejects_empty_batch(rng):
         lm_step(net, empty, 1e-3)
 
 
+def test_dataset_smoking_and_targets_follow_the_classes():
+    classes = (GestureClass.SMOKING, GestureClass.COUGH, GestureClass.UNKNOWN,
+               GestureClass.SMOKING, GestureClass.EATING)
+    ds = LabeledDataset(mode=ChannelMode.X, features=np.zeros((5, 3)), classes=classes)
+    assert ds.smoking.dtype == bool
+    assert ds.smoking.tolist() == [c.is_smoking for c in classes]
+    assert ds.targets.dtype == np.float64
+    assert ds.targets.tolist() == [1.0 if s else 0.0 for s in ds.smoking]
+    sub = ds.subset(np.array([4, 0]))
+    assert sub.smoking.tolist() == [False, True]
+
+
 # --- partition ---------------------------------------------------------------
 
 def test_partition_table_sizes():
@@ -431,6 +443,17 @@ def test_train_best_of_selects_max_accuracy(rng):
         s.train_accuracy for s in summaries)
     assert report.epochs_run == summaries[best].epochs_run
     assert [s.seed for s in summaries] == [11 ^ r for r in range(4)]
+
+
+def test_restart_accuracy_is_the_training_split_accuracy_at_one_half(rng):
+    ds = toy_dataset(rng, n=30, separation=0.4)
+    tr, va, _ = partition(ds, seed=5)
+    _, _, summaries, _ = train_best_of(ds, restarts=2, master_seed=5, max_epochs=3)
+    for s in summaries:
+        net, _ = train(tr, va, seed=s.seed, max_epochs=3)
+        y = mlp.forward_batch(net, tr.features)
+        hits = sum((o >= 0.5) == (c is GestureClass.SMOKING) for o, c in zip(y, tr.classes))
+        assert s.train_accuracy == hits / len(tr)
 
 
 def test_train_best_of_single_restart_equals_train(rng):
