@@ -6,7 +6,11 @@ otherwise:
 - best-of-50 wall time of `synth.generate_table1`, and a SHA-256 over every
   recording's t/x/y/z bytes and every session's ranges, so two runs on
   different source trees show whether they synthesize the same corpus;
-- best-of-10 wall time of `train_best_of` (10 restarts) per channel mode;
+- best-of-10 wall time of `train_best_of` (at most 10 restarts) per channel
+  mode, the number of restarts it ran (`restarts_run`) and whether its
+  network equals the one the brute-force loop selects, which trains all 10
+  restarts and keeps the highest training accuracy, ties going to the lowest
+  index (`equals_full_loop`);
 - one LM step at Table-1 scale for the X and XYZ modes, best of 200: the
   oracle step (`mlp.outputs_and_jacobian` plus `train.solve_damped`) and the
   Gram step (`kernels.batch_gram` plus `train.damped_step`, stored under the
@@ -28,8 +32,9 @@ labels, so one file holds the numbers from before and after a change:
     PYTHONPATH=src python3 benchmarks/bench_pipeline.py --label after
 
 The script exits 1 when the Gram step and the oracle step differ by more
-than MAX_REL_DIFF, or when the primal step leaves the SVD oracle's bound, so
-a run of it is an equivalence check. The smokewatch sources are the ones the
+than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, or
+when a mode's `train_best_of` network differs from the full loop's, so a run
+of it is an equivalence check. The smokewatch sources are the ones the
 script imports, so `PYTHONPATH=<other checkout>/src` measures another tree.
 
 BLAS/OpenMP threads default to 1, as in smokebench, unless already set.
@@ -95,6 +100,31 @@ def synth_row() -> dict:
     return {"generate_table1": best_of(lambda: synth.generate_table1(master_seed=SEED),
                                        SYNTH_REPEATS),
             "sha256": digest.hexdigest()}
+
+
+def full_loop_weights(dataset: train.LabeledDataset) -> np.ndarray:
+    """The weights the brute-force restart loop selects: all RESTARTS
+    restarts trained on the `partition` split, then the highest training
+    accuracy at 0.5, ties going to the lowest index."""
+    tr, va, _ = train.partition(dataset, SEED)
+    best_w, best_acc = None, -1.0
+    for r in range(RESTARTS):
+        net, _ = train.train(tr, va, SEED ^ r)
+        acc = np.mean((mlp.forward_batch(net, tr.features) >= 0.5) == tr.smoking)
+        if acc > best_acc:
+            best_w, best_acc = net.to_weight_vector(), acc
+    return best_w
+
+
+def restart_row(dataset: train.LabeledDataset) -> dict:
+    """train_best_of timing, the restarts it ran and the full-loop check."""
+    def run():
+        return train.train_best_of(dataset, restarts=RESTARTS, master_seed=SEED)
+
+    net, _, summaries, _ = run()
+    return {**best_of(run, REPEATS), "restarts_run": len(summaries),
+            "equals_full_loop": bool(np.array_equal(net.to_weight_vector(),
+                                                    full_loop_weights(dataset)))}
 
 
 def fresh_restart(dataset: train.LabeledDataset):
@@ -203,10 +233,7 @@ def main(argv=None) -> int:
         },
         "seed": SEED,
         "synth": synth_row(),
-        "train_best_of": {
-            mode.value: best_of(lambda ds=ds: train.train_best_of(
-                ds, restarts=RESTARTS, master_seed=SEED), REPEATS)
-            for mode, ds in datasets.items()},
+        "train_best_of": {mode.value: restart_row(ds) for mode, ds in datasets.items()},
         "lm_step": {mode.value: step_rows(datasets[mode])
                     for mode in (ChannelMode.X, ChannelMode.XYZ)},
         "primal_step": primal_rows(),
@@ -224,6 +251,11 @@ def main(argv=None) -> int:
         print(f"gram step differs from the oracle step by {worst:.3g} "
               f"(> {MAX_REL_DIFF:g})", file=sys.stderr)
         code = 1
+    for mode, row in run["train_best_of"].items():
+        if not row["equals_full_loop"]:
+            print(f"{mode}: train_best_of differs from the full restart loop",
+                  file=sys.stderr)
+            code = 1
     svd = run["primal_step"]["svd_oracle"]
     if svd["max_rel_err"] > svd["bound"]:
         print(f"primal step differs from the SVD oracle by {svd['max_rel_err']:.3g} "

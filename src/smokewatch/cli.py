@@ -24,7 +24,7 @@ from . import detect as detect_mod
 from . import metrics as metrics_mod
 from . import mlp, synth
 from . import train as train_mod
-from .errors import MalformedRanges, MissingTemplate
+from .errors import InvalidThreshold, MalformedRanges, MissingTemplate
 from .fileio import write_json
 from .signal import (
     ChannelMode,
@@ -196,8 +196,7 @@ def cmd_train(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for mode in modes:
-        dataset = train_mod.build_dataset(recordings, mode)
+    for mode, dataset in zip(modes, train_mod.build_datasets(recordings, modes)):
         net, report, summaries, selected = train_mod.train_best_of(
             dataset, restarts=args.restarts, master_seed=args.seed,
             hidden_size=args.hidden, max_epochs=args.max_epochs)
@@ -296,8 +295,11 @@ def _check_options(args) -> None:
         if value is not None and value < least:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
     threshold = getattr(args, "threshold", None)
-    if threshold is not None and not 0.0 < threshold < 1.0:
-        raise UsageError("--threshold must lie strictly between 0 and 1")
+    if threshold is not None:
+        try:
+            metrics_mod.check_threshold(threshold, "--threshold")
+        except InvalidThreshold as exc:
+            raise UsageError(str(exc)) from None
 
 
 @functools.cache
@@ -327,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one network per channel mode")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--modes", default="X,Y,Z,XYZ,AVG")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=10,
+                   help="most restarts per mode; training stops at the first "
+                        "restart that classifies every training item")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", type=int, default=mlp.DEFAULT_HIDDEN)
     p.add_argument("--max-epochs", type=int, default=train_mod.DEFAULT_MAX_EPOCHS)

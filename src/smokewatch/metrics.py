@@ -20,9 +20,10 @@ from .fileio import write_json
 from .signal import GestureClass
 
 
-def check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float, name: str = "threshold") -> None:
+    """InvalidThreshold, naming the value as `name`, unless 0 < threshold < 1."""
     if not 0.0 < threshold < 1.0:
-        raise InvalidThreshold("threshold must lie strictly between 0 and 1")
+        raise InvalidThreshold(f"{name} must lie strictly between 0 and 1")
 
 
 def decide(outputs: Sequence[float], threshold: float) -> np.ndarray:

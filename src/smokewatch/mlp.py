@@ -14,11 +14,10 @@ from typing import Union
 
 import numpy as np
 
-from . import kernels
+from . import kernels, metrics
 from .errors import (
     EmptyBatch,
     InvalidSize,
-    InvalidThreshold,
     LengthMismatch,
     MalformedModel,
 )
@@ -253,7 +252,5 @@ def load_model(path: Union[str, Path]) -> tuple[Network, float]:
         raise MalformedModel(f"malformed model file: {exc}") from None
     except (InvalidSize, LengthMismatch) as exc:
         raise MalformedModel(str(exc)) from None
-    if not 0.0 < threshold < 1.0:
-        raise InvalidThreshold(
-            f"stored threshold {threshold!r} must lie strictly between 0 and 1")
+    metrics.check_threshold(threshold, f"stored threshold {threshold!r}")
     return net, threshold

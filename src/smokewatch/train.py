@@ -92,15 +92,24 @@ class LabeledDataset:
                               classes=tuple(self.classes[i] for i in indices))
 
 
+def build_datasets(recordings: Sequence[SensorRecording], modes: Sequence[ChannelMode],
+                   n: int = FEATURE_POINTS) -> list[LabeledDataset]:
+    """One dataset per mode, in the order given: each recording is resampled
+    to n points once, and every mode's features are extracted from that."""
+    if len(recordings) == 0:
+        raise EmptyDataset("no recordings to build a dataset from")
+    series = [resample_uniform(rec, n) for rec in recordings]
+    classes = tuple(rec.label for rec in recordings)
+    return [LabeledDataset(mode=mode, features=np.stack([extract_features(s, mode)
+                                                         for s in series]),
+                           classes=classes)
+            for mode in modes]
+
+
 def build_dataset(recordings: Sequence[SensorRecording], mode: ChannelMode,
                   n: int = FEATURE_POINTS) -> LabeledDataset:
     """Resample each recording to n points and extract mode features."""
-    if len(recordings) == 0:
-        raise EmptyDataset("no recordings to build a dataset from")
-    feats = np.stack([extract_features(resample_uniform(rec, n), mode)
-                      for rec in recordings])
-    return LabeledDataset(mode=mode, features=feats,
-                          classes=tuple(rec.label for rec in recordings))
+    return build_datasets(recordings, (mode,), n)[0]
 
 
 class StopReason(Enum):
@@ -372,10 +381,13 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
                   ) -> tuple[mlp.Network, TrainReport, list[RestartSummary], int]:
     """Independent restarts on one fixed partition; keeps the restart with
     the highest training-set accuracy at threshold 0.5 and returns its
-    network, its report, every restart's summary and its index.
+    network, its report, the summary of every restart run and its index.
 
     Restart r initializes from seed master_seed XOR r, so the outcome does
-    not depend on the order restarts execute in.
+    not depend on the order restarts execute in. The loop stops after the
+    first restart that classifies every training item: a tie goes to the
+    lowest index, so no later restart could be selected. `restarts` is
+    therefore an upper bound on the restarts run.
     """
     if restarts < 1:
         raise InvalidSize("restarts must be >= 1")
@@ -397,6 +409,8 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
             final_val_sse=report.final_val_sse,
             stop_reason=report.stop_reason,
         ))
+        if acc == 1.0:
+            break
     best = select_best_restart([s.train_accuracy for s in summaries])
     return nets[best], reports[best], summaries, best
 
@@ -405,5 +419,7 @@ def save_report(report: TrainReport, summaries: Sequence[RestartSummary],
                 path: Union[str, Path], selected_index: int) -> None:
     doc = report.to_json_dict()
     doc["restarts"] = [s.to_json_dict() for s in summaries]
+    doc["restart_stop"] = ("perfect_train_accuracy" if summaries[-1].train_accuracy == 1.0
+                           else "restart_limit")
     doc["selected_restart"] = selected_index
     write_json(path, doc)

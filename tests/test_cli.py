@@ -180,9 +180,16 @@ def test_train_writes_model_and_report(pipeline):
     assert model["input_size"] == 200
     assert model["hidden_size"] == 10
     report = json.loads(pipeline["report"].read_text())
-    assert len(report["restarts"]) == 2
-    assert report["selected_restart"] in (0, 1)
+    # --restarts 2 is an upper bound: the loop stops at the first restart
+    # that classifies every training item
     accs = [r["train_accuracy"] for r in report["restarts"]]
+    if report["restart_stop"] == "perfect_train_accuracy":
+        assert len(accs) == accs.index(1.0) + 1
+    else:
+        assert report["restart_stop"] == "restart_limit"
+        assert len(accs) == 2 and 1.0 not in accs
+    assert [r["index"] for r in report["restarts"]] == list(range(len(accs)))
+    assert report["selected_restart"] in range(len(accs))
     assert report["restarts"][report["selected_restart"]]["train_accuracy"] == max(accs)
 
 

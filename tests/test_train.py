@@ -2,6 +2,7 @@
 oracles, the 70/15/15 partition, training-loop stop reasons, and
 best-of-restarts selection."""
 
+import json
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -11,18 +12,27 @@ import pytest
 
 from conftest import tiny_network
 import smokewatch.train as train_mod
-from smokewatch import kernels, mlp
+from smokewatch import kernels, mlp, synth
 from smokewatch.errors import EmptyBatch, InvalidSize, NumericalFailure
-from smokewatch.signal import ChannelMode, GestureClass
+from smokewatch.signal import (
+    ALL_MODES,
+    ChannelMode,
+    GestureClass,
+    extract_features,
+    resample_uniform,
+)
 from smokewatch.train import (
     MU_FLOOR,
     LabeledDataset,
+    RestartSummary,
     StopReason,
     TrainReport,
     build_dataset,
+    build_datasets,
     damped_step,
     lm_step,
     partition,
+    save_report,
     select_best_restart,
     solve_damped,
     train,
@@ -467,6 +477,66 @@ def test_train_best_of_single_restart_equals_train(rng):
     assert rep_a.train_sse_history == rep_b.train_sse_history
 
 
+def full_restart_loop(dataset: LabeledDataset, restarts: int, master_seed: int,
+                      max_epochs: int = train_mod.DEFAULT_MAX_EPOCHS):
+    """Every restart trained on the `partition` split, with no early exit;
+    returns the networks, their summaries and the index of the highest
+    training accuracy at 0.5, ties going to the lowest index."""
+    tr, va, _ = partition(dataset, master_seed)
+    nets, summaries = [], []
+    for r in range(restarts):
+        net, report = train(tr, va, master_seed ^ r, max_epochs=max_epochs)
+        y = mlp.forward_batch(net, tr.features)
+        hits = sum((o >= 0.5) == (c is GestureClass.SMOKING) for o, c in zip(y, tr.classes))
+        nets.append(net)
+        summaries.append(RestartSummary(
+            index=r, seed=master_seed ^ r, train_accuracy=hits / len(tr),
+            epochs_run=report.epochs_run, final_train_sse=report.final_train_sse,
+            final_val_sse=report.final_val_sse, stop_reason=report.stop_reason))
+    best = min(range(restarts), key=lambda r: (-summaries[r].train_accuracy, r))
+    return nets, summaries, best
+
+
+def check_against_full_loop(dataset, restarts, master_seed, report_path, **kw):
+    """train_best_of against `full_restart_loop`; returns the restarts run."""
+    nets, want, best = full_restart_loop(dataset, restarts, master_seed, **kw)
+    net, report, summaries, selected = train_best_of(
+        dataset, restarts=restarts, master_seed=master_seed, **kw)
+    assert selected == best
+    assert np.array_equal(net.to_weight_vector(), nets[best].to_weight_vector())
+    assert summaries == want[:len(summaries)]
+    perfect = [s.train_accuracy == 1.0 for s in want]
+    ran = perfect.index(True) + 1 if True in perfect else restarts
+    assert len(summaries) == ran
+    save_report(report, summaries, report_path, selected)
+    doc = json.loads(report_path.read_text())
+    assert doc["restart_stop"] == (
+        "perfect_train_accuracy" if True in perfect else "restart_limit")
+    assert [r["index"] for r in doc["restarts"]] == list(range(ran))
+    return ran
+
+
+# every mode of seeds 0-4 reaches 1.0 at restart 0; seed 9's XYZ first
+# reaches it at restart 1
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 9])
+def test_early_exit_matches_the_full_restart_loop(seed, tmp_path):
+    train_corpus, _, _ = synth.generate_table1(master_seed=seed)
+    for dataset in build_datasets(train_corpus, ALL_MODES):
+        check_against_full_loop(dataset, 10, seed,
+                                tmp_path / f"train_report_{dataset.mode.value}.json")
+
+
+def test_no_perfect_restart_runs_every_restart(rng, tmp_path):
+    # pairs of items share a feature vector but not a class; 21 training
+    # items from 15 pairs hold at least one whole pair, so no restart can
+    # classify every training item
+    feats = np.repeat(rng.normal(size=(15, 6)), 2, axis=0)
+    classes = (GestureClass.COUGH, GestureClass.SMOKING) * 15
+    ds = LabeledDataset(mode=ChannelMode.X, features=feats, classes=classes)
+    assert check_against_full_loop(ds, 4, 3, tmp_path / "report.json",
+                                   max_epochs=10) == 4
+
+
 def test_train_best_of_rejects_zero_restarts(rng):
     with pytest.raises(InvalidSize):
         train_best_of(toy_dataset(rng), restarts=0)
@@ -519,6 +589,26 @@ def test_report_records_how_mu_moved(rng, monkeypatch):
         start = max(report.mu_history[e - 1] / mu_dec, MU_FLOOR)
         assert report.mu_history[e] == pytest.approx(
             start * mu_inc ** report.rejected_steps[e], rel=1e-12)
+
+
+def test_build_datasets_resample_once_and_match_per_recording_features(
+        rng, monkeypatch):
+    from conftest import make_recording
+    recs = [make_recording(rng.normal(size=(m, 3))) for m in (50, 61, 77)]
+    calls = []
+
+    def counted(rec, n):
+        calls.append(rec)
+        return resample_uniform(rec, n)
+
+    monkeypatch.setattr(train_mod, "resample_uniform", counted)
+    datasets = build_datasets(recs, ALL_MODES, n=20)
+    assert calls == recs
+    for mode, ds in zip(ALL_MODES, datasets):
+        assert ds.mode is mode
+        want = np.stack([extract_features(resample_uniform(rec, 20), mode)
+                         for rec in recs])
+        assert ds.features.tobytes() == want.tobytes()
 
 
 def test_build_dataset_targets_follow_labels(rng):
