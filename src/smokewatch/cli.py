@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", type=int, default=mlp.DEFAULT_HIDDEN)
     p.add_argument("--max-epochs", type=int, default=train_mod.DEFAULT_MAX_EPOCHS)
-    p.add_argument("--threshold", type=float, default=mlp.DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", type=float, default=metrics_mod.DEFAULT_THRESHOLD,
                    help="decision threshold stored in the model file")
     p.add_argument("--out", default=".")
     p.set_defaults(handler=cmd_train)

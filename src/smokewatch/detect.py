@@ -119,7 +119,8 @@ def _block_inputs(views: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray
 
 
 def detect_session(network: mlp.Network, session: SensorRecording,
-                   stride: int = 1, threshold: float = 0.5) -> DetectionTrace:
+                   stride: int = 1,
+                   threshold: float = metrics.DEFAULT_THRESHOLD) -> DetectionTrace:
     """Run the network over every full rolling window of the session; the
     window is the network's per-signal input length (`Network.window`)."""
     width = network.window

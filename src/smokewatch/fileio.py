@@ -2,31 +2,24 @@
 
 `atomic_open` yields a temp file that replaces its target only on a clean
 exit, so several files can be written in lockstep and an error leaves every
-target as it was; `atomic_write_text` writes one string through it. CSV
-writers format `BLOCK_ROWS` rows at a time into the temp file, so no writer
-holds a session as text. Models, reports, ranges and manifests are JSON with
-a one-space indent and a final newline, written by `write_json` and read by
-`read_json`.
+target as it was; `atomic_write_text` writes one string through it. A
+written file gets the mode `open(path, "w")` would give it under the umask
+in force at the write. CSV writers format `BLOCK_ROWS` rows at a time into
+the temp file, so no writer holds a session as text. Models, reports, ranges
+and manifests are JSON with a one-space indent and a final newline, written
+by `write_json` and read by `read_json`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO, Union
 
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
-
-
-# mkstemp creates its file with mode 0600; a renamed file gets the mode that
-# open(path, "w") would give a new one. The umask can only be read by setting
-# it, so it is read once, here.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
 
 
 @contextmanager
@@ -36,11 +29,12 @@ def atomic_open(path: Union[str, Path]) -> Iterator[TextIO]:
     any error the temp file is removed and the target left untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # as open(path, "w") does, the kernel takes the umask in force now off 0o666
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -19,6 +19,8 @@ from .errors import EmptyInput, InvalidThreshold, LengthMismatch
 from .fileio import write_json
 from .signal import GestureClass
 
+DEFAULT_THRESHOLD = 0.5
+
 
 def check_threshold(threshold: float, name: str = "threshold") -> None:
     """InvalidThreshold, naming the value as `name`, unless 0 < threshold < 1."""
@@ -94,7 +96,7 @@ class MetricsReport:
 
 
 def evaluate(outputs: Sequence[float], truths: Sequence[bool],
-             threshold: float = 0.5) -> MetricsReport:
+             threshold: float = DEFAULT_THRESHOLD) -> MetricsReport:
     """Decide raw outputs at the threshold and assemble the full report."""
     c = confusion(decide(outputs, threshold), truths)
     return MetricsReport(counts=c, threshold=threshold,
@@ -103,7 +105,7 @@ def evaluate(outputs: Sequence[float], truths: Sequence[bool],
 
 
 def fp_attribution(outputs: Sequence[float], classes: Sequence[GestureClass],
-                   threshold: float = 0.5) -> dict[GestureClass, int]:
+                   threshold: float = DEFAULT_THRESHOLD) -> dict[GestureClass, int]:
     """Per-class false-positive counts: outputs that `decide` calls smoking,
     over the non-smoking items only (the smoking ones are skipped).
 

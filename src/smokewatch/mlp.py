@@ -26,7 +26,6 @@ from .signal import ChannelMode, FEATURE_POINTS
 
 MODEL_VERSION = 1
 DEFAULT_HIDDEN = 10
-DEFAULT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +205,7 @@ def outputs_and_jacobian(network: Network, features: np.ndarray):
 
 
 def save_model(network: Network, path: Union[str, Path],
-               threshold: float = DEFAULT_THRESHOLD) -> None:
+               threshold: float = metrics.DEFAULT_THRESHOLD) -> None:
     doc = {
         "version": MODEL_VERSION,
         "mode": network.mode.value,

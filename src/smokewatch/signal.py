@@ -4,13 +4,13 @@ Covers ingestion of 3-axis recordings from CSV, fixed-length resampling of
 isolated gestures to plain (x, y, z) arrays, channel-mode feature extraction
 into one 1-d network input and rolling-window counting for continuous
 sessions. Recordings are immutable after construction and every operation is
-a pure function of its inputs. CSV text is read and written in blocks, so
-memory for a session holds its arrays, not its text.
+a pure function of its inputs. A CSV source is read as bytes and decoded in
+blocks cut at line ends, and CSV text is written in blocks, so memory for a
+session holds its arrays, not its text.
 """
 
 from __future__ import annotations
 
-import codecs
 import io
 import warnings
 from contextlib import nullcontext
@@ -149,40 +149,36 @@ class SensorRecording:
         return self.t.shape[0]
 
 
-Source = Union[str, Path, bytes, IO[bytes], IO[str]]
+Source = Union[str, Path, bytes, IO[bytes]]
 
-# Characters (bytes for a binary source) per read of a CSV source.
+# Bytes per read of a CSV source.
 READ_CHUNK = 1 << 18
 
 
-def _line_blocks(fh: Union[IO[bytes], IO[str]]) -> Iterator[str]:
-    """The text of fh in blocks cut after the last "\\n" of each read, so that
-    the blocks' splitlines() are, in order, the splitlines() of the whole text.
-    Bytes are decoded incrementally, so a character split by a read decodes;
-    bytes that are not UTF-8 raise MalformedRow naming their offset in fh."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    read = 0  # bytes read so far
-
-    def decode(chunk: bytes, final: bool = False) -> str:
+def _line_blocks(fh: IO[bytes]) -> Iterator[str]:
+    """The text of fh in blocks cut after the last b"\\n" of each read, so that
+    the blocks' splitlines() are, in order, the splitlines() of the whole text;
+    a cut after b"\\n" never splits a character. Bytes that are not UTF-8 raise
+    MalformedRow naming their offset in fh; a text stream raises TypeError."""
+    decoded = 0  # bytes decoded so far
+    tail = b""
+    while True:
+        chunk = fh.read(READ_CHUNK)
+        if isinstance(chunk, str):
+            raise TypeError("a CSV source is a path, bytes or a binary stream")
+        data = tail + chunk
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)  # an empty read ends fh
         try:
-            return decoder.decode(chunk, final)
-        except UnicodeDecodeError as exc:  # exc.object: held-back bytes + chunk
-            offset = read - len(exc.object) + exc.start
-            raise MalformedRow(f"byte {offset}: not UTF-8 ({exc.reason})") from None
-
-    tail = ""
-    while chunk := fh.read(READ_CHUNK):
-        if not isinstance(chunk, str):
-            read += len(chunk)
-            chunk = decode(chunk)
-        text = tail + chunk
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield text[:cut]
-        tail = text[cut:]
-    tail += decode(b"", final=True)
-    if tail:
-        yield tail
+            text = data[:cut].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(f"byte {decoded + exc.start}: not UTF-8 "
+                               f"({exc.reason})") from None
+        if text:
+            yield text
+        if not chunk:
+            return
+        decoded += cut
+        tail = data[cut:]
 
 
 def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOWN,
@@ -195,9 +191,10 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     for unordered timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
-    The text is parsed in blocks of about READ_CHUNK characters and never held
-    whole. A non-finite field is raised only after the last block, so every
-    error is the one a parse of the whole text would raise.
+    `source` is a path, bytes or a binary stream; a text stream raises
+    TypeError. The bytes are read READ_CHUNK at a time and parsed in blocks
+    cut at line ends, never held whole. Every error is the one a parse of the
+    whole text would raise, and bytes that are not UTF-8 are named first.
     """
     if isinstance(source, (str, Path)):
         opened = open(source, "rb")
@@ -205,32 +202,37 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
         opened = nullcontext(io.BytesIO(source) if isinstance(source, bytes) else source)
     with opened as fh:
         blocks = _line_blocks(fh)
-        head = next(blocks, "").splitlines()
-        if not head or head[0].strip() != CSV_HEADER:
-            raise MalformedRow(f"first line must be the header {CSV_HEADER!r}")
-        parts = []
-        lineno = 2  # the line number of lines[0]
-        nonfinite = None  # the line of the first non-finite field
-        first = None  # the line of the first data row
-        for lines in chain([head[1:]], map(str.splitlines, blocks)):
-            body = list(filter(str.strip, lines))  # blank lines are skipped
-            if any(line.count(",") != 3 for line in body):
-                _raise_first_bad_row(lines, lineno)
-            fields = ",".join(body).split(",") if body else []
-            try:
-                data = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
-            except ValueError:
-                _raise_first_bad_row(lines, lineno)
-                raise
-            data = data.reshape(len(body), 4)
-            if first is None and body:
-                first = next(n for n, line in enumerate(lines, start=lineno) if line.strip())
-            finite = np.isfinite(data).all(axis=1)
-            if nonfinite is None and not finite.all():
-                linenos = [n for n, line in enumerate(lines, start=lineno) if line.strip()]
-                nonfinite = linenos[np.flatnonzero(~finite)[0]]
-            parts.append(data)
-            lineno += len(lines)
+        try:
+            head = next(blocks, "").splitlines()
+            if not head or head[0].strip() != CSV_HEADER:
+                raise MalformedRow(f"first line must be the header {CSV_HEADER!r}")
+            parts = []
+            lineno = 2  # the line number of lines[0]
+            nonfinite = None  # the line of the first non-finite field
+            first = None  # the line of the first data row
+            for lines in chain([head[1:]], map(str.splitlines, blocks)):
+                body = list(filter(str.strip, lines))  # blank lines are skipped
+                if any(line.count(",") != 3 for line in body):
+                    _raise_first_bad_row(lines, lineno)
+                fields = ",".join(body).split(",") if body else []
+                try:
+                    data = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+                except ValueError:
+                    _raise_first_bad_row(lines, lineno)
+                    raise
+                data = data.reshape(len(body), 4)
+                if first is None and body:
+                    first = next(n for n, line in enumerate(lines, start=lineno) if line.strip())
+                finite = np.isfinite(data).all(axis=1)
+                if nonfinite is None and not finite.all():
+                    linenos = [n for n, line in enumerate(lines, start=lineno) if line.strip()]
+                    nonfinite = linenos[np.flatnonzero(~finite)[0]]
+                parts.append(data)
+                lineno += len(lines)
+        except MalformedRow:
+            for _ in blocks:  # decode the rest: a byte that is not UTF-8 wins
+                pass
+            raise
     rows = sum(map(len, parts))
     if rows < 2:
         raise EmptyRecording(f"need at least 2 data rows, got {rows}")

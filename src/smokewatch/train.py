@@ -380,7 +380,7 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
                   max_epochs: int = DEFAULT_MAX_EPOCHS,
                   ) -> tuple[mlp.Network, TrainReport, list[RestartSummary], int]:
     """Independent restarts on one fixed partition; keeps the restart with
-    the highest training-set accuracy at threshold 0.5 and returns its
+    the highest training-set accuracy at the default threshold and returns its
     network, its report, the summary of every restart run and its index.
 
     Restart r initializes from seed master_seed XOR r, so the outcome does
@@ -399,7 +399,8 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
         seed = master_seed ^ r
         net, report = train(train_split, val_split, seed, hidden_size, max_epochs)
         acc = metrics.evaluate(mlp.forward_batch(net, train_split.features),
-                               train_split.smoking, 0.5).accuracy
+                               train_split.smoking,
+                               metrics.DEFAULT_THRESHOLD).accuracy
         nets.append(net)
         reports.append(report)
         summaries.append(RestartSummary(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smokewatch import cli, mlp
+from smokewatch import cli, metrics, mlp
 from smokewatch.detect import GestureRanges, save_ranges
 from smokewatch.signal import (
     ChannelMode,
@@ -275,7 +275,7 @@ def test_parser_is_built_once_and_namespaces_stay_apart(pipeline, tmp_path,
     assert run("train", "--data", str(pipeline["data"]), "--modes", "X",
                "--restarts", "1", "--max-epochs", "3",
                "--out", str(tmp_path / "m2")) == 0
-    assert seen[-1]["threshold"] == mlp.DEFAULT_THRESHOLD
+    assert seen[-1]["threshold"] == metrics.DEFAULT_THRESHOLD
     assert seen[-1]["restarts"] == 1
 
 

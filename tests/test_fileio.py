@@ -36,6 +36,23 @@ def test_atomic_writes_get_the_mode_of_a_plain_open(tmp_path):
     assert (tmp_path / "chunks.txt").read_text() == "xy"
 
 
+def test_atomic_writes_follow_a_umask_set_after_import(tmp_path):
+    # the umask in force at each write decides the mode, not the one in force
+    # when fileio was imported
+    old = os.umask(0o077)
+    try:
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        atomic_write_text(tmp_path / "text.txt", "x")
+        with atomic_open(tmp_path / "chunks.txt") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    assert mode_of(tmp_path / "plain.txt") == 0o600
+    assert mode_of(tmp_path / "text.txt") == mode_of(tmp_path / "plain.txt")
+    assert mode_of(tmp_path / "chunks.txt") == mode_of(tmp_path / "plain.txt")
+
+
 def test_atomic_open_failure_leaves_the_target_alone(tmp_path):
     target = tmp_path / "t.csv"
     target.write_text("old\n")

@@ -7,7 +7,8 @@ also scanned for imported names that it never uses, and every error class
 must be raised somewhere in the package. The package needs numpy alone, so
 importing its CLI must not load scipy. The package root holds only the
 version, `fileio` alone encodes JSON, `metrics` alone compares outputs
-with a threshold, and the README's library example runs as written.
+with a threshold, no module sets the umask, and the README's library example
+runs as written.
 """
 
 import ast
@@ -132,6 +133,25 @@ def test_only_fileio_imports_json():
     importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
                  if "json" in imported_modules(p.read_text(encoding="utf-8"))]
     assert importers == ["fileio.py"]
+
+
+def umask_calls(source: str) -> list[int]:
+    """Lines of calls to `os.umask` (or a bare `umask`). The umask can only
+    be read by setting it, which races every other thread's file creation."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "umask"]
+
+
+def test_no_module_sets_the_umask():
+    found = {p.name: umask_calls(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_umask_scan_finds_a_call():
+    assert umask_calls("import os\nm = os.umask(0)\nos.umask(m)\n"
+                       "from os import umask\numask(0o22)\nos.umask\n") == [2, 3, 5]
 
 
 def threshold_compares(source: str) -> list[int]:

@@ -7,6 +7,7 @@ independently of np.interp.
 import io
 import math
 import re
+from typing import Union
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_load_csv_roundtrip(rng):
     rec = make_recording(rng.normal(size=(37, 3)), label=GestureClass.COUGH)
     buf = io.StringIO()
     write_recording_csv(rec, buf)
-    back = load_recording_csv(io.StringIO(buf.getvalue()),
+    back = load_recording_csv(buf.getvalue().encode(),
                               label=GestureClass.COUGH, device="test")
     assert np.array_equal(back.t, rec.t)
     assert np.array_equal(back.x, rec.x)
@@ -65,34 +66,34 @@ def test_load_csv_roundtrip(rng):
 
 def test_load_csv_three_rows():
     text = "t,x,y,z\n0.0,1,2,3\n0.02,4,5,6\n0.04,7,8,9\n"
-    rec = load_recording_csv(io.StringIO(text))
+    rec = load_recording_csv(text.encode())
     assert len(rec) == 3
     assert rec.x[2] == 7.0
 
 
 def test_load_csv_header_only_is_empty():
     with pytest.raises(EmptyRecording):
-        load_recording_csv(io.StringIO("t,x,y,z\n"))
+        load_recording_csv(b"t,x,y,z\n")
 
 
 def test_load_csv_single_row_is_empty():
     with pytest.raises(EmptyRecording):
-        load_recording_csv(io.StringIO("t,x,y,z\n0.0,1,2,3\n"))
+        load_recording_csv(b"t,x,y,z\n0.0,1,2,3\n")
 
 
 def test_load_csv_rejects_bad_header():
     with pytest.raises(MalformedRow):
-        load_recording_csv(io.StringIO("time,x,y,z\n0,1,2,3\n0.1,1,2,3\n"))
+        load_recording_csv(b"time,x,y,z\n0,1,2,3\n0.1,1,2,3\n")
 
 
 def test_load_csv_rejects_non_numeric():
     with pytest.raises(MalformedRow):
-        load_recording_csv(io.StringIO("t,x,y,z\n0.0,a,2,3\n0.1,1,2,3\n"))
+        load_recording_csv(b"t,x,y,z\n0.0,a,2,3\n0.1,1,2,3\n")
 
 
 def test_load_csv_rejects_wrong_column_count():
     with pytest.raises(MalformedRow):
-        load_recording_csv(io.StringIO("t,x,y,z\n0.0,1,2\n0.1,1,2\n"))
+        load_recording_csv(b"t,x,y,z\n0.0,1,2\n0.1,1,2\n")
 
 
 @pytest.mark.parametrize("column", [0, 2], ids=["t", "y"])
@@ -103,7 +104,7 @@ def test_load_csv_rejects_non_finite_field(column, bad):
     text = "\n".join([CSV_HEADER, *(",".join(r) for r in rows[:2]), "",
                       *(",".join(r) for r in rows[2:])]) + "\n"
     with pytest.raises(MalformedRow, match="^line 5: non-finite field$"):
-        load_recording_csv(io.StringIO(text))
+        load_recording_csv(text.encode())
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -119,7 +120,7 @@ def test_load_csv_names_the_line_after_a_blank_line(bad, message):
     text = "\n".join([CSV_HEADER, "0.0,1,2,3", "0.02,1,2,3", "", bad, later,
                       "0.08,1,2,3"]) + "\n"
     with pytest.raises(MalformedRow, match=f"^{re.escape(message)}$"):
-        load_recording_csv(io.StringIO(text))
+        load_recording_csv(text.encode())
 
 
 def test_load_csv_crlf_equals_lf(rng):
@@ -134,10 +135,10 @@ def test_load_csv_crlf_equals_lf(rng):
         assert np.array_equal(getattr(a, name), getattr(rec, name))
 
 
-def load_every_way(text: str, tmp_path, monkeypatch) -> list:
-    """load_recording_csv of the text from a path, bytes and str IO in one
-    read, then from str IO and IO[bytes] at every read size from 1 to the
-    whole text; each result is the (4, n) data or the error's message."""
+def load_every_way(text: Union[str, bytes], tmp_path, monkeypatch) -> list:
+    """load_recording_csv of the text (UTF-8 encoded if a str) from a path,
+    bytes and IO[bytes] at every read size from 1 to the whole text; each
+    result is the (4, n) data or the error's message."""
     def outcome(source):
         try:
             rec = load_recording_csv(source)
@@ -145,13 +146,13 @@ def load_every_way(text: str, tmp_path, monkeypatch) -> list:
             return f"MalformedRow: {exc}"
         return np.stack([rec.t, rec.x, rec.y, rec.z])
 
-    data = text.encode("utf-8")
+    data = text.encode("utf-8") if isinstance(text, str) else text
     path = tmp_path / "s.csv"
     path.write_bytes(data)
-    results = [outcome(path), outcome(data), outcome(io.StringIO(text))]
+    results = []
     for size in range(1, len(data) + 1):
         monkeypatch.setattr(signal, "READ_CHUNK", size)
-        results += [outcome(io.StringIO(text)), outcome(io.BytesIO(data))]
+        results += [outcome(path), outcome(data), outcome(io.BytesIO(data))]
     return results
 
 
@@ -234,16 +235,41 @@ def test_load_csv_names_the_byte_offset_of_bytes_not_utf8(bad, tmp_path, monkeyp
                     load_recording_csv(source)
 
 
+@pytest.mark.parametrize("data", [
+    b"t,x,y,z\n0.0,a,2,3\n0.02,1,2,3\n0.04,\xff,2,3\n0.06,1,2,3\n",
+    b"time,x,y,z\n0.0,1,2,3\n0.02,1,2,3\n0.04,\xff,2,3\n",
+], ids=["bad-row", "bad-header"])
+def test_load_csv_names_bytes_not_utf8_after_an_earlier_fault(data, tmp_path, monkeypatch):
+    # the byte comes after a malformed row or header; reads that end before
+    # it must not let the earlier fault be named instead
+    offset = data.index(b"\xff")
+    assert_all(load_every_way(data, tmp_path, monkeypatch),
+               f"MalformedRow: byte {offset}: not UTF-8 (invalid start byte)")
+
+
+@pytest.mark.parametrize("text", ["t,x,y,z\n0.0,1,2,3\n0.02,4,5,6\n", ""],
+                         ids=["csv", "empty"])
+def test_load_csv_rejects_a_text_stream(text, tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    for size in (1, len(text) + 1):
+        monkeypatch.setattr(signal, "READ_CHUNK", size)
+        with open(path, encoding="utf-8") as fh:
+            for source in (io.StringIO(text), fh):
+                with pytest.raises(TypeError, match="path, bytes or a binary stream"):
+                    load_recording_csv(source)
+
+
 def test_load_csv_rejects_non_monotonic_time():
     text = "t,x,y,z\n0.0,1,2,3\n0.02,1,2,3\n0.02,1,2,3\n"
     with pytest.raises(NonMonotonicTime):
-        load_recording_csv(io.StringIO(text))
+        load_recording_csv(text.encode())
 
 
 def test_load_csv_warns_on_rate_deviation():
     rows = "\n".join(f"{i*0.05},0,0,1" for i in range(10))
     with pytest.warns(SampleRateWarning):
-        load_recording_csv(io.StringIO(f"{CSV_HEADER}\n{rows}\n"))
+        load_recording_csv(f"{CSV_HEADER}\n{rows}\n".encode())
 
 
 def test_write_csv_uses_roundtrip_floats(tmp_path):
