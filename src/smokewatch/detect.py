@@ -1,8 +1,8 @@
 """Continuous-session detection over rolling raw windows.
 
-The network slides across the session at a fixed stride; each output is
-anchored at its window's start sample index. The input scaling is folded into
-the first layer once per call (`Network.raw_first_layer`), each signal is
+The network slides across the session at a fixed stride, and output k belongs
+to the window that starts at sample `k * stride`. The input scaling is folded
+into the first layer once per call (`Network.raw_first_layer`), each signal is
 centred once so that the folded layer rounds like the scaled one, and the
 windows are cut from strided views of the centred signals in blocks of
 `BLOCK_WINDOWS`, each passed through `kernels.batch_forward`, so memory stays
@@ -31,7 +31,6 @@ from .errors import (
     LengthMismatch,
     MalformedRanges,
     SessionTooShort,
-    UnorderedStarts,
 )
 from .fileio import atomic_open, read_json, write_json
 from .signal import SensorRecording, window_count
@@ -47,23 +46,26 @@ NEAR_THRESHOLD = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class DetectionTrace:
-    """One network output per window, anchored at the window's start index;
-    the starts are non-negative and strictly increasing."""
+    """One network output per window; output k belongs to the window that
+    starts at sample `k * stride`."""
 
-    starts: np.ndarray
     outputs: np.ndarray
+    stride: int
     threshold: float
 
     def __post_init__(self):
-        object.__setattr__(self, "starts", np.asarray(self.starts, dtype=np.intp))
         object.__setattr__(self, "outputs", np.asarray(self.outputs, dtype=np.float64))
-        if self.starts.ndim != 1 or self.starts.shape != self.outputs.shape:
-            raise LengthMismatch("starts and outputs must be 1-d and equally long")
-        if len(self) and (self.starts[0] < 0 or np.any(np.diff(self.starts) <= 0)):
-            raise UnorderedStarts("window starts must be non-negative and strictly increasing")
+        if self.outputs.ndim != 1:
+            raise LengthMismatch("outputs must be 1-d")
+        if self.stride < 1:
+            raise InvalidSize("stride must be >= 1")
 
     def __len__(self) -> int:
-        return self.starts.shape[0]
+        return self.outputs.shape[0]
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.arange(len(self), dtype=np.intp) * self.stride
 
     @property
     def decisions(self) -> np.ndarray:
@@ -142,8 +144,7 @@ def detect_session(network: mlp.Network, session: SensorRecording,
         hi = min(lo + BLOCK_WINDOWS, n)
         outputs[lo:hi] = kernels.batch_forward(w, b, network.w2, network.b2,
                                                _block_inputs(views, lo, hi))
-    starts = np.arange(n, dtype=np.intp) * stride
-    return DetectionTrace(starts=starts, outputs=outputs, threshold=threshold)
+    return DetectionTrace(outputs=outputs, stride=stride, threshold=threshold)
 
 
 def score_trace(trace: DetectionTrace,
@@ -177,15 +178,16 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     `fileio.BLOCK_ROWS` sample indices the outputs of the windows starting in
     it are formatted once, for both files; through `atomic_open`, so an error
     replaces neither target."""
-    starts, outputs = trace.starts, trace.outputs
+    stride, outputs = trace.stride, trace.outputs
     smoking = trace.decisions.view(np.int8)
+    last = (len(trace) - 1) * stride
     if plot_path is None:
-        n = int(starts[-1]) + 1 if len(trace) else 0
+        n = last + 1 if len(trace) else 0
     else:
         n = len(session)
-        if len(trace) and starts[-1] >= n:
+        if len(trace) and last >= n:
             raise LengthMismatch(
-                f"a window starts at sample {starts[-1]} of a {n}-sample session")
+                f"a window starts at sample {last} of a {n}-sample session")
     with ExitStack() as stack:
         tf = None if path is None else stack.enter_context(atomic_open(path))
         pf = None if plot_path is None else stack.enter_context(atomic_open(plot_path))
@@ -195,16 +197,16 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
             pf.write(PLOT_HEADER + "\n")
         for lo in range(0, n, fileio.BLOCK_ROWS):
             hi = min(lo + fileio.BLOCK_ROWS, n)
-            a, b = np.searchsorted(starts, (lo, hi))
-            block = starts[a:b].tolist()
+            # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride)
+            a, b = -(-lo // stride), min(-(-hi // stride), len(trace))
             reprs = list(map(repr, outputs[a:b].tolist()))
             if tf is not None:
                 tf.write("".join(f"{s},{o},{d}\n" for s, o, d in
-                                 zip(block, reprs, smoking[a:b].tolist())))
+                                 zip(range(a * stride, b * stride, stride), reprs,
+                                     smoking[a:b].tolist())))
             if pf is not None:
                 tails = [""] * (hi - lo)
-                for start, out in zip(block, reprs):
-                    tails[start - lo] = out
+                tails[a * stride - lo:b * stride - lo:stride] = reprs
                 rows = zip(range(lo, hi), session.x[lo:hi].tolist(),
                            session.y[lo:hi].tolist(), session.z[lo:hi].tolist(), tails)
                 pf.write("".join(f"{i},{x!r},{y!r},{z!r},{t}\n" for i, x, y, z, t in rows))

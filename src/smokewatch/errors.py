@@ -58,10 +58,6 @@ class SessionTooShort(SmokewatchError):
     """A session has no room for even one full window."""
 
 
-class UnorderedStarts(SmokewatchError):
-    """Window start indices are negative or not strictly increasing."""
-
-
 class MalformedRanges(SmokewatchError, ValueError):
     """A ranges file is not a JSON list of objects with integer start and
     end, or holds empty, unsorted or overlapping ranges."""

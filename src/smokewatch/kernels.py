@@ -28,12 +28,9 @@ OPEN_HI = float(np.nextafter(1.0, 0.0))
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument only, so neither branch overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def batch_forward(w1, b1, w2, b2, xn):

@@ -222,6 +222,24 @@ def save_model(network: Network, path: Union[str, Path],
     write_json(path, doc)
 
 
+def _json_value(doc: dict, key: str, types: tuple[type, ...]):
+    """doc[key] if it is one of types and not a bool; MalformedModel otherwise,
+    where int() or float() would read a string, a bool or a fraction."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise MalformedModel(f"{key} holds the ill-typed value {value!r}")
+    return value
+
+
+def _json_array(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as an array if it holds JSON numbers only; MalformedModel for
+    strings, bools or nulls among them."""
+    value = np.asarray(doc[key])
+    if value.dtype.kind not in "if":
+        raise MalformedModel(f"{key} must hold JSON numbers only")
+    return value
+
+
 def load_model(path: Union[str, Path]) -> tuple[Network, float]:
     """Read a model file; returns the network and its stored threshold.
 
@@ -235,19 +253,20 @@ def load_model(path: Union[str, Path]) -> tuple[Network, float]:
             raise MalformedModel(
                 f"unsupported model version {doc.get('version')!r}")
         net = Network(
-            input_size=int(doc["input_size"]),
-            hidden_size=int(doc["hidden_size"]),
-            w1=np.asarray(doc["w1"], dtype=np.float64),
-            b1=np.asarray(doc["b1"], dtype=np.float64),
-            w2=np.asarray(doc["w2"], dtype=np.float64),
-            b2=float(doc["b2"]),
+            input_size=_json_value(doc, "input_size", (int,)),
+            hidden_size=_json_value(doc, "hidden_size", (int,)),
+            w1=_json_array(doc, "w1"),
+            b1=_json_array(doc, "b1"),
+            w2=_json_array(doc, "w2"),
+            b2=_json_value(doc, "b2", (int, float)),
             mode=ChannelMode.parse(doc["mode"]),
-            norm=NormParams(lo=doc["norm_min"], hi=doc["norm_max"]),
+            norm=NormParams(lo=_json_array(doc, "norm_min"),
+                            hi=_json_array(doc, "norm_max")),
         )
-        threshold = float(doc["threshold"])
+        threshold = float(_json_value(doc, "threshold", (int, float)))
     except KeyError as exc:
         raise MalformedModel(f"model file lacks key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedModel(f"malformed model file: {exc}") from None
     except (InvalidSize, LengthMismatch) as exc:
         raise MalformedModel(str(exc)) from None

@@ -23,6 +23,7 @@ output is bit-identical to it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -46,15 +47,23 @@ REST = (0.0, 0.0, 1.0)
 IDLE_NOISE_SIGMA = 0.015
 
 
+def _real(what: str, value) -> float:
+    """value as a float; TypeError unless it is a real number. float() alone
+    would read a numeric string or a bool as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must hold numbers, got {value!r}")
+    return float(value)
+
+
 def _finite_triple(what: str, values) -> tuple[float, float, float]:
-    out = tuple(float(v) for v in values)
+    out = tuple(_real(what, v) for v in values)
     if len(out) != 3 or not all(map(math.isfinite, out)):
         raise ValueError(f"{what} must hold 3 finite values, got {list(out)}")
     return out
 
 
 def _nonnegative(what: str, value) -> float:
-    value = float(value)
+    value = _real(what, value)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{what} must be finite and >= 0, got {value}")
     return value
@@ -66,7 +75,7 @@ class Segment:
     levels: tuple[float, float, float]
 
     def __post_init__(self):
-        duration = float(self.duration)
+        duration = _real("segment duration", self.duration)
         if not (math.isfinite(duration) and duration > 0.0):
             raise ValueError(f"segment duration must be finite and > 0, got {duration}")
         object.__setattr__(self, "duration", duration)
@@ -91,7 +100,7 @@ class GestureTemplate:
         if not segments:
             raise ValueError("a template needs at least one segment")
         rest = _finite_triple("rest", self.rest)
-        duration_jitter = float(self.duration_jitter)
+        duration_jitter = _real("duration jitter", self.duration_jitter)
         if not 0.0 <= duration_jitter < 1.0:
             raise ValueError(f"duration jitter must lie in [0, 1), got {duration_jitter}")
         durations = np.array([s.duration for s in segments])

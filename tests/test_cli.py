@@ -160,8 +160,11 @@ def test_synth_config_override(tmp_path):
     '"noise_sigma": NaN}}}',
     '{"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}], '
     '"duration_jitter": 1.5}}}',
+    '{"templates": {"cough": {"segments": [{"duration": "0.8", "levels": [0, 0, 1]}]}}}',
+    '{"profiles": {"bench": {"scale": [true, 1, 1]}}}',
 ], ids=["json", "segments", "levels", "class", "scale", "levels-2", "duration-nan",
-        "level-nan", "rest-2", "offset-2", "sigma-nan", "jitter-1.5"])
+        "level-nan", "rest-2", "offset-2", "sigma-nan", "jitter-1.5", "duration-str",
+        "scale-bool"])
 def test_synth_malformed_config_exits_1_before_writing(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -335,8 +338,19 @@ def test_eval_missing_model_exits_1(pipeline, tmp_path, capsys):
     (lambda doc: doc["w1"].pop(), "MalformedModel"),
     (lambda doc: doc["norm_min"].pop(), "MalformedModel"),
     (lambda doc: doc.update(mode="XYZ"), "MalformedModel"),
+    # values that int() or float() would read; the model file holds numbers
+    (lambda doc: doc.update(input_size=doc["input_size"] + 0.9), "MalformedModel"),
+    (lambda doc: doc.update(hidden_size=str(doc["hidden_size"])), "MalformedModel"),
+    (lambda doc: doc.update(b2="0.25"), "MalformedModel"),
+    (lambda doc: doc.update(b2=True), "MalformedModel"),
+    (lambda doc: doc.update(threshold="0.5"), "MalformedModel"),
+    (lambda doc: doc.update(w1=[[str(v) for v in row] for row in doc["w1"]]),
+     "MalformedModel"),
+    (lambda doc: doc.update(b2=10 ** 400), "MalformedModel"),  # no float holds it
 ], ids=["missing-key", "bad-version", "bad-threshold", "nan-norm", "short-w1",
-        "short-norm-min", "xyz-on-200-inputs"])
+        "short-norm-min", "xyz-on-200-inputs", "fractional-input-size",
+        "string-hidden-size", "string-b2", "bool-b2", "string-threshold", "string-w1",
+        "huge-b2"])
 def test_eval_malformed_model_exits_1(pipeline, tmp_path, capsys, edit, error):
     doc = json.loads(pipeline["model"].read_text())
     edit(doc)

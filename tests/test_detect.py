@@ -43,8 +43,7 @@ def zero_network(width: int, mode: ChannelMode = ChannelMode.X) -> mlp.Network:
 
 def make_trace(decisions, stride=1, threshold=0.5):
     outputs = np.where(decisions, 0.9, 0.1)
-    return DetectionTrace(starts=np.arange(len(decisions)) * stride,
-                          outputs=outputs, threshold=threshold)
+    return DetectionTrace(outputs=outputs, stride=stride, threshold=threshold)
 
 
 # --- GestureRanges -----------------------------------------------------------
@@ -295,8 +294,7 @@ def test_score_trace_lower_threshold_never_undetects(rng):
     truth = GestureRanges(ranges=((5, 20), (33, 41)))
     detected_prev = None
     for thr in (0.9, 0.6, 0.3, 0.1):
-        trace = DetectionTrace(starts=np.arange(len(outs)), outputs=outs,
-                               threshold=thr)
+        trace = DetectionTrace(outputs=outs, stride=1, threshold=thr)
         _, flags = score_trace(trace, truth)
         if detected_prev is not None:
             assert all(not p or c for p, c in zip(detected_prev, flags))
@@ -304,7 +302,7 @@ def test_score_trace_lower_threshold_never_undetects(rng):
 
 
 def test_score_trace_rejects_empty():
-    trace = DetectionTrace(starts=[], outputs=[], threshold=0.5)
+    trace = DetectionTrace(outputs=[], stride=1, threshold=0.5)
     with pytest.raises(EmptyTrace):
         score_trace(trace, GestureRanges(ranges=()))
 
@@ -353,8 +351,7 @@ def test_score_trace_brute_force_recount(rng):
     for n, stride, truth in cases:
         outs = rng.uniform(0, 1, n)
         thr = float(rng.uniform(0.2, 0.8))
-        trace = DetectionTrace(starts=np.arange(n) * stride, outputs=outs,
-                               threshold=thr)
+        trace = DetectionTrace(outputs=outs, stride=stride, threshold=thr)
         report, flags = score_trace(trace, truth)
         counts, detected = brute_force_score(trace.starts.tolist(), outs.tolist(),
                                              thr, truth)
@@ -381,8 +378,7 @@ def test_plot_series_alignment(rng, tmp_path):
 
 def test_plot_csv_format(tmp_path):
     rec = make_recording(np.array([[0.5, -1.0, 0.25], [0.1, 0.2, 0.3]]))
-    trace = DetectionTrace(starts=np.array([0]), outputs=np.array([0.75]),
-                           threshold=0.5)
+    trace = DetectionTrace(outputs=np.array([0.75]), stride=1, threshold=0.5)
     path = tmp_path / "plot.csv"
     write_plot_csv(trace, rec, path)
     lines = path.read_text().splitlines()

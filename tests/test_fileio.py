@@ -16,7 +16,7 @@ import pytest
 from conftest import make_recording
 from smokewatch import detect, fileio
 from smokewatch.detect import DetectionTrace, write_plot_csv, write_trace_csv
-from smokewatch.errors import LengthMismatch, UnorderedStarts
+from smokewatch.errors import InvalidSize, LengthMismatch
 from smokewatch.fileio import BLOCK_ROWS, atomic_open, atomic_write_text
 from smokewatch.signal import write_recording_csv
 
@@ -70,9 +70,10 @@ def test_atomic_open_failure_leaves_the_target_alone(tmp_path):
 @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_writers_equal_one_shot_formatting(n, tmp_path):
     # a session of max(n, 2) rows (a recording needs 2) and windows starting
-    # at 0, stride, 2*stride, ... below n; a stride of BLOCK_ROWS + 1 leaves
-    # blocks with no window. The trace and plot CSVs are written alone and
-    # together.
+    # at 0, stride, 2*stride, ... below n; strides of BLOCK_ROWS - 1 and
+    # BLOCK_ROWS put a window on the last and on the first row of a block, and
+    # one of BLOCK_ROWS + 1 leaves blocks with no window. The trace and plot
+    # CSVs are written alone and together.
     rng = np.random.default_rng(n)
     rec = make_recording(rng.normal(size=(max(n, 2), 3)))
     t, x, y, z = (a.tolist() for a in (rec.t, rec.x, rec.y, rec.z))
@@ -84,9 +85,9 @@ def test_writers_equal_one_shot_formatting(n, tmp_path):
     assert (tmp_path / "r.csv").read_bytes() == want_recording.encode()
     assert buf.getvalue() == want_recording
 
-    for stride in (1, 3, BLOCK_ROWS + 1):
+    for stride in (1, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1):
         starts = list(range(0, n, stride))
-        trace = DetectionTrace(starts=starts, outputs=rng.uniform(0, 1, len(starts)),
+        trace = DetectionTrace(outputs=rng.uniform(0, 1, len(starts)), stride=stride,
                                threshold=0.5)
         outputs = dict(zip(starts, trace.outputs.tolist()))
         want_trace = "\n".join(["start,output,smoking"] + [
@@ -122,8 +123,7 @@ def test_a_failing_plot_write_replaces_neither_file(allowed, tmp_path, monkeypat
     # targets keep their old text and no temp file is left
     monkeypatch.setattr(fileio, "BLOCK_ROWS", 4)
     rec = make_recording(np.arange(30.0).reshape(10, 3))
-    trace = DetectionTrace(starts=np.arange(8), outputs=np.linspace(0, 1, 8),
-                           threshold=0.5)
+    trace = DetectionTrace(outputs=np.linspace(0, 1, 8), stride=1, threshold=0.5)
     (tmp_path / "t.csv").write_text("old trace\n")
     (tmp_path / "p.csv").write_text("old plot\n")
 
@@ -140,18 +140,19 @@ def test_a_failing_plot_write_replaces_neither_file(allowed, tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.csv"]
 
 
-def test_trace_rejects_unordered_starts():
-    # the writers pair each block of samples with the windows starting in it
-    # in one pass, so a trace holds its starts in strictly increasing order
-    for starts in ([7, 2, 9], [0, 2, 2, 5], [-1, 3]):  # unsorted, repeated, negative
-        with pytest.raises(UnorderedStarts):
-            DetectionTrace(starts=np.array(starts), outputs=np.zeros(len(starts)),
-                           threshold=0.5)
+def test_trace_rejects_a_stride_below_1_and_2d_outputs():
+    # window k starts at k * stride, so a stride below 1 would give repeated
+    # or negative starts
+    for stride in (0, -1):
+        with pytest.raises(InvalidSize):
+            DetectionTrace(outputs=np.zeros(3), stride=stride, threshold=0.5)
+    with pytest.raises(LengthMismatch):
+        DetectionTrace(outputs=np.zeros((2, 3)), stride=1, threshold=0.5)
 
 
 def test_plot_rejects_windows_past_the_session(tmp_path):
     rec = make_recording(np.zeros((5, 3)))
-    trace = DetectionTrace(starts=[0, 5], outputs=[0.1, 0.2], threshold=0.5)
+    trace = DetectionTrace(outputs=[0.1, 0.2], stride=5, threshold=0.5)
     with pytest.raises(LengthMismatch):
         write_plot_csv(trace, rec, tmp_path / "p.csv")
     assert not (tmp_path / "p.csv").exists()

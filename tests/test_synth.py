@@ -321,8 +321,16 @@ def test_load_synth_config_merges_over_defaults(tmp_path):
                              "noise_sigma": NAN}}},
     {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}],
                              "duration_jitter": 1.5}}},
+    # float() would read these as 0.8, 0.85, 1.0 and 0.0; a config holds numbers
+    {"templates": {"cough": {"segments": [{"duration": "0.8", "levels": [0, 0, 1]}]}}},
+    {"templates": {"cough": {"segments": [{"duration": 1, "levels": ["0.85", True, 0.3]}]}}},
+    {"profiles": {"bench": {"scale": [True, 1, 1]}}},
+    {"profiles": {"bench": {"noise_sigma": False}}},
+    {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}],
+                             "duration_jitter": "0.1"}}},
 ], ids=["levels-2", "duration-nan", "level-nan", "rest-2", "offset-2", "sigma-nan",
-        "jitter-1.5"])
+        "jitter-1.5", "duration-str", "levels-str-bool", "scale-bool", "sigma-bool",
+        "jitter-str"])
 def test_load_synth_config_rejects_bad_values(tmp_path, doc):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(doc))  # json writes NaN, as Python reads it
