@@ -23,6 +23,12 @@ otherwise:
   `tests/test_train.py::test_primal_step_matches_the_svd_oracle`;
 - `import smokewatch.cli` in a fresh interpreter: best-of-5 wall time of the
   process, its peak resident set and whether it loaded scipy;
+- CSV text on a 100,000-row session of seed 7 (smokebench's `long_session`
+  size), best of 5: `load_recording_csv` of its file, `write_trace_csv` of
+  a stride-1 trace with its plot, and `write_recording_csv`, each in one
+  part and in the parts `fileio.part_count` gives this host (`split`; not
+  measured on a tree without it); every split file must be byte-identical
+  to the one-part file and every load `array_equal` to the recording;
 - the environment: Python and numpy versions, nproc and the BLAS thread
   variables.
 
@@ -32,9 +38,10 @@ labels, so one file holds the numbers from before and after a change:
     PYTHONPATH=src python3 benchmarks/bench_pipeline.py --label after
 
 The script exits 1 when the Gram step and the oracle step differ by more
-than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, or
-when a mode's `train_best_of` network differs from the full loop's, so a run
-of it is an equivalence check. The smokewatch sources are the ones the
+than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
+a mode's `train_best_of` network differs from the full loop's, or when a
+split CSV load or write differs from the one-part one, so a run of it is an
+equivalence check. The smokewatch sources are the ones the
 script imports, so `PYTHONPATH=<other checkout>/src` measures another tree.
 
 BLAS/OpenMP threads default to 1, as in smokebench, unless already set.
@@ -50,6 +57,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -63,7 +71,7 @@ for _var in THREAD_VARS:
 import numpy as np  # noqa: E402  (after the thread variables)
 
 import smokewatch  # noqa: E402
-from smokewatch import kernels, mlp, synth, train  # noqa: E402
+from smokewatch import detect, fileio, kernels, mlp, signal, synth, train  # noqa: E402
 from smokewatch.signal import ChannelMode  # noqa: E402
 
 MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMode.AVG)
@@ -77,6 +85,8 @@ MAX_REL_DIFF = 1e-12
 BIG_SMOKING = 448
 BIG_CONFOUNDERS = 6 * 442
 MUS = [10.0 ** k for k in range(-12, 13)]
+CSV_ROWS = 100_000
+CSV_REPEATS = 5
 
 
 def best_of(fn, repeats: int) -> dict:
@@ -215,6 +225,48 @@ def import_row() -> dict:
             "scipy_loaded": out[1] == "True"}
 
 
+def csv_rows() -> dict:
+    """CSV load and writes of one CSV_ROWS-row session, in one part and split.
+
+    The session is seed 7's N(0, 0.5) noise on the 50 Hz grid, and the trace
+    one uniform output per stride-1 window of 200 samples. One part is forced
+    by raising `fileio.PART_ROWS` above the row count; a tree without
+    `fileio.part_count` always runs one part.
+    """
+    rng = np.random.default_rng(SEED)
+    xyz = rng.normal(0.0, 0.5, size=(CSV_ROWS, 3))
+    rec = signal.SensorRecording(t=np.arange(CSV_ROWS) / signal.NOMINAL_RATE_HZ,
+                                 x=xyz[:, 0], y=xyz[:, 1], z=xyz[:, 2])
+    trace = detect.DetectionTrace(outputs=rng.uniform(size=CSV_ROWS - 199), stride=1,
+                                  threshold=0.5)
+    splits = {"one_part": CSV_ROWS + 1}
+    if hasattr(fileio, "part_count"):
+        splits["split"] = fileio.PART_ROWS
+    row = {"rows": CSV_ROWS, "split_parts": fileio.part_count(CSV_ROWS) if "split" in splits else 1}
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, part_rows in splits.items():
+            fileio.PART_ROWS = part_rows
+            out = Path(tmp) / name
+            src = out / "session.csv"
+            signal.write_recording_csv(rec, src)
+            loaded = []
+            row[name] = {
+                "load": best_of(lambda: loaded.append(signal.load_recording_csv(src)),
+                                CSV_REPEATS),
+                "write_trace_plot": best_of(lambda: detect.write_trace_csv(
+                    trace, out / "trace.csv", rec, out / "plot.csv"), CSV_REPEATS),
+                "write_recording": best_of(lambda: signal.write_recording_csv(
+                    rec, out / "recording.csv"), CSV_REPEATS),
+                "load_equal": all(np.array_equal(getattr(got, a), getattr(rec, a))
+                                  for got in loaded for a in "txyz"),
+            }
+            files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    fileio.PART_ROWS = splits.get("split", splits["one_part"])
+    row["files_identical"] = all(f == files["one_part"] for f in files.values())
+    return row
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key to store this run under")
@@ -238,6 +290,7 @@ def main(argv=None) -> int:
                     for mode in (ChannelMode.X, ChannelMode.XYZ)},
         "primal_step": primal_rows(),
         "import_cli": import_row(),
+        "csv": csv_rows(),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -256,6 +309,11 @@ def main(argv=None) -> int:
             print(f"{mode}: train_best_of differs from the full restart loop",
                   file=sys.stderr)
             code = 1
+    csv = run["csv"]
+    if not csv["files_identical"] or not all(
+            csv[name]["load_equal"] for name in ("one_part", "split") if name in csv):
+        print("a split CSV load or write differs from the one-part one", file=sys.stderr)
+        code = 1
     svd = run["primal_step"]["svd_oracle"]
     if svd["max_rel_err"] > svd["bound"]:
         print(f"primal step differs from the SVD oracle by {svd['max_rel_err']:.3g} "

@@ -11,7 +11,8 @@ labels a window smoking iff its start index falls inside a range (one
 `np.searchsorted` maps each start to its range), and flags each range as
 detected when at least one window starting inside it fired. The trace and
 plot CSVs are written in one pass over blocks of `fileio.BLOCK_ROWS` samples
-that formats each output once, so neither file is ever held whole as text.
+that formats each output once, so neither file is ever held whole as text;
+a long pass is split into runs of blocks that run at once (`fileio.run_parts`).
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     `write_plot_csv(trace, session, plot_path)`. Per block of
     `fileio.BLOCK_ROWS` sample indices the outputs of the windows starting in
     it are formatted once, for both files; through `atomic_open`, so an error
-    replaces neither target."""
+    replaces neither target. Long writes run in parts (`fileio.run_parts`)."""
     stride, outputs = trace.stride, trace.outputs
     smoking = trace.decisions.view(np.int8)
     last = (len(trace) - 1) * stride
@@ -189,27 +190,34 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
             raise LengthMismatch(
                 f"a window starts at sample {last} of a {n}-sample session")
     with ExitStack() as stack:
-        tf = None if path is None else stack.enter_context(atomic_open(path))
-        pf = None if plot_path is None else stack.enter_context(atomic_open(plot_path))
-        if tf is not None:
-            tf.write(TRACE_HEADER + "\n")
-        if pf is not None:
-            pf.write(PLOT_HEADER + "\n")
-        for lo in range(0, n, fileio.BLOCK_ROWS):
-            hi = min(lo + fileio.BLOCK_ROWS, n)
-            # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride)
-            a, b = -(-lo // stride), min(-(-hi // stride), len(trace))
-            reprs = list(map(repr, outputs[a:b].tolist()))
-            if tf is not None:
-                tf.write("".join(f"{s},{o},{d}\n" for s, o, d in
-                                 zip(range(a * stride, b * stride, stride), reprs,
-                                     smoking[a:b].tolist())))
-            if pf is not None:
-                tails = [""] * (hi - lo)
-                tails[a * stride - lo:b * stride - lo:stride] = reprs
-                rows = zip(range(lo, hi), session.x[lo:hi].tolist(),
-                           session.y[lo:hi].tolist(), session.z[lo:hi].tolist(), tails)
-                pf.write("".join(f"{i},{x!r},{y!r},{z!r},{t}\n" for i, x, y, z, t in rows))
+        files = []  # the trace file, then the plot file
+        for target, header in ((path, TRACE_HEADER), (plot_path, PLOT_HEADER)):
+            if target is not None:
+                files.append(stack.enter_context(atomic_open(target)))
+                files[-1].write(header + "\n")
+
+        def write_rows(first: int, end: int, out) -> None:
+            tf = out[0] if path is not None else None
+            pf = out[-1] if plot_path is not None else None
+            for lo in range(first, end, fileio.BLOCK_ROWS):
+                hi = min(lo + fileio.BLOCK_ROWS, end)
+                # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride)
+                a, b = -(-lo // stride), min(-(-hi // stride), len(trace))
+                reprs = list(map(repr, outputs[a:b].tolist()))
+                if tf is not None:
+                    tf.write("".join(f"{s},{o},{d}\n" for s, o, d in
+                                     zip(range(a * stride, b * stride, stride), reprs,
+                                         smoking[a:b].tolist())))
+                if pf is not None:
+                    tails = [""] * (hi - lo)
+                    tails[a * stride - lo:b * stride - lo:stride] = reprs
+                    rows = zip(range(lo, hi), session.x[lo:hi].tolist(),
+                               session.y[lo:hi].tolist(), session.z[lo:hi].tolist(), tails)
+                    pf.write("".join(f"{i},{x!r},{y!r},{z!r},{t}\n"
+                                     for i, x, y, z, t in rows))
+
+        rows = len(trace) if plot_path is None else n
+        fileio.run_parts(write_rows, fileio.block_bounds(n, rows), files)
 
 
 def write_plot_csv(trace: DetectionTrace, session: SensorRecording,

@@ -6,19 +6,22 @@ into one 1-d network input and rolling-window counting for continuous
 sessions. Recordings are immutable after construction and every operation is
 a pure function of its inputs. A CSV source is read as bytes and decoded in
 blocks cut at line ends, and CSV text is written in blocks, so memory for a
-session holds its arrays, not its text.
+session holds its arrays, not its text; a long CSV is read or written in
+parts that run at once (`fileio.run_parts`).
 """
 
 from __future__ import annotations
 
 import io
+import os
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -153,17 +156,22 @@ Source = Union[str, Path, bytes, IO[bytes]]
 
 # Bytes per read of a CSV source.
 READ_CHUNK = 1 << 18
+# About the bytes of one written row (four repr floats): a file's row count
+# is taken as its size over this when deciding how many parts to load it in.
+ROW_BYTES = 64
 
 
-def _line_blocks(fh: IO[bytes]) -> Iterator[str]:
-    """The text of fh in blocks cut after the last b"\\n" of each read, so that
+def _line_blocks(fh: IO[bytes], start: int = 0, end: Optional[int] = None) -> Iterator[str]:
+    """The text of fh, from offset `start` where it stands up to offset `end`
+    (None: its end), in blocks cut after the last b"\\n" of each read, so that
     the blocks' splitlines() are, in order, the splitlines() of the whole text;
     a cut after b"\\n" never splits a character. Bytes that are not UTF-8 raise
     MalformedRow naming their offset in fh; a text stream raises TypeError."""
-    decoded = 0  # bytes decoded so far
+    decoded = start  # offset of the bytes not yet decoded
     tail = b""
     while True:
-        chunk = fh.read(READ_CHUNK)
+        size = READ_CHUNK if end is None else min(READ_CHUNK, end - decoded - len(tail))
+        chunk = fh.read(size)
         if isinstance(chunk, str):
             raise TypeError("a CSV source is a path, bytes or a binary stream")
         data = tail + chunk
@@ -181,6 +189,113 @@ def _line_blocks(fh: IO[bytes]) -> Iterator[str]:
         tail = data[cut:]
 
 
+class _Part(NamedTuple):
+    """One run of whole lines of a CSV, parsed: its data blocks, its line
+    count and, as line indices within the run, its first data row, its first
+    row with a non-finite field and its first malformed row with the reason
+    (a None index marks a bad header)."""
+
+    data: list[np.ndarray]
+    lines: int
+    first: Optional[int]
+    nonfinite: Optional[int]
+    fault: Optional[tuple[Optional[int], str]]
+
+
+def _parse_part(blocks: Iterator[str], header: bool) -> _Part:
+    """Parse the lines of `blocks`, the first of which must be CSV_HEADER if
+    `header`. Bytes that are not UTF-8 raise MalformedRow; a malformed row or
+    header ends the parse, and the rest of blocks is decoded before it is
+    returned, so that such bytes anywhere are named first."""
+    line_lists = map(str.splitlines, blocks)
+    lineno = 0  # the index of lines[0] in the run
+    if header:
+        head = next(line_lists, [])
+        if not head or head[0].strip() != CSV_HEADER:
+            return _fault(blocks, None, f"first line must be the header {CSV_HEADER!r}")
+        line_lists, lineno = chain([head[1:]], line_lists), 1
+    arrays = []
+    nonfinite = None  # the index of the first non-finite field's line
+    first = None  # the index of the first data row
+    for lines in line_lists:
+        body = list(filter(str.strip, lines))  # blank lines are skipped
+        bad = any(line.count(",") != 3 for line in body)
+        if not bad:
+            fields = ",".join(body).split(",") if body else []
+            try:
+                data = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+            except ValueError:
+                bad = True
+        if bad:
+            index, reason = _first_bad_row(lines)
+            return _fault(blocks, lineno + index, reason)
+        data = data.reshape(len(body), 4)
+        if first is None and body:
+            first = next(n for n, line in enumerate(lines, start=lineno) if line.strip())
+        finite = np.isfinite(data).all(axis=1)
+        if nonfinite is None and not finite.all():
+            linenos = [n for n, line in enumerate(lines, start=lineno) if line.strip()]
+            nonfinite = linenos[np.flatnonzero(~finite)[0]]
+        arrays.append(data)
+        lineno += len(lines)
+    return _Part(arrays, lineno, first, nonfinite, None)
+
+
+def _fault(blocks: Iterator[str], index: Optional[int], reason: str) -> _Part:
+    """The _Part of a run whose first malformed line is at `index`."""
+    for _ in blocks:  # decode the rest: a byte that is not UTF-8 wins
+        pass
+    return _Part([], 0, None, None, (index, reason))
+
+
+def _first_bad_row(lines: list[str]) -> tuple[int, str]:
+    """The index of the first data line with a bad column count or a field
+    that float() rejects, and why; the slow path behind _parse_part."""
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            return index, f"expected 4 columns, got {len(fields)}"
+        try:
+            list(map(float, fields))
+        except ValueError:
+            return index, "non-numeric field"
+    raise AssertionError("no malformed row among the lines")
+
+
+def _line_cuts(path: Union[str, Path]) -> list[Optional[int]]:
+    """Offsets that cut the file at path into `fileio.part_count` runs of
+    whole lines of about equal size: 0, each later cut just after a b"\\n",
+    then None for the end of the file. A pipe has no size, so it is one run."""
+    size = os.stat(path).st_size
+    parts = fileio.part_count(size // ROW_BYTES)
+    cuts = [0]
+    if parts > 1:
+        with open(path, "rb") as fh:
+            for k in range(1, parts):
+                at = max(size * k // parts, cuts[-1])
+                fh.seek(at)
+                while chunk := fh.read(READ_CHUNK):
+                    newline = chunk.find(b"\n")
+                    if newline >= 0:
+                        at += newline + 1
+                        break
+                    at += len(chunk)
+                if at < size:
+                    cuts.append(at)
+    return cuts + [None]
+
+
+def _parse_range(path: Union[str, Path], lo: int, hi: Optional[int], files=()) -> _Part:
+    """_parse_part of the bytes lo..hi-1 (hi None: to the end) of the file
+    at path."""
+    with open(path, "rb") as fh:
+        if lo:
+            fh.seek(lo)
+        return _parse_part(_line_blocks(fh, lo, hi), header=lo == 0)
+
+
 def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOWN,
                        device: str = "") -> SensorRecording:
     """Parse a `t,x,y,z` CSV into a SensorRecording.
@@ -193,52 +308,35 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     away from the 20 ms nominal.
     `source` is a path, bytes or a binary stream; a text stream raises
     TypeError. The bytes are read READ_CHUNK at a time and parsed in blocks
-    cut at line ends, never held whole. Every error is the one a parse of the
-    whole text would raise, and bytes that are not UTF-8 are named first.
+    cut at line ends, never held whole; a long file is parsed in runs of
+    whole lines at once (`fileio.run_parts`), and the runs' rows, line counts
+    and first faults are merged in file order. Every error is the one a
+    parse of the whole text would raise, and bytes that are not UTF-8 are
+    named first.
     """
     if isinstance(source, (str, Path)):
-        opened = open(source, "rb")
+        parts = fileio.run_parts(partial(_parse_range, source), _line_cuts(source))
     else:
-        opened = nullcontext(io.BytesIO(source) if isinstance(source, bytes) else source)
-    with opened as fh:
-        blocks = _line_blocks(fh)
-        try:
-            head = next(blocks, "").splitlines()
-            if not head or head[0].strip() != CSV_HEADER:
-                raise MalformedRow(f"first line must be the header {CSV_HEADER!r}")
-            parts = []
-            lineno = 2  # the line number of lines[0]
-            nonfinite = None  # the line of the first non-finite field
-            first = None  # the line of the first data row
-            for lines in chain([head[1:]], map(str.splitlines, blocks)):
-                body = list(filter(str.strip, lines))  # blank lines are skipped
-                if any(line.count(",") != 3 for line in body):
-                    _raise_first_bad_row(lines, lineno)
-                fields = ",".join(body).split(",") if body else []
-                try:
-                    data = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
-                except ValueError:
-                    _raise_first_bad_row(lines, lineno)
-                    raise
-                data = data.reshape(len(body), 4)
-                if first is None and body:
-                    first = next(n for n, line in enumerate(lines, start=lineno) if line.strip())
-                finite = np.isfinite(data).all(axis=1)
-                if nonfinite is None and not finite.all():
-                    linenos = [n for n, line in enumerate(lines, start=lineno) if line.strip()]
-                    nonfinite = linenos[np.flatnonzero(~finite)[0]]
-                parts.append(data)
-                lineno += len(lines)
-        except MalformedRow:
-            for _ in blocks:  # decode the rest: a byte that is not UTF-8 wins
-                pass
-            raise
-    rows = sum(map(len, parts))
+        fh = io.BytesIO(source) if isinstance(source, bytes) else source
+        parts = [_parse_part(_line_blocks(fh), header=True)]
+    lineno = 1  # the line number of the part's first line
+    first = nonfinite = None  # the lines of the first data row and non-finite field
+    for part in parts:
+        if part.fault is not None:
+            index, reason = part.fault
+            raise MalformedRow(reason if index is None else f"line {lineno + index}: {reason}")
+        if first is None and part.first is not None:
+            first = lineno + part.first
+        if nonfinite is None and part.nonfinite is not None:
+            nonfinite = lineno + part.nonfinite
+        lineno += part.lines
+    arrays = [data for part in parts for data in part.data]
+    rows = sum(map(len, arrays))
     if rows < 2:
         raise EmptyRecording(f"need at least 2 data rows, got {rows}")
     if nonfinite is not None:
         raise MalformedRow(f"line {nonfinite}: non-finite field")
-    data = np.concatenate(parts)
+    data = np.concatenate(arrays)
     t = data[:, 0]
     if t[0] < 0.0:
         raise MalformedRow(f"line {first}: negative timestamp")
@@ -256,31 +354,22 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     return recording
 
 
-def _raise_first_bad_row(lines: list[str], first_lineno: int) -> None:
-    """Raise MalformedRow for the first data line with a bad column count or a
-    field that float() rejects; the slow path behind load_recording_csv."""
-    for lineno, line in enumerate(lines, start=first_lineno):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise MalformedRow(f"line {lineno}: expected 4 columns, got {len(parts)}")
-        try:
-            list(map(float, parts))
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: non-numeric field") from None
-
-
 def write_recording_csv(recording: SensorRecording, dest: Union[str, Path, IO[str]]) -> None:
     """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n),
-    formatted in blocks of `fileio.BLOCK_ROWS` rows."""
+    formatted in blocks of `fileio.BLOCK_ROWS` rows; a long recording in
+    parts (`fileio.run_parts`)."""
     cols = (recording.t, recording.x, recording.y, recording.z)
     opened = fileio.atomic_open(dest) if isinstance(dest, (str, Path)) else nullcontext(dest)
     with opened as fh:
         fh.write(CSV_HEADER + "\n")
-        for lo in range(0, len(recording), fileio.BLOCK_ROWS):
-            rows = zip(*(c[lo:lo + fileio.BLOCK_ROWS].tolist() for c in cols))
-            fh.write("".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows))
+
+        def write_rows(first: int, end: int, out) -> None:
+            for lo in range(first, end, fileio.BLOCK_ROWS):
+                rows = zip(*(c[lo:min(lo + fileio.BLOCK_ROWS, end)].tolist() for c in cols))
+                out[0].write("".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows))
+
+        n = len(recording)
+        fileio.run_parts(write_rows, fileio.block_bounds(n, n), [fh])
 
 
 def resample_uniform(recording: SensorRecording,

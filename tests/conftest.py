@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from smokewatch import mlp
+from smokewatch import fileio, mlp
 from smokewatch.signal import ChannelMode, GestureClass, SensorRecording
 
 
@@ -24,3 +26,11 @@ def make_recording(values: np.ndarray, rate: float = 50.0,
 def tiny_network(input_size: int, hidden_size: int, seed: int,
                  mode: ChannelMode = ChannelMode.X) -> mlp.Network:
     return mlp.init_network(input_size, hidden_size, rng=seed, mode=mode)
+
+
+def split_into(monkeypatch, parts: int) -> None:
+    """Make every CSV loop run in `parts` parts, or one per block or line run
+    when it has fewer: a part may hold a single row, and the process sees
+    `parts` CPUs."""
+    monkeypatch.setattr(fileio, "PART_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))

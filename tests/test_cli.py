@@ -2,13 +2,14 @@
 byte-identical reruns. Everything runs in-process through cli.main()."""
 
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smokewatch import cli, metrics, mlp
+from smokewatch import cli, fileio, metrics, mlp
 from smokewatch.detect import GestureRanges, save_ranges
 from smokewatch.signal import (
     ChannelMode,
@@ -17,7 +18,7 @@ from smokewatch.signal import (
     write_recording_csv,
 )
 
-from conftest import make_recording
+from conftest import make_recording, split_into
 
 
 def run(*argv: str) -> int:
@@ -491,10 +492,19 @@ def test_detect_ranges_must_end_inside_the_session(pipeline, tmp_path, capsys):
     assert f"range [{n - 300}, {n + 1}] ends past" in capsys.readouterr().err
 
 
-def test_detect_memory_is_flat_in_the_session_length(tmp_path):
+@pytest.mark.parametrize("split", [False, True], ids=["one-part", "split"])
+def test_detect_memory_is_flat_in_the_session_length(split, tmp_path, monkeypatch):
     # an XYZ detect --ranges --plot holds the session's arrays (about 70 B
     # per sample) but never its text; holding the text cost about 555 B per
-    # sample, 111 MiB at 200,000 samples
+    # sample, 111 MiB at 200,000 samples. tracemalloc sees only this process,
+    # not the forked children that load and write the later parts of a split
+    # run, so the one-part run is the one that bounds the block code those
+    # children run; the split run bounds what the caller holds while it
+    # merges their arrays and copies their text.
+    if split:
+        split_into(monkeypatch, 2)
+    else:
+        monkeypatch.setattr(fileio, "PART_ROWS", 10**9)
     rng = np.random.default_rng(3)
     xyz = rng.normal(0.0, 0.5, size=(200_000, 3))
     model = tmp_path / "model.json"
@@ -516,6 +526,25 @@ def test_detect_memory_is_flat_in_the_session_length(tmp_path):
             tracemalloc.stop()
     assert peaks[200_000] < 24 * 2**20
     assert peaks[200_000] - peaks[100_000] < 10 * 2**20
+
+
+def test_detect_exits_1_when_a_part_leaves_no_result(pipeline, tmp_path, monkeypatch, capsys):
+    # every later part of each CSV loop ends its child before it has a result
+    split_into(monkeypatch, 2)
+    run_parts = fileio.run_parts
+
+    def dying(work, bounds, outs=()):
+        return run_parts(lambda lo, hi, files: os._exit(0) if lo else work(lo, hi, files),
+                         bounds, outs)
+
+    monkeypatch.setattr(fileio, "run_parts", dying)
+    out = tmp_path / "d"
+    assert run("detect", "--model", str(pipeline["model"]), "--session",
+               str(pipeline["session"]), "--plot", "--out", str(out)) == 1
+    assert "PartFailed: part 1 of 2 ended without a result (exit code 0)" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # --- shared behavior ----------------------------------------------------------

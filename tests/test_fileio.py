@@ -1,24 +1,26 @@
-"""Atomic writes and the block-formatted CSV writers.
+"""Atomic writes, the block-formatted CSV writers and their split into parts.
 
 Writer oracle: the one-shot formatting of each CSV, one f-string per row
 joined into a single text, written here independently of the writers' block
-loops."""
+loops and of how they are split into parts."""
 
 import contextlib
 import io
 import os
+import signal
 import stat
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_recording
+from conftest import make_recording, split_into
 from smokewatch import detect, fileio
 from smokewatch.detect import DetectionTrace, write_plot_csv, write_trace_csv
-from smokewatch.errors import InvalidSize, LengthMismatch
+from smokewatch.errors import InvalidSize, LengthMismatch, PartFailed
 from smokewatch.fileio import BLOCK_ROWS, atomic_open, atomic_write_text
-from smokewatch.signal import write_recording_csv
+from smokewatch.signal import load_recording_csv, write_recording_csv
 
 
 def mode_of(path) -> int:
@@ -67,25 +69,38 @@ def test_atomic_open_failure_leaves_the_target_alone(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
-def test_writers_equal_one_shot_formatting(n, tmp_path):
+# BLOCK_ROWS in the writer oracle, small enough for 5 parts on a short session
+B = 16
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 5 * B + 3])
+def test_writers_equal_one_shot_formatting(n, parts, tmp_path, monkeypatch):
     # a session of max(n, 2) rows (a recording needs 2) and windows starting
-    # at 0, stride, 2*stride, ... below n; strides of BLOCK_ROWS - 1 and
-    # BLOCK_ROWS put a window on the last and on the first row of a block, and
-    # one of BLOCK_ROWS + 1 leaves blocks with no window. The trace and plot
-    # CSVs are written alone and together.
+    # at 0, stride, 2*stride, ... below n; strides of B - 1 and B put a window
+    # on the last and on the first row of a block, and so on the first row of
+    # every later part, and one of B + 1 leaves blocks with no window. The
+    # trace and plot CSVs are written alone and together, each in up to
+    # `parts` parts (runs of whole blocks: the 6 blocks of the longest
+    # session take every part count).
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", B)
+    split_into(monkeypatch, parts)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     rng = np.random.default_rng(n)
     rec = make_recording(rng.normal(size=(max(n, 2), 3)))
     t, x, y, z = (a.tolist() for a in (rec.t, rec.x, rec.y, rec.z))
     want_recording = "\n".join(["t,x,y,z"] + [
         f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in zip(t, x, y, z)]) + "\n"
     write_recording_csv(rec, tmp_path / "r.csv")
+    assert len(forks) == min(parts, -(-len(rec) // B)) - 1
     buf = io.StringIO()
     write_recording_csv(rec, buf)
     assert (tmp_path / "r.csv").read_bytes() == want_recording.encode()
     assert buf.getvalue() == want_recording
 
-    for stride in (1, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1):
+    for stride in (1, 3, B - 1, B, B + 1):
         starts = list(range(0, n, stride))
         trace = DetectionTrace(outputs=rng.uniform(0, 1, len(starts)), stride=stride,
                                threshold=0.5)
@@ -117,27 +132,108 @@ class FailingFile:
         self.fh.write(text)
 
 
-@pytest.mark.parametrize("allowed", [0, 2], ids=["header", "second_block"])
-def test_a_failing_plot_write_replaces_neither_file(allowed, tmp_path, monkeypatch):
-    # the plot write fails once the trace's temp file holds rows; both
-    # targets keep their old text and no temp file is left
+def failing_in_children(monkeypatch, fail) -> None:
+    """Make every part but the first of each CSV loop call fail() first."""
+    run_parts = fileio.run_parts
+
+    def patched(work, bounds, outs=()):
+        def part(lo, hi, files):
+            if lo > bounds[0]:
+                fail()
+            return work(lo, hi, files)
+        return run_parts(part, bounds, outs)
+
+    monkeypatch.setattr(fileio, "run_parts", patched)
+
+
+def disk_full():
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("allowed, parts", [(0, 1), (2, 1), (1, 3), (None, 2)],
+                         ids=["header", "second_block", "first_block_while_children_run",
+                              "child"])
+def test_a_failing_plot_write_replaces_neither_file(allowed, parts, tmp_path, monkeypatch):
+    # the plot write fails once the trace's temp file holds rows, here or
+    # (allowed None) only in the forked child that writes a later part; both
+    # targets keep their old text, no temp file is left and no child is
     monkeypatch.setattr(fileio, "BLOCK_ROWS", 4)
+    split_into(monkeypatch, parts)
     rec = make_recording(np.arange(30.0).reshape(10, 3))
     trace = DetectionTrace(outputs=np.linspace(0, 1, 8), stride=1, threshold=0.5)
     (tmp_path / "t.csv").write_text("old trace\n")
     (tmp_path / "p.csv").write_text("old plot\n")
 
-    @contextlib.contextmanager
-    def failing_plot_open(path):
-        with fileio.atomic_open(path) as fh:
-            yield FailingFile(fh, allowed) if Path(path).name == "p.csv" else fh
+    if allowed is None:
+        failing_in_children(monkeypatch, disk_full)
+    else:
+        @contextlib.contextmanager
+        def failing_plot_open(path):
+            with fileio.atomic_open(path) as fh:
+                yield FailingFile(fh, allowed) if Path(path).name == "p.csv" else fh
 
-    monkeypatch.setattr(detect, "atomic_open", failing_plot_open)
+        monkeypatch.setattr(detect, "atomic_open", failing_plot_open)
     with pytest.raises(OSError, match="disk full"):
         write_trace_csv(trace, tmp_path / "t.csv", rec, tmp_path / "p.csv")
     assert (tmp_path / "t.csv").read_text() == "old trace\n"
     assert (tmp_path / "p.csv").read_text() == "old plot\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fail", [lambda: os._exit(3),
+                                  lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                         ids=["exit", "killed"])
+def test_a_child_without_a_result_raises_part_failed(fail, tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", 4)
+    split_into(monkeypatch, 3)
+    failing_in_children(monkeypatch, fail)
+    rec = make_recording(np.arange(60.0).reshape(20, 3))
+    with pytest.raises(PartFailed, match="^part 1 of 3 ended without a result"):
+        write_recording_csv(rec, tmp_path / "r.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def one_part_outputs(tmp_path, name: str) -> dict[str, bytes]:
+    """The bytes of a recording, trace and plot of 4 blocks written to
+    tmp_path/name; the recording must load back equal."""
+    rec = make_recording(np.random.default_rng(5).normal(size=(4 * BLOCK_ROWS, 3)))
+    trace = DetectionTrace(outputs=np.linspace(0, 1, len(rec) - 7), stride=1, threshold=0.5)
+    out = tmp_path / name
+    write_recording_csv(rec, out / "r.csv")
+    write_trace_csv(trace, out / "t.csv", rec, out / "p.csv")
+    back = load_recording_csv(out / "r.csv")
+    assert all(np.array_equal(getattr(back, a), getattr(rec, a)) for a in "txyz")
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("reason", ["thread", "one_cpu"])
+def test_no_fork_with_another_thread_or_one_cpu(reason, tmp_path, monkeypatch):
+    # a forked child holds only the forking thread, so a second thread keeps
+    # every loop in one part, as one CPU does; the output is the same
+    want = one_part_outputs(tmp_path, "want")
+    split_into(monkeypatch, 2)
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if reason == "thread":
+        thread.start()
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    try:
+        assert one_part_outputs(tmp_path, "got") == want
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_trace_rejects_a_stride_below_1_and_2d_outputs():

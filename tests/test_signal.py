@@ -6,13 +6,15 @@ independently of np.interp.
 
 import io
 import math
+import os
 import re
+import threading
 from typing import Union
 
 import numpy as np
 import pytest
 
-from conftest import make_recording
+from conftest import make_recording, split_into
 from smokewatch import signal
 from smokewatch.errors import (
     EmptyRecording,
@@ -20,6 +22,7 @@ from smokewatch.errors import (
     LengthMismatch,
     MalformedRow,
     NonMonotonicTime,
+    SmokewatchError,
 )
 from smokewatch.signal import (
     CSV_HEADER,
@@ -258,6 +261,153 @@ def test_load_csv_rejects_a_text_stream(text, tmp_path, monkeypatch):
             for source in (io.StringIO(text), fh):
                 with pytest.raises(TypeError, match="path, bytes or a binary stream"):
                     load_recording_csv(source)
+
+
+# --- CSV ingestion in parts ---------------------------------------------------
+
+def outcome(source):
+    """load_recording_csv(source): the (4, n) data or the error's type and
+    message."""
+    try:
+        rec = load_recording_csv(source)
+    except SmokewatchError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return np.stack([rec.t, rec.x, rec.y, rec.z])
+
+
+def load_in_parts(data: bytes, parts: int, tmp_path, monkeypatch):
+    """outcome() of data from a path, cut into `parts` runs of lines (checked)."""
+    path = tmp_path / f"in{parts}.csv"
+    path.write_bytes(data)
+    with monkeypatch.context() as m:
+        split_into(m, parts)
+        assert len(signal._line_cuts(path)) == parts + 1
+        return outcome(path)
+
+
+def assert_parts_agree(data: bytes, tmp_path, monkeypatch, parts=(2, 3, 5)):
+    """Each split load gives the one-part load's data or error; returns it."""
+    want = load_in_parts(data, 1, tmp_path, monkeypatch)
+    assert_all([load_in_parts(data, k, tmp_path, monkeypatch) for k in parts], want)
+    return want
+
+
+# 30 rows of one width, so that a fault written over a row moves no cut
+ROWS = [f"{k * 0.02:8.4f},0.25,0.50,1.00".encode() for k in range(30)]
+
+
+def csv_bytes(rows, newline=b"\n", header=CSV_HEADER.encode()) -> bytes:
+    return newline.join([header, *rows]) + newline
+
+
+@pytest.mark.parametrize("data", [
+    csv_bytes(ROWS),
+    csv_bytes(ROWS, b"\r\n"),
+    csv_bytes([b"", *ROWS[:9], b"", b"  ", *ROWS[9:20], b"\t", *ROWS[20:], b""]),
+    csv_bytes(ROWS)[:-1],
+    csv_bytes(ROWS, b"\r\n")[:-2],
+], ids=["lf", "crlf", "blank-lines", "lf-no-last-newline", "crlf-no-last-newline"])
+def test_load_csv_in_parts_equals_one_part(data, tmp_path, monkeypatch):
+    want = assert_parts_agree(data, tmp_path, monkeypatch)
+    assert not isinstance(want, str) and want.shape == (4, 30)
+
+
+@pytest.mark.parametrize("data, at, cut", [
+    # the two-part cut is looked for at offset `at` (half the padded size):
+    # on the first of two blank lines, so that each part holds one
+    (csv_bytes([*ROWS[:20], b"", b"", *ROWS[20:]]), b"\n\n\n", 1),
+    # between the \r and the \n of a line end
+    (csv_bytes(ROWS, b"\r\n"), ROWS[20] + b"\r", len(ROWS[20]) + 1),
+    # on the \r, which is no line end of its own
+    (csv_bytes(ROWS, b"\r\n"), ROWS[20] + b"\r", len(ROWS[20])),
+], ids=["blank-line", "between-cr-and-lf", "on-cr"])
+def test_load_csv_cut_lands_after_the_next_newline(data, at, cut, tmp_path, monkeypatch):
+    at = data.index(at) + cut
+    data += b" " * (2 * at - len(data))  # a blank last line without newline
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    split_into(monkeypatch, 2)
+    assert signal._line_cuts(path) == [0, data.index(b"\n", at) + 1, None]
+    assert_parts_agree(data, tmp_path, monkeypatch, parts=(2,))
+
+
+def test_load_csv_reads_a_named_pipe(rng, tmp_path):
+    # a pipe has no size to cut, so it is read in one part to its end
+    rec = make_recording(rng.normal(size=(5000, 3)))
+    buf = io.StringIO()
+    write_recording_csv(rec, buf)
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(buf.getvalue(),))
+    writer.start()
+    try:
+        got = load_recording_csv(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(np.stack([got.t, got.x, got.y, got.z]),
+                          np.stack([rec.t, rec.x, rec.y, rec.z]))
+
+
+def line_at(data: bytes, offset: int) -> int:
+    return data[:offset].count(b"\n") + 1
+
+
+FAULTS = {
+    "columns": ("MalformedRow: line {line}: expected 4 columns, got 3",
+                lambda row: row[:-5] + b" " * 5),
+    "non-numeric": ("MalformedRow: line {line}: non-numeric field",
+                    lambda row: row[:-4] + b"1x00"),
+    "non-finite": ("MalformedRow: line {line}: non-finite field",
+                   lambda row: row[:-4] + b" nan"),
+    "not-utf8": ("MalformedRow: byte {byte}: not UTF-8 (invalid start byte)",
+                 lambda row: row[:-1] + b"\xff"),
+    "negative-first": ("MalformedRow: line {line}: negative timestamp",
+                       lambda row: b"%8.4f" % -0.02 + row[8:]),
+    "non-monotonic": ("NonMonotonicTime: timestamps must be strictly increasing", None),
+}
+
+
+@pytest.mark.parametrize("spot", ["first-part", "after-cut", "last-part"])
+@pytest.mark.parametrize("fault", [*FAULTS, "not-utf8-after-a-row-fault"])
+def test_load_csv_in_parts_names_the_one_part_error(fault, spot, tmp_path, monkeypatch):
+    # three parts; the fault sits on line 3, on the first line of the second
+    # part or on the second line of the last part
+    path = tmp_path / "s.csv"
+    path.write_bytes(csv_bytes(ROWS))
+    with monkeypatch.context() as m:
+        split_into(m, 3)
+        cuts = signal._line_cuts(path)
+    data = csv_bytes(ROWS)
+    line = {"first-part": 3, "after-cut": line_at(data, cuts[1]),
+            "last-part": line_at(data, cuts[2]) + 1}[spot]
+    rows = list(ROWS)
+    k = line - 2  # the index in rows of the line
+    message, damage = FAULTS[fault.replace("-after-a-row-fault", "")]
+    if fault == "non-monotonic":
+        rows[k] = rows[k - 1]
+    else:
+        rows[k] = damage(rows[k])
+    if fault == "negative-first":
+        rows[:k] = [b" " * len(row) for row in rows[:k]]
+    if fault.endswith("after-a-row-fault"):
+        rows[k - 1] = FAULTS["non-numeric"][1](rows[k - 1])
+    data = csv_bytes(rows)
+    assert len(data) == path.stat().st_size
+    want = message.format(line=line, byte=data.find(b"\xff"))
+    assert assert_parts_agree(data, tmp_path, monkeypatch, parts=(3,)) == want
+    assert outcome(data) == want
+
+
+@pytest.mark.parametrize("data, want", [
+    (csv_bytes(ROWS, header=b"t,x,y,q"),
+     f"MalformedRow: first line must be the header {CSV_HEADER!r}"),
+    (csv_bytes(ROWS, header=b"t,x,y,q")[:-1] + b"\xff",
+     "MalformedRow: byte 727: not UTF-8 (invalid start byte)"),
+    (csv_bytes(ROWS[:1] + [b" " * 8] * 50), "EmptyRecording: need at least 2 data rows, got 1"),
+], ids=["bad-header", "bad-header-then-not-utf8", "one-row"])
+def test_load_csv_in_parts_names_file_faults(data, want, tmp_path, monkeypatch):
+    assert assert_parts_agree(data, tmp_path, monkeypatch) == want
 
 
 def test_load_csv_rejects_non_monotonic_time():
