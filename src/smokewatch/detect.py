@@ -10,14 +10,13 @@ flat in the session length. Scoring against handpicked ground-truth ranges
 labels a window smoking iff its start index falls inside a range (one
 `np.searchsorted` maps each start to its range), and flags each range as
 detected when at least one window starting inside it fired. The trace and
-plot CSVs are written in one pass over blocks of `fileio.BLOCK_ROWS` samples
-that formats each output once, so neither file is ever held whole as text;
-a long pass is split into runs of blocks that run at once (`fileio.run_parts`).
+plot CSVs are written in one pass that formats each output once per block of
+samples; `fileio.write_csv` owns the block loop and its split into parts, so
+neither file is ever held whole as text.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -33,7 +32,7 @@ from .errors import (
     MalformedRanges,
     SessionTooShort,
 )
-from .fileio import atomic_open, read_json, write_json
+from .fileio import read_json, write_json
 from .signal import SensorRecording, window_count
 
 # Windows per forward call: a block of XYZ inputs is 1024 x 600 float64
@@ -175,10 +174,10 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
                     plot_path: Union[str, Path, None] = None) -> None:
     """One row per window, `start,output,smoking`, at path (None writes no
     trace); given a session and a plot_path, also the rows of
-    `write_plot_csv(trace, session, plot_path)`. Per block of
-    `fileio.BLOCK_ROWS` sample indices the outputs of the windows starting in
-    it are formatted once, for both files; through `atomic_open`, so an error
-    replaces neither target. Long writes run in parts (`fileio.run_parts`)."""
+    `write_plot_csv(trace, session, plot_path)`. Per block of sample
+    indices the outputs of the windows starting in it are formatted once, for
+    both files, and `fileio.write_csv` writes the blocks, so an error
+    replaces neither target."""
     stride, outputs = trace.stride, trace.outputs
     smoking = trace.decisions.view(np.int8)
     last = (len(trace) - 1) * stride
@@ -189,35 +188,27 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
         if len(trace) and last >= n:
             raise LengthMismatch(
                 f"a window starts at sample {last} of a {n}-sample session")
-    with ExitStack() as stack:
-        files = []  # the trace file, then the plot file
-        for target, header in ((path, TRACE_HEADER), (plot_path, PLOT_HEADER)):
-            if target is not None:
-                files.append(stack.enter_context(atomic_open(target)))
-                files[-1].write(header + "\n")
 
-        def write_rows(first: int, end: int, out) -> None:
-            tf = out[0] if path is not None else None
-            pf = out[-1] if plot_path is not None else None
-            for lo in range(first, end, fileio.BLOCK_ROWS):
-                hi = min(lo + fileio.BLOCK_ROWS, end)
-                # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride)
-                a, b = -(-lo // stride), min(-(-hi // stride), len(trace))
-                reprs = list(map(repr, outputs[a:b].tolist()))
-                if tf is not None:
-                    tf.write("".join(f"{s},{o},{d}\n" for s, o, d in
-                                     zip(range(a * stride, b * stride, stride), reprs,
-                                         smoking[a:b].tolist())))
-                if pf is not None:
-                    tails = [""] * (hi - lo)
-                    tails[a * stride - lo:b * stride - lo:stride] = reprs
-                    rows = zip(range(lo, hi), session.x[lo:hi].tolist(),
-                               session.y[lo:hi].tolist(), session.z[lo:hi].tolist(), tails)
-                    pf.write("".join(f"{i},{x!r},{y!r},{z!r},{t}\n"
-                                     for i, x, y, z, t in rows))
+    def format_block(lo: int, hi: int) -> list[str]:
+        # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride)
+        a, b = -(-lo // stride), min(-(-hi // stride), len(trace))
+        reprs = list(map(repr, outputs[a:b].tolist()))
+        texts = []  # the trace block, then the plot block
+        if path is not None:
+            texts.append("".join(f"{s},{o},{d}\n" for s, o, d in
+                                 zip(range(a * stride, b * stride, stride), reprs,
+                                     smoking[a:b].tolist())))
+        if plot_path is not None:
+            tails = [""] * (hi - lo)
+            tails[a * stride - lo:b * stride - lo:stride] = reprs
+            rows = zip(range(lo, hi), session.x[lo:hi].tolist(),
+                       session.y[lo:hi].tolist(), session.z[lo:hi].tolist(), tails)
+            texts.append("".join(f"{i},{x!r},{y!r},{z!r},{t}\n" for i, x, y, z, t in rows))
+        return texts
 
-        rows = len(trace) if plot_path is None else n
-        fileio.run_parts(write_rows, fileio.block_bounds(n, rows), files)
+    targets = [(target, header) for target, header in
+               ((path, TRACE_HEADER), (plot_path, PLOT_HEADER)) if target is not None]
+    fileio.write_csv(targets, n, len(trace) if plot_path is None else n, format_block)
 
 
 def write_plot_csv(trace: DetectionTrace, session: SensorRecording,

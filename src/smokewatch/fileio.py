@@ -1,19 +1,22 @@
-"""Atomic file writes and the JSON artifact format.
+"""Atomic file writes, the CSV block writer and its parts, and the JSON format.
 
 `atomic_open` yields a temp file that replaces its target only on a clean
 exit, so several files can be written in lockstep and an error leaves every
 target as it was; `atomic_write_text` writes one string through it. A
 written file gets the mode `open(path, "w")` would give it under the umask
-in force at the write. CSV writers format `BLOCK_ROWS` rows at a time into
-the temp file, so no writer holds a session as text. Models, reports, ranges
-and manifests are JSON with a one-space indent and a final newline, written
-by `write_json` and read by `read_json`.
+in force at the write. Models, reports, ranges and manifests are JSON with
+a one-space indent and a final newline, written by `write_json` and read by
+`read_json`.
 
-A long CSV loop runs in parts (`run_parts`): contiguous row ranges, the first
-run by the caller and each later one by a forked child that writes its text
-and its result to unnamed temp files, which the caller reads back in order.
-`part_count` sets how many, from the row count and the CPUs this process may
-run on; nothing configures it.
+Every CSV file is written by `write_csv`, which owns the block loop: it
+opens the targets through `atomic_open` and has its caller format
+`BLOCK_ROWS` rows at a time, so no writer holds a session as text. A long
+CSV loop (a write's blocks or a load's runs of lines) runs in parts
+(`run_parts`): contiguous ranges, the first run by the caller and each later
+one by a forked child that writes its text and its result to unnamed temp
+files, which the caller reads back in order. `part_count` sets how many,
+from the row count and the CPUs this process may run on; nothing configures
+it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pickle
 import shutil
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from signal import SIGKILL
 from typing import Callable, Iterator, Optional, Sequence, TextIO, TypeVar, Union
@@ -88,12 +91,29 @@ def part_count(rows: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows // PART_ROWS))
 
 
-def block_bounds(n: int, rows: int) -> list[int]:
-    """Bounds that cut range(n) into `part_count(rows)` runs of whole
-    BLOCK_ROWS blocks (fewer if there are fewer blocks)."""
+def write_csv(targets: Sequence[tuple[Union[str, Path], str]], n: int, rows: int,
+              format_block: Callable[[int, int], Sequence[str]]) -> None:
+    """Write CSV files in lockstep: each `(path, header)` of targets through
+    `atomic_open`, its header line, then for each block lo..hi-1 of
+    BLOCK_ROWS of range(n) the texts `format_block(lo, hi)`, one per target
+    in order. The blocks run in `part_count(rows)` parts of whole blocks
+    (fewer if there are fewer blocks) through `run_parts`; an error replaces
+    no target."""
     blocks = -(-n // BLOCK_ROWS)
     parts = max(1, min(part_count(rows), blocks))
-    return [min(n, blocks * k // parts * BLOCK_ROWS) for k in range(parts + 1)]
+    bounds = [min(n, blocks * k // parts * BLOCK_ROWS) for k in range(parts + 1)]
+
+    def write_blocks(first: int, end: int, files: Sequence[TextIO]) -> None:
+        for lo in range(first, end, BLOCK_ROWS):
+            for fh, text in zip(files, format_block(lo, min(lo + BLOCK_ROWS, end))):
+                fh.write(text)
+
+    with ExitStack() as stack:
+        files = []
+        for path, header in targets:
+            files.append(stack.enter_context(atomic_open(path)))
+            files[-1].write(header + "\n")
+        run_parts(write_blocks, bounds, files)
 
 
 def run_parts(work: Callable[[int, Optional[int], Sequence[TextIO]], T],

@@ -4,18 +4,17 @@ Covers ingestion of 3-axis recordings from CSV, fixed-length resampling of
 isolated gestures to plain (x, y, z) arrays, channel-mode feature extraction
 into one 1-d network input and rolling-window counting for continuous
 sessions. Recordings are immutable after construction and every operation is
-a pure function of its inputs. A CSV source is read as bytes and decoded in
-blocks cut at line ends, and CSV text is written in blocks, so memory for a
-session holds its arrays, not its text; a long CSV is read or written in
-parts that run at once (`fileio.run_parts`).
+a pure function of its inputs. A CSV file, named by its path, is read as
+bytes and decoded in blocks cut at line ends, and a long file is parsed in
+runs of lines at once (`fileio.run_parts`); the writer formats one block of
+rows at a time for `fileio.write_csv`, which owns the block loop and its
+split into parts. So memory for a session holds its arrays, not its text.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -152,28 +151,24 @@ class SensorRecording:
         return self.t.shape[0]
 
 
-Source = Union[str, Path, bytes, IO[bytes]]
-
-# Bytes per read of a CSV source.
+# Bytes per read of a CSV file.
 READ_CHUNK = 1 << 18
 # About the bytes of one written row (four repr floats): a file's row count
 # is taken as its size over this when deciding how many parts to load it in.
 ROW_BYTES = 64
 
 
-def _line_blocks(fh: IO[bytes], start: int = 0, end: Optional[int] = None) -> Iterator[str]:
+def _line_blocks(fh: IO[bytes], start: int, end: Optional[int]) -> Iterator[str]:
     """The text of fh, from offset `start` where it stands up to offset `end`
     (None: its end), in blocks cut after the last b"\\n" of each read, so that
     the blocks' splitlines() are, in order, the splitlines() of the whole text;
     a cut after b"\\n" never splits a character. Bytes that are not UTF-8 raise
-    MalformedRow naming their offset in fh; a text stream raises TypeError."""
+    MalformedRow naming their offset in fh."""
     decoded = start  # offset of the bytes not yet decoded
     tail = b""
     while True:
         size = READ_CHUNK if end is None else min(READ_CHUNK, end - decoded - len(tail))
         chunk = fh.read(size)
-        if isinstance(chunk, str):
-            raise TypeError("a CSV source is a path, bytes or a binary stream")
         data = tail + chunk
         cut = data.rfind(b"\n") + 1 if chunk else len(data)  # an empty read ends fh
         try:
@@ -296,7 +291,7 @@ def _parse_range(path: Union[str, Path], lo: int, hi: Optional[int], files=()) -
         return _parse_part(_line_blocks(fh, lo, hi), header=lo == 0)
 
 
-def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOWN,
+def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClass.UNKNOWN,
                        device: str = "") -> SensorRecording:
     """Parse a `t,x,y,z` CSV into a SensorRecording.
 
@@ -306,19 +301,14 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     for unordered timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
-    `source` is a path, bytes or a binary stream; a text stream raises
-    TypeError. The bytes are read READ_CHUNK at a time and parsed in blocks
-    cut at line ends, never held whole; a long file is parsed in runs of
-    whole lines at once (`fileio.run_parts`), and the runs' rows, line counts
-    and first faults are merged in file order. Every error is the one a
-    parse of the whole text would raise, and bytes that are not UTF-8 are
-    named first.
+    The file's bytes are read READ_CHUNK at a time and parsed in blocks cut
+    at line ends, never held whole; a long file is parsed in runs of whole
+    lines at once (`fileio.run_parts`), and a named pipe in one run to its
+    end. The runs' rows, line counts and first faults are merged in file
+    order, so every error is the one a parse of the whole text would raise,
+    and bytes that are not UTF-8 are named first.
     """
-    if isinstance(source, (str, Path)):
-        parts = fileio.run_parts(partial(_parse_range, source), _line_cuts(source))
-    else:
-        fh = io.BytesIO(source) if isinstance(source, bytes) else source
-        parts = [_parse_part(_line_blocks(fh), header=True)]
+    parts = fileio.run_parts(partial(_parse_range, path), _line_cuts(path))
     lineno = 1  # the line number of the part's first line
     first = nonfinite = None  # the lines of the first data row and non-finite field
     for part in parts:
@@ -354,22 +344,17 @@ def load_recording_csv(source: Source, label: GestureClass = GestureClass.UNKNOW
     return recording
 
 
-def write_recording_csv(recording: SensorRecording, dest: Union[str, Path, IO[str]]) -> None:
-    """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n),
-    formatted in blocks of `fileio.BLOCK_ROWS` rows; a long recording in
-    parts (`fileio.run_parts`)."""
+def write_recording_csv(recording: SensorRecording, path: Union[str, Path]) -> None:
+    """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n)
+    through `fileio.write_csv`."""
     cols = (recording.t, recording.x, recording.y, recording.z)
-    opened = fileio.atomic_open(dest) if isinstance(dest, (str, Path)) else nullcontext(dest)
-    with opened as fh:
-        fh.write(CSV_HEADER + "\n")
 
-        def write_rows(first: int, end: int, out) -> None:
-            for lo in range(first, end, fileio.BLOCK_ROWS):
-                rows = zip(*(c[lo:min(lo + fileio.BLOCK_ROWS, end)].tolist() for c in cols))
-                out[0].write("".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows))
+    def format_block(lo: int, hi: int) -> list[str]:
+        rows = zip(*(c[lo:hi].tolist() for c in cols))
+        return ["".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows)]
 
-        n = len(recording)
-        fileio.run_parts(write_rows, fileio.block_bounds(n, n), [fh])
+    n = len(recording)
+    fileio.write_csv([(path, CSV_HEADER)], n, n, format_block)
 
 
 def resample_uniform(recording: SensorRecording,

@@ -3,6 +3,7 @@ byte-identical reruns. Everything runs in-process through cli.main()."""
 
 import json
 import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -422,6 +423,28 @@ def test_detect_window_arithmetic(pipeline, tmp_path):
         assert rows[1].startswith("0,")
         last_start = int(rows[-1].split(",")[0])
         assert last_start == (expected - 1) * stride
+
+
+def test_detect_reads_a_session_from_a_named_pipe(pipeline, tmp_path):
+    # a pipe has no size to cut, so it is read in one part; the trace and
+    # the report equal those of the same session read from its file
+    def detect(session, out):
+        assert run("detect", "--model", str(pipeline["model"]), "--session", str(session),
+                   "--ranges", str(pipeline["ranges"]), "--out", str(out)) == 0
+        return [(out / name).read_bytes() for name in ("trace.csv", "detect_report.json")]
+
+    want = detect(pipeline["session"], tmp_path / "file")
+    fifo = tmp_path / "session"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(pipeline["session"].read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        got = detect(fifo, tmp_path / "pipe")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == want
 
 
 def test_detect_short_session_exits_1(pipeline, tmp_path):

@@ -7,8 +7,8 @@ also scanned for imported names that it never uses, and every error class
 must be raised somewhere in the package. The package needs numpy alone, so
 importing its CLI must not load scipy. The package root holds only the
 version, `fileio` alone encodes JSON, `metrics` alone compares outputs
-with a threshold, no module sets the umask, and the README's library example
-runs as written.
+with a threshold, no module sets the umask, `fileio` alone opens, blocks and
+forks for the CSV writers, and the README's library example runs as written.
 """
 
 import ast
@@ -152,6 +152,32 @@ def test_no_module_sets_the_umask():
 def test_the_umask_scan_finds_a_call():
     assert umask_calls("import os\nm = os.umask(0)\nos.umask(m)\n"
                        "from os import umask\numask(0o22)\nos.umask\n") == [2, 3, 5]
+
+
+def csv_writer_names(source: str) -> list[int]:
+    """Lines that name `atomic_open`, `BLOCK_ROWS` or `fork` (as in
+    `os.fork`): as a name, an attribute or an imported name."""
+    owned = {"atomic_open", "BLOCK_ROWS", "fork"}
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                  and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                  in owned)
+
+
+def test_only_fileio_opens_writes_blocks_and_forks():
+    # one writer: `fileio.write_csv` opens every CSV target, runs the block
+    # loop and splits it into parts
+    found = {p.name: csv_writer_names(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "fileio.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_writer_scan_finds_a_planted_name():
+    assert csv_writer_names("from .fileio import atomic_open, read_json\n"
+                            "step = fileio.BLOCK_ROWS\npid = os.fork()\n"
+                            "from os import fork\nBLOCK_ROWS = 1\n"
+                            "s = 'atomic_open'\nos.forkpty\natomic_write_text(p, s)\n"
+                            ) == [1, 2, 3, 4, 5]
 
 
 def threshold_compares(source: str) -> list[int]:

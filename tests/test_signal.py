@@ -4,7 +4,6 @@ Resampling oracle: a slow pure-Python linear interpolation written
 independently of np.interp.
 """
 
-import io
 import math
 import os
 import re
@@ -54,12 +53,25 @@ def interp_oracle(ts, vs, at):
 
 # --- CSV ingestion -----------------------------------------------------------
 
-def test_load_csv_roundtrip(rng):
+def load_bytes(data: bytes, tmp_path, **kwargs) -> SensorRecording:
+    """load_recording_csv of a file holding data."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    return load_recording_csv(path, **kwargs)
+
+
+def csv_text(rec: SensorRecording, tmp_path) -> str:
+    """The text write_recording_csv gives rec."""
+    path = tmp_path / "w.csv"
+    write_recording_csv(rec, path)
+    return path.read_text(encoding="utf-8")
+
+
+def test_load_csv_roundtrip(rng, tmp_path):
     rec = make_recording(rng.normal(size=(37, 3)), label=GestureClass.COUGH)
-    buf = io.StringIO()
-    write_recording_csv(rec, buf)
-    back = load_recording_csv(buf.getvalue().encode(),
-                              label=GestureClass.COUGH, device="test")
+    path = tmp_path / "r.csv"
+    write_recording_csv(rec, path)
+    back = load_recording_csv(path, label=GestureClass.COUGH, device="test")
     assert np.array_equal(back.t, rec.t)
     assert np.array_equal(back.x, rec.x)
     assert np.array_equal(back.y, rec.y)
@@ -67,47 +79,47 @@ def test_load_csv_roundtrip(rng):
     assert back.label is GestureClass.COUGH
 
 
-def test_load_csv_three_rows():
+def test_load_csv_three_rows(tmp_path):
     text = "t,x,y,z\n0.0,1,2,3\n0.02,4,5,6\n0.04,7,8,9\n"
-    rec = load_recording_csv(text.encode())
+    rec = load_bytes(text.encode(), tmp_path)
     assert len(rec) == 3
     assert rec.x[2] == 7.0
 
 
-def test_load_csv_header_only_is_empty():
+def test_load_csv_header_only_is_empty(tmp_path):
     with pytest.raises(EmptyRecording):
-        load_recording_csv(b"t,x,y,z\n")
+        load_bytes(b"t,x,y,z\n", tmp_path)
 
 
-def test_load_csv_single_row_is_empty():
+def test_load_csv_single_row_is_empty(tmp_path):
     with pytest.raises(EmptyRecording):
-        load_recording_csv(b"t,x,y,z\n0.0,1,2,3\n")
+        load_bytes(b"t,x,y,z\n0.0,1,2,3\n", tmp_path)
 
 
-def test_load_csv_rejects_bad_header():
+def test_load_csv_rejects_bad_header(tmp_path):
     with pytest.raises(MalformedRow):
-        load_recording_csv(b"time,x,y,z\n0,1,2,3\n0.1,1,2,3\n")
+        load_bytes(b"time,x,y,z\n0,1,2,3\n0.1,1,2,3\n", tmp_path)
 
 
-def test_load_csv_rejects_non_numeric():
+def test_load_csv_rejects_non_numeric(tmp_path):
     with pytest.raises(MalformedRow):
-        load_recording_csv(b"t,x,y,z\n0.0,a,2,3\n0.1,1,2,3\n")
+        load_bytes(b"t,x,y,z\n0.0,a,2,3\n0.1,1,2,3\n", tmp_path)
 
 
-def test_load_csv_rejects_wrong_column_count():
+def test_load_csv_rejects_wrong_column_count(tmp_path):
     with pytest.raises(MalformedRow):
-        load_recording_csv(b"t,x,y,z\n0.0,1,2\n0.1,1,2\n")
+        load_bytes(b"t,x,y,z\n0.0,1,2\n0.1,1,2\n", tmp_path)
 
 
 @pytest.mark.parametrize("column", [0, 2], ids=["t", "y"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_load_csv_rejects_non_finite_field(column, bad):
+def test_load_csv_rejects_non_finite_field(column, bad, tmp_path):
     rows = [[f"{i * 0.02!r}", "0.5", "0.25", "1.0"] for i in range(4)]
     rows[2][column] = bad
     text = "\n".join([CSV_HEADER, *(",".join(r) for r in rows[:2]), "",
                       *(",".join(r) for r in rows[2:])]) + "\n"
     with pytest.raises(MalformedRow, match="^line 5: non-finite field$"):
-        load_recording_csv(text.encode())
+        load_bytes(text.encode(), tmp_path)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -116,35 +128,33 @@ def test_load_csv_rejects_non_finite_field(column, bad):
     ("0.04,1,x,3", "line 5: non-numeric field"),
     ("0.04,1,,3", "line 5: non-numeric field"),
 ])
-def test_load_csv_names_the_line_after_a_blank_line(bad, message):
+def test_load_csv_names_the_line_after_a_blank_line(bad, message, tmp_path):
     # rows 2-3, a blank line 4, the bad row on line 5, then a row that is bad
     # the other way, so the first bad line in file order must be the one named
     later = "0.06,1,y,3" if "columns" in message else "0.06,1,2"
     text = "\n".join([CSV_HEADER, "0.0,1,2,3", "0.02,1,2,3", "", bad, later,
                       "0.08,1,2,3"]) + "\n"
     with pytest.raises(MalformedRow, match=f"^{re.escape(message)}$"):
-        load_recording_csv(text.encode())
+        load_bytes(text.encode(), tmp_path)
 
 
-def test_load_csv_crlf_equals_lf(rng):
+def test_load_csv_crlf_equals_lf(rng, tmp_path):
     rec = make_recording(rng.normal(size=(30, 3)))
-    buf = io.StringIO()
-    write_recording_csv(rec, buf)
-    lf = buf.getvalue().replace("\n", "\n\n", 1)  # one blank line too
-    a = load_recording_csv(lf.encode("utf-8"))
-    b = load_recording_csv(lf.replace("\n", "\r\n").encode("utf-8"))
+    lf = csv_text(rec, tmp_path).replace("\n", "\n\n", 1)  # one blank line too
+    a = load_bytes(lf.encode("utf-8"), tmp_path)
+    b = load_bytes(lf.replace("\n", "\r\n").encode("utf-8"), tmp_path)
     for name in ("t", "x", "y", "z"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.array_equal(getattr(a, name), getattr(rec, name))
 
 
 def load_every_way(text: Union[str, bytes], tmp_path, monkeypatch) -> list:
-    """load_recording_csv of the text (UTF-8 encoded if a str) from a path,
-    bytes and IO[bytes] at every read size from 1 to the whole text; each
-    result is the (4, n) data or the error's message."""
-    def outcome(source):
+    """load_recording_csv of a file holding the text (UTF-8 encoded if a
+    str) at every read size from 1 to the whole text; each result is the
+    (4, n) data or the error's message."""
+    def outcome(path):
         try:
-            rec = load_recording_csv(source)
+            rec = load_recording_csv(path)
         except MalformedRow as exc:
             return f"MalformedRow: {exc}"
         return np.stack([rec.t, rec.x, rec.y, rec.z])
@@ -155,7 +165,7 @@ def load_every_way(text: Union[str, bytes], tmp_path, monkeypatch) -> list:
     results = []
     for size in range(1, len(data) + 1):
         monkeypatch.setattr(signal, "READ_CHUNK", size)
-        results += [outcome(path), outcome(data), outcome(io.BytesIO(data))]
+        results.append(outcome(path))
     return results
 
 
@@ -198,9 +208,7 @@ def test_load_csv_names_the_same_line_at_every_block_cut(bad, later, message, ne
 
 def test_load_csv_crlf_split_by_a_read_equals_lf(rng, tmp_path, monkeypatch):
     rec = make_recording(rng.normal(size=(5, 3)))
-    buf = io.StringIO()
-    write_recording_csv(rec, buf)
-    crlf = buf.getvalue().replace("\n", "\r\n")
+    crlf = csv_text(rec, tmp_path).replace("\n", "\r\n")
     assert_all(load_every_way(crlf, tmp_path, monkeypatch),
                np.stack([rec.t, rec.x, rec.y, rec.z]))
 
@@ -233,9 +241,8 @@ def test_load_csv_names_the_byte_offset_of_bytes_not_utf8(bad, tmp_path, monkeyp
         path.write_bytes(data)
         for size in range(1, len(data) + 1):
             monkeypatch.setattr(signal, "READ_CHUNK", size)
-            for source in (path, data, io.BytesIO(data)):
-                with pytest.raises(MalformedRow, match=f"^byte {offset}: not UTF-8"):
-                    load_recording_csv(source)
+            with pytest.raises(MalformedRow, match=f"^byte {offset}: not UTF-8"):
+                load_recording_csv(path)
 
 
 @pytest.mark.parametrize("data", [
@@ -250,26 +257,13 @@ def test_load_csv_names_bytes_not_utf8_after_an_earlier_fault(data, tmp_path, mo
                f"MalformedRow: byte {offset}: not UTF-8 (invalid start byte)")
 
 
-@pytest.mark.parametrize("text", ["t,x,y,z\n0.0,1,2,3\n0.02,4,5,6\n", ""],
-                         ids=["csv", "empty"])
-def test_load_csv_rejects_a_text_stream(text, tmp_path, monkeypatch):
-    path = tmp_path / "s.csv"
-    path.write_text(text)
-    for size in (1, len(text) + 1):
-        monkeypatch.setattr(signal, "READ_CHUNK", size)
-        with open(path, encoding="utf-8") as fh:
-            for source in (io.StringIO(text), fh):
-                with pytest.raises(TypeError, match="path, bytes or a binary stream"):
-                    load_recording_csv(source)
-
-
 # --- CSV ingestion in parts ---------------------------------------------------
 
-def outcome(source):
-    """load_recording_csv(source): the (4, n) data or the error's type and
+def outcome(path):
+    """load_recording_csv(path): the (4, n) data or the error's type and
     message."""
     try:
-        rec = load_recording_csv(source)
+        rec = load_recording_csv(path)
     except SmokewatchError as exc:
         return f"{type(exc).__name__}: {exc}"
     return np.stack([rec.t, rec.x, rec.y, rec.z])
@@ -334,11 +328,10 @@ def test_load_csv_cut_lands_after_the_next_newline(data, at, cut, tmp_path, monk
 def test_load_csv_reads_a_named_pipe(rng, tmp_path):
     # a pipe has no size to cut, so it is read in one part to its end
     rec = make_recording(rng.normal(size=(5000, 3)))
-    buf = io.StringIO()
-    write_recording_csv(rec, buf)
+    text = csv_text(rec, tmp_path)
     path = tmp_path / "pipe"
     os.mkfifo(path)
-    writer = threading.Thread(target=path.write_text, args=(buf.getvalue(),))
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
     writer.start()
     try:
         got = load_recording_csv(path)
@@ -396,7 +389,9 @@ def test_load_csv_in_parts_names_the_one_part_error(fault, spot, tmp_path, monke
     assert len(data) == path.stat().st_size
     want = message.format(line=line, byte=data.find(b"\xff"))
     assert assert_parts_agree(data, tmp_path, monkeypatch, parts=(3,)) == want
-    assert outcome(data) == want
+    whole = tmp_path / "whole.csv"
+    whole.write_bytes(data)
+    assert outcome(whole) == want
 
 
 @pytest.mark.parametrize("data, want", [
@@ -410,16 +405,16 @@ def test_load_csv_in_parts_names_file_faults(data, want, tmp_path, monkeypatch):
     assert assert_parts_agree(data, tmp_path, monkeypatch) == want
 
 
-def test_load_csv_rejects_non_monotonic_time():
+def test_load_csv_rejects_non_monotonic_time(tmp_path):
     text = "t,x,y,z\n0.0,1,2,3\n0.02,1,2,3\n0.02,1,2,3\n"
     with pytest.raises(NonMonotonicTime):
-        load_recording_csv(text.encode())
+        load_bytes(text.encode(), tmp_path)
 
 
-def test_load_csv_warns_on_rate_deviation():
+def test_load_csv_warns_on_rate_deviation(tmp_path):
     rows = "\n".join(f"{i*0.05},0,0,1" for i in range(10))
     with pytest.warns(SampleRateWarning):
-        load_recording_csv(f"{CSV_HEADER}\n{rows}\n".encode())
+        load_bytes(f"{CSV_HEADER}\n{rows}\n".encode(), tmp_path)
 
 
 def test_write_csv_uses_roundtrip_floats(tmp_path):
