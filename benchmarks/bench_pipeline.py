@@ -23,12 +23,15 @@ otherwise:
   `tests/test_train.py::test_primal_step_matches_the_svd_oracle`;
 - `import smokewatch.cli` in a fresh interpreter: best-of-5 wall time of the
   process, its peak resident set and whether it loaded scipy;
-- CSV text on a 100,000-row session of seed 7 (smokebench's `long_session`
-  size), best of 5: `load_recording_csv` of its file, `write_trace_csv` of
-  a stride-1 trace with its plot, and `write_recording_csv`, each in one
-  part and in the parts `fileio.part_count` gives this host (`split`; not
-  measured on a tree without it); every split file must be byte-identical
-  to the one-part file and every load `array_equal` to the recording;
+- CSV text on the 100,000-row session of smokebench's `long_session` at
+  seed 7, which `synth.generate_sessions` makes (so a tree that synthesizes
+  other samples writes other text), best of 5: `load_recording_csv` of its
+  file, `write_trace_csv` of a stride-1 trace with its plot, and
+  `write_recording_csv`, each in one part and in the parts
+  `fileio.part_count` gives this host (`split`; not measured on a tree
+  without it), and the size of the session file; every split file must be
+  byte-identical to the one-part file and every load `array_equal` to the
+  recording;
 - the environment: Python and numpy versions, nproc and the BLAS thread
   variables.
 
@@ -225,20 +228,34 @@ def import_row() -> dict:
             "scipy_loaded": out[1] == "True"}
 
 
+def long_session_xyz() -> np.ndarray:
+    """The (CSV_ROWS, 3) samples of smokebench's `long_session` at seed 7:
+    its watch-a sessions, smoking and other kinds alternated in its seeded
+    shuffle, concatenated and cut."""
+    kinds = {synth.SessionKind.SMOKING: 16, synth.SessionKind.EATING: 6,
+             synth.SessionKind.DRINKING: 6, synth.SessionKind.CHAPSTICK: 4}
+    sessions = synth.generate_sessions(kinds, synth.DEFAULT_PROFILES["watch-a"], SEED)
+    smoking = [r for k, r, _ in sessions if k is synth.SessionKind.SMOKING]
+    others = [r for k, r, _ in sessions if k is not synth.SessionKind.SMOKING]
+    rng = np.random.default_rng(SEED)
+    pairs = zip(rng.permutation(len(smoking)), rng.permutation(len(others)))
+    return np.concatenate([np.stack([r.x, r.y, r.z], axis=1)
+                           for i, j in pairs for r in (smoking[i], others[j])])[:CSV_ROWS]
+
+
 def csv_rows() -> dict:
     """CSV load and writes of one CSV_ROWS-row session, in one part and split.
 
-    The session is seed 7's N(0, 0.5) noise on the 50 Hz grid, and the trace
-    one uniform output per stride-1 window of 200 samples. One part is forced
-    by raising `fileio.PART_ROWS` above the row count; a tree without
+    The session is `long_session_xyz()` on the 50 Hz grid, and the trace one
+    seeded uniform output per stride-1 window of 200 samples. One part is
+    forced by raising `fileio.PART_ROWS` above the row count; a tree without
     `fileio.part_count` always runs one part.
     """
-    rng = np.random.default_rng(SEED)
-    xyz = rng.normal(0.0, 0.5, size=(CSV_ROWS, 3))
+    xyz = long_session_xyz()
     rec = signal.SensorRecording(t=np.arange(CSV_ROWS) / signal.NOMINAL_RATE_HZ,
                                  x=xyz[:, 0], y=xyz[:, 1], z=xyz[:, 2])
-    trace = detect.DetectionTrace(outputs=rng.uniform(size=CSV_ROWS - 199), stride=1,
-                                  threshold=0.5)
+    outputs = np.random.default_rng(SEED).uniform(size=CSV_ROWS - 199)
+    trace = detect.DetectionTrace(outputs=outputs, stride=1, threshold=0.5)
     splits = {"one_part": CSV_ROWS + 1}
     if hasattr(fileio, "part_count"):
         splits["split"] = fileio.PART_ROWS
@@ -260,6 +277,7 @@ def csv_rows() -> dict:
                     rec, out / "recording.csv"), CSV_REPEATS),
                 "load_equal": all(np.array_equal(getattr(got, a), getattr(rec, a))
                                   for got in loaded for a in "txyz"),
+                "file_bytes": src.stat().st_size,
             }
             files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     fileio.PART_ROWS = splits.get("split", splits["one_part"])

@@ -153,9 +153,12 @@ class SensorRecording:
 
 # Bytes per read of a CSV file.
 READ_CHUNK = 1 << 18
-# About the bytes of one written row (four repr floats): a file's row count
-# is taken as its size over this when deciding how many parts to load it in.
-ROW_BYTES = 64
+# About the bytes of one written row of a synthetic session: a time of up to
+# 7 characters and three 1 milli-g samples of 5-6 (a 100,000-row session is
+# 25.6 bytes a row). A file's row count is taken as its size over this when
+# deciding how many parts to load it in; a file of full-precision floats,
+# about 64 bytes a row, counts as 2.5 times its rows.
+ROW_BYTES = 26
 
 
 def _line_blocks(fh: IO[bytes], start: int, end: Optional[int]) -> Iterator[str]:

@@ -8,7 +8,10 @@ segments produce the oscillatory gestures (coughing, scratching, brushing).
 
 Per-gesture jitter scales the whole duration and the level deviations from
 the rest pose; Gaussian noise is added per sample. A device profile applies
-a per-axis affine map plus optional extra noise, emulating a second watch.
+a per-axis affine map plus optional extra noise, emulating a second watch,
+and then rounds every sample to its sensor grid of 1/counts_per_g g. Both
+built-in profiles report 1 milli-g counts, as the Pebble SDK's int16
+`AccelData` does, so a written sample has at most three decimals.
 
 Each generator makes its random draws one gesture at a time and in a fixed
 order: per gesture the duration and amplitude uniforms, then the
@@ -125,12 +128,18 @@ class GestureTemplate:
         return max(int(round(total * NOMINAL_RATE_HZ)), 2)
 
 
+# Every count up to 2**53 is an exact float, so the grid is the one asked for.
+MAX_COUNTS_PER_G = 2 ** 53
+
+
 @dataclass(frozen=True, eq=False)
 class DeviceProfile:
     name: str
     offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
     scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
     noise_sigma: float = 0.0
+    # sensor counts per g: samples lie on a grid of 1/counts_per_g g (1 milli-g)
+    counts_per_g: int = 1000
 
     def __post_init__(self):
         object.__setattr__(self, "offset", _finite_triple("offset", self.offset))
@@ -138,6 +147,12 @@ class DeviceProfile:
         if min(self.scale) <= 0:
             raise ValueError("scale factors must be positive")
         object.__setattr__(self, "noise_sigma", _nonnegative("noise sigma", self.noise_sigma))
+        counts = self.counts_per_g  # an int, not a bool or an integral float
+        if isinstance(counts, bool) or not isinstance(counts, numbers.Integral):
+            raise TypeError(f"counts_per_g must be an integer, got {counts!r}")
+        if not 1 <= counts <= MAX_COUNTS_PER_G:
+            raise ValueError(f"counts_per_g must lie in [1, 2**53], got {counts}")
+        object.__setattr__(self, "counts_per_g", int(counts))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values * np.asarray(self.scale) + np.asarray(self.offset)
@@ -208,11 +223,14 @@ def _envelopes(template: GestureTemplate,
 
 def _on_device(profile: DeviceProfile, values: np.ndarray,
                draws: Sequence[_Draws]) -> np.ndarray:
-    """Apply the profile's affine map, then add its noise, to stacked chunks."""
+    """Apply the profile's affine map, add its noise, then round to its grid,
+    on stacked chunks. The grid is round(v * counts_per_g) / counts_per_g:
+    at 1000 that is np.round(v, 3) bit for bit, and every result's repr has
+    at most three decimals, which round(v / step) * step does not give."""
     values = profile.apply(values)
     if profile.noise_sigma > 0:
         values += np.concatenate([d.device_noise for d in draws])
-    return values
+    return np.round(values * profile.counts_per_g) / profile.counts_per_g
 
 
 def _gesture_recordings(template: GestureTemplate, profile: DeviceProfile,
@@ -486,7 +504,7 @@ def _template_from_dict(cls: GestureClass, doc: dict) -> GestureTemplate:
 
 
 def _profile_from_dict(name: str, doc: dict) -> DeviceProfile:
-    keys = ("offset", "scale", "noise_sigma")
+    keys = ("offset", "scale", "noise_sigma", "counts_per_g")
     return DeviceProfile(name, **{k: doc[k] for k in keys if k in doc})
 
 
@@ -496,13 +514,14 @@ def load_synth_config(path: Union[str, Path]):
     Schema: {"templates": {"<class>": {"segments": [{"duration": s,
     "levels": [x, y, z]}, ...], "rest": [x, y, z], "duration_jitter": f,
     "amplitude_jitter": f, "noise_sigma": f}}, "profiles": {"<name>":
-    {"offset": [x, y, z], "scale": [x, y, z], "noise_sigma": f}}}.
+    {"offset": [x, y, z], "scale": [x, y, z], "noise_sigma": f,
+    "counts_per_g": n}}}.
     Keys are optional except a template's segments and their fields;
     omitted entries keep their defaults. Durations are finite and > 0;
     levels, rest, offset and scale hold 3 finite values each, and scale
     factors are > 0; noise sigmas are finite and >= 0; duration_jitter lies
-    in [0, 1) and amplitude_jitter is finite and >= 0. Raises
-    MalformedConfig for anything else.
+    in [0, 1) and amplitude_jitter is finite and >= 0; counts_per_g is an
+    integer in [1, 2**53]. Raises MalformedConfig for anything else.
     """
     try:
         doc = read_json(path)

@@ -3,6 +3,7 @@ byte-identical reruns. Everything runs in-process through cli.main()."""
 
 import json
 import os
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -146,6 +147,32 @@ def test_synth_config_override(tmp_path):
     assert (out / "cough__bench__000.csv").exists()
 
 
+MILLI_G = re.compile(r"-?\d+\.\d{1,3}")
+
+
+@pytest.mark.parametrize("profile", ["watch-a", "watch-b"])
+def test_synth_writes_samples_on_the_milli_g_grid(tmp_path, profile):
+    # every x, y and z field of every CSV synth writes is the repr of a
+    # float with at most three decimals (-0.0 too) that equals
+    # round(v * 1000) / 1000
+    out = tmp_path / "out"
+    for args in (["--gestures", ",".join(f"{c.value}=2" for c in GestureClass
+                                          if c is not GestureClass.UNKNOWN)],
+                 ["--sessions", "smoking=1,eating=1,drinking=1,chapstick=1"],
+                 ["--corpus", "table1"]):
+        assert run("synth", *args, "--profile", profile, "--seed", "5",
+                   "--out", str(out / args[0])) == 0
+    files = sorted(out.rglob("*.csv"))
+    assert {p.parent.name for p in files} == {"--gestures", "--sessions", "train",
+                                               "test", "sessions"}
+    fields = [f for p in files for line in p.read_text().splitlines()[1:]
+              for f in line.split(",")[1:]]
+    assert len(fields) > 200_000
+    assert all(MILLI_G.fullmatch(f) for f in fields)
+    values = np.array(fields, dtype=float)
+    assert np.array_equal(values, np.round(values * 1000) / 1000)
+
+
 @pytest.mark.parametrize("text", [
     '{"templates": {"cough": {',                                   # invalid JSON
     '{"templates": {"cough": {"rest": [0, 0, 1]}}}',               # no segments
@@ -164,9 +191,11 @@ def test_synth_config_override(tmp_path):
     '"duration_jitter": 1.5}}}',
     '{"templates": {"cough": {"segments": [{"duration": "0.8", "levels": [0, 0, 1]}]}}}',
     '{"profiles": {"bench": {"scale": [true, 1, 1]}}}',
+    '{"profiles": {"bench": {"counts_per_g": 1.5}}}',
+    '{"profiles": {"bench": {"counts_per_g": 0}}}',
 ], ids=["json", "segments", "levels", "class", "scale", "levels-2", "duration-nan",
         "level-nan", "rest-2", "offset-2", "sigma-nan", "jitter-1.5", "duration-str",
-        "scale-bool"])
+        "scale-bool", "counts-1.5", "counts-0"])
 def test_synth_malformed_config_exits_1_before_writing(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

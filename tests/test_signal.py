@@ -35,6 +35,7 @@ from smokewatch.signal import (
     window_count,
     write_recording_csv,
 )
+from smokewatch.synth import DEFAULT_PROFILES, SessionKind, generate_sessions
 
 
 def interp_oracle(ts, vs, at):
@@ -323,6 +324,47 @@ def test_load_csv_cut_lands_after_the_next_newline(data, at, cut, tmp_path, monk
     split_into(monkeypatch, 2)
     assert signal._line_cuts(path) == [0, data.index(b"\n", at) + 1, None]
     assert_parts_agree(data, tmp_path, monkeypatch, parts=(2,))
+
+
+@pytest.fixture(scope="module")
+def milli_g_xyz():
+    """(100,000, 3) samples of synthetic sessions end to end, as the
+    benchmark's long session is built: on the 1 milli-g grid, about 26
+    bytes a row once written."""
+    kinds = {SessionKind.SMOKING: 16, SessionKind.EATING: 6,
+             SessionKind.DRINKING: 6, SessionKind.CHAPSTICK: 4}
+    sessions = generate_sessions(kinds, DEFAULT_PROFILES["watch-a"], 3)
+    return np.concatenate([np.stack([r.x, r.y, r.z], axis=1) for _, r, _ in sessions])[:100_000]
+
+
+def test_milli_g_session_round_trips_in_any_part_count(milli_g_xyz, tmp_path, monkeypatch):
+    rec = make_recording(milli_g_xyz)
+    path = tmp_path / "s.csv"
+    write_recording_csv(rec, path)
+    for parts in (1, 2, 3):
+        with monkeypatch.context() as m:
+            split_into(m, parts)
+            assert len(signal._line_cuts(path)) == parts + 1
+            got = load_recording_csv(path)
+        for name in "txyz":
+            assert np.array_equal(getattr(got, name), getattr(rec, name)), (parts, name)
+
+
+def test_row_bytes_sizes_milli_g_files_at_the_real_part_rows(milli_g_xyz, tmp_path,
+                                                             monkeypatch):
+    # on 4 CPUs at the real PART_ROWS, the 100,000-row session (about 2.56 MB)
+    # loads in 4 parts, and a 200-row gesture file in one, with no fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    session, gesture = tmp_path / "session.csv", tmp_path / "gesture.csv"
+    write_recording_csv(make_recording(milli_g_xyz), session)
+    write_recording_csv(make_recording(milli_g_xyz[:200]), gesture)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    assert np.array_equal(load_recording_csv(session).z, milli_g_xyz[:, 2])
+    assert len(forks) == 3
+    assert np.array_equal(load_recording_csv(gesture).z, milli_g_xyz[:200, 2])
+    assert len(forks) == 3
 
 
 def test_load_csv_reads_a_named_pipe(rng, tmp_path):
