@@ -23,10 +23,12 @@ otherwise:
   `tests/test_train.py::test_primal_step_matches_the_svd_oracle`;
 - `import smokewatch.cli` in a fresh interpreter: best-of-5 wall time of the
   process, its peak resident set and whether it loaded scipy;
-- CSV text on the 100,000-row session of smokebench's `long_session` at
-  seed 7, which `synth.generate_sessions` makes (so a tree that synthesizes
-  other samples writes other text), best of 5: `load_recording_csv` of its
-  file, `write_trace_csv` of a stride-1 trace with its plot, and
+- CSV text on two 100,000-row sessions (smokebench's `long_session` size):
+  seed 7's full-precision N(0, 0.5) noise (`csv`), and smokebench's
+  `long_session` at seed 7 as this tree's `synth.generate_sessions` makes
+  it (`csv_long_session`; a tree that synthesizes other samples writes
+  other text). For each, best of 5: `load_recording_csv` of its file,
+  `write_trace_csv` of a stride-1 trace with its plot, and
   `write_recording_csv`, each in one part and in the parts
   `fileio.part_count` gives this host (`split`; not measured on a tree
   without it), and the size of the session file; every split file must be
@@ -76,6 +78,9 @@ import numpy as np  # noqa: E402  (after the thread variables)
 import smokewatch  # noqa: E402
 from smokewatch import detect, fileio, kernels, mlp, signal, synth, train  # noqa: E402
 from smokewatch.signal import ChannelMode  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "smokebench"))
+from workloads import long_session  # noqa: E402
 
 MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMode.AVG)
 RESTARTS = 10
@@ -228,30 +233,15 @@ def import_row() -> dict:
             "scipy_loaded": out[1] == "True"}
 
 
-def long_session_xyz() -> np.ndarray:
-    """The (CSV_ROWS, 3) samples of smokebench's `long_session` at seed 7:
-    its watch-a sessions, smoking and other kinds alternated in its seeded
-    shuffle, concatenated and cut."""
-    kinds = {synth.SessionKind.SMOKING: 16, synth.SessionKind.EATING: 6,
-             synth.SessionKind.DRINKING: 6, synth.SessionKind.CHAPSTICK: 4}
-    sessions = synth.generate_sessions(kinds, synth.DEFAULT_PROFILES["watch-a"], SEED)
-    smoking = [r for k, r, _ in sessions if k is synth.SessionKind.SMOKING]
-    others = [r for k, r, _ in sessions if k is not synth.SessionKind.SMOKING]
-    rng = np.random.default_rng(SEED)
-    pairs = zip(rng.permutation(len(smoking)), rng.permutation(len(others)))
-    return np.concatenate([np.stack([r.x, r.y, r.z], axis=1)
-                           for i, j in pairs for r in (smoking[i], others[j])])[:CSV_ROWS]
+def csv_rows(xyz: np.ndarray) -> dict:
+    """CSV load and writes of the (CSV_ROWS, 3) session xyz, in one part and
+    split.
 
-
-def csv_rows() -> dict:
-    """CSV load and writes of one CSV_ROWS-row session, in one part and split.
-
-    The session is `long_session_xyz()` on the 50 Hz grid, and the trace one
-    seeded uniform output per stride-1 window of 200 samples. One part is
-    forced by raising `fileio.PART_ROWS` above the row count; a tree without
+    The session lies on the 50 Hz grid, and the trace is one seeded uniform
+    output per stride-1 window of 200 samples. One part is forced by raising
+    `fileio.PART_ROWS` above the row count; a tree without
     `fileio.part_count` always runs one part.
     """
-    xyz = long_session_xyz()
     rec = signal.SensorRecording(t=np.arange(CSV_ROWS) / signal.NOMINAL_RATE_HZ,
                                  x=xyz[:, 0], y=xyz[:, 1], z=xyz[:, 2])
     outputs = np.random.default_rng(SEED).uniform(size=CSV_ROWS - 199)
@@ -308,7 +298,8 @@ def main(argv=None) -> int:
                     for mode in (ChannelMode.X, ChannelMode.XYZ)},
         "primal_step": primal_rows(),
         "import_cli": import_row(),
-        "csv": csv_rows(),
+        "csv": csv_rows(np.random.default_rng(SEED).normal(0.0, 0.5, size=(CSV_ROWS, 3))),
+        "csv_long_session": csv_rows(long_session(SEED, CSV_ROWS)[2]),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -327,11 +318,13 @@ def main(argv=None) -> int:
             print(f"{mode}: train_best_of differs from the full restart loop",
                   file=sys.stderr)
             code = 1
-    csv = run["csv"]
-    if not csv["files_identical"] or not all(
-            csv[name]["load_equal"] for name in ("one_part", "split") if name in csv):
-        print("a split CSV load or write differs from the one-part one", file=sys.stderr)
-        code = 1
+    for key in ("csv", "csv_long_session"):
+        csv = run[key]
+        if not csv["files_identical"] or not all(
+                csv[name]["load_equal"] for name in ("one_part", "split") if name in csv):
+            print(f"{key}: a split CSV load or write differs from the one-part one",
+                  file=sys.stderr)
+            code = 1
     svd = run["primal_step"]["svd_oracle"]
     if svd["max_rel_err"] > svd["bound"]:
         print(f"primal step differs from the SVD oracle by {svd['max_rel_err']:.3g} "

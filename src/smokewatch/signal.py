@@ -153,12 +153,6 @@ class SensorRecording:
 
 # Bytes per read of a CSV file.
 READ_CHUNK = 1 << 18
-# About the bytes of one written row of a synthetic session: a time of up to
-# 7 characters and three 1 milli-g samples of 5-6 (a 100,000-row session is
-# 25.6 bytes a row). A file's row count is taken as its size over this when
-# deciding how many parts to load it in; a file of full-precision floats,
-# about 64 bytes a row, counts as 2.5 times its rows.
-ROW_BYTES = 26
 
 
 def _line_blocks(fh: IO[bytes], start: int, end: Optional[int]) -> Iterator[str]:
@@ -265,12 +259,16 @@ def _first_bad_row(lines: list[str]) -> tuple[int, str]:
 def _line_cuts(path: Union[str, Path]) -> list[Optional[int]]:
     """Offsets that cut the file at path into `fileio.part_count` runs of
     whole lines of about equal size: 0, each later cut just after a b"\\n",
-    then None for the end of the file. A pipe has no size, so it is one run."""
+    then None for the end of the file. The file's rows are counted as its
+    size times the lines per byte of its first READ_CHUNK, which is read
+    only if the file has bytes enough for a split at one byte a line. A pipe
+    has no size, so it is one run."""
     size = os.stat(path).st_size
-    parts = fileio.part_count(size // ROW_BYTES)
     cuts = [0]
-    if parts > 1:
+    if fileio.part_count(size) > 1:
         with open(path, "rb") as fh:
+            head = fh.read(READ_CHUNK)
+            parts = fileio.part_count(size * head.count(b"\n") // max(len(head), 1))
             for k in range(1, parts):
                 at = max(size * k // parts, cuts[-1])
                 fh.seek(at)

@@ -8,10 +8,10 @@ segments produce the oscillatory gestures (coughing, scratching, brushing).
 
 Per-gesture jitter scales the whole duration and the level deviations from
 the rest pose; Gaussian noise is added per sample. A device profile applies
-a per-axis affine map plus optional extra noise, emulating a second watch,
-and then rounds every sample to its sensor grid of 1/counts_per_g g. Both
-built-in profiles report 1 milli-g counts, as the Pebble SDK's int16
-`AccelData` does, so a written sample has at most three decimals.
+a per-axis affine map plus optional extra noise, emulating a second watch.
+Every sample is then rounded to a 1 milli-g grid, the counts the Pebble
+SDK's int16 `AccelData` reports, so a written sample has at most three
+decimals.
 
 Each generator makes its random draws one gesture at a time and in a fixed
 order: per gesture the duration and amplitude uniforms, then the
@@ -128,8 +128,8 @@ class GestureTemplate:
         return max(int(round(total * NOMINAL_RATE_HZ)), 2)
 
 
-# Every count up to 2**53 is an exact float, so the grid is the one asked for.
-MAX_COUNTS_PER_G = 2 ** 53
+# Sensor counts per g of every device: samples lie on a 1 milli-g grid.
+COUNTS_PER_G = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +138,6 @@ class DeviceProfile:
     offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
     scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
     noise_sigma: float = 0.0
-    # sensor counts per g: samples lie on a grid of 1/counts_per_g g (1 milli-g)
-    counts_per_g: int = 1000
 
     def __post_init__(self):
         object.__setattr__(self, "offset", _finite_triple("offset", self.offset))
@@ -147,12 +145,6 @@ class DeviceProfile:
         if min(self.scale) <= 0:
             raise ValueError("scale factors must be positive")
         object.__setattr__(self, "noise_sigma", _nonnegative("noise sigma", self.noise_sigma))
-        counts = self.counts_per_g  # an int, not a bool or an integral float
-        if isinstance(counts, bool) or not isinstance(counts, numbers.Integral):
-            raise TypeError(f"counts_per_g must be an integer, got {counts!r}")
-        if not 1 <= counts <= MAX_COUNTS_PER_G:
-            raise ValueError(f"counts_per_g must lie in [1, 2**53], got {counts}")
-        object.__setattr__(self, "counts_per_g", int(counts))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values * np.asarray(self.scale) + np.asarray(self.offset)
@@ -223,14 +215,15 @@ def _envelopes(template: GestureTemplate,
 
 def _on_device(profile: DeviceProfile, values: np.ndarray,
                draws: Sequence[_Draws]) -> np.ndarray:
-    """Apply the profile's affine map, add its noise, then round to its grid,
-    on stacked chunks. The grid is round(v * counts_per_g) / counts_per_g:
-    at 1000 that is np.round(v, 3) bit for bit, and every result's repr has
-    at most three decimals, which round(v / step) * step does not give."""
+    """Apply the profile's affine map, add its noise, then round to the
+    sensor grid, on stacked chunks. The grid is round(v * COUNTS_PER_G) /
+    COUNTS_PER_G, which is np.round(v, 3) bit for bit, and every result's
+    repr has at most three decimals, which round(v / step) * step does not
+    give."""
     values = profile.apply(values)
     if profile.noise_sigma > 0:
         values += np.concatenate([d.device_noise for d in draws])
-    return np.round(values * profile.counts_per_g) / profile.counts_per_g
+    return np.round(values * COUNTS_PER_G) / COUNTS_PER_G
 
 
 def _gesture_recordings(template: GestureTemplate, profile: DeviceProfile,
@@ -504,7 +497,7 @@ def _template_from_dict(cls: GestureClass, doc: dict) -> GestureTemplate:
 
 
 def _profile_from_dict(name: str, doc: dict) -> DeviceProfile:
-    keys = ("offset", "scale", "noise_sigma", "counts_per_g")
+    keys = ("offset", "scale", "noise_sigma")
     return DeviceProfile(name, **{k: doc[k] for k in keys if k in doc})
 
 
@@ -514,14 +507,13 @@ def load_synth_config(path: Union[str, Path]):
     Schema: {"templates": {"<class>": {"segments": [{"duration": s,
     "levels": [x, y, z]}, ...], "rest": [x, y, z], "duration_jitter": f,
     "amplitude_jitter": f, "noise_sigma": f}}, "profiles": {"<name>":
-    {"offset": [x, y, z], "scale": [x, y, z], "noise_sigma": f,
-    "counts_per_g": n}}}.
+    {"offset": [x, y, z], "scale": [x, y, z], "noise_sigma": f}}}.
     Keys are optional except a template's segments and their fields;
     omitted entries keep their defaults. Durations are finite and > 0;
     levels, rest, offset and scale hold 3 finite values each, and scale
     factors are > 0; noise sigmas are finite and >= 0; duration_jitter lies
-    in [0, 1) and amplitude_jitter is finite and >= 0; counts_per_g is an
-    integer in [1, 2**53]. Raises MalformedConfig for anything else.
+    in [0, 1) and amplitude_jitter is finite and >= 0. Raises
+    MalformedConfig for anything else.
     """
     try:
         doc = read_json(path)

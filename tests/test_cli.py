@@ -191,11 +191,9 @@ def test_synth_writes_samples_on_the_milli_g_grid(tmp_path, profile):
     '"duration_jitter": 1.5}}}',
     '{"templates": {"cough": {"segments": [{"duration": "0.8", "levels": [0, 0, 1]}]}}}',
     '{"profiles": {"bench": {"scale": [true, 1, 1]}}}',
-    '{"profiles": {"bench": {"counts_per_g": 1.5}}}',
-    '{"profiles": {"bench": {"counts_per_g": 0}}}',
 ], ids=["json", "segments", "levels", "class", "scale", "levels-2", "duration-nan",
         "level-nan", "rest-2", "offset-2", "sigma-nan", "jitter-1.5", "duration-str",
-        "scale-bool", "counts-1.5", "counts-0"])
+        "scale-bool"])
 def test_synth_malformed_config_exits_1_before_writing(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

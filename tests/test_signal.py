@@ -328,12 +328,10 @@ def test_load_csv_cut_lands_after_the_next_newline(data, at, cut, tmp_path, monk
 
 @pytest.fixture(scope="module")
 def milli_g_xyz():
-    """(100,000, 3) samples of synthetic sessions end to end, as the
-    benchmark's long session is built: on the 1 milli-g grid, about 26
-    bytes a row once written."""
-    kinds = {SessionKind.SMOKING: 16, SessionKind.EATING: 6,
-             SessionKind.DRINKING: 6, SessionKind.CHAPSTICK: 4}
-    sessions = generate_sessions(kinds, DEFAULT_PROFILES["watch-a"], 3)
+    """(100,000, 3) samples of synthetic sessions, end to end: on the 1
+    milli-g grid, about 26 bytes a row once written."""
+    sessions = generate_sessions({SessionKind.SMOKING: 20, SessionKind.EATING: 20},
+                                 DEFAULT_PROFILES["watch-a"], 3)
     return np.concatenate([np.stack([r.x, r.y, r.z], axis=1) for _, r, _ in sessions])[:100_000]
 
 
@@ -350,21 +348,24 @@ def test_milli_g_session_round_trips_in_any_part_count(milli_g_xyz, tmp_path, mo
             assert np.array_equal(getattr(got, name), getattr(rec, name)), (parts, name)
 
 
-def test_row_bytes_sizes_milli_g_files_at_the_real_part_rows(milli_g_xyz, tmp_path,
-                                                             monkeypatch):
-    # on 4 CPUs at the real PART_ROWS, the 100,000-row session (about 2.56 MB)
-    # loads in 4 parts, and a 200-row gesture file in one, with no fork
+def test_load_part_count_follows_the_rows_at_the_real_part_rows(milli_g_xyz, rng, tmp_path,
+                                                                monkeypatch):
+    # on 4 CPUs at the real PART_ROWS, whatever the bytes of a row: the
+    # 100,000-row milli-g session (about 26 bytes a row) loads in 4 parts,
+    # and a 200-row gesture file and a 20,000-row file of full-precision
+    # floats (about 64 bytes a row) in one, with no fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    session, gesture = tmp_path / "session.csv", tmp_path / "gesture.csv"
-    write_recording_csv(make_recording(milli_g_xyz), session)
-    write_recording_csv(make_recording(milli_g_xyz[:200]), gesture)
+    full = rng.normal(size=(20_000, 3))
+    files = {"session": milli_g_xyz, "gesture": milli_g_xyz[:200], "full": full}
+    for name, xyz in files.items():
+        write_recording_csv(make_recording(xyz), tmp_path / f"{name}.csv")
+    assert (tmp_path / "full.csv").stat().st_size > 60 * 20_000
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    assert np.array_equal(load_recording_csv(session).z, milli_g_xyz[:, 2])
-    assert len(forks) == 3
-    assert np.array_equal(load_recording_csv(gesture).z, milli_g_xyz[:200, 2])
-    assert len(forks) == 3
+    for name, xyz in files.items():
+        assert np.array_equal(load_recording_csv(tmp_path / f"{name}.csv").z, xyz[:, 2])
+        assert len(forks) == 3, name
 
 
 def test_load_csv_reads_a_named_pipe(rng, tmp_path):

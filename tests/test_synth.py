@@ -1,5 +1,5 @@
 """Generator guarantees: seed determinism, affine device transparency,
-samples on the device's sensor grid, nominal durations, session ground
+samples on the 1 milli-g sensor grid, nominal durations, session ground
 truth, and the conserved-shape quality gate for smoking gestures.
 
 Batched-pass oracle: the one-gesture-at-a-time generator (`ref_envelope`,
@@ -18,6 +18,7 @@ from smokewatch.errors import MalformedConfig, MissingTemplate
 from smokewatch.signal import ChannelMode, CONFOUNDER_CLASSES, GestureClass, \
     NOMINAL_RATE_HZ, SensorRecording, extract_features, resample_uniform
 from smokewatch.synth import (
+    COUNTS_PER_G,
     DEFAULT_PROFILES,
     DEFAULT_TEMPLATES,
     IDLE_NOISE_SIGMA,
@@ -155,7 +156,7 @@ def test_device_profile_is_affine_transparent():
                             scale=(0.9, 1.1, 1.0))
     a = generate_gesture(tpl, WATCH_A, rng=3)
     b = generate_gesture(tpl, shifted, rng=3)
-    step = 1 / WATCH_A.counts_per_g
+    step = 1 / COUNTS_PER_G
     for got, want, scale in ((b.x, a.x * 0.9 + 0.1, 0.9), (b.y, a.y * 1.1, 1.1),
                              (b.z, a.z - 0.2, 1.0)):
         assert np.abs(got - want).max() <= (1 + scale) / 2 * step + 1e-12
@@ -313,23 +314,6 @@ def test_load_synth_config_merges_over_defaults(tmp_path):
     assert rec.z[0] == pytest.approx(1.5)
 
 
-def test_config_counts_per_g_reaches_the_samples(tmp_path):
-    # 8 counts per g: every sample is a whole number of eighths, exactly in
-    # binary, and lies within half an eighth of the 1 milli-g sample
-    path = tmp_path / "synth.json"
-    path.write_text(json.dumps({"profiles": {"coarse": {"counts_per_g": 8}}}))
-    _, profiles = load_synth_config(path)
-    assert profiles["coarse"].counts_per_g == 8
-    assert WATCH_A.counts_per_g == WATCH_B.counts_per_g == 1000
-    coarse = generate_gesture(SMOKING_TPL, profiles["coarse"], rng=0)
-    fine = generate_gesture(SMOKING_TPL, WATCH_A, rng=0)
-    for axis in "xyz":
-        got, near = getattr(coarse, axis), getattr(fine, axis)
-        assert np.array_equal(got * 8, np.round(got * 8)), axis
-        assert np.abs(got - near).max() <= 0.5 / 8 + 0.5 / 1000, axis
-        assert not np.array_equal(near * 8, np.round(near * 8)), axis
-
-
 @pytest.mark.parametrize("doc", [
     {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0.5, 0.5]}]}}},
     {"templates": {"cough": {"segments": [{"duration": NAN, "levels": [0.5, 0.5, 1]}]}}},
@@ -348,17 +332,9 @@ def test_config_counts_per_g_reaches_the_samples(tmp_path):
     {"profiles": {"bench": {"noise_sigma": False}}},
     {"templates": {"cough": {"segments": [{"duration": 1, "levels": [0, 0, 1]}],
                              "duration_jitter": "0.1"}}},
-    # a sensor grid is a positive whole number of counts per g
-    {"profiles": {"bench": {"counts_per_g": True}}},
-    {"profiles": {"bench": {"counts_per_g": "1000"}}},
-    {"profiles": {"bench": {"counts_per_g": 0}}},
-    {"profiles": {"bench": {"counts_per_g": -1}}},
-    {"profiles": {"bench": {"counts_per_g": 1.5}}},
-    {"profiles": {"bench": {"counts_per_g": 10 ** 400}}},
 ], ids=["levels-2", "duration-nan", "level-nan", "rest-2", "offset-2", "sigma-nan",
         "jitter-1.5", "duration-str", "levels-str-bool", "scale-bool", "sigma-bool",
-        "jitter-str", "counts-bool", "counts-str", "counts-0", "counts-neg",
-        "counts-1.5", "counts-huge"])
+        "jitter-str"])
 def test_load_synth_config_rejects_bad_values(tmp_path, doc):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(doc))  # json writes NaN, as Python reads it
@@ -377,7 +353,7 @@ def test_class_without_template_is_named():
 # --- batched pass against the one-gesture-at-a-time reference -----------------
 # The reference is the generator as it was before envelopes were computed per
 # batch: every gesture draws, envelopes and applies its device by itself,
-# then rounds to the device's sensor grid.
+# then rounds to the 1 milli-g grid.
 
 def ref_envelope(template, dur_scale, amp_scale):
     rest = np.asarray(template.rest)
@@ -393,10 +369,6 @@ def ref_envelope(template, dur_scale, amp_scale):
     return start_levels[seg] + (levels[seg] - start_levels[seg]) * ramp[:, None]
 
 
-def ref_on_grid(values, profile):
-    return np.round(values * profile.counts_per_g) / profile.counts_per_g
-
-
 def ref_gesture_values(template, profile, rng):
     dur_scale = 1.0
     amp_scale = 1.0
@@ -410,7 +382,7 @@ def ref_gesture_values(template, profile, rng):
     values = profile.apply(values)
     if profile.noise_sigma > 0:
         values = values + rng.normal(0.0, profile.noise_sigma, values.shape)
-    return ref_on_grid(values, profile)
+    return np.round(values, 3)  # the 1 milli-g grid
 
 
 def ref_idle_values(duration, profile, rng):
@@ -420,7 +392,7 @@ def ref_idle_values(duration, profile, rng):
     values = profile.apply(values)
     if profile.noise_sigma > 0:
         values = values + rng.normal(0.0, profile.noise_sigma, values.shape)
-    return ref_on_grid(values, profile)
+    return np.round(values, 3)  # the 1 milli-g grid
 
 
 def ref_recording(values, label, device):
@@ -529,8 +501,7 @@ def random_template(rng):
 def test_random_templates_equal_the_reference():
     rng = np.random.default_rng(2024)
     noisy_profile = DeviceProfile(name="n", offset=(0.1, -0.2, 0.05),
-                                  scale=(0.9, 1.2, 1.05), noise_sigma=0.01,
-                                  counts_per_g=512)
+                                  scale=(0.9, 1.2, 1.05), noise_sigma=0.01)
     for case in range(50):
         template = random_template(rng)
         templates = {GestureClass.SMOKING: template}
