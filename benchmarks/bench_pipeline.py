@@ -32,10 +32,19 @@ otherwise:
   `write_recording_csv`, each in one part and in the parts
   `fileio.part_count` gives this host (`split`; not measured on a tree
   without it), and the size of the session file; every split file must be
-  byte-identical to the one-part file and every load `array_equal` to the
+  byte-identical to the one-part file, the recording, trace and plot files
+  must equal the text this script builds with plain `repr`
+  (`repr_oracle_equal`), and every load must be `array_equal` to the
   recording;
 - the environment: Python and numpy versions, nproc and the BLAS thread
   variables.
+
+Every best-of figure also records the CPU time of each repeat
+(`cpu_min_s`, `cpu_median_s`): user plus system time of this process and of
+its reaped children, so the forked parts of a split CSV loop count. CPU
+time does not remove a shared host's drift in speed: on a 2-vCPU VM one CSV
+figure read from 0.30 to 0.57 s of CPU across ten runs of one tree, so two
+trees compare by medians over several alternating runs.
 
 Each run is stored under its `--label` in the output file, keeping the other
 labels, so one file holds the numbers from before and after a change:
@@ -44,9 +53,10 @@ labels, so one file holds the numbers from before and after a change:
 
 The script exits 1 when the Gram step and the oracle step differ by more
 than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
-a mode's `train_best_of` network differs from the full loop's, or when a
-split CSV load or write differs from the one-part one, so a run of it is an
-equivalence check. The smokewatch sources are the ones the
+a mode's `train_best_of` network differs from the full loop's, when a
+split CSV load or write differs from the one-part one, or when a CSV write
+differs from its plain-`repr` text, so a run of it is an equivalence
+check. The smokewatch sources are the ones the
 script imports, so `PYTHONPATH=<other checkout>/src` measures another tree.
 
 BLAS/OpenMP threads default to 1, as in smokebench, unless already set.
@@ -97,13 +107,22 @@ CSV_ROWS = 100_000
 CSV_REPEATS = 5
 
 
+def cpu_time() -> float:
+    """User plus system CPU seconds of this process and its reaped children,
+    so the forked parts of a split CSV loop count."""
+    t = os.times()
+    return t.user + t.system + t.children_user + t.children_system
+
+
 def best_of(fn, repeats: int) -> dict:
-    times = []
+    times, cpu = [], []
     for _ in range(repeats):
-        t0 = perf_counter()
+        c0, t0 = cpu_time(), perf_counter()
         fn()
         times.append(perf_counter() - t0)
-    return {"min_s": min(times), "median_s": statistics.median(times), "n": repeats}
+        cpu.append(cpu_time() - c0)
+    return {"min_s": min(times), "median_s": statistics.median(times),
+            "cpu_min_s": min(cpu), "cpu_median_s": statistics.median(cpu), "n": repeats}
 
 
 def synth_row() -> dict:
@@ -233,6 +252,22 @@ def import_row() -> dict:
             "scipy_loaded": out[1] == "True"}
 
 
+def repr_oracle(rec: signal.SensorRecording, outputs: np.ndarray) -> dict:
+    """The recording CSV of rec, and the trace and plot CSVs of a stride-1
+    trace of outputs at threshold 0.5, built row by row with plain `repr`."""
+    t, x, y, z = (a.tolist() for a in (rec.t, rec.x, rec.y, rec.z))
+    out = outputs.tolist()
+    tails = [repr(o) for o in out] + [""] * (len(x) - len(out))
+    return {
+        "recording.csv": "t,x,y,z\n" + "".join(
+            f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(t, x, y, z)),
+        "trace.csv": "start,output,smoking\n" + "".join(
+            f"{i},{o!r},{int(o >= 0.5)}\n" for i, o in enumerate(out)),
+        "plot.csv": "i,x,y,z,output\n" + "".join(
+            f"{i},{b!r},{c!r},{d!r},{e}\n" for i, (b, c, d, e) in enumerate(zip(x, y, z, tails))),
+    }
+
+
 def csv_rows(xyz: np.ndarray) -> dict:
     """CSV load and writes of the (CSV_ROWS, 3) session xyz, in one part and
     split.
@@ -272,6 +307,9 @@ def csv_rows(xyz: np.ndarray) -> dict:
             files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     fileio.PART_ROWS = splits.get("split", splits["one_part"])
     row["files_identical"] = all(f == files["one_part"] for f in files.values())
+    row["repr_oracle_equal"] = all(
+        files["one_part"][name] == text.encode()
+        for name, text in repr_oracle(rec, outputs).items())
     return row
 
 
@@ -324,6 +362,9 @@ def main(argv=None) -> int:
                 csv[name]["load_equal"] for name in ("one_part", "split") if name in csv):
             print(f"{key}: a split CSV load or write differs from the one-part one",
                   file=sys.stderr)
+            code = 1
+        if not csv["repr_oracle_equal"]:
+            print(f"{key}: a CSV write differs from its plain-repr text", file=sys.stderr)
             code = 1
     svd = run["primal_step"]["svd_oracle"]
     if svd["max_rel_err"] > svd["bound"]:

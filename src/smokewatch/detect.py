@@ -10,9 +10,10 @@ flat in the session length. Scoring against handpicked ground-truth ranges
 labels a window smoking iff its start index falls inside a range (one
 `np.searchsorted` maps each start to its range), and flags each range as
 detected when at least one window starting inside it fired. The trace and
-plot CSVs are written in one pass that formats each output once per block of
-samples; `fileio.write_csv` owns the block loop and its split into parts, so
-neither file is ever held whole as text.
+plot CSVs are written in one pass: per block of samples, `fileio.float_reprs`
+formats each distinct output once for both files, and each distinct x, y and
+z value once for the plot. `fileio.write_csv` owns the block loop and its
+split into parts, so neither file is ever held whole as text.
 """
 
 from __future__ import annotations
@@ -176,8 +177,9 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     trace); given a session and a plot_path, also the rows of
     `write_plot_csv(trace, session, plot_path)`. Per block of sample
     indices the outputs of the windows starting in it are formatted once, for
-    both files, and `fileio.write_csv` writes the blocks, so an error
-    replaces neither target."""
+    both files, by `fileio.float_reprs`, as are the block's samples, and
+    `fileio.write_csv` writes the blocks, so an error replaces neither
+    target."""
     stride, outputs = trace.stride, trace.outputs
     smoking = trace.decisions.view(np.int8)
     last = (len(trace) - 1) * stride
@@ -192,18 +194,18 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     def format_block(lo: int, hi: int) -> list[str]:
         # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride)
         a, b = -(-lo // stride), min(-(-hi // stride), len(trace))
-        reprs = list(map(repr, outputs[a:b].tolist()))
+        reprs = fileio.float_reprs(outputs[a:b])
         texts = []  # the trace block, then the plot block
         if path is not None:
-            texts.append("".join(f"{s},{o},{d}\n" for s, o, d in
-                                 zip(range(a * stride, b * stride, stride), reprs,
-                                     smoking[a:b].tolist())))
+            texts.append("".join([f"{s},{o},{d}\n" for s, o, d in
+                                  zip(range(a * stride, b * stride, stride), reprs,
+                                      smoking[a:b].tolist())]))
         if plot_path is not None:
             tails = [""] * (hi - lo)
             tails[a * stride - lo:b * stride - lo:stride] = reprs
-            rows = zip(range(lo, hi), session.x[lo:hi].tolist(),
-                       session.y[lo:hi].tolist(), session.z[lo:hi].tolist(), tails)
-            texts.append("".join(f"{i},{x!r},{y!r},{z!r},{t}\n" for i, x, y, z, t in rows))
+            rows = zip(range(lo, hi), *(fileio.float_reprs(c[lo:hi])
+                                        for c in (session.x, session.y, session.z)), tails)
+            texts.append("".join([f"{i},{x},{y},{z},{t}\n" for i, x, y, z, t in rows]))
         return texts
 
     targets = [(target, header) for target, header in

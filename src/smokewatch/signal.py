@@ -7,8 +7,9 @@ sessions. Recordings are immutable after construction and every operation is
 a pure function of its inputs. A CSV file, named by its path, is read as
 bytes and decoded in blocks cut at line ends, and a long file is parsed in
 runs of lines at once (`fileio.run_parts`); the writer formats one block of
-rows at a time for `fileio.write_csv`, which owns the block loop and its
-split into parts. So memory for a session holds its arrays, not its text.
+rows at a time, each float column through `fileio.float_reprs`, for
+`fileio.write_csv`, which owns the block loop and its split into parts. So
+memory for a session holds its arrays, not its text.
 """
 
 from __future__ import annotations
@@ -347,12 +348,14 @@ def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClas
 
 def write_recording_csv(recording: SensorRecording, path: Union[str, Path]) -> None:
     """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n)
-    through `fileio.write_csv`."""
+    through `fileio.write_csv`. Each block's t, x, y and z columns are
+    formatted by `fileio.float_reprs`, which calls `repr` once per distinct
+    value: samples on a sensor's grid repeat within a block."""
     cols = (recording.t, recording.x, recording.y, recording.z)
 
     def format_block(lo: int, hi: int) -> list[str]:
-        rows = zip(*(c[lo:hi].tolist() for c in cols))
-        return ["".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows)]
+        rows = zip(*(fileio.float_reprs(c[lo:hi]) for c in cols))
+        return ["".join([f"{t},{x},{y},{z}\n" for t, x, y, z in rows])]
 
     n = len(recording)
     fileio.write_csv([(path, CSV_HEADER)], n, n, format_block)

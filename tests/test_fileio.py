@@ -72,23 +72,23 @@ def test_atomic_open_failure_leaves_the_target_alone(tmp_path):
 B = 16
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 5])
-@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 5 * B + 3])
-def test_writers_equal_one_shot_formatting(n, parts, tmp_path, monkeypatch):
-    # a session of max(n, 2) rows (a recording needs 2) and windows starting
-    # at 0, stride, 2*stride, ... below n; strides of B - 1 and B put a window
-    # on the last and on the first row of a block, and so on the first row of
-    # every later part, and one of B + 1 leaves blocks with no window. The
-    # trace and plot CSVs are written alone and together, each in up to
-    # `parts` parts (runs of whole blocks: the 6 blocks of the longest
-    # session take every part count).
+def assert_writers_equal_one_shot_formatting(rec, n, parts, draw, tmp_path,
+                                            monkeypatch):
+    """The recording, trace and plot CSVs of rec equal plain `repr` text.
+
+    The session has max(n, 2) rows (a recording needs 2) and windows start
+    at 0, stride, 2*stride, ... below n, with draw(k) as the outputs of k
+    windows; strides of B - 1 and B put a window on the last and on the
+    first row of a block, and so on the first row of every later part, and
+    one of B + 1 leaves blocks with no window. The trace and plot CSVs are
+    written alone and together, each in up to `parts` parts (runs of whole
+    blocks: the 6 blocks of the longest session take every part count).
+    """
     monkeypatch.setattr(fileio, "BLOCK_ROWS", B)
     split_into(monkeypatch, parts)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    rng = np.random.default_rng(n)
-    rec = make_recording(rng.normal(size=(max(n, 2), 3)))
     t, x, y, z = (a.tolist() for a in (rec.t, rec.x, rec.y, rec.z))
     want_recording = "\n".join(["t,x,y,z"] + [
         f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in zip(t, x, y, z)]) + "\n"
@@ -98,7 +98,7 @@ def test_writers_equal_one_shot_formatting(n, parts, tmp_path, monkeypatch):
 
     for stride in (1, 3, B - 1, B, B + 1):
         starts = list(range(0, n, stride))
-        trace = DetectionTrace(outputs=rng.uniform(0, 1, len(starts)), stride=stride,
+        trace = DetectionTrace(outputs=draw(len(starts)), stride=stride,
                                threshold=0.5)
         outputs = dict(zip(starts, trace.outputs.tolist()))
         want_trace = "\n".join(["start,output,smoking"] + [
@@ -113,6 +113,52 @@ def test_writers_equal_one_shot_formatting(n, parts, tmp_path, monkeypatch):
         for name, want in (("t", want_trace), ("p", want_plot),
                            ("t2", want_trace), ("p2", want_plot)):
             assert (tmp_path / f"{name}.csv").read_bytes() == want.encode(), (stride, name)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 5 * B + 3])
+def test_writers_equal_one_shot_formatting(n, parts, tmp_path, monkeypatch):
+    # full-precision samples and outputs: every value is distinct
+    rng = np.random.default_rng(n)
+    rec = make_recording(rng.normal(size=(max(n, 2), 3)))
+    assert_writers_equal_one_shot_formatting(rec, n, parts, lambda k: rng.uniform(0, 1, k),
+                                             tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 5 * B + 3])
+def test_writers_equal_one_shot_formatting_on_the_milli_g_grid(n, parts, tmp_path,
+                                                               monkeypatch):
+    # samples of a few milli-g on the 1 milli-g grid, as synth writes them:
+    # a few dozen distinct values, each repeated within a block and across
+    # blocks, with -0.0 (from rounding, and planted every 5 rows) next to
+    # 0.0; the outputs lie on a 0.1 grid, with -0.0 and 0.0 planted too
+    rng = np.random.default_rng(n)
+    values = np.round(rng.normal(0.0, 0.004, size=(max(n, 2), 3)), 3)
+    values[::5], values[1::5] = -0.0, 0.0
+    rec = make_recording(values)
+
+    def outputs(k: int) -> np.ndarray:
+        out = np.round(rng.uniform(0, 1, k), 1)
+        out[::7], out[1::7] = -0.0, 0.0
+        return out
+
+    assert_writers_equal_one_shot_formatting(rec, n, parts, outputs, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0, 0.0, 0.0, -0.0],
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308, -0.0, 0.0],
+    np.round(np.random.default_rng(3).normal(0.0, 0.004, 5000), 3),
+    [0.1],
+    [],
+], ids=["signed-zeros", "extremes", "repeats", "one", "empty"])
+def test_float_reprs_equal_plain_repr(values):
+    v = np.array(values, dtype=np.float64)
+    assert fileio.float_reprs(v) == list(map(repr, v.tolist()))
+    # a column of a row-major array, as the benchmark's sessions are
+    column = np.stack([v, -v]).T[:, 1]
+    assert fileio.float_reprs(column) == list(map(repr, column.tolist()))
 
 
 def test_a_write_runs_in_the_parts_of_the_rows_it_writes(tmp_path, monkeypatch):

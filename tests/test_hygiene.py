@@ -8,7 +8,8 @@ must be raised somewhere in the package. The package needs numpy alone, so
 importing its CLI must not load scipy. The package root holds only the
 version, `fileio` alone encodes JSON, `metrics` alone compares outputs
 with a threshold, no module sets the umask, `fileio` alone opens, blocks and
-forks for the CSV writers, and the README's library example runs as written.
+forks for the CSV writers and turns their floats into text, and the README's
+library example runs as written.
 """
 
 import ast
@@ -178,6 +179,50 @@ def test_the_writer_scan_finds_a_planted_name():
                             "from os import fork\nBLOCK_ROWS = 1\n"
                             "s = 'atomic_open'\nos.forkpty\natomic_write_text(p, s)\n"
                             ) == [1, 2, 3, 4, 5]
+
+
+def repr_names(source: str) -> list[int]:
+    """Lines that name `repr`: as a name, an attribute or an imported name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                  and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                  == "repr")
+
+
+def repr_rows(source: str) -> list[int]:
+    """Lines of f-strings that end a CSV row (their last constant part ends in
+    a newline) and convert a value with `!r`. A `!r` in a message is allowed."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            constants = [v.value for v in node.values if isinstance(v, ast.Constant)]
+            if constants and constants[-1].endswith("\n") and any(
+                    isinstance(v, ast.FormattedValue) and v.conversion == ord("r")
+                    for v in node.values):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_fileio_turns_csv_floats_into_text():
+    # one route: `fileio.float_reprs` formats every float a CSV writer prints
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    found = {name: repr_names(src) for name, src in sources.items() if name != "fileio.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    found = {name: repr_rows(src) for name, src in sources.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_float_text_scans_find_a_planted_route():
+    source = ("s = repr(x)\nf = builtins.repr\n"
+              "from builtins import repr\n"
+              "row = f'{a!r},{b}\\n'\n"
+              "msg = f'unknown class {name!r}'\n"
+              "row = f'{a},{b}\\n'\n"
+              "x: int = field(repr=False)\n"
+              "s = 'repr'\n"
+              "rows = ''.join(f'{i},{x!r}\\n' for i, x in rows)\n")
+    assert repr_names(source) == [1, 2, 3]
+    assert repr_rows(source) == [4, 9]
 
 
 def threshold_compares(source: str) -> list[int]:
