@@ -12,9 +12,10 @@ otherwise:
   restarts and keeps the highest training accuracy, ties going to the lowest
   index (`equals_full_loop`);
 - one LM step at Table-1 scale for the X and XYZ modes, best of 200: the
-  oracle step (`mlp.outputs_and_jacobian` plus `train.solve_damped`) and the
-  Gram step (`kernels.batch_gram` plus `train.damped_step`, stored under the
-  key `gram_step`), with their max relative difference, and
+  oracle step (`kernels.batch_jacobian` on `mlp.scaled_inputs`, then
+  `train.solve_damped` on that J) and the Gram step (`kernels.batch_gram`
+  plus `train.damped_step`, stored under the key `gram_step`), with their
+  max relative difference, and
   `train.damped_step` alone on the prebuilt Gram matrix (`damped_step`);
 - the primal shape of the smokebench `big_corpus` workload (2,170 training
   rows of seed 7's 3,100-gesture X corpus against 2,021 weights):
@@ -179,7 +180,8 @@ def step_rows(dataset: train.LabeledDataset) -> dict:
     mu = train.MU0
 
     def oracle():
-        y, jac = mlp.outputs_and_jacobian(net, tr.features)
+        jac, y = kernels.batch_jacobian(net.w1, net.b1, net.w2, net.b2,
+                                        mlp.scaled_inputs(net, tr.features))
         return train.solve_damped(jac, tr.targets - y, mu)
 
     xn = mlp.scaled_inputs(net, tr.features)
@@ -210,7 +212,8 @@ def primal_rows() -> dict:
     recordings = synth.generate_corpus(synth.mixed_counts(BIG_CONFOUNDERS, BIG_SMOKING),
                                        master_seed=SEED)
     tr, net = fresh_restart(train.build_dataset(recordings, ChannelMode.X))
-    y, jac = mlp.outputs_and_jacobian(net, tr.features)
+    jac, y = kernels.batch_jacobian(net.w1, net.b1, net.w2, net.b2,
+                                    mlp.scaled_inputs(net, tr.features))
     err = tr.targets - y
     a, rhs = jac.T @ jac, jac.T @ err
     timing = best_of(lambda: train.damped_step(a, rhs, train.MU0), REPEATS)

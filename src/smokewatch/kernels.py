@@ -14,7 +14,9 @@ and d = g * w2 * (1 - h^2), so
 (o the element-wise product) and J' alpha = [vec((D o alpha)' X), D' alpha,
 H'(g o alpha), g' alpha]. `batch_gram` and `gram_step_map` compute both
 without building J, as the matrix and the back map of `train.damped_step`.
-`batch_jacobian` is their oracle, and gives J'J with more rows than weights.
+With more rows than weights `train` builds J'J from `batch_jacobian` instead;
+the tests check both forms against each other and `batch_jacobian` against
+finite differences.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Inputs are scaled element-wise from the training-set [min, max] onto [-1, 1]
 before the first layer; the scaling lives inside the model so a saved network
-is self-contained. The residual Jacobian needed by Levenberg-Marquardt is
-computed analytically.
+is self-contained. The forward pass and the analytic residual Jacobian that
+Levenberg-Marquardt needs are `kernels` functions of the scaled matrix that
+`scaled_inputs` returns.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from typing import Union
 import numpy as np
 
 from . import kernels, metrics
-from .errors import (
-    EmptyBatch,
-    InvalidSize,
-    LengthMismatch,
-    MalformedModel,
-)
+from .errors import InvalidSize, LengthMismatch, MalformedModel
 from .fileio import read_json, write_json
 from .signal import ChannelMode, FEATURE_POINTS
 
@@ -169,39 +165,18 @@ def init_network(input_size: int, hidden_size: int = DEFAULT_HIDDEN,
 
 
 def scaled_inputs(network: Network, raw) -> np.ndarray:
-    """Raw feature vector(s) -> contiguous (n, input_size) scaled matrix."""
+    """Raw (n, input_size) feature matrix -> contiguous scaled matrix."""
     arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[1] != network.input_size:
-        raise LengthMismatch(
-            f"expected {network.input_size} input values, got {arr.shape[1]}")
+    if arr.ndim != 2 or arr.shape[1] != network.input_size:
+        raise LengthMismatch(f"expected an (n, {network.input_size}) input matrix, "
+                             f"got shape {arr.shape}")
     return np.ascontiguousarray(network.norm.apply(arr))
-
-
-def forward(network: Network, raw) -> float:
-    """Network output in the open interval (0, 1) for one feature vector."""
-    return float(forward_batch(network, raw)[0])
 
 
 def forward_batch(network: Network, features: np.ndarray) -> np.ndarray:
     """Outputs for a (n, input_size) matrix of raw feature vectors."""
     return kernels.batch_forward(network.w1, network.b1, network.w2,
                                  network.b2, scaled_inputs(network, features))
-
-
-def outputs_and_jacobian(network: Network, features: np.ndarray):
-    """(outputs, residual Jacobian) for a raw feature matrix.
-
-    Row s, column w of the Jacobian holds d output(x_s) / dw; columns follow
-    the packed weight-vector order.
-    """
-    xn = scaled_inputs(network, features)
-    if xn.shape[0] == 0:
-        raise EmptyBatch("jacobian needs at least one sample")
-    jac, y = kernels.batch_jacobian(network.w1, network.b1, network.w2,
-                                    network.b2, xn)
-    return y, jac
 
 
 def save_model(network: Network, path: Union[str, Path],

@@ -248,14 +248,6 @@ def template_for(cls: GestureClass,
     return templates[cls]
 
 
-def generate_gesture(template: GestureTemplate, profile: DeviceProfile,
-                     rng: Union[np.random.Generator, int, None] = None) -> SensorRecording:
-    """One isolated gesture recording at the nominal 50 Hz."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return _gesture_recordings(template, profile, [rng])[0]
-
-
 def _seg(duration, x, y, z):
     return Segment(duration, (x, y, z))
 

@@ -3,10 +3,12 @@
 Full-batch damped least squares on the network output: each epoch solves
 (J'J + mu*I) delta = J'e with e = target - output, accepting a step only when
 it lowers the training sum of squared errors. Every solve goes through
-`damped_step`: one LU solve (`np.linalg.solve`) with no refinement pass. With
-fewer training rows than weights (every Table-1 fit) the epoch works on the
-dual system in Gram form (`kernels.batch_gram`) and never builds J. The
-70/15/15 partition and the best-of-N restart selection live here too.
+`damped_step`: one LU solve (`np.linalg.solve`) with no refinement pass, on
+the system `_epoch_system` builds. With fewer training rows than weights
+(every Table-1 fit) the epoch works on the dual system in Gram form
+(`kernels.batch_gram`) and never builds J. `solve_damped`, the same step from
+an explicit J, is the Jacobian-form oracle. The 70/15/15 partition and the
+best-of-N restart selection live here too.
 """
 
 from __future__ import annotations
@@ -231,16 +233,6 @@ def _sse(network: mlp.Network, xn: np.ndarray, targets: np.ndarray) -> float:
     return float(e @ e)
 
 
-def lm_step(network: mlp.Network, batch: LabeledDataset, mu: float) -> np.ndarray:
-    """One damped least-squares candidate: current weights plus delta."""
-    if len(batch) == 0:
-        raise EmptyBatch("lm_step needs a non-empty batch")
-    y, jac = mlp.outputs_and_jacobian(network, batch.features)
-    err = batch.targets - y
-    delta = solve_damped(jac, err, mu)
-    return network.to_weight_vector() + delta
-
-
 def _epoch_system(net: mlp.Network, xn: np.ndarray, targets: np.ndarray, k1):
     """An epoch's damped system (a, rhs, back) for `damped_step`, and e = t - y.
 
@@ -265,8 +257,8 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
     Input scaling is captured from the training split, and both splits are
     scaled once. Each epoch builds its damped system once, the Gram matrix JJ'
     (fewer rows than weights) or J'J, then retries `damped_step` with growing
-    mu until the training SSE drops; the first candidate of an epoch is
-    `solve_damped`'s at the current mu, which equals `lm_step`'s. Stops on the
+    mu until the training SSE drops; each candidate equals `solve_damped`'s on
+    the epoch's J at that mu, up to rounding on the dual branch. Stops on the
     SSE goal, on MAX_VAL_FAILURES epochs without a new best validation SSE
     (restoring the best-validation network), on the epoch limit, or when mu
     overflows.

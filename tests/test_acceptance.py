@@ -12,22 +12,24 @@ overrun.
 
 import io
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from time import perf_counter
 
 import numpy as np
 import pytest
 
-from smokewatch import cli, detect, metrics, mlp, synth
+from smokewatch import cli, detect, kernels, metrics, mlp, synth
 from smokewatch.errors import SessionTooShort
 from smokewatch.signal import ChannelMode, GestureClass
 from smokewatch.synth import DEFAULT_PROFILES, SessionKind
+import smokewatch.train as train_mod
 from smokewatch.train import (
     LabeledDataset,
     build_dataset,
-    lm_step,
+    damped_step,
     partition,
-    solve_damped,
+    train,
     train_best_of,
 )
 
@@ -132,7 +134,8 @@ def test_acceptance_2_jacobian_matches_finite_differences():
         hidden = int(rng.integers(1, 5))
         net = mlp.init_network(input_size, hidden, rng=rng)
         features = rng.uniform(-1, 1, size=(int(rng.integers(1, 6)), input_size))
-        _, analytic = mlp.outputs_and_jacobian(net, features)
+        analytic, _ = kernels.batch_jacobian(net.w1, net.b1, net.w2, net.b2,
+                                             mlp.scaled_inputs(net, features))
         reference = fd_jacobian(net, features)
         scale = max(np.max(np.abs(reference)), 1e-12)
         worst = max(worst, np.max(np.abs(analytic - reference)) / scale)
@@ -145,33 +148,64 @@ def test_acceptance_2_jacobian_matches_finite_differences():
 
 # -- 3 ------------------------------------------------------------------------
 
+def first_step_is_exact(rows: int, seed: int) -> bool:
+    """Whether the weights after train()'s first epoch are w0 + damped_step
+    on the system `_epoch_system` builds, at MU0 times MU_INC per rejected
+    candidate. 2 inputs and 3 hidden units make 13 weights."""
+    rng = np.random.default_rng(seed)
+    ds = LabeledDataset(mode=ChannelMode.X,
+                        features=rng.uniform(-1, 1, size=(2 * rows, 2)),
+                        classes=(GestureClass.YAWN, GestureClass.SMOKING) * rows)
+    tr, va = ds.subset(np.arange(rows)), ds.subset(np.arange(rows, 2 * rows))
+    net, report = train(tr, va, seed=seed, hidden_size=3, max_epochs=1)
+    net0 = replace(mlp.init_network(2, 3, np.random.default_rng(seed)),
+                   norm=mlp.NormParams.from_features(tr.features))
+    xn = mlp.scaled_inputs(net0, tr.features)
+    k1 = xn @ xn.T + 1.0 if train_mod._dual(rows, net0.n_weights) else None
+    a, rhs, back, _ = train_mod._epoch_system(net0, xn, tr.targets, k1)
+    mu = train_mod.MU0
+    for _ in range(report.rejected_steps[0]):
+        mu *= train_mod.MU_INC
+    want = net0.to_weight_vector() + damped_step(a, rhs, mu, back)
+    return np.array_equal(net.to_weight_vector(), want)
+
+
+def system_step(jac: np.ndarray, err: np.ndarray, mu: float) -> np.ndarray:
+    """damped_step on the system train() builds for J: (JJ', e) with the
+    back map alpha -> J'alpha when J has fewer rows than columns, else
+    (J'J, J'e)."""
+    if train_mod._dual(*jac.shape):
+        return damped_step(jac @ jac.T, err, mu, lambda alpha: jac.T @ alpha)
+    return damped_step(jac.T @ jac, jac.T @ err, mu)
+
+
 def test_acceptance_3_lm_step_solves_least_squares():
     rng = np.random.default_rng(303)
     t0 = perf_counter()
-    jac = rng.normal(size=(40, 6))
-    err = rng.normal(size=40)
-    # tiny damping: the damped normal equations collapse to least squares
-    tiny = solve_damped(jac, err, 1e-12)
-    closed_form, *_ = np.linalg.lstsq(jac, err, rcond=None)
-    tiny_gap = float(np.max(np.abs(tiny - closed_form)))
-    # huge damping: the step collapses to the scaled gradient J'e/mu
-    huge = solve_damped(jac, err, 1e12)
-    grad = jac.T @ err / 1e12
-    huge_gap = float(np.linalg.norm(huge - grad) / np.linalg.norm(grad))
-    # the same solver is what lm_step applies to the network jacobian
-    ds = LabeledDataset(mode=ChannelMode.X,
-                        features=rng.uniform(-1, 1, size=(8, 4)),
-                        classes=(GestureClass.YAWN, GestureClass.SMOKING) * 4)
-    net = mlp.init_network(4, 2, rng=1)
-    y, net_jac = mlp.outputs_and_jacobian(net, ds.features)
-    expected = net.to_weight_vector() + solve_damped(net_jac, ds.targets - y, 0.5)
-    delegates = np.array_equal(lm_step(net, ds, 0.5), expected)
+    tiny_gap = huge_gap = 0.0
+    for jac in (rng.normal(size=(40, 6)), rng.normal(size=(6, 40))):
+        err = rng.normal(size=jac.shape[0])
+        # tiny damping: the damped normal equations collapse to least squares
+        # (the minimum-norm solution for the wide J)
+        closed_form, *_ = np.linalg.lstsq(jac, err, rcond=None)
+        tiny = system_step(jac, err, 1e-12)
+        tiny_gap = max(tiny_gap, float(np.max(np.abs(tiny - closed_form))))
+        # huge damping: the step collapses to the scaled gradient J'e/mu
+        huge = system_step(jac, err, 1e12)
+        grad = jac.T @ err / 1e12
+        huge_gap = max(huge_gap, float(np.linalg.norm(huge - grad) / np.linalg.norm(grad)))
+    # the same step is what train() takes in its first epoch, on each branch:
+    # 8 rows against 13 weights (dual) and 30 (primal)
+    exact = {train_mod._dual(rows, 13): first_step_is_exact(rows, seed=3)
+             for rows in (8, 30)}
     elapsed = perf_counter() - t0
-    ok = tiny_gap <= 1e-8 and huge_gap <= 1e-6 and delegates
+    ok = tiny_gap <= 1e-8 and huge_gap <= 1e-6 and exact == {True: True, False: True}
     verdict(3, "lm step solves least squares", ok,
             f"mu=1e-12 vs closed form {tiny_gap:.2e} <= 1e-8, "
             f"mu=1e12 vs J'e/mu {huge_gap:.2e} <= 1e-6 rel, "
-            f"lm_step delegation exact={delegates}", elapsed, budget=1.0)
+            f"train() first step exact dual={exact.get(True)} "
+            f"primal={exact.get(False)}",
+            elapsed, budget=1.0)
 
 
 # -- 4 ------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_recording, tiny_network
+from oracles import forward
 from smokewatch import mlp
 from smokewatch.detect import (
     BLOCK_WINDOWS,
@@ -167,7 +168,7 @@ def test_detect_windows_match_manual_forward(rng):
     trace = detect_session(net, rec, stride=3, threshold=0.4)
     for start, out, smoking in zip(trace.starts, trace.outputs, trace.decisions):
         window = rec.x[start:start + 8]
-        assert out == pytest.approx(mlp.forward(net, window), rel=1e-12)
+        assert out == pytest.approx(forward(net, window), rel=1e-12)
         assert smoking == (out >= 0.4)
 
 

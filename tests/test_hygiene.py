@@ -2,9 +2,10 @@
 
 The benchmark's tracer patches the functions named in
 `smokebench/tracing.py` TARGETS; a target that no longer exists would
-otherwise show up only in a traced benchmark run. Every package module is
-also scanned for imported names that it never uses, and every error class
-must be raised somewhere in the package. The package needs numpy alone, so
+otherwise show up only in a traced benchmark run. Every function, class
+and method of the package must be reached from the CLI or from such a
+target. Every package module is also scanned for imported names that it
+never uses, and every error class must be raised somewhere in the package. The package needs numpy alone, so
 importing its CLI must not load scipy. The package root holds only the
 version, `fileio` alone encodes JSON, `metrics` alone compares outputs
 with a threshold, no module sets the umask, `fileio` alone opens, blocks and
@@ -78,6 +79,97 @@ def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
 def test_every_traced_target_exists(module, function):
     mod = importlib.import_module(f"smokewatch.{module}")
     assert callable(getattr(mod, function, None)), f"smokewatch.{module}.{function}"
+
+
+def _mentioned(nodes) -> set[str]:
+    """Every name the nodes mention, as a name or as an attribute."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for node in nodes
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreachable_definitions(sources: dict[str, str],
+                            roots: list[tuple[str, str]]) -> list[str]:
+    """Top-level functions, classes and methods (`module.name`,
+    `module.Class.method`) in sources that nothing reaches by name.
+
+    What runs at import reaches the names it mentions: module-level
+    statements, class bodies, bases, decorators and default values. So does
+    each (module, function) root, and the body of every definition reached.
+    A name reaches every definition of that name, in any module. Dunder
+    methods count as reached, as Python calls them; their class does not.
+    """
+    defs: dict[str, tuple[str, list]] = {}  # qualified name -> (name, body)
+    at_import = []
+
+    def define(qual, node):
+        defs[qual] = (node.name, node.body)
+        at_import.extend(node.decorator_list)
+        if isinstance(node, ast.ClassDef):
+            at_import.extend(node.bases + [k.value for k in node.keywords])
+        else:
+            at_import.extend(node.args.defaults + [d for d in node.args.kw_defaults if d])
+
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                define(f"{module}.{node.name}", node)
+            elif isinstance(node, ast.ClassDef):
+                define(f"{module}.{node.name}", node)
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        define(f"{module}.{node.name}.{item.name}", item)
+                    else:
+                        at_import.append(item)
+            else:
+                at_import.append(node)
+    by_name: dict[str, list[str]] = {}
+    for qual, (name, _) in defs.items():
+        by_name.setdefault(name, []).append(qual)
+
+    reached: set[str] = set()
+    todo = [f"{m}.{f}" for m, f in roots if f"{m}.{f}" in defs]
+    todo += [q for name in _mentioned(at_import) for q in by_name.get(name, [])]
+    todo += [q for q, (name, _) in defs.items()
+             if name.startswith("__") and name.endswith("__")]
+    while todo:
+        qual = todo.pop()
+        if qual in reached:
+            continue
+        reached.add(qual)
+        todo += [q for n in _mentioned(defs[qual][1]) for q in by_name.get(n, [])]
+    return sorted(set(defs) - reached)
+
+
+def package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+
+
+def test_every_definition_is_reached_from_the_cli_or_the_tracer():
+    # a helper that no command runs and the benchmark does not trace belongs
+    # in the tests' oracles, not in the package
+    roots = [("cli", "main")] + [(m, f) for m, f, _ in load_targets()]
+    assert unreachable_definitions(package_sources(), roots) == []
+
+
+def test_the_reachability_scan_finds_a_planted_def():
+    sources = package_sources()
+    sources["mlp"] += ("\n\ndef planted_helper(x):\n    return planted_inner(x)\n"
+                       "\n\ndef planted_inner(x):\n    return x\n")
+    sources["train"] += "\n\ndef planted_root():\n    return planted_traced()\n"
+    sources["detect"] += "\n\ndef planted_traced():\n    return 1\n"
+    roots = [("cli", "main"), ("train", "planted_root")]
+    found = unreachable_definitions(sources, roots)
+    assert [q for q in found if "planted" in q] == ["mlp.planted_helper",
+                                                    "mlp.planted_inner"]
+    # import-time statements and attributes reach; a dunder does not reach
+    # its class
+    sources = {"a": ("X = make()\n\ndef make():\n    return B().run\n\n"
+                     "class B:\n    def run(self):\n        pass\n"
+                     "    def idle(self):\n        pass\n\n"
+                     "class C:\n    def __init__(self):\n        lost()\n\n"
+                     "def lost():\n    pass\n"),
+               "b": "def main():\n    pass\n"}
+    assert unreachable_definitions(sources, [("b", "main")]) == ["a.B.idle", "a.C"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -4,12 +4,14 @@ finite-difference oracle."""
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import tiny_network
+from oracles import forward, outputs_and_jacobian
 from smokewatch import mlp
 from smokewatch.errors import EmptyBatch, InvalidSize, LengthMismatch
 from smokewatch.signal import ChannelMode, extract_features
@@ -149,7 +151,7 @@ def test_weight_vector_roundtrip(rng):
 
 def test_forward_zero_weights_is_half(rng):
     net = tiny_network(8, 3, seed=0).with_weights(np.zeros(3 * 8 + 3 + 3 + 1))
-    assert mlp.forward(net, rng.normal(size=8)) == 0.5
+    assert forward(net, rng.normal(size=8)) == 0.5
 
 
 def test_forward_hand_computed_single_unit():
@@ -158,10 +160,10 @@ def test_forward_hand_computed_single_unit():
     vec = np.zeros(net.n_weights)
     net = net.with_weights(vec)
     x = np.array([0.3, -0.7])
-    assert mlp.forward(net, x) == 0.5
+    assert forward(net, x) == 0.5
     vec2 = vec.copy()
     vec2[-1] = math.log(3.0)
-    assert mlp.forward(net.with_weights(vec2), x) == pytest.approx(0.75, abs=1e-12)
+    assert forward(net.with_weights(vec2), x) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_forward_full_hand_computation():
@@ -176,7 +178,7 @@ def test_forward_full_hand_computation():
     x = np.array([0.5, -0.25])
     h = np.tanh(w1 @ x + b1)
     expect = 1.0 / (1.0 + math.exp(-(w2 @ h + b2)))
-    assert mlp.forward(net, x) == pytest.approx(expect, rel=1e-14)
+    assert forward(net, x) == pytest.approx(expect, rel=1e-14)
 
 
 def test_forward_uses_normalization():
@@ -185,20 +187,32 @@ def test_forward_uses_normalization():
                       b1=np.zeros(1), w2=np.array([5.0]), b2=0.0,
                       mode=ChannelMode.X, norm=norm)
     # raw 5.0 normalizes to 0 -> tanh(0)=0 -> logistic(0)=0.5
-    assert mlp.forward(net, np.array([5.0, 0.5])) == 0.5
+    assert forward(net, np.array([5.0, 0.5])) == 0.5
     # raw 10.0 normalizes to +1
     expect = 1.0 / (1.0 + math.exp(-5.0 * math.tanh(1.0)))
-    assert mlp.forward(net, np.array([10.0, 0.5])) == pytest.approx(expect, rel=1e-13)
+    assert forward(net, np.array([10.0, 0.5])) == pytest.approx(expect, rel=1e-13)
 
 
 def test_forward_accepts_feature_vector_and_checks_length(rng):
     net = tiny_network(6, 2, seed=1)
     # the network input of an X-mode feature vector: a 1-d array
     fv = extract_features(tuple(rng.normal(size=(3, 6))), ChannelMode.X)
-    out = mlp.forward(net, fv)
+    out = forward(net, fv)
     assert 0.0 < out < 1.0
     with pytest.raises(LengthMismatch):
-        mlp.forward(net, rng.normal(size=7))
+        forward(net, rng.normal(size=7))
+
+
+@pytest.mark.parametrize("raw", [5.0, np.ones(4), np.ones((2, 2, 4))],
+                         ids=["0-d", "1-d", "3-d"])
+def test_inputs_that_are_not_an_input_matrix_are_named(raw):
+    # the package takes (n, input_size) matrices only; any other shape is
+    # named rather than promoted, indexed past its rank or read by its 2nd axis
+    net = tiny_network(4, 2, seed=0)
+    shape = re.escape(str(np.shape(raw)))
+    for fn in (mlp.scaled_inputs, mlp.forward_batch):
+        with pytest.raises(LengthMismatch, match=rf"\(n, 4\) input matrix, got shape {shape}"):
+            fn(net, raw)
 
 
 def test_output_strictly_monotone_in_b2(rng):
@@ -209,7 +223,7 @@ def test_output_strictly_monotone_in_b2(rng):
     for b2 in np.linspace(-3, 3, 9):
         v = vec.copy()
         v[-1] = b2
-        outs.append(mlp.forward(net.with_weights(v), x))
+        outs.append(forward(net.with_weights(v), x))
     assert all(a < b for a, b in zip(outs, outs[1:]))
 
 
@@ -217,7 +231,7 @@ def test_forward_batch_matches_forward(rng):
     net = tiny_network(7, 3, seed=4)
     feats = rng.normal(size=(11, 7))
     batch = mlp.forward_batch(net, feats)
-    single = [mlp.forward(net, feats[i]) for i in range(11)]
+    single = [forward(net, feats[i]) for i in range(11)]
     assert np.allclose(batch, single, rtol=1e-14, atol=0)
 
 
@@ -231,7 +245,7 @@ def test_jacobian_shape_and_fd_agreement(rng):
         vec = rng.uniform(-0.8, 0.8, net.n_weights)
         net = net.with_weights(vec)
         feats = rng.normal(size=(int(rng.integers(1, 6)), p))
-        _, jac = mlp.outputs_and_jacobian(net, feats)
+        _, jac = outputs_and_jacobian(net, feats)
         assert jac.shape == (feats.shape[0], net.n_weights)
         ref = fd_jacobian(net, feats)
         scale = max(np.max(np.abs(ref)), 1e-12)
@@ -241,7 +255,7 @@ def test_jacobian_shape_and_fd_agreement(rng):
 def test_jacobian_zero_input_zeroes_w1_columns():
     net = tiny_network(4, 3, seed=8)
     feats = np.zeros((2, 4))  # identity norm keeps these zero
-    _, jac = mlp.outputs_and_jacobian(net, feats)
+    _, jac = outputs_and_jacobian(net, feats)
     w1_cols = jac[:, : 3 * 4]
     assert np.all(w1_cols == 0.0)
 
@@ -249,7 +263,7 @@ def test_jacobian_zero_input_zeroes_w1_columns():
 def test_jacobian_rejects_empty_batch():
     net = tiny_network(5, 2, seed=3)
     with pytest.raises(EmptyBatch):
-        mlp.outputs_and_jacobian(net, np.zeros((0, 5)))
+        outputs_and_jacobian(net, np.zeros((0, 5)))
 
 
 # --- model file --------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import generate_gesture
 from smokewatch.errors import MalformedConfig, MissingTemplate
 from smokewatch.signal import ChannelMode, CONFOUNDER_CLASSES, GestureClass, \
     NOMINAL_RATE_HZ, SensorRecording, extract_features, resample_uniform
@@ -34,7 +35,6 @@ from smokewatch.synth import (
     Segment,
     SessionKind,
     generate_corpus,
-    generate_gesture,
     generate_session,
     generate_sessions,
     generate_table1,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_network
+from oracles import lm_step, outputs_and_jacobian
 import smokewatch.train as train_mod
 from smokewatch import kernels, mlp, synth
 from smokewatch.errors import EmptyBatch, InvalidSize, NumericalFailure
@@ -30,7 +31,6 @@ from smokewatch.train import (
     build_dataset,
     build_datasets,
     damped_step,
-    lm_step,
     partition,
     save_report,
     select_best_restart,
@@ -227,8 +227,8 @@ def test_lm_step_some_damping_descends(rng):
 
 
 def test_train_first_epoch_takes_lm_step(rng):
-    # acceptance 3 checks lm_step on the Jacobian; train() takes the same
-    # step in Gram form: exactly damped_step's at mu0, and lm_step's to 1e-10
+    # train() takes the oracle lm_step's step in Gram form: exactly
+    # damped_step's at mu0, and lm_step's (on the Jacobian) to 1e-10
     ds = toy_dataset(rng, n=30)
     tr, va = ds.subset(np.arange(0, 30, 2)), ds.subset(np.arange(1, 30, 2))
     seed = 3
@@ -322,17 +322,9 @@ def test_train_replays_a_primal_epoch_with_rejected_retries(monkeypatch, seed):
     for _ in range(k):
         mu *= train_mod.MU_INC
     assert report.mu_history == (mu,)
-    y, jac = mlp.outputs_and_jacobian(net0, tr.features)
+    y, jac = outputs_and_jacobian(net0, tr.features)
     want = net0.to_weight_vector() + solve_damped(jac, tr.targets - y, mu)
     assert np.array_equal(net.to_weight_vector(), want)
-
-
-def test_lm_step_rejects_empty_batch(rng):
-    ds = toy_dataset(rng)
-    net = tiny_network(ds.input_size, 2, seed=0)
-    empty = ds.subset(np.array([], dtype=int))
-    with pytest.raises(EmptyBatch):
-        lm_step(net, empty, 1e-3)
 
 
 def test_dataset_smoking_and_targets_follow_the_classes():
