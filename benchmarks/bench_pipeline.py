@@ -37,6 +37,11 @@ otherwise:
   must equal the text this script builds with plain `repr`
   (`repr_oracle_equal`), and every load must be `array_equal` to the
   recording;
+- CSV loads of many short files (`csv_table1_corpus`): seed 7's Table-1
+  corpus (training and test gestures and the 10 sessions), each recording
+  written by `write_recording_csv` as `smokewatch synth` writes it, then
+  every file loaded one by one by `load_recording_csv`, best of 5, and
+  whether every load is `array_equal` to its recording (`load_equal`);
 - the environment: Python and numpy versions, nproc and the BLAS thread
   variables.
 
@@ -55,8 +60,9 @@ labels, so one file holds the numbers from before and after a change:
 The script exits 1 when the Gram step and the oracle step differ by more
 than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
 a mode's `train_best_of` network differs from the full loop's, when a
-split CSV load or write differs from the one-part one, or when a CSV write
-differs from its plain-`repr` text, so a run of it is an equivalence
+split CSV load or write differs from the one-part one, when a CSV write
+differs from its plain-`repr` text, or when a CSV load differs from the
+recording it was written from, so a run of it is an equivalence
 check. The smokewatch sources are the ones the
 script imports, so `PYTHONPATH=<other checkout>/src` measures another tree.
 
@@ -316,6 +322,26 @@ def csv_rows(xyz: np.ndarray) -> dict:
     return row
 
 
+def corpus_load_row() -> dict:
+    """Every recording of seed 7's Table-1 corpus written to its own CSV,
+    then all the files loaded one by one."""
+    train_c, test_c, sessions = synth.generate_table1(master_seed=SEED)
+    recordings = [*train_c, *test_c, *(rec for _, rec, _ in sessions)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{k}.csv" for k in range(len(recordings))]
+        for rec, path in zip(recordings, paths):
+            signal.write_recording_csv(rec, path)
+        loaded = []
+        row = {"files": len(paths), "rows": sum(map(len, recordings)),
+               "file_bytes": sum(path.stat().st_size for path in paths),
+               "load": best_of(lambda: loaded.append(
+                   [signal.load_recording_csv(path) for path in paths]), CSV_REPEATS)}
+    row["load_equal"] = all(np.array_equal(getattr(got, a), getattr(rec, a))
+                            for run in loaded for got, rec in zip(run, recordings)
+                            for a in "txyz")
+    return row
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key to store this run under")
@@ -341,6 +367,7 @@ def main(argv=None) -> int:
         "import_cli": import_row(),
         "csv": csv_rows(np.random.default_rng(SEED).normal(0.0, 0.5, size=(CSV_ROWS, 3))),
         "csv_long_session": csv_rows(long_session(SEED, CSV_ROWS)[2]),
+        "csv_table1_corpus": corpus_load_row(),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -369,6 +396,9 @@ def main(argv=None) -> int:
         if not csv["repr_oracle_equal"]:
             print(f"{key}: a CSV write differs from its plain-repr text", file=sys.stderr)
             code = 1
+    if not run["csv_table1_corpus"]["load_equal"]:
+        print("csv_table1_corpus: a CSV load differs from its recording", file=sys.stderr)
+        code = 1
     svd = run["primal_step"]["svd_oracle"]
     if svd["max_rel_err"] > svd["bound"]:
         print(f"primal step differs from the SVD oracle by {svd['max_rel_err']:.3g} "

@@ -42,8 +42,9 @@ from .errors import PartFailed
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
 # Fewest rows per part of a split CSV loop: 16,384 plot rows take about 25 ms
-# of CPU to format on 1 milli-g samples (80 ms at full precision; 2-vCPU VM),
-# against about 3 ms to fork a child and read its part back.
+# of CPU to format on 1 milli-g samples (80 ms at full precision), and 16,384
+# rows 6-8 ms to load (18-27 ms at full precision; 2-vCPU VM), against about
+# 3 ms to fork a child and read its part back.
 PART_ROWS = 16384
 
 T = TypeVar("T")

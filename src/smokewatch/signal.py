@@ -6,7 +6,10 @@ into one 1-d network input and rolling-window counting for continuous
 sessions. Recordings are immutable after construction and every operation is
 a pure function of its inputs. A CSV file, named by its path, is read as
 bytes and decoded in blocks cut at line ends, and a long file is parsed in
-runs of lines at once (`fileio.run_parts`); the writer formats one block of
+runs of lines at once (`fileio.run_parts`). Each block is parsed by numpy's
+C reader (`np.loadtxt`) when it is plain ASCII text of 4 finite columns,
+and otherwise by a per-line `float()` parse, which is the reference
+behaviour and names the first bad line; the writer formats one block of
 rows at a time, each float column through `fileio.float_reprs`, for
 `fileio.write_csv`, which owns the block loop and its split into parts. So
 memory for a session holds its arrays, not its text.
@@ -14,12 +17,12 @@ memory for a session holds its arrays, not its text.
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple, Optional, Union
 
@@ -195,42 +198,100 @@ class _Part(NamedTuple):
     fault: Optional[tuple[Optional[int], str]]
 
 
+class _BadRow(Exception):
+    """A malformed data line: args are its index among a block's lines and
+    why."""
+
+
+# ASCII characters that numpy's reader takes otherwise than splitlines() or
+# float(): \x0b, \x0c and \x1c-\x1e end a line for splitlines() but not
+# for numpy, which reads "0,1,2\x0c,3" as one row, and numpy strips \x1f
+# from around a field, which float() rejects.
+_NOT_NUMPY_SAFE = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _line_breaks(text: str) -> int:
+    """The line breaks of ASCII text free of _NOT_NUMPY_SAFE, as
+    splitlines() counts them: \\n, \\r and \\r\\n."""
+    breaks = text.count("\n")
+    return breaks + text.count("\r") - text.count("\r\n") if "\r" in text else breaks
+
+
+def _fast_rows(text: str) -> Optional[np.ndarray]:
+    """The (rows, 4) fields of a block's data lines by numpy's C reader, or
+    None unless the block is ASCII, free of _NOT_NUMPY_SAFE and not blank
+    and numpy reads it as 4 finite columns. Its line breaks, with each \\r
+    read as \\n (a \\r\\n then adds an empty line, which both parses skip),
+    are then those of splitlines(), and numpy strips the same whitespace
+    from a field as float() and calls the same string-to-double, so the
+    rows are those of _plain_rows."""
+    if (not text or text.isspace() or not text.isascii()
+            or any(c in text for c in _NOT_NUMPY_SAFE)):
+        return None
+    try:  # numpy ends a line at \n and \r\n but not at a lone \r
+        data = np.loadtxt(io.StringIO(text.replace("\r", "\n")), delimiter=",",
+                          comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == 4 and np.isfinite(data).all() else None
+
+
+def _plain_rows(lines: list[str]) -> tuple[np.ndarray, list[int]]:
+    """The (rows, 4) fields of the data lines of `lines` (the lines that are
+    not blank) by float(), and the data lines' indices: the reference parse
+    of a block, run on each block that _fast_rows refuses. Raises _BadRow
+    for the first data line with a bad column count or a field that float()
+    rejects."""
+    rows, indices = [], []
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise _BadRow(index, f"expected 4 columns, got {len(fields)}")
+        try:
+            rows.append(list(map(float, fields)))
+        except ValueError:
+            raise _BadRow(index, "non-numeric field") from None
+        indices.append(index)
+    return np.array(rows, dtype=np.float64).reshape(-1, 4), indices
+
+
 def _parse_part(blocks: Iterator[str], header: bool) -> _Part:
     """Parse the lines of `blocks`, the first of which must be CSV_HEADER if
-    `header`. Bytes that are not UTF-8 raise MalformedRow; a malformed row or
-    header ends the parse, and the rest of blocks is decoded before it is
-    returned, so that such bytes anywhere are named first."""
-    line_lists = map(str.splitlines, blocks)
-    lineno = 0  # the index of lines[0] in the run
-    if header:
-        head = next(line_lists, [])
-        if not head or head[0].strip() != CSV_HEADER:
-            return _fault(blocks, None, f"first line must be the header {CSV_HEADER!r}")
-        line_lists, lineno = chain([head[1:]], line_lists), 1
+    `header`: each block by _fast_rows, or by _plain_rows if it refuses.
+    Bytes that are not UTF-8 raise MalformedRow; a malformed row or header
+    ends the parse, and the rest of blocks is decoded before it is returned,
+    so that such bytes anywhere are named first."""
+    lineno = 0  # the index in the run of the block's first line
     arrays = []
     nonfinite = None  # the index of the first non-finite field's line
     first = None  # the index of the first data row
-    for lines in line_lists:
-        body = list(filter(str.strip, lines))  # blank lines are skipped
-        bad = any(line.count(",") != 3 for line in body)
-        if not bad:
-            fields = ",".join(body).split(",") if body else []
+    for text in blocks:
+        if header:  # the first line ends at or before the first "\n"
+            head = text[:text.find("\n") + 1 or None].splitlines(keepends=True)[0]
+            if head.strip() != CSV_HEADER:
+                return _fault(blocks, None, f"first line must be the header {CSV_HEADER!r}")
+            header, text, lineno = False, text[len(head):], 1
+        data = _fast_rows(text)
+        if data is not None:
+            if first is None:  # the line breaks in the whitespace before a field
+                first = lineno + _line_breaks(text[:len(text) - len(text.lstrip())])
+            lineno += _line_breaks(text) + (not text.endswith(("\n", "\r")))
+        else:
+            lines = text.splitlines()
             try:
-                data = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
-            except ValueError:
-                bad = True
-        if bad:
-            index, reason = _first_bad_row(lines)
-            return _fault(blocks, lineno + index, reason)
-        data = data.reshape(len(body), 4)
-        if first is None and body:
-            first = next(n for n, line in enumerate(lines, start=lineno) if line.strip())
-        finite = np.isfinite(data).all(axis=1)
-        if nonfinite is None and not finite.all():
-            linenos = [n for n, line in enumerate(lines, start=lineno) if line.strip()]
-            nonfinite = linenos[np.flatnonzero(~finite)[0]]
+                data, indices = _plain_rows(lines)
+            except _BadRow as bad:
+                index, reason = bad.args
+                return _fault(blocks, lineno + index, reason)
+            if first is None and indices:
+                first = lineno + indices[0]
+            finite = np.isfinite(data).all(axis=1)
+            if nonfinite is None and not finite.all():
+                nonfinite = lineno + indices[np.flatnonzero(~finite)[0]]
+            lineno += len(lines)
         arrays.append(data)
-        lineno += len(lines)
     return _Part(arrays, lineno, first, nonfinite, None)
 
 
@@ -239,22 +300,6 @@ def _fault(blocks: Iterator[str], index: Optional[int], reason: str) -> _Part:
     for _ in blocks:  # decode the rest: a byte that is not UTF-8 wins
         pass
     return _Part([], 0, None, None, (index, reason))
-
-
-def _first_bad_row(lines: list[str]) -> tuple[int, str]:
-    """The index of the first data line with a bad column count or a field
-    that float() rejects, and why; the slow path behind _parse_part."""
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            return index, f"expected 4 columns, got {len(fields)}"
-        try:
-            list(map(float, fields))
-        except ValueError:
-            return index, "non-numeric field"
-    raise AssertionError("no malformed row among the lines")
 
 
 def _line_cuts(path: Union[str, Path]) -> list[Optional[int]]:
@@ -306,9 +351,15 @@ def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClas
     The file's bytes are read READ_CHUNK at a time and parsed in blocks cut
     at line ends, never held whole; a long file is parsed in runs of whole
     lines at once (`fileio.run_parts`), and a named pipe in one run to its
-    end. The runs' rows, line counts and first faults are merged in file
-    order, so every error is the one a parse of the whole text would raise,
-    and bytes that are not UTF-8 are named first.
+    end. A block is parsed by numpy's C reader if it is ASCII, holds a data
+    line and none of the characters numpy takes otherwise than
+    `str.splitlines` or `float()`, and numpy reads it as 4 finite columns;
+    any other block (Unicode digits or spaces, `1_0`, whitespace-only
+    lines, a bad or non-finite field) is parsed line by line by `float()`,
+    which gives the same values and names the first bad line.
+    The runs' rows, line counts and first faults are merged in file order,
+    so every error is the one a parse of the whole text would raise, and
+    bytes that are not UTF-8 are named first.
     """
     parts = fileio.run_parts(partial(_parse_range, path), _line_cuts(path))
     lineno = 1  # the line number of the part's first line

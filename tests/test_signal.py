@@ -8,6 +8,7 @@ import math
 import os
 import re
 import threading
+import warnings
 from typing import Union
 
 import numpy as np
@@ -256,6 +257,131 @@ def test_load_csv_names_bytes_not_utf8_after_an_earlier_fault(data, tmp_path, mo
     offset = data.index(b"\xff")
     assert_all(load_every_way(data, tmp_path, monkeypatch),
                f"MalformedRow: byte {offset}: not UTF-8 (invalid start byte)")
+
+
+def odd_csv(odd: str, newline: str = "\n", tail: str = "0.06,1,2,3") -> str:
+    """A CSV whose third line is `odd`, then a good row and `tail`, the
+    last line: a bad tail shows, by its line number, how the lines before it
+    were counted."""
+    return newline.join([CSV_HEADER, "0.0,1,2,3", odd, "0.04,7,8,9", tail]) + newline
+
+
+# Inputs that float() and numpy's reader, or str.splitlines() and numpy's
+# line ends, may read two ways
+ODD_LINES = {
+    **{f"{name}-{where}": row
+       for name, ch in [("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"), ("gs", "\x1d"),
+                        ("rs", "\x1e"), ("nel", "\x85"), ("ls", "\u2028"), ("ps", "\u2029")]
+       for where, row in [("inside", f"0.02,4,5{ch},6"), ("at-end", f"0.02,4,5,6{ch}")]},
+    "nul": "0.02,4,5,6\x00",
+    "underscore": "0.02,1_0,5,6",
+    "hash": "0.02,4,5,6#",
+    "hash-field": "0.02,4,#,6",
+    "quoted": '0.02,"4",5,6',
+    "trailing-comma": "0.02,4,5,6,",
+    "whitespace-only": "   ",
+    "tab-only": "\t",
+    "1e400": "0.02,1e400,5,6",
+    "negative-zero": "0.02,-0.0,-0.0,6",
+    "dot5": "0.02,.5,5.,6",
+    "infinity": "0.02,Infinity,5,6",
+    "hex": "0.02,0x10,5,6",
+    "padded": "0.02, 1.5 ,\t5\t,6 ",
+    "unit-separator-inside": "0.02,\x1f4,5,6",
+    "unit-separator-at-end": "0.02,4,5,6\x1f",
+}
+
+
+def plain_outcome(text: str, tmp_path, monkeypatch):
+    """load_every_way's result for the whole text in one read, with every
+    block parsed by _plain_rows, the reference parse."""
+    with monkeypatch.context() as m:
+        m.setattr(signal, "_fast_rows", lambda text: None)
+        return load_every_way(text, tmp_path, m)[-1]
+
+
+def assert_same_outcome(got, want) -> None:
+    """The same message, or the same arrays bit for bit (-0.0 is not 0.0)."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert isinstance(got, str) and got == want, (got, want)
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::smokewatch.signal.SampleRateWarning")
+@pytest.mark.parametrize("tail", ["0.06,1,2,3", "0.06,1,2"], ids=["good-tail", "bad-tail"])
+@pytest.mark.parametrize("text", [
+    *(odd_csv(row) for row in ODD_LINES.values()),
+    odd_csv("0.02,4,5,6", "\r"),
+    odd_csv("0.02,4,5,6", "\r\n"),
+    odd_csv("", "\r\n"),
+    odd_csv("0.02,4,5,6\r", "\r\n"),
+], ids=[*ODD_LINES, "cr", "crlf", "crlf-blank-line", "cr-crlf"])
+def test_load_csv_reader_equals_the_plain_parse(text, tail, tmp_path, monkeypatch):
+    # every block goes to numpy's reader unless it is refused, at every read
+    # size, and must give what the float() parse of every block gives
+    text = text.replace("0.06,1,2,3", tail)
+    want = plain_outcome(text, tmp_path, monkeypatch)
+    for got in load_every_way(text, tmp_path, monkeypatch):
+        assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("text", [
+    odd_csv("0.02,4,5,6"),
+    odd_csv("0.02,4,5,6", "\r\n"),
+    odd_csv("0.02,4,5,6", "\r"),
+    odd_csv(ODD_LINES["negative-zero"]),
+    odd_csv(ODD_LINES["dot5"]),
+    odd_csv(ODD_LINES["padded"]),
+    "t,x,y,z\n\n\n\n0,1,2,3\n0.02,1,2,3\n",
+], ids=["lf", "crlf", "cr", "negative-zero", "dot5", "padded", "blank-lines"])
+def test_load_csv_reads_ascii_rows_with_numpy(text, tmp_path, monkeypatch):
+    # no block of these needs the plain parse but a blank one
+    def plain_rows(lines):
+        assert not "".join(lines).strip(), lines
+        return np.empty((0, 4)), []
+
+    want = plain_outcome(text, tmp_path, monkeypatch)
+    monkeypatch.setattr(signal, "_plain_rows", plain_rows)
+    for got in load_every_way(text, tmp_path, monkeypatch):
+        assert_same_outcome(got, want)
+
+
+def parse_block(text: str) -> tuple:
+    """signal._parse_part of one block of text with no header, as bytes."""
+    part = signal._parse_part(iter([text]), header=False)
+    return [d.tobytes() for d in part.data], part.lines, part.first, part.nonfinite, part.fault
+
+
+@pytest.mark.parametrize("row", [
+    "{c}0,1,2,3", "0{c},1,2,3", "0,1{c}5,2,3", "0,1,2,3{c}", "0, {c}1,2,3", "0,{c}.5,2,3",
+    "0,1e{c}5,2,3", "0,1,2,{c}", "{c}", "{c}{c}",
+])
+@pytest.mark.parametrize("newline, end", [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"),
+                                          ("\n", "")],
+                         ids=["lf", "crlf", "cr", "no-last-newline"])
+def test_parse_part_equals_the_plain_parse_for_every_ascii_character(row, newline, end,
+                                                                    monkeypatch):
+    # a block of a blank line, a good line, the row with one ASCII character
+    # set into it and a good line: its rows, line count, first data line and
+    # fault are those of the plain parse, whether numpy reads it or not
+    texts = [newline.join(["", "0,1,2,3", row.format(c=chr(code)), "4,5,6,7"]) + end
+             for code in range(128)]
+    assert any(signal._fast_rows(text) is not None for text in texts)
+    got = [parse_block(text) for text in texts]
+    monkeypatch.setattr(signal, "_fast_rows", lambda text: None)
+    for text, part in zip(texts, got):
+        assert part == parse_block(text), repr(text)
+
+
+def test_load_csv_gives_numpy_no_blank_block(tmp_path, monkeypatch):
+    # numpy's reader warns on input with no data; a block of blank lines,
+    # which some read sizes cut, never reaches it
+    text = "t,x,y,z\n\n\n\n0,1,2,3\n0.02,1,2,3\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_all(load_every_way(text, tmp_path, monkeypatch),
+                   np.array([[0.0, 0.02], [1, 1], [2, 2], [3, 3]]))
 
 
 # --- CSV ingestion in parts ---------------------------------------------------
