@@ -10,7 +10,9 @@ class EmptyRecording(SmokewatchError):
 
 
 class MalformedRow(SmokewatchError):
-    """A CSV row had the wrong column count or a non-numeric field."""
+    """A CSV file holds bytes that are not UTF-8, lacks its header line or
+    has a data line with a column count other than 4, a field that
+    `float()` rejects, a non-finite field or a negative timestamp."""
 
 
 class NonMonotonicTime(SmokewatchError):

@@ -6,10 +6,13 @@ into one 1-d network input and rolling-window counting for continuous
 sessions. Recordings are immutable after construction and every operation is
 a pure function of its inputs. A CSV file, named by its path, is read as
 bytes and decoded in blocks cut at line ends, and a long file is parsed in
-runs of lines at once (`fileio.run_parts`). Each block is parsed by numpy's
-C reader (`np.loadtxt`) when it is plain ASCII text of 4 finite columns,
+runs of lines at once (`fileio.run_parts`). One rule holds for every data
+line: it is malformed if it has a column count other than 4, a field that
+`float()` rejects, a non-finite field or a negative timestamp, and the first
+malformed line in file order is the error. Each block is parsed by numpy's
+C reader (`np.loadtxt`) when it is plain ASCII text with no malformed line,
 and otherwise by a per-line `float()` parse, which is the reference
-behaviour and names the first bad line; the writer formats one block of
+behaviour and names the first malformed line; the writer formats one block of
 rows at a time, each float column through `fileio.float_reprs`, for
 `fileio.write_csv`, which owns the block loop and its split into parts. So
 memory for a session holds its arrays, not its text.
@@ -18,13 +21,16 @@ memory for a session holds its arrays, not its text.
 from __future__ import annotations
 
 import io
+import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 
@@ -161,17 +167,22 @@ READ_CHUNK = 1 << 18
 
 def _line_blocks(fh: IO[bytes], start: int, end: Optional[int]) -> Iterator[str]:
     """The text of fh, from offset `start` where it stands up to offset `end`
-    (None: its end), in blocks cut after the last b"\\n" of each read, so that
-    the blocks' splitlines() are, in order, the splitlines() of the whole text;
-    a cut after b"\\n" never splits a character. Bytes that are not UTF-8 raise
-    MalformedRow naming their offset in fh."""
+    (None: its end), in blocks cut after the last line end of each read: a
+    b"\\n", or a b"\\r" that is not the read's last byte, so that a \\r\\n is
+    never split. The blocks' splitlines() are then, in order, the
+    splitlines() of the whole text, and a cut never splits a character.
+    Bytes that are not UTF-8 raise MalformedRow naming their offset in fh."""
     decoded = start  # offset of the bytes not yet decoded
     tail = b""
     while True:
         size = READ_CHUNK if end is None else min(READ_CHUNK, end - decoded - len(tail))
         chunk = fh.read(size)
         data = tail + chunk
-        cut = data.rfind(b"\n") + 1 if chunk else len(data)  # an empty read ends fh
+        if chunk:  # a \r is looked for only after the last \n
+            cut = data.rfind(b"\n") + 1
+            cut = max(cut, data.rfind(b"\r", cut, -1) + 1)
+        else:  # an empty read ends fh
+            cut = len(data)
         try:
             text = data[:cut].decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -185,22 +196,9 @@ def _line_blocks(fh: IO[bytes], start: int, end: Optional[int]) -> Iterator[str]
         tail = data[cut:]
 
 
-class _Part(NamedTuple):
-    """One run of whole lines of a CSV, parsed: its data blocks, its line
-    count and, as line indices within the run, its first data row, its first
-    row with a non-finite field and its first malformed row with the reason
-    (a None index marks a bad header)."""
-
-    data: list[np.ndarray]
-    lines: int
-    first: Optional[int]
-    nonfinite: Optional[int]
-    fault: Optional[tuple[Optional[int], str]]
-
-
 class _BadRow(Exception):
-    """A malformed data line: args are its index among a block's lines and
-    why."""
+    """A malformed line: args are its index among a block's lines (None for
+    the header) and why."""
 
 
 # ASCII characters that numpy's reader takes otherwise than splitlines() or
@@ -208,6 +206,10 @@ class _BadRow(Exception):
 # for numpy, which reads "0,1,2\x0c,3" as one row, and numpy strips \x1f
 # from around a field, which float() rejects.
 _NOT_NUMPY_SAFE = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+# A whitespace-only line of ASCII text free of _NOT_NUMPY_SAFE, once each
+# \r is read as \n.
+_BLANK_LINE = re.compile(r"^[ \t]+$", re.MULTILINE)
 
 
 def _line_breaks(text: str) -> int:
@@ -220,29 +222,36 @@ def _line_breaks(text: str) -> int:
 def _fast_rows(text: str) -> Optional[np.ndarray]:
     """The (rows, 4) fields of a block's data lines by numpy's C reader, or
     None unless the block is ASCII, free of _NOT_NUMPY_SAFE and not blank
-    and numpy reads it as 4 finite columns. Its line breaks, with each \\r
-    read as \\n (a \\r\\n then adds an empty line, which both parses skip),
-    are then those of splitlines(), and numpy strips the same whitespace
-    from a field as float() and calls the same string-to-double, so the
-    rows are those of _plain_rows."""
+    and numpy reads it as 4 finite columns with no negative timestamp. Its
+    line breaks, with each \\r read as \\n (a \\r\\n then adds an empty line,
+    which both parses skip), are then those of splitlines(), numpy gets each
+    whitespace-only line blanked, and numpy strips the same whitespace from
+    a field as float() and calls the same string-to-double, so the rows are
+    those of _plain_rows."""
     if (not text or text.isspace() or not text.isascii()
             or any(c in text for c in _NOT_NUMPY_SAFE)):
         return None
-    try:  # numpy ends a line at \n and \r\n but not at a lone \r
-        data = np.loadtxt(io.StringIO(text.replace("\r", "\n")), delimiter=",",
-                          comments=None, dtype=np.float64, ndmin=2)
+    # numpy ends a line at \n and \r\n but not at a lone \r
+    text = text.replace("\r", "\n")
+    if " " in text or "\t" in text:  # numpy rejects a whitespace-only line
+        text = _BLANK_LINE.sub("", text)
+    try:
+        data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                          dtype=np.float64, ndmin=2)
     except ValueError:
         return None
-    return data if data.shape[1] == 4 and np.isfinite(data).all() else None
+    if data.shape[1] == 4 and np.isfinite(data).all() and data[:, 0].min() >= 0.0:
+        return data
+    return None
 
 
-def _plain_rows(lines: list[str]) -> tuple[np.ndarray, list[int]]:
+def _plain_rows(lines: list[str]) -> np.ndarray:
     """The (rows, 4) fields of the data lines of `lines` (the lines that are
-    not blank) by float(), and the data lines' indices: the reference parse
-    of a block, run on each block that _fast_rows refuses. Raises _BadRow
-    for the first data line with a bad column count or a field that float()
-    rejects."""
-    rows, indices = [], []
+    not blank) by float(): the reference parse of a block, run on each block
+    that _fast_rows refuses. Raises _BadRow for the first data line with a
+    bad column count, a field that float() rejects, a non-finite field or a
+    negative timestamp."""
+    rows = []
     for index, line in enumerate(lines):
         if not line.strip():
             continue
@@ -250,56 +259,15 @@ def _plain_rows(lines: list[str]) -> tuple[np.ndarray, list[int]]:
         if len(fields) != 4:
             raise _BadRow(index, f"expected 4 columns, got {len(fields)}")
         try:
-            rows.append(list(map(float, fields)))
+            row = list(map(float, fields))
         except ValueError:
             raise _BadRow(index, "non-numeric field") from None
-        indices.append(index)
-    return np.array(rows, dtype=np.float64).reshape(-1, 4), indices
-
-
-def _parse_part(blocks: Iterator[str], header: bool) -> _Part:
-    """Parse the lines of `blocks`, the first of which must be CSV_HEADER if
-    `header`: each block by _fast_rows, or by _plain_rows if it refuses.
-    Bytes that are not UTF-8 raise MalformedRow; a malformed row or header
-    ends the parse, and the rest of blocks is decoded before it is returned,
-    so that such bytes anywhere are named first."""
-    lineno = 0  # the index in the run of the block's first line
-    arrays = []
-    nonfinite = None  # the index of the first non-finite field's line
-    first = None  # the index of the first data row
-    for text in blocks:
-        if header:  # the first line ends at or before the first "\n"
-            head = text[:text.find("\n") + 1 or None].splitlines(keepends=True)[0]
-            if head.strip() != CSV_HEADER:
-                return _fault(blocks, None, f"first line must be the header {CSV_HEADER!r}")
-            header, text, lineno = False, text[len(head):], 1
-        data = _fast_rows(text)
-        if data is not None:
-            if first is None:  # the line breaks in the whitespace before a field
-                first = lineno + _line_breaks(text[:len(text) - len(text.lstrip())])
-            lineno += _line_breaks(text) + (not text.endswith(("\n", "\r")))
-        else:
-            lines = text.splitlines()
-            try:
-                data, indices = _plain_rows(lines)
-            except _BadRow as bad:
-                index, reason = bad.args
-                return _fault(blocks, lineno + index, reason)
-            if first is None and indices:
-                first = lineno + indices[0]
-            finite = np.isfinite(data).all(axis=1)
-            if nonfinite is None and not finite.all():
-                nonfinite = lineno + indices[np.flatnonzero(~finite)[0]]
-            lineno += len(lines)
-        arrays.append(data)
-    return _Part(arrays, lineno, first, nonfinite, None)
-
-
-def _fault(blocks: Iterator[str], index: Optional[int], reason: str) -> _Part:
-    """The _Part of a run whose first malformed line is at `index`."""
-    for _ in blocks:  # decode the rest: a byte that is not UTF-8 wins
-        pass
-    return _Part([], 0, None, None, (index, reason))
+        if not all(map(math.isfinite, row)):
+            raise _BadRow(index, "non-finite field")
+        if row[0] < 0.0:
+            raise _BadRow(index, "negative timestamp")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 def _line_cuts(path: Union[str, Path]) -> list[Optional[int]]:
@@ -308,7 +276,7 @@ def _line_cuts(path: Union[str, Path]) -> list[Optional[int]]:
     then None for the end of the file. The file's rows are counted as its
     size times the lines per byte of its first READ_CHUNK, which is read
     only if the file has bytes enough for a split at one byte a line. A pipe
-    has no size, so it is one run."""
+    has no size, and a file with \\r line ends no b"\\n", so each is one run."""
     size = os.stat(path).st_size
     cuts = [0]
     if fileio.part_count(size) > 1:
@@ -329,23 +297,59 @@ def _line_cuts(path: Union[str, Path]) -> list[Optional[int]]:
     return cuts + [None]
 
 
-def _parse_range(path: Union[str, Path], lo: int, hi: Optional[int], files=()) -> _Part:
-    """_parse_part of the bytes lo..hi-1 (hi None: to the end) of the file
-    at path."""
+def _parse_range(path: Union[str, Path], lo: int, hi: Optional[int],
+                 files=()) -> list[np.ndarray]:
+    """The data blocks of the lines in bytes lo..hi-1 (hi None: to the end)
+    of the file at path, the first of which must be CSV_HEADER if lo is 0:
+    each block by _fast_rows, or by _plain_rows if it refuses. Bytes that
+    are not UTF-8 raise MalformedRow. So does a malformed header or data
+    line, naming the line in the file, once the rest of the file is decoded,
+    so that such bytes anywhere are named first."""
     with open(path, "rb") as fh:
-        if lo:
+        if lo:  # a pipe, read from 0, cannot seek
             fh.seek(lo)
-        return _parse_part(_line_blocks(fh, lo, hi), header=lo == 0)
+        blocks = _line_blocks(fh, lo, hi)
+        lineno = 0  # the index in the run of the block's first line
+        arrays = []
+        try:
+            for text in blocks:
+                if not lo and not lineno:  # the first line ends at or before the first "\n"
+                    head = text[:text.find("\n") + 1 or None].splitlines(keepends=True)[0]
+                    if head.strip() != CSV_HEADER:
+                        raise _BadRow(None, f"first line must be the header {CSV_HEADER!r}")
+                    text, lineno = text[len(head):], 1
+                data = _fast_rows(text)
+                if data is None:
+                    lines = text.splitlines()
+                    data = _plain_rows(lines)
+                    lineno += len(lines)
+                else:
+                    lineno += _line_breaks(text) + (not text.endswith(("\n", "\r")))
+                arrays.append(data)
+            return arrays
+        except _BadRow as bad:
+            index, reason = bad.args
+        # decode the rest of the file: a byte that is not UTF-8 wins
+        for _ in chain(blocks, _line_blocks(fh, hi, None) if hi else ()):
+            pass
+        if index is None:
+            raise MalformedRow(reason)
+        if lo:  # the lines before the run
+            fh.seek(0)
+            lineno += sum(len(text.splitlines()) for text in _line_blocks(fh, 0, lo))
+        raise MalformedRow(f"line {lineno + index + 1}: {reason}")
 
 
 def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClass.UNKNOWN,
                        device: str = "") -> SensorRecording:
     """Parse a `t,x,y,z` CSV into a SensorRecording.
 
-    Raises EmptyRecording for fewer than 2 data rows, MalformedRow for a bad
-    header, column count or non-numeric or non-finite field, for a negative
-    first timestamp or for bytes that are not UTF-8, and NonMonotonicTime
-    for unordered timestamps.
+    Raises MalformedRow for bytes that are not UTF-8, naming the first, and
+    otherwise for a bad header or for the first malformed data line: one
+    with a column count other than 4, a field that `float()` rejects, a
+    non-finite field or a negative timestamp. Then raises EmptyRecording
+    for fewer than 2 data rows and NonMonotonicTime for unordered
+    timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
     The file's bytes are read READ_CHUNK at a time and parsed in blocks cut
@@ -353,36 +357,21 @@ def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClas
     lines at once (`fileio.run_parts`), and a named pipe in one run to its
     end. A block is parsed by numpy's C reader if it is ASCII, holds a data
     line and none of the characters numpy takes otherwise than
-    `str.splitlines` or `float()`, and numpy reads it as 4 finite columns;
-    any other block (Unicode digits or spaces, `1_0`, whitespace-only
-    lines, a bad or non-finite field) is parsed line by line by `float()`,
-    which gives the same values and names the first bad line.
-    The runs' rows, line counts and first faults are merged in file order,
-    so every error is the one a parse of the whole text would raise, and
-    bytes that are not UTF-8 are named first.
+    `str.splitlines` or `float()`, and numpy reads it, with whitespace-only
+    lines blanked, as 4 finite columns and no negative timestamp; any other
+    block (Unicode digits or spaces, `1_0`, a malformed line) is parsed line
+    by line by `float()`, which gives the same values and names the first
+    malformed line. A run that finds a fault raises the file's error itself,
+    and the first run's error is raised, so every error is the one a parse
+    of the whole text would raise.
     """
-    parts = fileio.run_parts(partial(_parse_range, path), _line_cuts(path))
-    lineno = 1  # the line number of the part's first line
-    first = nonfinite = None  # the lines of the first data row and non-finite field
-    for part in parts:
-        if part.fault is not None:
-            index, reason = part.fault
-            raise MalformedRow(reason if index is None else f"line {lineno + index}: {reason}")
-        if first is None and part.first is not None:
-            first = lineno + part.first
-        if nonfinite is None and part.nonfinite is not None:
-            nonfinite = lineno + part.nonfinite
-        lineno += part.lines
-    arrays = [data for part in parts for data in part.data]
+    arrays = [data for part in fileio.run_parts(partial(_parse_range, path), _line_cuts(path))
+              for data in part]
     rows = sum(map(len, arrays))
     if rows < 2:
         raise EmptyRecording(f"need at least 2 data rows, got {rows}")
-    if nonfinite is not None:
-        raise MalformedRow(f"line {nonfinite}: non-finite field")
     data = np.concatenate(arrays)
     t = data[:, 0]
-    if t[0] < 0.0:
-        raise MalformedRow(f"line {first}: negative timestamp")
     recording = SensorRecording(t=t, x=data[:, 1], y=data[:, 2], z=data[:, 3],
                                 label=label, device=device)
     median_gap = float(np.median(np.diff(t)))

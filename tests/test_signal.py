@@ -186,7 +186,7 @@ def assert_all(results: list, want) -> None:
 ], ids=["first-row", "after-blank-lines", "all-negative"])
 def test_load_csv_names_a_negative_first_timestamp(text, line, tmp_path, monkeypatch):
     # the line of the first data row, wherever the reads cut the lines
-    # before it; a negative timestamp after a non-negative one is unordered
+    # before it
     assert_all(load_every_way(text, tmp_path, monkeypatch),
                f"MalformedRow: line {line}: negative timestamp")
 
@@ -195,9 +195,12 @@ def test_load_csv_names_a_negative_first_timestamp(text, line, tmp_path, monkeyp
     ("0.06,1,2", "0.08,1,y,3", "line 6: expected 4 columns, got 3"),
     ("0.06,1,x,3", "0.08,1,2", "line 6: non-numeric field"),
     ("0.06,nan,2,3", "0.08,inf,2,3", "line 6: non-finite field"),
-    # a non-numeric field anywhere is named before a non-finite one
-    ("0.06,nan,2,3", "0.08,1,y,3", "line 7: non-numeric field"),
-], ids=["columns", "non-numeric", "non-finite", "non-numeric-after-non-finite"])
+    # the first malformed line is named, whatever the fault of a later one
+    ("0.06,nan,2,3", "0.08,1,y,3", "line 6: non-finite field"),
+    # a negative timestamp after a good row is malformed, not unordered
+    ("-0.06,1,2,3", "0.08,1,y,3", "line 6: negative timestamp"),
+], ids=["columns", "non-numeric", "non-finite", "non-finite-before-non-numeric",
+        "negative-after-a-row"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_load_csv_names_the_same_line_at_every_block_cut(bad, later, message, newline,
                                                          tmp_path, monkeypatch):
@@ -326,6 +329,7 @@ def test_load_csv_reader_equals_the_plain_parse(text, tail, tmp_path, monkeypatc
         assert_same_outcome(got, want)
 
 
+@pytest.mark.filterwarnings("ignore::smokewatch.signal.SampleRateWarning")
 @pytest.mark.parametrize("text", [
     odd_csv("0.02,4,5,6"),
     odd_csv("0.02,4,5,6", "\r\n"),
@@ -334,12 +338,15 @@ def test_load_csv_reader_equals_the_plain_parse(text, tail, tmp_path, monkeypatc
     odd_csv(ODD_LINES["dot5"]),
     odd_csv(ODD_LINES["padded"]),
     "t,x,y,z\n\n\n\n0,1,2,3\n0.02,1,2,3\n",
-], ids=["lf", "crlf", "cr", "negative-zero", "dot5", "padded", "blank-lines"])
+    odd_csv(ODD_LINES["whitespace-only"]),
+    "t,x,y,z\r\n \t\r\n0,1,2,3\r\n\t\r\n0.02,1,2,3\r\n  ",
+], ids=["lf", "crlf", "cr", "negative-zero", "dot5", "padded", "blank-lines",
+        "whitespace-only", "whitespace-lines-crlf"])
 def test_load_csv_reads_ascii_rows_with_numpy(text, tmp_path, monkeypatch):
     # no block of these needs the plain parse but a blank one
     def plain_rows(lines):
         assert not "".join(lines).strip(), lines
-        return np.empty((0, 4)), []
+        return np.empty((0, 4))
 
     want = plain_outcome(text, tmp_path, monkeypatch)
     monkeypatch.setattr(signal, "_plain_rows", plain_rows)
@@ -347,10 +354,14 @@ def test_load_csv_reads_ascii_rows_with_numpy(text, tmp_path, monkeypatch):
         assert_same_outcome(got, want)
 
 
-def parse_block(text: str) -> tuple:
-    """signal._parse_part of one block of text with no header, as bytes."""
-    part = signal._parse_part(iter([text]), header=False)
-    return [d.tobytes() for d in part.data], part.lines, part.first, part.nonfinite, part.fault
+def parse_file(text: str, path) -> Union[list, str]:
+    """signal._parse_range of a file holding the header line and text: the
+    shape and bytes of each data block, or the error's message."""
+    path.write_bytes(f"{CSV_HEADER}\n{text}".encode())
+    try:
+        return [(d.shape, d.tobytes()) for d in signal._parse_range(path, 0, None)]
+    except MalformedRow as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("row", [
@@ -360,18 +371,21 @@ def parse_block(text: str) -> tuple:
 @pytest.mark.parametrize("newline, end", [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"),
                                           ("\n", "")],
                          ids=["lf", "crlf", "cr", "no-last-newline"])
-def test_parse_part_equals_the_plain_parse_for_every_ascii_character(row, newline, end,
-                                                                    monkeypatch):
+def test_parse_range_equals_the_plain_parse_for_every_ascii_character(row, newline, end,
+                                                                     tmp_path, monkeypatch):
     # a block of a blank line, a good line, the row with one ASCII character
-    # set into it and a good line: its rows, line count, first data line and
-    # fault are those of the plain parse, whether numpy reads it or not
-    texts = [newline.join(["", "0,1,2,3", row.format(c=chr(code)), "4,5,6,7"]) + end
-             for code in range(128)]
+    # set into it and a good line, alone and then with a bad last line: its
+    # rows, and the line named by its error (so its line count), are those
+    # of the plain parse, whether numpy reads it or not
+    texts = [newline.join(["", "0,1,2,3", row.format(c=chr(code)), "4,5,6,7", *tail]) + end
+             for code in range(128) for tail in ([], ["8,9"])]
     assert any(signal._fast_rows(text) is not None for text in texts)
-    got = [parse_block(text) for text in texts]
+    path = tmp_path / "s.csv"
+    got = [parse_file(text, path) for text in texts]
+    assert any(isinstance(outcome, str) and outcome.startswith("line 6:") for outcome in got)
     monkeypatch.setattr(signal, "_fast_rows", lambda text: None)
-    for text, part in zip(texts, got):
-        assert part == parse_block(text), repr(text)
+    for text, outcome in zip(texts, got):
+        assert outcome == parse_file(text, path), repr(text)
 
 
 def test_load_csv_gives_numpy_no_blank_block(tmp_path, monkeypatch):
@@ -474,6 +488,23 @@ def test_milli_g_session_round_trips_in_any_part_count(milli_g_xyz, tmp_path, mo
             assert np.array_equal(getattr(got, name), getattr(rec, name)), (parts, name)
 
 
+def test_load_csv_cuts_cr_only_lines_into_read_sized_blocks(milli_g_xyz, tmp_path):
+    # a file with \r line ends only is cut after a \r, so no block holds more
+    # than one read and the line it ends in, and it loads as its \n copy
+    lf = tmp_path / "lf.csv"
+    write_recording_csv(make_recording(milli_g_xyz), lf)
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+    assert b"\n" not in cr.read_bytes() and cr.stat().st_size > 5 * signal.READ_CHUNK
+    line = max(map(len, cr.read_bytes().split(b"\r"))) + 1
+    with open(cr, "rb") as fh:
+        sizes = [len(text) for text in signal._line_blocks(fh, 0, None)]
+    assert len(sizes) > 5 and max(sizes) <= signal.READ_CHUNK + line
+    a, b = load_recording_csv(lf), load_recording_csv(cr)
+    for name in "txyz":
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 def test_load_part_count_follows_the_rows_at_the_real_part_rows(milli_g_xyz, rng, tmp_path,
                                                                 monkeypatch):
     # on 4 CPUs at the real PART_ROWS, whatever the bytes of a row: the
@@ -524,6 +555,8 @@ FAULTS = {
                    lambda row: row[:-4] + b" nan"),
     "not-utf8": ("MalformedRow: byte {byte}: not UTF-8 (invalid start byte)",
                  lambda row: row[:-1] + b"\xff"),
+    "negative": ("MalformedRow: line {line}: negative timestamp",
+                 lambda row: b"%8.4f" % -0.02 + row[8:]),
     "negative-first": ("MalformedRow: line {line}: negative timestamp",
                        lambda row: b"%8.4f" % -0.02 + row[8:]),
     "non-monotonic": ("NonMonotonicTime: timestamps must be strictly increasing", None),
@@ -563,13 +596,38 @@ def test_load_csv_in_parts_names_the_one_part_error(fault, spot, tmp_path, monke
     assert outcome(whole) == want
 
 
+@pytest.mark.parametrize("first", ["non-numeric", "not-utf8"])
+@pytest.mark.parametrize("last", ["columns", "not-utf8"])
+def test_load_csv_in_parts_names_the_fault_in_the_first_part(first, last, tmp_path,
+                                                             monkeypatch):
+    # one fault on line 3, in the first of three parts, and another in the
+    # last part: the first is named, unless only the last is bytes that are
+    # not UTF-8, which are named wherever they sit
+    path = tmp_path / "s.csv"
+    path.write_bytes(csv_bytes(ROWS))
+    with monkeypatch.context() as m:
+        split_into(m, 3)
+        cuts = signal._line_cuts(path)
+    k = line_at(csv_bytes(ROWS), cuts[2]) - 1  # the index in rows of the last part's first line
+    rows = list(ROWS)
+    rows[1] = FAULTS[first][1](rows[1])
+    rows[k] = FAULTS[last][1](rows[k])
+    data = csv_bytes(rows)
+    message = FAULTS["not-utf8" if "not-utf8" in (first, last) else first][0]
+    want = message.format(line=3, byte=data.find(b"\xff"))
+    assert assert_parts_agree(data, tmp_path, monkeypatch, parts=(3,)) == want
+
+
 @pytest.mark.parametrize("data, want", [
     (csv_bytes(ROWS, header=b"t,x,y,q"),
      f"MalformedRow: first line must be the header {CSV_HEADER!r}"),
     (csv_bytes(ROWS, header=b"t,x,y,q")[:-1] + b"\xff",
      "MalformedRow: byte 727: not UTF-8 (invalid start byte)"),
     (csv_bytes(ROWS[:1] + [b" " * 8] * 50), "EmptyRecording: need at least 2 data rows, got 1"),
-], ids=["bad-header", "bad-header-then-not-utf8", "one-row"])
+    # a malformed row is named before the rows are counted
+    (csv_bytes([b" " * 8] * 50 + [ROWS[0][:-4] + b" nan"]),
+     "MalformedRow: line 52: non-finite field"),
+], ids=["bad-header", "bad-header-then-not-utf8", "one-row", "one-non-finite-row"])
 def test_load_csv_in_parts_names_file_faults(data, want, tmp_path, monkeypatch):
     assert assert_parts_agree(data, tmp_path, monkeypatch) == want
 
