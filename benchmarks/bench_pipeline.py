@@ -28,15 +28,14 @@ otherwise:
   seed 7's full-precision N(0, 0.5) noise (`csv`), and smokebench's
   `long_session` at seed 7 as this tree's `synth.generate_sessions` makes
   it (`csv_long_session`; a tree that synthesizes other samples writes
-  other text). For each, best of 5: `load_recording_csv` of its file,
-  `write_trace_csv` of a stride-1 trace with its plot, and
-  `write_recording_csv`, each in one part and in the parts
-  `fileio.part_count` gives this host (`split`; not measured on a tree
-  without it), and the size of the session file; every split file must be
-  byte-identical to the one-part file, the recording, trace and plot files
-  must equal the text this script builds with plain `repr`
-  (`repr_oracle_equal`), and every load must be `array_equal` to the
-  recording;
+  other text). For each, best of 5: `write_trace_csv` of a stride-1 trace
+  with its plot and `write_recording_csv`, each in one part and in the
+  parts `fileio.part_count` gives this host (`split`), then
+  `load_recording_csv` of the recording file as the tree runs it, and the
+  size of that file; every split file must be byte-identical to the
+  one-part file, the recording, trace and plot files must equal the text
+  this script builds with plain `repr` (`repr_oracle_equal`), and every
+  load must be `array_equal` to the recording;
 - CSV loads of many short files (`csv_table1_corpus`): seed 7's Table-1
   corpus (training and test gestures and the 10 sessions), each recording
   written by `write_recording_csv` as `smokewatch synth` writes it, then
@@ -47,7 +46,7 @@ otherwise:
 
 Every best-of figure also records the CPU time of each repeat
 (`cpu_min_s`, `cpu_median_s`): user plus system time of this process and of
-its reaped children, so the forked parts of a split CSV loop count. CPU
+its reaped children, so the forked parts of a split CSV write count. CPU
 time does not remove a shared host's drift in speed: on a 2-vCPU VM one CSV
 figure read from 0.30 to 0.57 s of CPU across ten runs of one tree, so two
 trees compare by medians over several alternating runs.
@@ -60,11 +59,11 @@ labels, so one file holds the numbers from before and after a change:
 The script exits 1 when the Gram step and the oracle step differ by more
 than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
 a mode's `train_best_of` network differs from the full loop's, when a
-split CSV load or write differs from the one-part one, when a CSV write
-differs from its plain-`repr` text, or when a CSV load differs from the
-recording it was written from, so a run of it is an equivalence
-check. The smokewatch sources are the ones the
-script imports, so `PYTHONPATH=<other checkout>/src` measures another tree.
+split CSV write differs from the one-part one, when a CSV write differs
+from its plain-`repr` text, or when a CSV load differs from the recording
+it was written from, so a run of it is an equivalence check. The
+smokewatch sources are the ones the script imports, so
+`PYTHONPATH=<other checkout>/src` measures another tree.
 
 BLAS/OpenMP threads default to 1, as in smokebench, unless already set.
 """
@@ -116,7 +115,7 @@ CSV_REPEATS = 5
 
 def cpu_time() -> float:
     """User plus system CPU seconds of this process and its reaped children,
-    so the forked parts of a split CSV loop count."""
+    so the forked parts of a split CSV write count."""
     t = os.times()
     return t.user + t.system + t.children_user + t.children_system
 
@@ -278,44 +277,41 @@ def repr_oracle(rec: signal.SensorRecording, outputs: np.ndarray) -> dict:
 
 
 def csv_rows(xyz: np.ndarray) -> dict:
-    """CSV load and writes of the (CSV_ROWS, 3) session xyz, in one part and
-    split.
+    """CSV writes of the (CSV_ROWS, 3) session xyz in one part and split,
+    then its load.
 
     The session lies on the 50 Hz grid, and the trace is one seeded uniform
     output per stride-1 window of 200 samples. One part is forced by raising
-    `fileio.PART_ROWS` above the row count; a tree without
-    `fileio.part_count` always runs one part.
+    `fileio.PART_ROWS` above the row count. The load runs at the tree's own
+    `PART_ROWS`, as the CLI runs it.
     """
     rec = signal.SensorRecording(t=np.arange(CSV_ROWS) / signal.NOMINAL_RATE_HZ,
                                  x=xyz[:, 0], y=xyz[:, 1], z=xyz[:, 2])
     outputs = np.random.default_rng(SEED).uniform(size=CSV_ROWS - 199)
     trace = detect.DetectionTrace(outputs=outputs, stride=1, threshold=0.5)
-    splits = {"one_part": CSV_ROWS + 1}
-    if hasattr(fileio, "part_count"):
-        splits["split"] = fileio.PART_ROWS
-    row = {"rows": CSV_ROWS, "split_parts": fileio.part_count(CSV_ROWS) if "split" in splits else 1}
+    splits = {"one_part": CSV_ROWS + 1, "split": fileio.PART_ROWS}
+    row = {"rows": CSV_ROWS, "split_parts": fileio.part_count(CSV_ROWS)}
     files = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, part_rows in splits.items():
             fileio.PART_ROWS = part_rows
             out = Path(tmp) / name
-            src = out / "session.csv"
-            signal.write_recording_csv(rec, src)
-            loaded = []
             row[name] = {
-                "load": best_of(lambda: loaded.append(signal.load_recording_csv(src)),
-                                CSV_REPEATS),
                 "write_trace_plot": best_of(lambda: detect.write_trace_csv(
                     trace, out / "trace.csv", rec, out / "plot.csv"), CSV_REPEATS),
                 "write_recording": best_of(lambda: signal.write_recording_csv(
                     rec, out / "recording.csv"), CSV_REPEATS),
-                "load_equal": all(np.array_equal(getattr(got, a), getattr(rec, a))
-                                  for got in loaded for a in "txyz"),
-                "file_bytes": src.stat().st_size,
             }
             files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    fileio.PART_ROWS = splits.get("split", splits["one_part"])
-    row["files_identical"] = all(f == files["one_part"] for f in files.values())
+        fileio.PART_ROWS = splits["split"]
+        src = Path(tmp) / "one_part" / "recording.csv"
+        loaded = []
+        row["load"] = best_of(lambda: loaded.append(signal.load_recording_csv(src)),
+                              CSV_REPEATS)
+        row["load_equal"] = all(np.array_equal(getattr(got, a), getattr(rec, a))
+                                for got in loaded for a in "txyz")
+        row["file_bytes"] = src.stat().st_size
+    row["files_identical"] = files["split"] == files["one_part"]
     row["repr_oracle_equal"] = all(
         files["one_part"][name] == text.encode()
         for name, text in repr_oracle(rec, outputs).items())
@@ -388,10 +384,11 @@ def main(argv=None) -> int:
             code = 1
     for key in ("csv", "csv_long_session"):
         csv = run[key]
-        if not csv["files_identical"] or not all(
-                csv[name]["load_equal"] for name in ("one_part", "split") if name in csv):
-            print(f"{key}: a split CSV load or write differs from the one-part one",
-                  file=sys.stderr)
+        if not csv["files_identical"]:
+            print(f"{key}: a split CSV write differs from the one-part one", file=sys.stderr)
+            code = 1
+        if not csv["load_equal"]:
+            print(f"{key}: a CSV load differs from its recording", file=sys.stderr)
             code = 1
         if not csv["repr_oracle_equal"]:
             print(f"{key}: a CSV write differs from its plain-repr text", file=sys.stderr)

@@ -14,12 +14,11 @@ opens the targets through `atomic_open` and has its caller format
 float a CSV writer prints is turned into text by `float_reprs`, which calls
 `repr` once per distinct value of a block's column: samples on a sensor's
 grid repeat, so a block holds far fewer distinct values than rows. A long
-CSV loop (a write's blocks or a load's runs of lines) runs in parts
-(`run_parts`): contiguous ranges, the first run by the caller and each later
-one by a forked child that writes its text and its result to unnamed temp
-files, which the caller reads back in order. `part_count` sets how many,
-from the row count and the CPUs this process may run on; nothing configures
-it.
+CSV write runs in parts (`run_parts`): contiguous ranges of blocks, the
+first run by the caller and each later one by a forked child that writes
+its text and its outcome to unnamed temp files, which the caller reads back
+in order. `part_count` sets how many, from the row count and the CPUs this
+process may run on; nothing configures it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import threading
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from signal import SIGKILL
-from typing import Callable, Iterator, Optional, Sequence, TextIO, TypeVar, Union
+from typing import Callable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -41,13 +40,10 @@ from .errors import PartFailed
 
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
-# Fewest rows per part of a split CSV loop: 16,384 plot rows take about 25 ms
-# of CPU to format on 1 milli-g samples (80 ms at full precision), and 16,384
-# rows 6-8 ms to load (18-27 ms at full precision; 2-vCPU VM), against about
-# 3 ms to fork a child and read its part back.
+# Fewest rows per part of a split CSV write: 16,384 plot rows take about 25
+# ms of CPU to format on 1 milli-g samples (80 ms at full precision; 2-vCPU
+# VM), against about 3 ms to fork a child and read its part back.
 PART_ROWS = 16384
-
-T = TypeVar("T")
 
 
 @contextmanager
@@ -96,7 +92,7 @@ def float_reprs(values: np.ndarray) -> list[str]:
 
 
 def part_count(rows: int) -> int:
-    """How many parts a CSV loop over about `rows` rows runs in: one per CPU
+    """How many parts a CSV write of `rows` rows runs in: one per CPU
     this process may run on, each of at least PART_ROWS rows. 1 without
     `os.fork` or `os.sched_getaffinity`, and while another thread runs,
     since a forked child holds only the forking thread and would find any
@@ -132,15 +128,13 @@ def write_csv(targets: Sequence[tuple[Union[str, Path], str]], n: int, rows: int
         run_parts(write_blocks, bounds, files)
 
 
-def run_parts(work: Callable[[int, Optional[int], Sequence[TextIO]], T],
-              bounds: Sequence[Optional[int]], outs: Sequence[TextIO] = ()) -> list[T]:
-    """[work(lo, hi, files) for each part lo..hi-1 of `bounds`], run at once;
-    the bounds are passed on as they are, so the last may be None for "to
-    the end".
+def run_parts(work: Callable[[int, int, Sequence[TextIO]], None],
+              bounds: Sequence[int], outs: Sequence[TextIO] = ()) -> None:
+    """work(lo, hi, files) for each part lo..hi-1 of `bounds`, run at once.
 
     Part 0 runs here with files = outs. Each later part runs in a forked
     child with files = one unnamed temp file per out; the child pickles what
-    work returns or raises into one more temp file and ends by `os._exit`, so
+    work raises, or None, into one more temp file and ends by `os._exit`, so
     it never unwinds into the caller's frames. The caller then takes the
     parts in order: it copies each child's files onto outs in fixed-size
     chunks and re-raises the first exception. A child that leaves no result
@@ -157,36 +151,35 @@ def run_parts(work: Callable[[int, Optional[int], Sequence[TextIO]], T],
             pid = os.fork()
             if pid == 0:
                 try:
+                    error = None
                     try:
-                        outcome = (True, work(lo, hi, files))
+                        work(lo, hi, files)
                         for fh in files:
                             fh.flush()
                     except BaseException as exc:  # sent to the caller to raise
-                        outcome = (False, exc)
-                    pickle.dump(outcome, result)
+                        error = exc
+                    pickle.dump(error, result)
                     result.flush()
                 finally:
                     os._exit(0)
             children[-1][0] = pid
-        results = [work(bounds[0], bounds[1], outs)]
+        work(bounds[0], bounds[1], outs)
         for k, child in enumerate(children, start=1):
             pid, result, files = child
             status = os.waitpid(pid, 0)[1]
             child[0] = None
             result.seek(0)
             try:
-                ok, value = pickle.load(result)
+                error = pickle.load(result)
             except (EOFError, pickle.UnpicklingError):
                 raise PartFailed(
                     f"part {k} of {len(bounds) - 1} ended without a result "
                     f"(exit code {os.waitstatus_to_exitcode(status)})") from None
-            if not ok:
-                raise value
+            if error is not None:
+                raise error
             for src, dst in zip(files, outs):
                 src.seek(0)
                 shutil.copyfileobj(src, dst)
-            results.append(value)
-        return results
     finally:
         for pid, result, files in children:
             if pid is not None:

@@ -5,30 +5,27 @@ isolated gestures to plain (x, y, z) arrays, channel-mode feature extraction
 into one 1-d network input and rolling-window counting for continuous
 sessions. Recordings are immutable after construction and every operation is
 a pure function of its inputs. A CSV file, named by its path, is read as
-bytes and decoded in blocks cut at line ends, and a long file is parsed in
-runs of lines at once (`fileio.run_parts`). One rule holds for every data
-line: it is malformed if it has a column count other than 4, a field that
-`float()` rejects, a non-finite field or a negative timestamp, and the first
-malformed line in file order is the error. Each block is parsed by numpy's
-C reader (`np.loadtxt`) when it is plain ASCII text with no malformed line,
-and otherwise by a per-line `float()` parse, which is the reference
-behaviour and names the first malformed line; the writer formats one block of
-rows at a time, each float column through `fileio.float_reprs`, for
-`fileio.write_csv`, which owns the block loop and its split into parts. So
-memory for a session holds its arrays, not its text.
+bytes and decoded in blocks cut at line ends, all in the calling process.
+One rule holds for every data line: it is malformed if it has a column
+count other than 4, a field that `float()` rejects, a non-finite field or a
+negative timestamp, and the first malformed line in file order is the
+error. Each block is parsed by numpy's C reader (`np.loadtxt`) when it is
+plain ASCII text with no malformed line, and otherwise by a per-line
+`float()` parse, which is the reference behaviour and names the first
+malformed line; the writer formats one block of rows at a time, each float
+column through `fileio.float_reprs`, for `fileio.write_csv`, which owns the
+block loop and its split into parts. So memory for a session holds its
+arrays, not its text.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import os
 import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator, Optional, Union
 
@@ -165,18 +162,16 @@ class SensorRecording:
 READ_CHUNK = 1 << 18
 
 
-def _line_blocks(fh: IO[bytes], start: int, end: Optional[int]) -> Iterator[str]:
-    """The text of fh, from offset `start` where it stands up to offset `end`
-    (None: its end), in blocks cut after the last line end of each read: a
-    b"\\n", or a b"\\r" that is not the read's last byte, so that a \\r\\n is
-    never split. The blocks' splitlines() are then, in order, the
+def _line_blocks(fh: IO[bytes]) -> Iterator[str]:
+    """The text of fh in blocks cut after the last line end of each read: a
+    b"\\n", or a b"\\r" that is not the read's last byte, so that a \\r\\n
+    is never split. The blocks' splitlines() are then, in order, the
     splitlines() of the whole text, and a cut never splits a character.
-    Bytes that are not UTF-8 raise MalformedRow naming their offset in fh."""
-    decoded = start  # offset of the bytes not yet decoded
+    Bytes that are not UTF-8 raise MalformedRow naming their offset."""
+    decoded = 0  # offset of the bytes not yet decoded
     tail = b""
     while True:
-        size = READ_CHUNK if end is None else min(READ_CHUNK, end - decoded - len(tail))
-        chunk = fh.read(size)
+        chunk = fh.read(READ_CHUNK)
         data = tail + chunk
         if chunk:  # a \r is looked for only after the last \n
             cut = data.rfind(b"\n") + 1
@@ -270,50 +265,19 @@ def _plain_rows(lines: list[str]) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
-def _line_cuts(path: Union[str, Path]) -> list[Optional[int]]:
-    """Offsets that cut the file at path into `fileio.part_count` runs of
-    whole lines of about equal size: 0, each later cut just after a b"\\n",
-    then None for the end of the file. The file's rows are counted as its
-    size times the lines per byte of its first READ_CHUNK, which is read
-    only if the file has bytes enough for a split at one byte a line. A pipe
-    has no size, and a file with \\r line ends no b"\\n", so each is one run."""
-    size = os.stat(path).st_size
-    cuts = [0]
-    if fileio.part_count(size) > 1:
-        with open(path, "rb") as fh:
-            head = fh.read(READ_CHUNK)
-            parts = fileio.part_count(size * head.count(b"\n") // max(len(head), 1))
-            for k in range(1, parts):
-                at = max(size * k // parts, cuts[-1])
-                fh.seek(at)
-                while chunk := fh.read(READ_CHUNK):
-                    newline = chunk.find(b"\n")
-                    if newline >= 0:
-                        at += newline + 1
-                        break
-                    at += len(chunk)
-                if at < size:
-                    cuts.append(at)
-    return cuts + [None]
-
-
-def _parse_range(path: Union[str, Path], lo: int, hi: Optional[int],
-                 files=()) -> list[np.ndarray]:
-    """The data blocks of the lines in bytes lo..hi-1 (hi None: to the end)
-    of the file at path, the first of which must be CSV_HEADER if lo is 0:
-    each block by _fast_rows, or by _plain_rows if it refuses. Bytes that
-    are not UTF-8 raise MalformedRow. So does a malformed header or data
-    line, naming the line in the file, once the rest of the file is decoded,
-    so that such bytes anywhere are named first."""
+def _parse_blocks(path: Union[str, Path]) -> list[np.ndarray]:
+    """The data blocks of the file at path, whose first line must be
+    CSV_HEADER: each block by _fast_rows, or by _plain_rows if it refuses.
+    Bytes that are not UTF-8 raise MalformedRow. So does a malformed header or
+    data line, naming its line, once the rest of the file is decoded, so
+    that such bytes anywhere are named first."""
     with open(path, "rb") as fh:
-        if lo:  # a pipe, read from 0, cannot seek
-            fh.seek(lo)
-        blocks = _line_blocks(fh, lo, hi)
-        lineno = 0  # the index in the run of the block's first line
+        blocks = _line_blocks(fh)
+        lineno = 0  # the index in the file of the block's first line
         arrays = []
         try:
             for text in blocks:
-                if not lo and not lineno:  # the first line ends at or before the first "\n"
+                if not lineno:  # the first line ends at or before the first "\n"
                     head = text[:text.find("\n") + 1 or None].splitlines(keepends=True)[0]
                     if head.strip() != CSV_HEADER:
                         raise _BadRow(None, f"first line must be the header {CSV_HEADER!r}")
@@ -329,15 +293,11 @@ def _parse_range(path: Union[str, Path], lo: int, hi: Optional[int],
             return arrays
         except _BadRow as bad:
             index, reason = bad.args
-        # decode the rest of the file: a byte that is not UTF-8 wins
-        for _ in chain(blocks, _line_blocks(fh, hi, None) if hi else ()):
+        for _ in blocks:  # decode the rest of the file: a byte that is not UTF-8 wins
             pass
-        if index is None:
-            raise MalformedRow(reason)
-        if lo:  # the lines before the run
-            fh.seek(0)
-            lineno += sum(len(text.splitlines()) for text in _line_blocks(fh, 0, lo))
-        raise MalformedRow(f"line {lineno + index + 1}: {reason}")
+    if index is None:
+        raise MalformedRow(reason)
+    raise MalformedRow(f"line {lineno + index + 1}: {reason}")
 
 
 def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClass.UNKNOWN,
@@ -352,21 +312,17 @@ def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClas
     timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
-    The file's bytes are read READ_CHUNK at a time and parsed in blocks cut
-    at line ends, never held whole; a long file is parsed in runs of whole
-    lines at once (`fileio.run_parts`), and a named pipe in one run to its
-    end. A block is parsed by numpy's C reader if it is ASCII, holds a data
-    line and none of the characters numpy takes otherwise than
-    `str.splitlines` or `float()`, and numpy reads it, with whitespace-only
-    lines blanked, as 4 finite columns and no negative timestamp; any other
-    block (Unicode digits or spaces, `1_0`, a malformed line) is parsed line
-    by line by `float()`, which gives the same values and names the first
-    malformed line. A run that finds a fault raises the file's error itself,
-    and the first run's error is raised, so every error is the one a parse
-    of the whole text would raise.
+    The file's bytes, or a named pipe's, are read READ_CHUNK at a time and
+    parsed in blocks cut at line ends, never held whole. A block is parsed
+    by numpy's C reader if it is ASCII, holds a data line and none of the
+    characters numpy takes otherwise than `str.splitlines` or `float()`, and
+    numpy reads it, with whitespace-only lines blanked, as 4 finite columns
+    and no negative timestamp; any other block (Unicode digits or spaces,
+    `1_0`, a malformed line) is parsed line by line by `float()`, which
+    gives the same values and names the first malformed line, so every error
+    is the one a parse of the whole text would raise.
     """
-    arrays = [data for part in fileio.run_parts(partial(_parse_range, path), _line_cuts(path))
-              for data in part]
+    arrays = _parse_blocks(path)
     rows = sum(map(len, arrays))
     if rows < 2:
         raise EmptyRecording(f"need at least 2 data rows, got {rows}")

@@ -29,8 +29,8 @@ def tiny_network(input_size: int, hidden_size: int, seed: int,
 
 
 def split_into(monkeypatch, parts: int) -> None:
-    """Make every CSV loop run in `parts` parts, or one per block or line run
-    when it has fewer: a part may hold a single row, and the process sees
-    `parts` CPUs."""
+    """Make every CSV write run in `parts` parts, or one per block when it
+    has fewer: a part may hold a single row, and the process sees `parts`
+    CPUs."""
     monkeypatch.setattr(fileio, "PART_ROWS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))

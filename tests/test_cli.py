@@ -546,11 +546,11 @@ def test_detect_ranges_must_end_inside_the_session(pipeline, tmp_path, capsys):
 def test_detect_memory_is_flat_in_the_session_length(split, tmp_path, monkeypatch):
     # an XYZ detect --ranges --plot holds the session's arrays (about 70 B
     # per sample) but never its text; holding the text cost about 555 B per
-    # sample, 111 MiB at 200,000 samples. tracemalloc sees only this process,
-    # not the forked children that load and write the later parts of a split
-    # run, so the one-part run is the one that bounds the block code those
-    # children run; the split run bounds what the caller holds while it
-    # merges their arrays and copies their text.
+    # sample, 111 MiB at 200,000 samples. The session loads in this process.
+    # tracemalloc sees only this process, not the forked children that write
+    # the later parts of a split write, so the one-part run is the one that
+    # bounds the block code those children run; the split run bounds what
+    # the caller holds while it copies their text.
     if split:
         split_into(monkeypatch, 2)
     else:
@@ -579,7 +579,7 @@ def test_detect_memory_is_flat_in_the_session_length(split, tmp_path, monkeypatc
 
 
 def test_detect_exits_1_when_a_part_leaves_no_result(pipeline, tmp_path, monkeypatch, capsys):
-    # every later part of each CSV loop ends its child before it has a result
+    # every later part of each CSV write ends its child before it has a result
     split_into(monkeypatch, 2)
     run_parts = fileio.run_parts
 

@@ -193,7 +193,7 @@ class FailingFile:
 
 
 def failing_in_children(monkeypatch, fail) -> None:
-    """Make every part but the first of each CSV loop call fail() first."""
+    """Make every part but the first of each CSV write call fail() first."""
     run_parts = fileio.run_parts
 
     def patched(work, bounds, outs=()):

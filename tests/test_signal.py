@@ -4,6 +4,7 @@ Resampling oracle: a slow pure-Python linear interpolation written
 independently of np.interp.
 """
 
+import io
 import math
 import os
 import re
@@ -354,38 +355,51 @@ def test_load_csv_reads_ascii_rows_with_numpy(text, tmp_path, monkeypatch):
         assert_same_outcome(got, want)
 
 
-def parse_file(text: str, path) -> Union[list, str]:
-    """signal._parse_range of a file holding the header line and text: the
-    shape and bytes of each data block, or the error's message."""
-    path.write_bytes(f"{CSV_HEADER}\n{text}".encode())
+def outcome(path):
+    """load_recording_csv(path): the (4, n) data or the error's type and
+    message."""
     try:
-        return [(d.shape, d.tobytes()) for d in signal._parse_range(path, 0, None)]
-    except MalformedRow as exc:
-        return str(exc)
+        rec = load_recording_csv(path)
+    except SmokewatchError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return np.stack([rec.t, rec.x, rec.y, rec.z])
 
 
+def load_file(text: str, path) -> Union[tuple, str]:
+    """outcome() of a file holding the header line and text, with the data
+    as its shape and bytes."""
+    path.write_bytes(f"{CSV_HEADER}\n{text}".encode())
+    got = outcome(path)
+    return got if isinstance(got, str) else (got.shape, got.tobytes())
+
+
+@pytest.mark.filterwarnings("ignore::smokewatch.signal.SampleRateWarning")
 @pytest.mark.parametrize("row", [
-    "{c}0,1,2,3", "0{c},1,2,3", "0,1{c}5,2,3", "0,1,2,3{c}", "0, {c}1,2,3", "0,{c}.5,2,3",
-    "0,1e{c}5,2,3", "0,1,2,{c}", "{c}", "{c}{c}",
+    "{c}1,1,2,3", "1{c},1,2,3", "1,1{c}5,2,3", "1,1,2,3{c}", "1, {c}1,2,3", "1,{c}.5,2,3",
+    "1,1e{c}5,2,3", "1,1,2,{c}", "{c}", "{c}{c}",
 ])
 @pytest.mark.parametrize("newline, end", [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"),
                                           ("\n", "")],
                          ids=["lf", "crlf", "cr", "no-last-newline"])
-def test_parse_range_equals_the_plain_parse_for_every_ascii_character(row, newline, end,
-                                                                     tmp_path, monkeypatch):
-    # a block of a blank line, a good line, the row with one ASCII character
-    # set into it and a good line, alone and then with a bad last line: its
-    # rows, and the line named by its error (so its line count), are those
-    # of the plain parse, whether numpy reads it or not
-    texts = [newline.join(["", "0,1,2,3", row.format(c=chr(code)), "4,5,6,7", *tail]) + end
+def test_load_csv_equals_the_plain_parse_for_every_ascii_character(row, newline, end,
+                                                                   tmp_path, monkeypatch):
+    # a file of the header, a blank line, a good line, the row with one ASCII
+    # character set into it and a good line, alone and then with a bad last
+    # line: its arrays, or its error (so, by the line it names, its line
+    # count), are those of the plain parse, whether numpy reads it or not.
+    # The row's timestamp (1 to 91) lies between those of the good lines, so
+    # every row that parses gives a recording and its arrays are compared
+    texts = [newline.join(["", "0,1,2,3", row.format(c=chr(code)), "100,5,6,7", *tail]) + end
              for code in range(128) for tail in ([], ["8,9"])]
     assert any(signal._fast_rows(text) is not None for text in texts)
     path = tmp_path / "s.csv"
-    got = [parse_file(text, path) for text in texts]
-    assert any(isinstance(outcome, str) and outcome.startswith("line 6:") for outcome in got)
+    got = [load_file(text, path) for text in texts]
+    assert any(not isinstance(outcome, str) for outcome in got)
+    assert any(isinstance(outcome, str) and outcome.startswith("MalformedRow: line 6:")
+               for outcome in got)
     monkeypatch.setattr(signal, "_fast_rows", lambda text: None)
     for text, outcome in zip(texts, got):
-        assert outcome == parse_file(text, path), repr(text)
+        assert outcome == load_file(text, path), repr(text)
 
 
 def test_load_csv_gives_numpy_no_blank_block(tmp_path, monkeypatch):
@@ -398,72 +412,48 @@ def test_load_csv_gives_numpy_no_blank_block(tmp_path, monkeypatch):
                    np.array([[0.0, 0.02], [1, 1], [2, 2], [3, 3]]))
 
 
-# --- CSV ingestion in parts ---------------------------------------------------
+# --- CSV ingestion in blocks, and writes in parts ------------------------------
 
-def outcome(path):
-    """load_recording_csv(path): the (4, n) data or the error's type and
-    message."""
-    try:
-        rec = load_recording_csv(path)
-    except SmokewatchError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return np.stack([rec.t, rec.x, rec.y, rec.z])
-
-
-def load_in_parts(data: bytes, parts: int, tmp_path, monkeypatch):
-    """outcome() of data from a path, cut into `parts` runs of lines (checked)."""
-    path = tmp_path / f"in{parts}.csv"
-    path.write_bytes(data)
-    with monkeypatch.context() as m:
-        split_into(m, parts)
-        assert len(signal._line_cuts(path)) == parts + 1
-        return outcome(path)
-
-
-def assert_parts_agree(data: bytes, tmp_path, monkeypatch, parts=(2, 3, 5)):
-    """Each split load gives the one-part load's data or error; returns it."""
-    want = load_in_parts(data, 1, tmp_path, monkeypatch)
-    assert_all([load_in_parts(data, k, tmp_path, monkeypatch) for k in parts], want)
-    return want
-
-
-# 30 rows of one width, so that a fault written over a row moves no cut
+# 30 rows of one width, so that a fault written over a row moves no block cut
 ROWS = [f"{k * 0.02:8.4f},0.25,0.50,1.00".encode() for k in range(30)]
+ROWS_DATA = np.array([list(map(float, row.split(b","))) for row in ROWS]).T
 
 
 def csv_bytes(rows, newline=b"\n", header=CSV_HEADER.encode()) -> bytes:
     return newline.join([header, *rows]) + newline
 
 
+# The offset of line 12 of csv_bytes(ROWS): reads of this size cut the file
+# into blocks of lines 1-11, 12-21 and 22-31
+BLOCK_CUT = len(csv_bytes(ROWS[:10]))
+
+
+def assert_loads_as(data: bytes, want, tmp_path, monkeypatch) -> None:
+    """outcome() of data from a path is want, read whole and in reads of
+    BLOCK_CUT bytes."""
+    whole = tmp_path / "whole.csv"
+    whole.write_bytes(data)
+    assert outcome(whole) == want
+    with monkeypatch.context() as m:
+        m.setattr(signal, "READ_CHUNK", BLOCK_CUT)
+        assert outcome(whole) == want
+
+
 @pytest.mark.parametrize("data", [
     csv_bytes(ROWS),
     csv_bytes(ROWS, b"\r\n"),
+    csv_bytes(ROWS, b"\r"),
     csv_bytes([b"", *ROWS[:9], b"", b"  ", *ROWS[9:20], b"\t", *ROWS[20:], b""]),
     csv_bytes(ROWS)[:-1],
     csv_bytes(ROWS, b"\r\n")[:-2],
-], ids=["lf", "crlf", "blank-lines", "lf-no-last-newline", "crlf-no-last-newline"])
-def test_load_csv_in_parts_equals_one_part(data, tmp_path, monkeypatch):
-    want = assert_parts_agree(data, tmp_path, monkeypatch)
-    assert not isinstance(want, str) and want.shape == (4, 30)
-
-
-@pytest.mark.parametrize("data, at, cut", [
-    # the two-part cut is looked for at offset `at` (half the padded size):
-    # on the first of two blank lines, so that each part holds one
-    (csv_bytes([*ROWS[:20], b"", b"", *ROWS[20:]]), b"\n\n\n", 1),
-    # between the \r and the \n of a line end
-    (csv_bytes(ROWS, b"\r\n"), ROWS[20] + b"\r", len(ROWS[20]) + 1),
-    # on the \r, which is no line end of its own
-    (csv_bytes(ROWS, b"\r\n"), ROWS[20] + b"\r", len(ROWS[20])),
-], ids=["blank-line", "between-cr-and-lf", "on-cr"])
-def test_load_csv_cut_lands_after_the_next_newline(data, at, cut, tmp_path, monkeypatch):
-    at = data.index(at) + cut
-    data += b" " * (2 * at - len(data))  # a blank last line without newline
-    path = tmp_path / "s.csv"
-    path.write_bytes(data)
-    split_into(monkeypatch, 2)
-    assert signal._line_cuts(path) == [0, data.index(b"\n", at) + 1, None]
-    assert_parts_agree(data, tmp_path, monkeypatch, parts=(2,))
+    # a pair of blank lines, then a whitespace-only last line without newline
+    csv_bytes([*ROWS[:20], b"", b"", *ROWS[20:]]) + b" " * 246,
+    csv_bytes(ROWS, b"\r\n") + b" " * 24,
+], ids=["lf", "crlf", "cr", "blank-lines", "lf-no-last-newline", "crlf-no-last-newline",
+        "blank-line-pair", "crlf-blank-last-line"])
+def test_load_csv_rows_at_every_read_size(data, tmp_path, monkeypatch):
+    # some read sizes end a read between a \r and its \n, or on a blank line
+    assert_all(load_every_way(data, tmp_path, monkeypatch), ROWS_DATA)
 
 
 @pytest.fixture(scope="module")
@@ -476,16 +466,20 @@ def milli_g_xyz():
 
 
 def test_milli_g_session_round_trips_in_any_part_count(milli_g_xyz, tmp_path, monkeypatch):
+    # written in 1, 2 or 3 parts, the session is the same bytes and loads
+    # back bit for bit
     rec = make_recording(milli_g_xyz)
-    path = tmp_path / "s.csv"
-    write_recording_csv(rec, path)
+    written = []
     for parts in (1, 2, 3):
+        path = tmp_path / f"s{parts}.csv"
         with monkeypatch.context() as m:
             split_into(m, parts)
-            assert len(signal._line_cuts(path)) == parts + 1
+            write_recording_csv(rec, path)
             got = load_recording_csv(path)
         for name in "txyz":
             assert np.array_equal(getattr(got, name), getattr(rec, name)), (parts, name)
+        written.append(path.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
 
 
 def test_load_csv_cuts_cr_only_lines_into_read_sized_blocks(milli_g_xyz, tmp_path):
@@ -498,35 +492,32 @@ def test_load_csv_cuts_cr_only_lines_into_read_sized_blocks(milli_g_xyz, tmp_pat
     assert b"\n" not in cr.read_bytes() and cr.stat().st_size > 5 * signal.READ_CHUNK
     line = max(map(len, cr.read_bytes().split(b"\r"))) + 1
     with open(cr, "rb") as fh:
-        sizes = [len(text) for text in signal._line_blocks(fh, 0, None)]
+        sizes = [len(text) for text in signal._line_blocks(fh)]
     assert len(sizes) > 5 and max(sizes) <= signal.READ_CHUNK + line
     a, b = load_recording_csv(lf), load_recording_csv(cr)
     for name in "txyz":
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
-def test_load_part_count_follows_the_rows_at_the_real_part_rows(milli_g_xyz, rng, tmp_path,
-                                                                monkeypatch):
-    # on 4 CPUs at the real PART_ROWS, whatever the bytes of a row: the
-    # 100,000-row milli-g session (about 26 bytes a row) loads in 4 parts,
-    # and a 200-row gesture file and a 20,000-row file of full-precision
-    # floats (about 64 bytes a row) in one, with no fork
+def test_a_session_loads_without_a_fork_and_writes_in_parts(milli_g_xyz, tmp_path,
+                                                            monkeypatch):
+    # on 4 CPUs at the real PART_ROWS: the 100,000-row milli-g session is
+    # written in 4 parts, 3 of them by forked children, and loaded by the
+    # calling process alone
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    full = rng.normal(size=(20_000, 3))
-    files = {"session": milli_g_xyz, "gesture": milli_g_xyz[:200], "full": full}
-    for name, xyz in files.items():
-        write_recording_csv(make_recording(xyz), tmp_path / f"{name}.csv")
-    assert (tmp_path / "full.csv").stat().st_size > 60 * 20_000
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    for name, xyz in files.items():
-        assert np.array_equal(load_recording_csv(tmp_path / f"{name}.csv").z, xyz[:, 2])
-        assert len(forks) == 3, name
+    rec = make_recording(milli_g_xyz)
+    path = tmp_path / "s.csv"
+    write_recording_csv(rec, path)
+    assert len(forks) == 3
+    assert load_recording_csv(path).z.tobytes() == rec.z.tobytes()
+    assert len(forks) == 3
 
 
 def test_load_csv_reads_a_named_pipe(rng, tmp_path):
-    # a pipe has no size to cut, so it is read in one part to its end
+    # a pipe, which cannot seek, is read in blocks to its end
     rec = make_recording(rng.normal(size=(5000, 3)))
     text = csv_text(rec, tmp_path)
     path = tmp_path / "pipe"
@@ -540,10 +531,6 @@ def test_load_csv_reads_a_named_pipe(rng, tmp_path):
     assert not writer.is_alive()
     assert np.array_equal(np.stack([got.t, got.x, got.y, got.z]),
                           np.stack([rec.t, rec.x, rec.y, rec.z]))
-
-
-def line_at(data: bytes, offset: int) -> int:
-    return data[:offset].count(b"\n") + 1
 
 
 FAULTS = {
@@ -563,19 +550,17 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("spot", ["first-part", "after-cut", "last-part"])
+@pytest.mark.parametrize("spot", ["first-block", "block-start", "last-block"])
 @pytest.mark.parametrize("fault", [*FAULTS, "not-utf8-after-a-row-fault"])
-def test_load_csv_in_parts_names_the_one_part_error(fault, spot, tmp_path, monkeypatch):
-    # three parts; the fault sits on line 3, on the first line of the second
-    # part or on the second line of the last part
-    path = tmp_path / "s.csv"
-    path.write_bytes(csv_bytes(ROWS))
+def test_load_csv_names_each_fault_in_any_block(fault, spot, tmp_path, monkeypatch):
+    # in reads of BLOCK_CUT bytes the fault sits on line 3, in the first
+    # block, on line 12, the first of the second block, or on line 23, the
+    # second of the last block
     with monkeypatch.context() as m:
-        split_into(m, 3)
-        cuts = signal._line_cuts(path)
-    data = csv_bytes(ROWS)
-    line = {"first-part": 3, "after-cut": line_at(data, cuts[1]),
-            "last-part": line_at(data, cuts[2]) + 1}[spot]
+        m.setattr(signal, "READ_CHUNK", BLOCK_CUT)
+        blocks = list(signal._line_blocks(io.BytesIO(csv_bytes(ROWS))))
+    assert [len(text.splitlines()) for text in blocks] == [11, 10, 10]
+    line = {"first-block": 3, "block-start": 12, "last-block": 23}[spot]
     rows = list(ROWS)
     k = line - 2  # the index in rows of the line
     message, damage = FAULTS[fault.replace("-after-a-row-fault", "")]
@@ -588,34 +573,24 @@ def test_load_csv_in_parts_names_the_one_part_error(fault, spot, tmp_path, monke
     if fault.endswith("after-a-row-fault"):
         rows[k - 1] = FAULTS["non-numeric"][1](rows[k - 1])
     data = csv_bytes(rows)
-    assert len(data) == path.stat().st_size
+    assert len(data) == len(csv_bytes(ROWS))
     want = message.format(line=line, byte=data.find(b"\xff"))
-    assert assert_parts_agree(data, tmp_path, monkeypatch, parts=(3,)) == want
-    whole = tmp_path / "whole.csv"
-    whole.write_bytes(data)
-    assert outcome(whole) == want
+    assert_loads_as(data, want, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("first", ["non-numeric", "not-utf8"])
 @pytest.mark.parametrize("last", ["columns", "not-utf8"])
-def test_load_csv_in_parts_names_the_fault_in_the_first_part(first, last, tmp_path,
-                                                             monkeypatch):
-    # one fault on line 3, in the first of three parts, and another in the
-    # last part: the first is named, unless only the last is bytes that are
-    # not UTF-8, which are named wherever they sit
-    path = tmp_path / "s.csv"
-    path.write_bytes(csv_bytes(ROWS))
-    with monkeypatch.context() as m:
-        split_into(m, 3)
-        cuts = signal._line_cuts(path)
-    k = line_at(csv_bytes(ROWS), cuts[2]) - 1  # the index in rows of the last part's first line
+def test_load_csv_names_the_fault_in_the_first_block(first, last, tmp_path, monkeypatch):
+    # one fault on line 3, in the first of three blocks, and another on line
+    # 23, in the last: the first is named, unless only the last is bytes that
+    # are not UTF-8, which are named wherever they sit
     rows = list(ROWS)
     rows[1] = FAULTS[first][1](rows[1])
-    rows[k] = FAULTS[last][1](rows[k])
+    rows[21] = FAULTS[last][1](rows[21])
     data = csv_bytes(rows)
     message = FAULTS["not-utf8" if "not-utf8" in (first, last) else first][0]
     want = message.format(line=3, byte=data.find(b"\xff"))
-    assert assert_parts_agree(data, tmp_path, monkeypatch, parts=(3,)) == want
+    assert_loads_as(data, want, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("data, want", [
@@ -628,8 +603,8 @@ def test_load_csv_in_parts_names_the_fault_in_the_first_part(first, last, tmp_pa
     (csv_bytes([b" " * 8] * 50 + [ROWS[0][:-4] + b" nan"]),
      "MalformedRow: line 52: non-finite field"),
 ], ids=["bad-header", "bad-header-then-not-utf8", "one-row", "one-non-finite-row"])
-def test_load_csv_in_parts_names_file_faults(data, want, tmp_path, monkeypatch):
-    assert assert_parts_agree(data, tmp_path, monkeypatch) == want
+def test_load_csv_names_file_faults_in_any_block(data, want, tmp_path, monkeypatch):
+    assert_loads_as(data, want, tmp_path, monkeypatch)
 
 
 def test_load_csv_rejects_non_monotonic_time(tmp_path):
