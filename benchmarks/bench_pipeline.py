@@ -41,6 +41,13 @@ otherwise:
   written by `write_recording_csv` as `smokewatch synth` writes it, then
   every file loaded one by one by `load_recording_csv`, best of 5, and
   whether every load is `array_equal` to its recording (`load_equal`);
+- detection on that `long_session` recording (`detect`): `detect_session`
+  for the X and XYZ networks `train_best_of` selects, at strides 1 and 3,
+  best of 10, against `tests/oracles.py`'s `window_outputs`, which cuts
+  every window and runs `kernels.batch_forward` on it: the largest
+  |difference| of the outputs (`max_abs_diff`, at most MAX_DETECT_DIFF)
+  and whether the decisions agree on every window farther than
+  `detect.NEAR_THRESHOLD` from the threshold (`decisions_equal`);
 - the environment: Python and numpy versions, nproc and the BLAS thread
   variables.
 
@@ -60,8 +67,9 @@ The script exits 1 when the Gram step and the oracle step differ by more
 than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
 a mode's `train_best_of` network differs from the full loop's, when a
 split CSV write differs from the one-part one, when a CSV write differs
-from its plain-`repr` text, or when a CSV load differs from the recording
-it was written from, so a run of it is an equivalence check. The
+from its plain-`repr` text, when a CSV load differs from the recording it
+was written from, or when a detection differs from the per-window oracle,
+so a run of it is an equivalence check. The
 smokewatch sources are the ones the script imports, so
 `PYTHONPATH=<other checkout>/src` measures another tree.
 
@@ -96,6 +104,8 @@ from smokewatch import detect, fileio, kernels, mlp, signal, synth, train  # noq
 from smokewatch.signal import ChannelMode  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "smokebench"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import window_outputs  # noqa: E402
 from workloads import long_session  # noqa: E402
 
 MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMode.AVG)
@@ -111,6 +121,8 @@ BIG_CONFOUNDERS = 6 * 442
 MUS = [10.0 ** k for k in range(-12, 13)]
 CSV_ROWS = 100_000
 CSV_REPEATS = 5
+DETECT_STRIDES = (1, 3)
+MAX_DETECT_DIFF = 1e-12
 
 
 def cpu_time() -> float:
@@ -338,6 +350,27 @@ def corpus_load_row() -> dict:
     return row
 
 
+def detect_rows(datasets: dict, session: signal.SensorRecording) -> dict:
+    """detect_session on the session for the X and XYZ networks, each
+    stride's outputs against the per-window oracle's."""
+    rows = {}
+    for mode in (ChannelMode.X, ChannelMode.XYZ):
+        net = train.train_best_of(datasets[mode], restarts=RESTARTS, master_seed=SEED)[0]
+        for stride in DETECT_STRIDES:
+            run = partial(detect.detect_session, net, session, stride=stride)
+            trace, want = run(), window_outputs(net, session, stride)
+            far = np.abs(want - trace.threshold) > detect.NEAR_THRESHOLD
+            rows[f"{mode.value}_stride{stride}"] = {
+                "windows": len(trace),
+                "detect_session": best_of(run, REPEATS),
+                "max_abs_diff": float(np.max(np.abs(trace.outputs - want))),
+                "decisions_equal": bool(np.array_equal(trace.decisions[far],
+                                                       want[far] >= trace.threshold)),
+                "near_threshold_windows": int(np.count_nonzero(~far)),
+            }
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key to store this run under")
@@ -346,6 +379,7 @@ def main(argv=None) -> int:
 
     recordings, _, _ = synth.generate_table1(master_seed=SEED)
     datasets = {mode: train.build_dataset(recordings, mode) for mode in MODES}
+    session = long_session(SEED, CSV_ROWS)
     run = {
         "env": {
             "python": platform.python_version(),
@@ -362,8 +396,9 @@ def main(argv=None) -> int:
         "primal_step": primal_rows(),
         "import_cli": import_row(),
         "csv": csv_rows(np.random.default_rng(SEED).normal(0.0, 0.5, size=(CSV_ROWS, 3))),
-        "csv_long_session": csv_rows(long_session(SEED, CSV_ROWS)[2]),
+        "csv_long_session": csv_rows(session[2]),
         "csv_table1_corpus": corpus_load_row(),
+        "detect": detect_rows(datasets, session[0]),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -396,6 +431,12 @@ def main(argv=None) -> int:
     if not run["csv_table1_corpus"]["load_equal"]:
         print("csv_table1_corpus: a CSV load differs from its recording", file=sys.stderr)
         code = 1
+    for key, row in run["detect"].items():
+        if row["max_abs_diff"] > MAX_DETECT_DIFF or not row["decisions_equal"]:
+            print(f"detect {key}: outputs differ from the per-window oracle by "
+                  f"{row['max_abs_diff']:.3g} (> {MAX_DETECT_DIFF:g}) or decide "
+                  f"otherwise", file=sys.stderr)
+            code = 1
     svd = run["primal_step"]["svd_oracle"]
     if svd["max_rel_err"] > svd["bound"]:
         print(f"primal step differs from the SVD oracle by {svd['max_rel_err']:.3g} "

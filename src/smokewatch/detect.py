@@ -2,18 +2,21 @@
 
 The network slides across the session at a fixed stride, and output k belongs
 to the window that starts at sample `k * stride`. The input scaling is folded
-into the first layer once per call (`Network.raw_first_layer`), each signal is
-centred once so that the folded layer rounds like the scaled one, and the
-windows are cut from strided views of the centred signals in blocks of
-`BLOCK_WINDOWS`, each passed through `kernels.batch_forward`, so memory stays
-flat in the session length. Scoring against handpicked ground-truth ranges
-labels a window smoking iff its start index falls inside a range (one
-`np.searchsorted` maps each start to its range), and flags each range as
-detected when at least one window starting inside it fired. The trace and
-plot CSVs are written in one pass: per block of samples, `fileio.float_reprs`
-formats each distinct output once for both files, and each distinct x, y and
-z value once for the plot. `fileio.write_csv` owns the block loop and its
-split into parts, so neither file is ever held whole as text.
+into the first layer once per call (`Network.raw_first_layer`), and each
+signal is centred once so that the folded layer rounds like the scaled one.
+No window is copied: a window's first-layer pre-activations are a correlation
+of the centred signals with the weights, so rows of several consecutive
+windows' samples, taken from strided views, go through one banded matrix
+(`kernels.window_band`) in blocks of about `BLOCK_WINDOWS` windows
+(`kernels.band_forward`), and memory stays flat in the session length.
+Scoring against handpicked ground-truth ranges labels a window smoking iff
+its start index falls inside a range (one `np.searchsorted` maps each start
+to its range), and flags each range as detected when at least one window
+starting inside it fired. The trace and plot CSVs are written in one pass:
+per block of samples, `fileio.float_reprs` formats each distinct output once
+for both files, and each distinct x, y and z value once for the plot.
+`fileio.write_csv` owns the block loop and its split into parts, so neither
+file is ever held whole as text.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from .errors import (
 from .fileio import read_json, write_json
 from .signal import SensorRecording, window_count
 
-# Windows per forward call: a block of XYZ inputs is 1024 x 600 float64
-# (4.7 MiB). 4096-window blocks made an XYZ detect on 100,000 samples about
-# 1.5x slower.
-BLOCK_WINDOWS = 1024
+# Windows per forward call, in whole rows of the band: on a 100,000-sample
+# session, 4096-window blocks ran an XYZ detect at stride 1 in about 0.6x
+# the time of 1024-window blocks (one BLAS thread)
+BLOCK_WINDOWS = 4096
 # Outputs this close to the threshold could flip under a last-bit change of
 # the arithmetic; the detect report counts them.
 NEAR_THRESHOLD = 1e-9
@@ -114,13 +117,6 @@ class GestureRanges:
         return np.where(k % 2 == 1, k // 2, -1)
 
 
-def _block_inputs(views: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
-    """Network inputs of windows lo..hi-1 as one contiguous matrix."""
-    if len(views) > 1:
-        return np.concatenate([v[lo:hi] for v in views], axis=1)
-    return np.ascontiguousarray(views[0][lo:hi])
-
-
 def detect_session(network: mlp.Network, session: SensorRecording,
                    stride: int = 1,
                    threshold: float = metrics.DEFAULT_THRESHOLD) -> DetectionTrace:
@@ -135,17 +131,29 @@ def detect_session(network: mlp.Network, session: SensorRecording,
             f"session has {len(session)} samples, window needs {width}")
 
     n = window_count(len(session), width, stride)
+    # windows per row of the band: its multiply-adds on zeros, (per_row - 1)
+    # * stride / width of the useful ones, stay at or below 25%
+    per_row = 1 + width // (4 * stride)
+    rows = -(-n // per_row)
+    row_len = (per_row - 1) * stride + width
+    used = (n - 1) * stride + width
     signals = network.mode.signals(session.x, session.y, session.z)
     w, b, centres = network.raw_first_layer()
-    views = tuple(sliding_window_view(s - c, width)[::stride]
-                  for s, c in zip(signals, centres))
-    assert views[0].shape[0] == n
-    outputs = np.empty(n)
-    for lo in range(0, n, BLOCK_WINDOWS):
-        hi = min(lo + BLOCK_WINDOWS, n)
-        outputs[lo:hi] = kernels.batch_forward(w, b, network.w2, network.b2,
-                                               _block_inputs(views, lo, hi))
-    return DetectionTrace(outputs=outputs, stride=stride, threshold=threshold)
+    views = []
+    for s, c in zip(signals, centres):
+        # centred, then zero-padded to whole rows
+        padded = np.zeros((rows * per_row - 1) * stride + width)
+        np.subtract(s[:used], c, out=padded[:used])
+        views.append(sliding_window_view(padded, row_len)[::per_row * stride])
+    band = kernels.window_band(w, len(signals), stride, per_row)
+    step = max(1, BLOCK_WINDOWS // per_row)
+    outputs = np.empty(rows * per_row)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        outputs[lo * per_row:hi * per_row] = kernels.band_forward(
+            band, b, network.w2, network.b2,
+            np.concatenate([v[lo:hi] for v in views], axis=1))
+    return DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold)
 
 
 def score_trace(trace: DetectionTrace,

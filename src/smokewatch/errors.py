@@ -15,6 +15,10 @@ class MalformedRow(SmokewatchError):
     `float()` rejects, a non-finite field or a negative timestamp."""
 
 
+class InvalidSample(SmokewatchError, ValueError):
+    """A recording holds a non-finite value or a negative timestamp."""
+
+
 class NonMonotonicTime(SmokewatchError):
     """Timestamps are not strictly increasing."""
 

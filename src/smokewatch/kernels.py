@@ -1,5 +1,5 @@
-"""Hot numeric kernels: vectorized numpy forward pass, residual Jacobian and
-its Gram form.
+"""Hot numeric kernels: vectorized numpy forward pass, its banded form over
+rolling windows, residual Jacobian and its Gram form.
 
 Weight-vector column order, shared with `mlp.Network.to_weight_vector`: w1
 row-major (hidden x input), then b1, then w2, then b2.
@@ -35,17 +35,47 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def output_layer(h, w2, b2):
+    """Outputs in the open interval (0, 1) for hidden activations h (m, hidden)."""
+    return np.clip(_logistic(h @ w2 + b2), OPEN_LO, OPEN_HI)
+
+
 def batch_forward(w1, b1, w2, b2, xn):
     """Outputs for normalized inputs xn (m, p) -> (m,)."""
-    h = np.tanh(xn @ w1.T + b1)
-    y = _logistic(h @ w2 + b2)
-    return np.clip(y, OPEN_LO, OPEN_HI)
+    return output_layer(np.tanh(xn @ w1.T + b1), w2, b2)
+
+
+def window_band(w, signals: int, stride: int, per_row: int) -> np.ndarray:
+    """First-layer weights w (hidden, signals * width) as one banded matrix
+    over rows of `per_row` windows `stride` samples apart.
+
+    A row holds, per signal, `(per_row - 1) * stride + width` consecutive
+    samples, the signals one after another. Column block r of the band (of
+    `hidden` columns) holds each signal's weights shifted down by
+    `r * stride`, so `row @ band` is the pre-activations (without b) of the
+    row's windows r = 0 .. per_row - 1, side by side.
+    """
+    hidden = w.shape[0]
+    width = w.shape[1] // signals
+    row_len = (per_row - 1) * stride + width
+    band = np.zeros((signals, row_len, per_row, hidden))
+    weights = w.T.reshape(signals, width, hidden)
+    for r in range(per_row):
+        band[:, r * stride:r * stride + width, r] = weights
+    return band.reshape(signals * row_len, per_row * hidden)
+
+
+def band_forward(band, b1, w2, b2, rows):
+    """Outputs of the windows in rows (m, k) of `window_band`'s layout ->
+    (m * per_row,), row after row."""
+    h = np.tanh((rows @ band).reshape(-1, b1.shape[0]) + b1)
+    return output_layer(h, w2, b2)
 
 
 def _gradient_factors(w1, b1, w2, b2, xn):
     """Hidden activations h, outputs y, d = g * w2 * (1 - h^2) and g = y(1-y)."""
     h = np.tanh(xn @ w1.T + b1)
-    y = np.clip(_logistic(h @ w2 + b2), OPEN_LO, OPEN_HI)
+    y = output_layer(h, w2, b2)
     g = y * (1.0 - y)
     return h, y, g[:, None] * w2[None, :] * (1.0 - h * h), g
 

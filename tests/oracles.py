@@ -9,16 +9,20 @@ Jacobian-form version of a path the package runs in batch or Gram form:
 - `lm_step`: one Levenberg-Marquardt candidate from that Jacobian through
   `train.solve_damped`, the step `train()` takes in Gram form;
 - `generate_gesture`: one isolated gesture recording, the one-generator case
-  of the batched `synth` draw.
+  of the batched `synth` draw;
+- `window_outputs`: detection's outputs with every window cut from a
+  strided view and passed through `kernels.batch_forward`, the per-window
+  form of the banded first layer `detect.detect_session` runs.
 """
 
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from smokewatch import kernels, mlp
 from smokewatch.errors import EmptyBatch
-from smokewatch.signal import SensorRecording
+from smokewatch.signal import SensorRecording, window_count
 from smokewatch.synth import DeviceProfile, GestureTemplate, _gesture_recordings
 from smokewatch.train import LabeledDataset, solve_damped
 
@@ -58,3 +62,21 @@ def generate_gesture(template: GestureTemplate, profile: DeviceProfile,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     return _gesture_recordings(template, profile, [rng])[0]
+
+
+def window_outputs(network: mlp.Network, session: SensorRecording,
+                   stride: int) -> np.ndarray:
+    """Output of each window at `stride`: the centred signals' windows
+    copied out of strided views, 1,024 at a time, through the folded first
+    layer and `kernels.batch_forward`."""
+    width = network.window
+    n = window_count(len(session), width, stride)
+    signals = network.mode.signals(session.x, session.y, session.z)
+    w, b, centres = network.raw_first_layer()
+    views = [sliding_window_view(s - c, width)[::stride] for s, c in zip(signals, centres)]
+    outputs = np.empty(n)
+    for lo in range(0, n, 1024):
+        hi = min(lo + 1024, n)
+        outputs[lo:hi] = kernels.batch_forward(
+            w, b, network.w2, network.b2, np.concatenate([v[lo:hi] for v in views], axis=1))
+    return outputs

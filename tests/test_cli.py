@@ -4,6 +4,8 @@ byte-identical reruns. Everything runs in-process through cli.main()."""
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from smokewatch import cli, fileio, metrics, mlp
-from smokewatch.detect import GestureRanges, save_ranges
+from smokewatch.detect import NEAR_THRESHOLD, GestureRanges, save_ranges
 from smokewatch.signal import (
     ChannelMode,
     GestureClass,
@@ -576,6 +578,34 @@ def test_detect_memory_is_flat_in_the_session_length(split, tmp_path, monkeypatc
             tracemalloc.stop()
     assert peaks[200_000] < 24 * 2**20
     assert peaks[200_000] - peaks[100_000] < 10 * 2**20
+
+
+def test_detect_agrees_across_blas_thread_counts(tmp_path):
+    # BLAS may split detection's matrix product by its thread count and
+    # round an output's last bits otherwise, so trace.csv is byte-identical
+    # only at a fixed count; the outputs still agree to 1e-12 and decide
+    # alike away from the threshold
+    values = np.round(np.random.default_rng(61).normal(0.0, 0.5, size=(20_000, 3)), 3)
+    session = tmp_path / "s.csv"
+    write_recording_csv(make_recording(values), session)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for mode, size in ((ChannelMode.X, 200), (ChannelMode.XYZ, 600)):
+        model = tmp_path / f"model_{mode.value}.json"
+        mlp.save_model(mlp.init_network(size, mlp.DEFAULT_HIDDEN, rng=1, mode=mode), model)
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"d{mode.value}{threads}"
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "smokewatch.cli", "detect",
+                            "--model", str(model), "--session", str(session),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            traces.append(np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1))
+        one, two = traces
+        assert len(one) == 19_801
+        assert np.max(np.abs(one[:, 1] - two[:, 1])) <= 1e-12
+        far = np.abs(one[:, 1] - metrics.DEFAULT_THRESHOLD) > NEAR_THRESHOLD
+        assert np.array_equal(one[far, 2], two[far, 2])
 
 
 def test_detect_exits_1_when_a_part_leaves_no_result(pipeline, tmp_path, monkeypatch, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_recording, tiny_network
 from oracles import forward
-from smokewatch import mlp
+from smokewatch import detect, mlp
 from smokewatch.detect import (
     BLOCK_WINDOWS,
     NEAR_THRESHOLD,
@@ -208,6 +208,45 @@ def test_detect_blocks_match_forward_batch_on_cut_windows(mode, stride):
         near = np.abs(want - 0.5) <= NEAR_THRESHOLD
         assert not near.any()
         assert np.array_equal(trace.decisions, want >= 0.5)
+
+
+@pytest.mark.parametrize("mode, width", [
+    (mode, width) for mode in ALL_MODES for width in (1, 7, 50, 200)
+    if mode is not ChannelMode.XYZ or width == 200],  # an XYZ net takes 600 inputs
+    ids=lambda v: getattr(v, "value", v))
+def test_detect_band_matches_forward_batch_at_row_and_block_ends(mode, width, monkeypatch):
+    # a row of the band holds 1 (stride > width / 4) to 51 (width 200,
+    # stride 1) windows; window counts sit just below, at and just above the
+    # first and second row and block ends, with blocks cut to 128 windows so
+    # that every stride reaches two of them. Each session ends stride - 1
+    # samples past its last window, which no window reads.
+    monkeypatch.setattr(detect, "BLOCK_WINDOWS", 128)
+    rng = np.random.default_rng(width)
+    size = input_size(width, mode)
+    lo = rng.uniform(-1.5, 0.5, size)
+    hi = lo + rng.uniform(0.3, 3.0, size)
+    dead = rng.random(size) < 0.1
+    hi[dead] = lo[dead]
+    net = replace(tiny_network(size, 4, seed=5, mode=mode),
+                  norm=mlp.NormParams(lo=lo, hi=hi))
+    for stride in (1, 2, 3, 49, 50, 51, 199, 200, 201, 450):
+        per_row = 1 + width // (4 * stride)
+        block = max(1, 128 // per_row) * per_row
+        ends = {per_row, 2 * per_row, block, 2 * block}
+        counts = sorted({e + d for e in ends for d in (-1, 0, 1)} - {0})
+        values = rng.normal(0.3, 0.6, size=(max(counts) * stride + width, 3))
+        for n in counts:
+            length = (n - 1) * stride + width + stride - 1
+            if length < 2:
+                continue
+            rec = make_recording(values[:length])
+            trace = detect_session(net, rec, stride=stride)
+            starts = np.arange(n) * stride
+            assert np.array_equal(trace.starts, starts)
+            want = mlp.forward_batch(net, cut_windows(rec, mode, starts, width))
+            assert np.max(np.abs(trace.outputs - want)) <= 1e-12, (stride, n)
+            far = np.abs(want - 0.5) > NEAR_THRESHOLD
+            assert np.array_equal(trace.decisions[far], want[far] >= 0.5)
 
 
 @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)

@@ -19,6 +19,7 @@ from conftest import make_recording, split_into
 from smokewatch import signal
 from smokewatch.errors import (
     EmptyRecording,
+    InvalidSample,
     InvalidSize,
     LengthMismatch,
     MalformedRow,
@@ -619,6 +620,30 @@ def test_load_csv_warns_on_rate_deviation(tmp_path):
         load_bytes(f"{CSV_HEADER}\n{rows}\n".encode(), tmp_path)
 
 
+@pytest.mark.parametrize("gaps, warns", [
+    ([0.02] * 9, False),
+    ([0.02] * 5 + [0.001, 0.5, 0.03, 0.011], False),  # extremes out, median in
+    ([0.016] * 5 + [0.024] * 4, False),  # every gap at the band's ends
+    ([0.0159] * 5 + [0.03] * 4, True),  # median just below the band
+    ([0.001] * 5 + [0.02] * 4, True),
+    ([0.02] * 4 + [0.5] * 5, True),
+    ([0.02] * 4 + [0.001, 0.5] * 2, False),  # even count: the middle pair's mean
+    ([0.001] * 4 + [0.5] * 4, True),
+], ids=["on-grid", "extremes-out", "band-ends", "just-below", "slow-half",
+        "fast-half", "middle-pair", "split"])
+def test_load_csv_warns_when_the_median_gap_leaves_the_band(gaps, warns, tmp_path):
+    # the warning comes exactly when the median gap is more than 20% away
+    # from 20 ms, however far out the other gaps lie
+    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    rows = "".join(f"{v!r},0,0,1\n" for v in t.tolist())
+    median = float(np.median(np.diff(t)))
+    assert (abs(median - 0.02) > 0.2 * 0.02) == warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_bytes(f"{CSV_HEADER}\n{rows}".encode(), tmp_path)
+    assert [w.category for w in caught] == ([SampleRateWarning] if warns else [])
+
+
 def test_write_csv_uses_roundtrip_floats(tmp_path):
     rec = make_recording(np.array([[0.1, 0.2, 0.3], [1 / 3, 2 / 3, 0.9]]))
     path = tmp_path / "r.csv"
@@ -637,27 +662,28 @@ def test_recording_validation():
         SensorRecording(t=t[::-1].copy(), x=ones, y=ones, z=ones)
     with pytest.raises(EmptyRecording):
         SensorRecording(t=t[:1], x=ones[:1], y=ones[:1], z=ones[:1])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSample):
         SensorRecording(t=t, x=ones * np.nan, y=ones, z=ones)
+    assert issubclass(InvalidSample, SmokewatchError) and issubclass(InvalidSample, ValueError)
 
 
 _T5 = np.arange(5) / 50
 
 
 @pytest.mark.parametrize("t, y, error, message", [
-    (np.r_[np.nan, _T5[1:]], np.ones(5), ValueError,
+    (np.r_[np.nan, _T5[1:]], np.ones(5), InvalidSample,
      "timestamps must be finite and non-negative"),
-    (np.r_[-0.02, _T5[1:]], np.ones(5), ValueError,
+    (np.r_[-0.02, _T5[1:]], np.ones(5), InvalidSample,
      "timestamps must be finite and non-negative"),
     (np.r_[_T5[:3], _T5[2:4]], np.ones(5), NonMonotonicTime,
      "timestamps must be strictly increasing"),
-    (_T5, np.r_[1.0, 1.0, np.nan, 1.0, 1.0], ValueError, "y values must be finite"),
+    (_T5, np.r_[1.0, 1.0, np.nan, 1.0, 1.0], InvalidSample, "y values must be finite"),
     (_T5, np.ones(4), LengthMismatch, "t, x, y, z must have identical lengths"),
     (_T5[:1], np.ones(1), EmptyRecording, "a recording needs at least 2 samples"),
 ], ids=["nan-first-t", "negative-first-t", "repeated-t", "nan-y", "lengths", "one-sample"])
 def test_recording_validation_names_each_fault(t, y, error, message):
-    # the class and message each fault raised before the checks became
-    # ndarray methods
+    # the message each fault raised before the checks became ndarray
+    # methods; InvalidSample is still the ValueError it was
     with pytest.raises(error) as info:
         SensorRecording(t=t, x=np.ones(len(t)), y=y, z=np.ones(len(t)))
     assert type(info.value) is error
