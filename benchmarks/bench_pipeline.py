@@ -31,11 +31,13 @@ otherwise:
   other text). For each, best of 5: `write_trace_csv` of a stride-1 trace
   with its plot and `write_recording_csv`, each in one part and in the
   parts `fileio.part_count` gives this host (`split`), then
-  `load_recording_csv` of the recording file as the tree runs it, and the
-  size of that file; every split file must be byte-identical to the
-  one-part file, the recording, trace and plot files must equal the text
-  this script builds with plain `repr` (`repr_oracle_equal`), and every
-  load must be `array_equal` to the recording;
+  `load_recording_csv` of the recording file as the tree runs it (for
+  `csv_long_session` also of its CRLF and CR-only copies, `load_crlf` and
+  `load_cr`), and the size of that file; every split file must be
+  byte-identical to the one-part file, the recording, trace and plot files
+  must equal the text this script builds with plain `repr`
+  (`repr_oracle_equal`), and every load must be `array_equal` to the
+  recording;
 - CSV loads of many short files (`csv_table1_corpus`): seed 7's Table-1
   corpus (training and test gestures and the 10 sessions), each recording
   written by `write_recording_csv` as `smokewatch synth` writes it, then
@@ -83,6 +85,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -121,15 +124,18 @@ BIG_CONFOUNDERS = 6 * 442
 MUS = [10.0 ** k for k in range(-12, 13)]
 CSV_ROWS = 100_000
 CSV_REPEATS = 5
+LINE_ENDS = {"crlf": b"\r\n", "cr": b"\r"}
 DETECT_STRIDES = (1, 3)
 MAX_DETECT_DIFF = 1e-12
 
 
 def cpu_time() -> float:
     """User plus system CPU seconds of this process and its reaped children,
-    so the forked parts of a split CSV write count."""
-    t = os.times()
-    return t.user + t.system + t.children_user + t.children_system
+    so the forked parts of a split CSV write count. `getrusage` reports
+    microseconds, where `os.times()` ticks in 10 ms on Linux."""
+    return sum(r.ru_utime + r.ru_stime
+               for r in map(resource.getrusage, (resource.RUSAGE_SELF,
+                                                 resource.RUSAGE_CHILDREN)))
 
 
 def best_of(fn, repeats: int) -> dict:
@@ -288,9 +294,10 @@ def repr_oracle(rec: signal.SensorRecording, outputs: np.ndarray) -> dict:
     }
 
 
-def csv_rows(xyz: np.ndarray) -> dict:
+def csv_rows(xyz: np.ndarray, line_ends: tuple[str, ...] = ()) -> dict:
     """CSV writes of the (CSV_ROWS, 3) session xyz in one part and split,
-    then its load.
+    then its load, and the load of a copy of the recording file for each of
+    `line_ends` (keys of LINE_ENDS) with that line end in place of each \n.
 
     The session lies on the 50 Hz grid, and the trace is one seeded uniform
     output per stride-1 window of 200 samples. One part is forced by raising
@@ -320,6 +327,11 @@ def csv_rows(xyz: np.ndarray) -> dict:
         loaded = []
         row["load"] = best_of(lambda: loaded.append(signal.load_recording_csv(src)),
                               CSV_REPEATS)
+        for name in line_ends:
+            copy = Path(tmp) / f"recording-{name}.csv"
+            copy.write_bytes(src.read_bytes().replace(b"\n", LINE_ENDS[name]))
+            row[f"load_{name}"] = best_of(
+                lambda: loaded.append(signal.load_recording_csv(copy)), CSV_REPEATS)
         row["load_equal"] = all(np.array_equal(getattr(got, a), getattr(rec, a))
                                 for got in loaded for a in "txyz")
         row["file_bytes"] = src.stat().st_size
@@ -396,7 +408,7 @@ def main(argv=None) -> int:
         "primal_step": primal_rows(),
         "import_cli": import_row(),
         "csv": csv_rows(np.random.default_rng(SEED).normal(0.0, 0.5, size=(CSV_ROWS, 3))),
-        "csv_long_session": csv_rows(session[2]),
+        "csv_long_session": csv_rows(session[2], tuple(LINE_ENDS)),
         "csv_table1_corpus": corpus_load_row(),
         "detect": detect_rows(datasets, session[0]),
     }

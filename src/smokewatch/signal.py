@@ -5,24 +5,23 @@ isolated gestures to plain (x, y, z) arrays, channel-mode feature extraction
 into one 1-d network input and rolling-window counting for continuous
 sessions. Recordings are immutable after construction and every operation is
 a pure function of its inputs. A CSV file, named by its path, is read as
-bytes and decoded in blocks cut at line ends, all in the calling process.
-One rule holds for every data line: it is malformed if it has a column
-count other than 4, a field that `float()` rejects, a non-finite field or a
-negative timestamp, and the first malformed line in file order is the
-error. Each block is parsed by numpy's C reader (`np.loadtxt`) when it is
-plain ASCII text with no malformed line, and otherwise by a per-line
-`float()` parse, which is the reference behaviour and names the first
-malformed line; the writer formats one block of rows at a time, each float
-column through `fileio.float_reprs`, for `fileio.write_csv`, which owns the
-block loop and its split into parts. So memory for a session holds its
-arrays, not its text.
+bytes and decoded in blocks cut at line ends, all in the calling process,
+and each block is split into lines once, by `str.splitlines()`. One rule
+holds for every data line: it is malformed if it has a column count other
+than 4, a field that `float()` rejects, a non-finite field or a negative
+timestamp, and the first malformed line in file order is the error. A
+block's lines go to numpy's C reader (`np.loadtxt`) when they are plain
+ASCII with no malformed line, and otherwise to a per-line `float()` parse,
+which is the reference behaviour and names the first malformed line. The
+writer formats one block of rows at a time, each float column through
+`fileio.float_reprs`, for `fileio.write_csv`, which owns the block loop and
+its split into parts. So memory for a session holds its arrays, not its
+text.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -197,43 +196,27 @@ class _BadRow(Exception):
     the header) and why."""
 
 
-# ASCII characters that numpy's reader takes otherwise than splitlines() or
-# float(): \x0b, \x0c and \x1c-\x1e end a line for splitlines() but not
-# for numpy, which reads "0,1,2\x0c,3" as one row, and numpy strips \x1f
-# from around a field, which float() rejects.
-_NOT_NUMPY_SAFE = "\x0b\x0c\x1c\x1d\x1e\x1f"
-
-# A whitespace-only line of ASCII text free of _NOT_NUMPY_SAFE, once each
-# \r is read as \n.
-_BLANK_LINE = re.compile(r"^[ \t]+$", re.MULTILINE)
+# The one ASCII character that numpy's reader takes otherwise than float()
+# once splitlines() has cut the lines: numpy strips \x1f from around a field,
+# which float() rejects.
+_NOT_NUMPY_SAFE = "\x1f"
 
 
-def _line_breaks(text: str) -> int:
-    """The line breaks of ASCII text free of _NOT_NUMPY_SAFE, as
-    splitlines() counts them: \\n, \\r and \\r\\n."""
-    breaks = text.count("\n")
-    return breaks + text.count("\r") - text.count("\r\n") if "\r" in text else breaks
-
-
-def _fast_rows(text: str) -> Optional[np.ndarray]:
+def _fast_rows(lines: list[str]) -> Optional[np.ndarray]:
     """The (rows, 4) fields of a block's data lines by numpy's C reader, or
-    None unless the block is ASCII, free of _NOT_NUMPY_SAFE and not blank
-    and numpy reads it as 4 finite columns with no negative timestamp. Its
-    line breaks, with each \\r read as \\n (a \\r\\n then adds an empty line,
-    which both parses skip), are then those of splitlines(), numpy gets each
-    whitespace-only line blanked, and numpy strips the same whitespace from
-    a field as float() and calls the same string-to-double, so the rows are
-    those of _plain_rows."""
-    if (not text or text.isspace() or not text.isascii()
-            or any(c in text for c in _NOT_NUMPY_SAFE)):
+    None unless the lines are ASCII, free of _NOT_NUMPY_SAFE and not all
+    blank and numpy reads them as 4 finite columns with no negative
+    timestamp. numpy gets the lines as splitlines() cut them, less the
+    whitespace-only ones (it skips the empty ones itself), strips the same
+    whitespace from a field as float() and calls the same string-to-double,
+    so the rows are those of _plain_rows."""
+    text = "".join(lines)
+    if not text or text.isspace() or not text.isascii() or _NOT_NUMPY_SAFE in text:
         return None
-    # numpy ends a line at \n and \r\n but not at a lone \r
-    text = text.replace("\r", "\n")
     if " " in text or "\t" in text:  # numpy rejects a whitespace-only line
-        text = _BLANK_LINE.sub("", text)
+        lines = [line for line in lines if not line.isspace()]
     try:
-        data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
-                          dtype=np.float64, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
         return None
     if data.shape[1] == 4 and np.isfinite(data).all() and data[:, 0].min() >= 0.0:
@@ -278,18 +261,16 @@ def _parse_blocks(path: Union[str, Path]) -> list[np.ndarray]:
         arrays = []
         try:
             for text in blocks:
-                if not lineno:  # the first line ends at or before the first "\n"
-                    head = text[:text.find("\n") + 1 or None].splitlines(keepends=True)[0]
-                    if head.strip() != CSV_HEADER:
+                lines = text.splitlines()
+                if not lineno:  # a block holds at least one line
+                    if lines[0].strip() != CSV_HEADER:
                         raise _BadRow(None, f"first line must be the header {CSV_HEADER!r}")
-                    text, lineno = text[len(head):], 1
-                data = _fast_rows(text)
+                    del lines[0]
+                    lineno = 1
+                data = _fast_rows(lines)
                 if data is None:
-                    lines = text.splitlines()
                     data = _plain_rows(lines)
-                    lineno += len(lines)
-                else:
-                    lineno += _line_breaks(text) + (not text.endswith(("\n", "\r")))
+                lineno += len(lines)
                 arrays.append(data)
             return arrays
         except _BadRow as bad:
@@ -314,14 +295,7 @@ def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClas
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
     The file's bytes, or a named pipe's, are read READ_CHUNK at a time and
-    parsed in blocks cut at line ends, never held whole. A block is parsed
-    by numpy's C reader if it is ASCII, holds a data line and none of the
-    characters numpy takes otherwise than `str.splitlines` or `float()`, and
-    numpy reads it, with whitespace-only lines blanked, as 4 finite columns
-    and no negative timestamp; any other block (Unicode digits or spaces,
-    `1_0`, a malformed line) is parsed line by line by `float()`, which
-    gives the same values and names the first malformed line, so every error
-    is the one a parse of the whole text would raise.
+    parsed in blocks cut at line ends, never held whole.
     """
     arrays = _parse_blocks(path)
     rows = sum(map(len, arrays))

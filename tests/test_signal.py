@@ -271,12 +271,15 @@ def odd_csv(odd: str, newline: str = "\n", tail: str = "0.06,1,2,3") -> str:
     return newline.join([CSV_HEADER, "0.0,1,2,3", odd, "0.04,7,8,9", tail]) + newline
 
 
+# The line ends of str.splitlines() other than \n, \r and \r\n
+SPLITLINES_ENDS = {"vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+                   "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
 # Inputs that float() and numpy's reader, or str.splitlines() and numpy's
 # line ends, may read two ways
 ODD_LINES = {
     **{f"{name}-{where}": row
-       for name, ch in [("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"), ("gs", "\x1d"),
-                        ("rs", "\x1e"), ("nel", "\x85"), ("ls", "\u2028"), ("ps", "\u2029")]
+       for name, ch in SPLITLINES_ENDS.items()
        for where, row in [("inside", f"0.02,4,5{ch},6"), ("at-end", f"0.02,4,5,6{ch}")]},
     "nul": "0.02,4,5,6\x00",
     "underscore": "0.02,1_0,5,6",
@@ -392,7 +395,7 @@ def test_load_csv_equals_the_plain_parse_for_every_ascii_character(row, newline,
     # every row that parses gives a recording and its arrays are compared
     texts = [newline.join(["", "0,1,2,3", row.format(c=chr(code)), "100,5,6,7", *tail]) + end
              for code in range(128) for tail in ([], ["8,9"])]
-    assert any(signal._fast_rows(text) is not None for text in texts)
+    assert any(signal._fast_rows(text.splitlines()) is not None for text in texts)
     path = tmp_path / "s.csv"
     got = [load_file(text, path) for text in texts]
     assert any(not isinstance(outcome, str) for outcome in got)
@@ -440,21 +443,35 @@ def assert_loads_as(data: bytes, want, tmp_path, monkeypatch) -> None:
         assert outcome(whole) == want
 
 
-@pytest.mark.parametrize("data", [
-    csv_bytes(ROWS),
-    csv_bytes(ROWS, b"\r\n"),
-    csv_bytes(ROWS, b"\r"),
-    csv_bytes([b"", *ROWS[:9], b"", b"  ", *ROWS[9:20], b"\t", *ROWS[20:], b""]),
-    csv_bytes(ROWS)[:-1],
-    csv_bytes(ROWS, b"\r\n")[:-2],
-    # a pair of blank lines, then a whitespace-only last line without newline
-    csv_bytes([*ROWS[:20], b"", b"", *ROWS[20:]]) + b" " * 246,
-    csv_bytes(ROWS, b"\r\n") + b" " * 24,
+# Each line end of str.splitlines() but \n, ending the header line of a
+# file of two data rows and of the file with a bad fourth line
+HEADER_ENDS = {"cr": "\r", "crlf": "\r\n", **SPLITLINES_ENDS}
+TWO_ROWS = "0.0,1,2,3\n0.02,4,5,6\n"
+
+
+@pytest.mark.parametrize("data, want", [
+    *((data, ROWS_DATA) for data in [
+        csv_bytes(ROWS),
+        csv_bytes(ROWS, b"\r\n"),
+        csv_bytes(ROWS, b"\r"),
+        csv_bytes([b"", *ROWS[:9], b"", b"  ", *ROWS[9:20], b"\t", *ROWS[20:], b""]),
+        csv_bytes(ROWS)[:-1],
+        csv_bytes(ROWS, b"\r\n")[:-2],
+        # a pair of blank lines, then a whitespace-only last line without newline
+        csv_bytes([*ROWS[:20], b"", b"", *ROWS[20:]]) + b" " * 246,
+        csv_bytes(ROWS, b"\r\n") + b" " * 24,
+    ]),
+    *((f"{CSV_HEADER}{end}{TWO_ROWS}", np.array([[0.0, 0.02], [1, 4], [2, 5], [3, 6]]))
+      for end in HEADER_ENDS.values()),
+    *((f"{CSV_HEADER}{end}{TWO_ROWS}0.04,7,8\n",
+       "MalformedRow: line 4: expected 4 columns, got 3") for end in HEADER_ENDS.values()),
 ], ids=["lf", "crlf", "cr", "blank-lines", "lf-no-last-newline", "crlf-no-last-newline",
-        "blank-line-pair", "crlf-blank-last-line"])
-def test_load_csv_rows_at_every_read_size(data, tmp_path, monkeypatch):
-    # some read sizes end a read between a \r and its \n, or on a blank line
-    assert_all(load_every_way(data, tmp_path, monkeypatch), ROWS_DATA)
+        "blank-line-pair", "crlf-blank-last-line", *(f"header-{name}" for name in HEADER_ENDS),
+        *(f"header-{name}-bad-line-4" for name in HEADER_ENDS)])
+def test_load_csv_rows_at_every_read_size(data, want, tmp_path, monkeypatch):
+    # some read sizes end a read between a \r and its \n, or on a blank line,
+    # or inside the line end of the header
+    assert_all(load_every_way(data, tmp_path, monkeypatch), want)
 
 
 @pytest.fixture(scope="module")
