@@ -1,9 +1,12 @@
 """Command line surface: synthesize, train, evaluate, detect.
 
-Owns the on-disk layout. Dataset directories hold one recording CSV per
-gesture named `<class>__<device>__<id>.csv`; sessions pair a CSV with a
-`.ranges.json` ground-truth file; every run writes `manifest_<command>.json`
-next to its outputs. All files are written atomically and all commands are
+Owns the on-disk layout: the names and contents of files. Dataset
+directories hold one recording CSV per gesture named
+`<class>__<device>__<id>.csv`; sessions pair a CSV with a `.ranges.json`
+ground-truth file; every run writes `manifest_<command>.json` next to its
+outputs. Directories, `--out` included, come from the writes, so a command
+that fails before its first write leaves none; `train` fits every mode
+before it writes. All files are written atomically and all commands are
 deterministic given their manifest, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure. Out-of-range
@@ -42,12 +45,10 @@ class UsageError(Exception):
 
 
 def save_manifest(out: Path, command: str, seed: Optional[int], options: dict,
-                  inputs: Sequence[str] = (), outputs: Sequence[str] = ()) -> Path:
+                  inputs: Sequence[str] = (), outputs: Sequence[str] = ()) -> None:
     doc = {"version": TOOL_VERSION, "command": command, "seed": seed,
            "options": options, "inputs": list(inputs), "outputs": list(outputs)}
-    path = out / f"manifest_{command}.json"
-    write_json(path, doc)
-    return path
+    write_json(out / f"manifest_{command}.json", doc)
 
 
 def recording_filename(label: GestureClass, device: str, index: int) -> str:
@@ -128,7 +129,6 @@ def _resolve_synth_setup(args):
 
 
 def _write_corpus(recordings: Sequence[SensorRecording], directory: Path) -> list[str]:
-    directory.mkdir(parents=True, exist_ok=True)
     written = []
     counters: dict[tuple, int] = {}
     for rec in recordings:
@@ -142,7 +142,6 @@ def _write_corpus(recordings: Sequence[SensorRecording], directory: Path) -> lis
 
 
 def _write_sessions(sessions, directory: Path) -> list[str]:
-    directory.mkdir(parents=True, exist_ok=True)
     written = []
     counters: dict[synth.SessionKind, int] = {}
     for kind, recording, ranges in sessions:
@@ -168,7 +167,6 @@ def cmd_synth(args) -> None:
     elif args.sessions is not None:
         counts = _parse_counts(args.sessions, synth.SessionKind.parse)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
     if args.corpus is not None:
         train_c, test_c, sessions = synth.generate_table1(
@@ -193,13 +191,13 @@ def cmd_synth(args) -> None:
 def cmd_train(args) -> None:
     modes = _parse_modes(args.modes)
     recordings = load_dataset_dir(Path(args.data))
+    fits = [train_mod.train_best_of(
+                dataset, restarts=args.restarts, master_seed=args.seed,
+                hidden_size=args.hidden, max_epochs=args.max_epochs)
+            for dataset in train_mod.build_datasets(recordings, modes)]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
-    for mode, dataset in zip(modes, train_mod.build_datasets(recordings, modes)):
-        net, report, summaries, selected = train_mod.train_best_of(
-            dataset, restarts=args.restarts, master_seed=args.seed,
-            hidden_size=args.hidden, max_epochs=args.max_epochs)
+    for mode, (net, report, summaries, selected) in zip(modes, fits):
         model_path = out / f"model_{mode.value}.json"
         report_path = out / f"train_report_{mode.value}.json"
         mlp.save_model(net, model_path, threshold=args.threshold)
@@ -225,7 +223,6 @@ def cmd_eval(args) -> None:
     report = metrics_mod.evaluate(outputs, dataset.smoking, threshold)
     attribution = metrics_mod.fp_attribution(outputs, dataset.classes, threshold)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"eval_report_{network.mode.value}.json"
     metrics_mod.save_eval_report(report, attribution, report_path)
     save_manifest(out, "eval", None,
@@ -247,7 +244,6 @@ def cmd_detect(args) -> None:
     trace = detect_mod.detect_session(network, session, stride=args.stride,
                                       threshold=threshold)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
     plot_path = out / "plot.csv" if args.plot else None
     detect_mod.write_trace_csv(trace, trace_path, session, plot_path)

@@ -58,13 +58,8 @@ class NormParams:
         """
         span = self.hi - self.lo
         live = span > 0.0
-        # one output buffer, updated in place: bit-identical to
-        # 2 * (values - mid) / span with the dead elements zeroed
-        out = np.asarray(values, dtype=np.float64) - 0.5 * (self.lo + self.hi)
-        out *= 2.0
-        out /= np.where(live, span, 1.0)
-        out[..., ~live] = 0.0
-        return out
+        mid = 0.5 * (self.lo + self.hi)
+        return np.where(live, 2.0 * (values - mid) / np.where(live, span, 1.0), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ import pytest
 
 from smokewatch import cli, fileio, metrics, mlp
 from smokewatch.detect import NEAR_THRESHOLD, GestureRanges, save_ranges
+from smokewatch.errors import NumericalFailure
 from smokewatch.signal import (
     ChannelMode,
     GestureClass,
@@ -332,6 +333,31 @@ def test_train_rejects_misnamed_csv(tmp_path):
     rec = make_recording(np.zeros((10, 3)))
     write_recording_csv(rec, tmp_path / "notes.csv")
     assert run("train", "--data", str(tmp_path), "--out", str(tmp_path)) == 2
+
+
+def test_train_on_one_recording_exits_1_without_making_out(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run("synth", "--gestures", "smoking=1", "--out", str(data)) == 0
+    assert run("train", "--data", str(data), "--out", str(out)) == 1
+    assert "error: EmptyDataset:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_failing_in_a_later_mode_writes_nothing(pipeline, tmp_path,
+                                                      monkeypatch, capsys):
+    train_best_of = cli.train_mod.train_best_of
+
+    def failing(dataset, **kwargs):
+        if dataset.mode is ChannelMode.XYZ:
+            raise NumericalFailure("planted failure")
+        return train_best_of(dataset, **kwargs)
+
+    monkeypatch.setattr(cli.train_mod, "train_best_of", failing)
+    out = tmp_path / "out"
+    assert run("train", "--data", str(pipeline["data"]), "--modes", "X,XYZ",
+               "--restarts", "1", "--max-epochs", "5", "--out", str(out)) == 1
+    assert "error: NumericalFailure: planted failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- eval --------------------------------------------------------------------

@@ -248,9 +248,9 @@ def test_the_umask_scan_finds_a_call():
 
 
 def csv_writer_names(source: str) -> list[int]:
-    """Lines that name `atomic_open`, `BLOCK_ROWS` or `fork` (as in
-    `os.fork`): as a name, an attribute or an imported name."""
-    owned = {"atomic_open", "BLOCK_ROWS", "fork"}
+    """Lines that name `atomic_open`, `BLOCK_ROWS`, `fork` (as in `os.fork`),
+    `mkdir` or `makedirs`: as a name, an attribute or an imported name."""
+    owned = {"atomic_open", "BLOCK_ROWS", "fork", "mkdir", "makedirs"}
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
                   and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
@@ -259,7 +259,8 @@ def csv_writer_names(source: str) -> list[int]:
 
 def test_only_fileio_opens_writes_blocks_and_forks():
     # one writer: `fileio.write_csv` opens every CSV target, runs the block
-    # loop and splits it into parts
+    # loop and splits it into parts; `fileio.atomic_open` makes every
+    # directory a write needs
     found = {p.name: csv_writer_names(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py")) if p.name != "fileio.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -270,7 +271,8 @@ def test_the_writer_scan_finds_a_planted_name():
                             "step = fileio.BLOCK_ROWS\npid = os.fork()\n"
                             "from os import fork\nBLOCK_ROWS = 1\n"
                             "s = 'atomic_open'\nos.forkpty\natomic_write_text(p, s)\n"
-                            ) == [1, 2, 3, 4, 5]
+                            "Path(p).mkdir()\nos.makedirs(d)\n"
+                            ) == [1, 2, 3, 4, 5, 9, 10]
 
 
 def repr_names(source: str) -> list[int]:
