@@ -35,9 +35,9 @@ otherwise:
   `csv_long_session` also of its CRLF and CR-only copies, `load_crlf` and
   `load_cr`), and the size of that file; every split file must be
   byte-identical to the one-part file, the recording, trace and plot files
-  must equal the text this script builds with plain `repr`
-  (`repr_oracle_equal`), and every load must be `array_equal` to the
-  recording;
+  must equal the text this script builds with plain `repr` for samples and
+  the fixed-decimal `"%.10f" % o` for outputs (`text_oracle_equal`), and
+  every load must be `array_equal` to the recording;
 - CSV loads of many short files (`csv_table1_corpus`): seed 7's Table-1
   corpus (training and test gestures and the 10 sessions), each recording
   written by `write_recording_csv` as `smokewatch synth` writes it, then
@@ -69,9 +69,9 @@ The script exits 1 when the Gram step and the oracle step differ by more
 than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
 a mode's `train_best_of` network differs from the full loop's, when a
 split CSV write differs from the one-part one, when a CSV write differs
-from its plain-`repr` text, when a CSV load differs from the recording it
-was written from, or when a detection differs from the per-window oracle,
-so a run of it is an equivalence check. The
+from its plain-`repr` and fixed-decimal text, when a CSV load differs from
+the recording it was written from, or when a detection differs from the
+per-window oracle, so a run of it is an equivalence check. The
 smokewatch sources are the ones the script imports, so
 `PYTHONPATH=<other checkout>/src` measures another tree.
 
@@ -278,17 +278,18 @@ def import_row() -> dict:
             "scipy_loaded": out[1] == "True"}
 
 
-def repr_oracle(rec: signal.SensorRecording, outputs: np.ndarray) -> dict:
+def text_oracle(rec: signal.SensorRecording, outputs: np.ndarray) -> dict:
     """The recording CSV of rec, and the trace and plot CSVs of a stride-1
-    trace of outputs at threshold 0.5, built row by row with plain `repr`."""
+    trace of outputs at threshold 0.5, built row by row: samples with plain
+    `repr`, outputs at the fixed 10 decimals of `"%.10f" % o`."""
     t, x, y, z = (a.tolist() for a in (rec.t, rec.x, rec.y, rec.z))
     out = outputs.tolist()
-    tails = [repr(o) for o in out] + [""] * (len(x) - len(out))
+    tails = ["%.10f" % o for o in out] + [""] * (len(x) - len(out))
     return {
         "recording.csv": "t,x,y,z\n" + "".join(
             f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(t, x, y, z)),
         "trace.csv": "start,output,smoking\n" + "".join(
-            f"{i},{o!r},{int(o >= 0.5)}\n" for i, o in enumerate(out)),
+            f"{i},{e},{int(o >= 0.5)}\n" for i, (o, e) in enumerate(zip(out, tails))),
         "plot.csv": "i,x,y,z,output\n" + "".join(
             f"{i},{b!r},{c!r},{d!r},{e}\n" for i, (b, c, d, e) in enumerate(zip(x, y, z, tails))),
     }
@@ -336,9 +337,9 @@ def csv_rows(xyz: np.ndarray, line_ends: tuple[str, ...] = ()) -> dict:
                                 for got in loaded for a in "txyz")
         row["file_bytes"] = src.stat().st_size
     row["files_identical"] = files["split"] == files["one_part"]
-    row["repr_oracle_equal"] = all(
+    row["text_oracle_equal"] = all(
         files["one_part"][name] == text.encode()
-        for name, text in repr_oracle(rec, outputs).items())
+        for name, text in text_oracle(rec, outputs).items())
     return row
 
 
@@ -437,8 +438,9 @@ def main(argv=None) -> int:
         if not csv["load_equal"]:
             print(f"{key}: a CSV load differs from its recording", file=sys.stderr)
             code = 1
-        if not csv["repr_oracle_equal"]:
-            print(f"{key}: a CSV write differs from its plain-repr text", file=sys.stderr)
+        if not csv["text_oracle_equal"]:
+            print(f"{key}: a CSV write differs from its plain-repr and fixed-decimal "
+                  "text", file=sys.stderr)
             code = 1
     if not run["csv_table1_corpus"]["load_equal"]:
         print("csv_table1_corpus: a CSV load differs from its recording", file=sys.stderr)

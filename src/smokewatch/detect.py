@@ -13,8 +13,10 @@ Scoring against handpicked ground-truth ranges labels a window smoking iff
 its start index falls inside a range (one `np.searchsorted` maps each start
 to its range), and flags each range as detected when at least one window
 starting inside it fired. The trace and plot CSVs are written in one pass:
-per block of samples, `fileio.float_reprs` formats each distinct output once
-for both files, and each distinct x, y and z value once for the plot.
+per block of samples, `fileio.output_texts` prints the outputs once for both
+files at 10 decimals (at most 5e-11 off, against NEAR_THRESHOLD's 1e-9), and
+`fileio.float_reprs` each distinct x, y and z value once for the plot; the
+`smoking` column comes from the exact outputs.
 `fileio.write_csv` owns the block loop and its split into parts, so neither
 file is ever held whole as text.
 """
@@ -184,10 +186,10 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     """One row per window, `start,output,smoking`, at path (None writes no
     trace); given a session and a plot_path, also the rows of
     `write_plot_csv(trace, session, plot_path)`. Per block of sample
-    indices the outputs of the windows starting in it are formatted once, for
-    both files, by `fileio.float_reprs`, as are the block's samples, and
-    `fileio.write_csv` writes the blocks, so an error replaces neither
-    target."""
+    indices the outputs of the windows starting in it are printed once, for
+    both files, by `fileio.output_texts`, the block's samples by
+    `fileio.float_reprs`, and `fileio.write_csv` writes the blocks, so an
+    error replaces neither target."""
     stride, outputs = trace.stride, trace.outputs
     smoking = trace.decisions.view(np.int8)
     last = (len(trace) - 1) * stride
@@ -202,15 +204,15 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     def format_block(lo: int, hi: int) -> list[str]:
         # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride)
         a, b = -(-lo // stride), min(-(-hi // stride), len(trace))
-        reprs = fileio.float_reprs(outputs[a:b])
+        printed = fileio.output_texts(outputs[a:b])
         texts = []  # the trace block, then the plot block
         if path is not None:
             texts.append("".join([f"{s},{o},{d}\n" for s, o, d in
-                                  zip(range(a * stride, b * stride, stride), reprs,
+                                  zip(range(a * stride, b * stride, stride), printed,
                                       smoking[a:b].tolist())]))
         if plot_path is not None:
             tails = [""] * (hi - lo)
-            tails[a * stride - lo:b * stride - lo:stride] = reprs
+            tails[a * stride - lo:b * stride - lo:stride] = printed
             rows = zip(range(lo, hi), *(fileio.float_reprs(c[lo:hi])
                                         for c in (session.x, session.y, session.z)), tails)
             texts.append("".join([f"{i},{x},{y},{z},{t}\n" for i, x, y, z, t in rows]))

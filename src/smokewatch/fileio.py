@@ -11,14 +11,15 @@ a one-space indent and a final newline, written by `write_json` and read by
 Every CSV file is written by `write_csv`, which owns the block loop: it
 opens the targets through `atomic_open` and has its caller format
 `BLOCK_ROWS` rows at a time, so no writer holds a session as text. Every
-float a CSV writer prints is turned into text by `float_reprs`, which calls
-`repr` once per distinct value of a block's column: samples on a sensor's
-grid repeat, so a block holds far fewer distinct values than rows. A long
-CSV write runs in parts (`run_parts`): contiguous ranges of blocks, the
-first run by the caller and each later one by a forked child that writes
-its text and its outcome to unnamed temp files, which the caller reads back
-in order. `part_count` sets how many, from the row count and the CPUs this
-process may run on; nothing configures it.
+float a CSV writer prints is turned into text here: detector outputs by
+`output_texts`, at 10 decimals, and samples by `float_reprs`, which calls
+`repr` once per distinct value of a block's column, since samples on a
+sensor's grid repeat. A long CSV write runs in parts (`run_parts`):
+contiguous ranges of blocks, the first run by the caller and each later one
+by a forked child that writes its text and its outcome to unnamed temp
+files, which the caller reads back in order. `part_count` sets how many,
+from the row count and the CPUs this process may run on; nothing
+configures it.
 """
 
 from __future__ import annotations
@@ -89,6 +90,13 @@ def float_reprs(values: np.ndarray) -> list[str]:
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
+
+
+def output_texts(values: np.ndarray) -> list[str]:
+    """["%.10f" % v for v in values.tolist()] for a 1-d float64 array, from
+    one `%`-format of the block: outputs seldom repeat, so `float_reprs`
+    would share little. Printing moves an output by at most 5e-11."""
+    return (("%.10f\n" * len(values)) % tuple(values.tolist())).split("\n")[:-1]
 
 
 def part_count(rows: int) -> int:

@@ -413,7 +413,7 @@ def test_plot_series_alignment(rng, tmp_path):
     assert [float(r[1]) for r in rows] == rec.x.tolist()
     with_output = [r for r in rows if r[4]]
     assert [int(r[0]) for r in with_output] == trace.starts.tolist()
-    assert [float(r[4]) for r in with_output] == trace.outputs.tolist()
+    assert [r[4] for r in with_output] == ["%.10f" % o for o in trace.outputs.tolist()]
 
 
 def test_plot_csv_format(tmp_path):
@@ -422,7 +422,7 @@ def test_plot_csv_format(tmp_path):
     path = tmp_path / "plot.csv"
     write_plot_csv(trace, rec, path)
     lines = path.read_text().splitlines()
-    assert lines == ["i,x,y,z,output", "0,0.5,-1.0,0.25,0.75", "1,0.1,0.2,0.3,"]
+    assert lines == ["i,x,y,z,output", "0,0.5,-1.0,0.25,0.7500000000", "1,0.1,0.2,0.3,"]
 
 
 def test_trace_csv_format(tmp_path):
@@ -431,8 +431,19 @@ def test_trace_csv_format(tmp_path):
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "start,output,smoking"
-    assert lines[1] == "0,0.9,1"
-    assert lines[2] == "2,0.1,0"
+    assert lines[1] == "0,0.9000000000,1"
+    assert lines[2] == "2,0.1000000000,0"
+
+
+def test_trace_csv_decides_from_the_exact_outputs(tmp_path):
+    # both outputs print as the threshold; the smoking column comes from the
+    # exact values, and the report counts both as near the threshold
+    trace = DetectionTrace(outputs=np.array([0.5 + 1e-11, 0.5 - 1e-11]), stride=1,
+                           threshold=0.5)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines == ["start,output,smoking", "0,0.5000000000,1", "1,0.5000000000,0"]
+    assert trace.near_threshold_windows == 2
 
 
 def test_ranges_json_roundtrip(tmp_path):

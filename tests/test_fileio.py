@@ -2,13 +2,15 @@
 
 Writer oracle: the one-shot formatting of each CSV, one f-string per row
 joined into a single text, written here independently of the writers' block
-loops and of how they are split into parts."""
+loops and of how they are split into parts. The output formatter's oracle is
+the exact binary value of each output rounded half-even by `decimal`."""
 
 import contextlib
 import os
 import signal
 import stat
 import threading
+from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +76,8 @@ B = 16
 
 def assert_writers_equal_one_shot_formatting(rec, n, parts, draw, tmp_path,
                                             monkeypatch):
-    """The recording, trace and plot CSVs of rec equal plain `repr` text.
+    """The recording, trace and plot CSVs of rec equal plain `repr` text,
+    but for the output column, which equals `"%.10f" % o`.
 
     The session has max(n, 2) rows (a recording needs 2) and windows start
     at 0, stride, 2*stride, ... below n, with draw(k) as the outputs of k
@@ -102,9 +105,9 @@ def assert_writers_equal_one_shot_formatting(rec, n, parts, draw, tmp_path,
                                threshold=0.5)
         outputs = dict(zip(starts, trace.outputs.tolist()))
         want_trace = "\n".join(["start,output,smoking"] + [
-            f"{i},{o!r},{int(o >= 0.5)}" for i, o in outputs.items()]) + "\n"
+            f"{i},{'%.10f' % o},{int(o >= 0.5)}" for i, o in outputs.items()]) + "\n"
         want_plot = "\n".join(["i,x,y,z,output"] + [
-            f"{i},{b!r},{c!r},{d!r},{repr(outputs[i]) if i in outputs else ''}"
+            f"{i},{b!r},{c!r},{d!r},{'%.10f' % outputs[i] if i in outputs else ''}"
             for i, (b, c, d) in enumerate(zip(x, y, z))]) + "\n"
 
         write_trace_csv(trace, tmp_path / "t.csv")
@@ -159,6 +162,29 @@ def test_float_reprs_equal_plain_repr(values):
     # a column of a row-major array, as the benchmark's sessions are
     column = np.stack([v, -v]).T[:, 1]
     assert fileio.float_reprs(column) == list(map(repr, column.tolist()))
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(4).uniform(0, 1, 10_000),
+    np.arange(1, 2048, 2) / 2048,
+    [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)],
+    [],
+], ids=["uniform", "ties", "edges", "empty"])
+def test_output_texts_round_the_exact_value_half_even(values):
+    # k / 2048 for odd k has 11 decimals ending in 5: a tie at the 10th
+    v = np.array(values, dtype=np.float64)
+    want = [format(Decimal(o).quantize(Decimal("1e-10"), ROUND_HALF_EVEN), "f")
+            for o in v.tolist()]
+    assert fileio.output_texts(v) == want
+    # a column of a row-major array, as a block of a longer trace is a view
+    column = np.stack([v, -v]).T[:, 0]
+    assert fileio.output_texts(column) == want
+
+
+def test_output_texts_print_a_tie_to_even():
+    # 1/2048 = 0.00048828125 and 3/2048 = 0.00146484375 exactly
+    assert fileio.output_texts(np.array([1, 3]) / 2048) == ["0.0004882812",
+                                                            "0.0014648438"]
 
 
 def test_a_write_runs_in_the_parts_of_the_rows_it_writes(tmp_path, monkeypatch):

@@ -297,12 +297,44 @@ def repr_rows(source: str) -> list[int]:
     return sorted(lines)
 
 
+# a %-conversion that prints a float (%f, %.10f, %e, %g, ...) or a repr (%r),
+# or the escape %%, which converts nothing
+PERCENT_CONVERSION = re.compile(
+    r"%%|%(?:\(\w*\))?[-+ #0]*(?:\d+|\*)?(?:\.(?:\d+|\*))?[eEfFgGr]")
+
+
+def float_formats(source: str) -> list[int]:
+    """Lines of f-strings that end a CSV row (their last constant part ends in
+    a newline) and give a value a float format spec (`{o:.10f}`), and of
+    `%`-formats whose string constant holds a float or `%r` conversion. A
+    spec in a message is allowed."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            constants = [v.value for v in node.values if isinstance(v, ast.Constant)]
+            specs = [[c.value for c in v.format_spec.values if isinstance(c, ast.Constant)]
+                     for v in node.values
+                     if isinstance(v, ast.FormattedValue) and v.format_spec]
+            if constants and constants[-1].endswith("\n") and any(
+                    spec and spec[-1][-1:] in set("eEfFgG%") for spec in specs):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            texts = [c.value for c in ast.walk(node.left)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            if any(m != "%%" for text in texts for m in PERCENT_CONVERSION.findall(text)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_only_fileio_turns_csv_floats_into_text():
-    # one route: `fileio.float_reprs` formats every float a CSV writer prints
+    # one route: `fileio.float_reprs` formats every sample a CSV writer
+    # prints, `fileio.output_texts` every detector output
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     found = {name: repr_names(src) for name, src in sources.items() if name != "fileio.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
     found = {name: repr_rows(src) for name, src in sources.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    found = {name: float_formats(src) for name, src in sources.items() if name != "fileio.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -317,6 +349,18 @@ def test_the_float_text_scans_find_a_planted_route():
               "rows = ''.join(f'{i},{x!r}\\n' for i, x in rows)\n")
     assert repr_names(source) == [1, 2, 3]
     assert repr_rows(source) == [4, 9]
+    source = ("row = f'{i},{o:.10f},{d}\\n'\n"
+              "msg = f'accuracy {acc:.3f} -> {path}'\n"
+              "row = f'{i:d},{o}\\n'\n"
+              "text = ('%.10f\\n' * k) % tuple(values)\n"
+              "s = '%e' % x\n"
+              "s = '%(v)g, %r' % d\n"
+              "s = '%d%%' % n\n"
+              "s = '%s' % x\n"
+              "rows = ''.join(f'{i},{x:{w}.{p}f}\\n' for i, x in rows)\n"
+              "n = k % 7\n"
+              "s = '%-8.3f' % x\n")
+    assert float_formats(source) == [1, 4, 5, 6, 9, 11]
 
 
 def threshold_compares(source: str) -> list[int]:
