@@ -5,14 +5,14 @@ isolated gestures to plain (x, y, z) arrays, channel-mode feature extraction
 into one 1-d network input and rolling-window counting for continuous
 sessions. Recordings are immutable after construction and every operation is
 a pure function of its inputs. A CSV file, named by its path, is read as
-bytes and decoded in blocks cut at line ends, all in the calling process,
-and each block is split into lines once, by `str.splitlines()`. One rule
-holds for every data line: it is malformed if it has a column count other
-than 4, a field that `float()` rejects, a non-finite field or a negative
-timestamp, and the first malformed line in file order is the error. A
-block's lines go to numpy's C reader (`np.loadtxt`) when they are plain
-ASCII with no malformed line, and otherwise to a per-line `float()` parse,
-which is the reference behaviour and names the first malformed line. The
+bytes and decoded in blocks cut at line ends, in one loop in the calling
+process, and each block is split into lines once, by `str.splitlines()`.
+One rule holds for every data line: it is malformed if it has a column
+count other than 4, a field that `float()` rejects, a non-finite field or a
+negative timestamp, and the first malformed line in file order is the
+error. A block's lines go to numpy's C reader (`np.loadtxt`) when they are
+plain ASCII with no malformed line, and otherwise to a per-line `float()`
+parse, the reference behaviour, which raises MalformedRow at that line. The
 writer formats one block of rows at a time, each float column through
 `fileio.float_reprs`, for `fileio.write_csv`, which owns the block loop and
 its split into parts. So memory for a session holds its arrays, not its
@@ -191,11 +191,6 @@ def _line_blocks(fh: IO[bytes]) -> Iterator[str]:
         tail = data[cut:]
 
 
-class _BadRow(Exception):
-    """A malformed line: args are its index among a block's lines (None for
-    the header) and why."""
-
-
 # The one ASCII character that numpy's reader takes otherwise than float()
 # once splitlines() has cut the lines: numpy strips \x1f from around a field,
 # which float() rejects.
@@ -224,80 +219,70 @@ def _fast_rows(lines: list[str]) -> Optional[np.ndarray]:
     return None
 
 
-def _plain_rows(lines: list[str]) -> np.ndarray:
+def _plain_rows(lines: list[str], first: int) -> np.ndarray:
     """The (rows, 4) fields of the data lines of `lines` (the lines that are
     not blank) by float(): the reference parse of a block, run on each block
-    that _fast_rows refuses. Raises _BadRow for the first data line with a
-    bad column count, a field that float() rejects, a non-finite field or a
+    that _fast_rows refuses. `first` is the file's line number of lines[0].
+    Raises MalformedRow, naming its line, for the first data line with a bad
+    column count, a field that float() rejects, a non-finite field or a
     negative timestamp."""
     rows = []
-    for index, line in enumerate(lines):
+    for lineno, line in enumerate(lines, first):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != 4:
-            raise _BadRow(index, f"expected 4 columns, got {len(fields)}")
+            raise MalformedRow(f"line {lineno}: expected 4 columns, got {len(fields)}")
         try:
             row = list(map(float, fields))
         except ValueError:
-            raise _BadRow(index, "non-numeric field") from None
+            raise MalformedRow(f"line {lineno}: non-numeric field") from None
         if not all(map(math.isfinite, row)):
-            raise _BadRow(index, "non-finite field")
+            raise MalformedRow(f"line {lineno}: non-finite field")
         if row[0] < 0.0:
-            raise _BadRow(index, "negative timestamp")
+            raise MalformedRow(f"line {lineno}: negative timestamp")
         rows.append(row)
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
-
-
-def _parse_blocks(path: Union[str, Path]) -> list[np.ndarray]:
-    """The data blocks of the file at path, whose first line must be
-    CSV_HEADER: each block by _fast_rows, or by _plain_rows if it refuses.
-    Bytes that are not UTF-8 raise MalformedRow. So does a malformed header or
-    data line, naming its line, once the rest of the file is decoded, so
-    that such bytes anywhere are named first."""
-    with open(path, "rb") as fh:
-        blocks = _line_blocks(fh)
-        lineno = 0  # the index in the file of the block's first line
-        arrays = []
-        try:
-            for text in blocks:
-                lines = text.splitlines()
-                if not lineno:  # a block holds at least one line
-                    if lines[0].strip() != CSV_HEADER:
-                        raise _BadRow(None, f"first line must be the header {CSV_HEADER!r}")
-                    del lines[0]
-                    lineno = 1
-                data = _fast_rows(lines)
-                if data is None:
-                    data = _plain_rows(lines)
-                lineno += len(lines)
-                arrays.append(data)
-            return arrays
-        except _BadRow as bad:
-            index, reason = bad.args
-        for _ in blocks:  # decode the rest of the file: a byte that is not UTF-8 wins
-            pass
-    if index is None:
-        raise MalformedRow(reason)
-    raise MalformedRow(f"line {lineno + index + 1}: {reason}")
 
 
 def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClass.UNKNOWN,
                        device: str = "") -> SensorRecording:
     """Parse a `t,x,y,z` CSV into a SensorRecording.
 
+    The file's bytes, or a named pipe's, are read READ_CHUNK at a time and
+    parsed in one loop over blocks cut at line ends, never held whole: each
+    block's data lines by _fast_rows, or by _plain_rows if it refuses them.
     Raises MalformedRow for bytes that are not UTF-8, naming the first, and
-    otherwise for a bad header or for the first malformed data line: one
-    with a column count other than 4, a field that `float()` rejects, a
-    non-finite field or a negative timestamp. Then raises EmptyRecording
-    for fewer than 2 data rows and NonMonotonicTime for unordered
-    timestamps.
+    otherwise for a bad header or for the first malformed data line (see
+    _plain_rows), each where it is found once the rest of the file is
+    decoded, so that such bytes anywhere are named first. Then raises
+    EmptyRecording for fewer than 2 data rows and NonMonotonicTime for
+    unordered timestamps.
     Warns (SampleRateWarning) when the median sample gap is more than 20%
     away from the 20 ms nominal.
-    The file's bytes, or a named pipe's, are read READ_CHUNK at a time and
-    parsed in blocks cut at line ends, never held whole.
     """
-    arrays = _parse_blocks(path)
+    arrays = []
+    with open(path, "rb") as fh:
+        blocks = _line_blocks(fh)
+        first = 0  # the line number of the block's first line; 0 before the header
+        try:
+            for text in blocks:
+                lines = text.splitlines()
+                if not first:  # a block holds at least one line
+                    if lines[0].strip() != CSV_HEADER:
+                        raise MalformedRow(f"first line must be the header {CSV_HEADER!r}, "
+                                           f"got {lines[0][:40]!r}")
+                    del lines[0]
+                    first = 2
+                data = _fast_rows(lines)
+                if data is None:
+                    data = _plain_rows(lines, first)
+                first += len(lines)
+                arrays.append(data)
+        except MalformedRow:
+            for _ in blocks:  # decode the rest of the file: a byte that is not UTF-8 wins
+                pass
+            raise
     rows = sum(map(len, arrays))
     if rows < 2:
         raise EmptyRecording(f"need at least 2 data rows, got {rows}")

@@ -12,17 +12,22 @@ Jacobian-form version of a path the package runs in batch or Gram form:
   of the batched `synth` draw;
 - `window_outputs`: detection's outputs with every window cut from a
   strided view and passed through `kernels.batch_forward`, the per-window
-  form of the banded first layer `detect.detect_session` runs.
+  form of the banded first layer `detect.detect_session` runs;
+- `reference_load`: a CSV's recording or named fault from its whole text,
+  decoded and split at once, the one-block form of
+  `signal.load_recording_csv`, which reads in blocks and parses most of them
+  with numpy's reader.
 """
 
+import math
 from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from smokewatch import kernels, mlp
-from smokewatch.errors import EmptyBatch
-from smokewatch.signal import SensorRecording, window_count
+from smokewatch.errors import EmptyBatch, EmptyRecording, MalformedRow
+from smokewatch.signal import CSV_HEADER, SensorRecording, window_count
 from smokewatch.synth import DeviceProfile, GestureTemplate, _gesture_recordings
 from smokewatch.train import LabeledDataset, solve_damped
 
@@ -80,3 +85,37 @@ def window_outputs(network: mlp.Network, session: SensorRecording,
         outputs[lo:hi] = kernels.batch_forward(
             w, b, network.w2, network.b2, np.concatenate([v[lo:hi] for v in views], axis=1))
     return outputs
+
+
+def reference_load(data: bytes) -> SensorRecording:
+    """The recording of a `t,x,y,z` CSV file's bytes, or the fault that
+    `signal.load_recording_csv` names: the first byte that is not UTF-8, else
+    a bad header, else the first malformed data line by float(), else too
+    few rows or unordered timestamps (SensorRecording's own checks)."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    if lines and lines[0].strip() != CSV_HEADER:
+        raise MalformedRow(f"first line must be the header {CSV_HEADER!r}, "
+                           f"got {lines[0][:40]!r}")
+    rows = []
+    for number, line in enumerate(lines[1:], 2):
+        if line.strip() == "":
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise MalformedRow(f"line {number}: expected 4 columns, got {len(fields)}")
+        try:
+            row = [float(field) for field in fields]
+        except ValueError:
+            raise MalformedRow(f"line {number}: non-numeric field") from None
+        if any(not math.isfinite(v) for v in row):
+            raise MalformedRow(f"line {number}: non-finite field")
+        if row[0] < 0.0:
+            raise MalformedRow(f"line {number}: negative timestamp")
+        rows.append(row)
+    if len(rows) < 2:
+        raise EmptyRecording(f"need at least 2 data rows, got {len(rows)}")
+    t, x, y, z = (np.array(column, dtype=np.float64) for column in zip(*rows))
+    return SensorRecording(t=t, x=x, y=y, z=z)

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from smokewatch.signal import (
     write_recording_csv,
 )
 
-from conftest import make_recording, split_into
+from conftest import make_recording, malformed_session, split_into, through_a_pipe
 
 
 def run(*argv: str) -> int:
@@ -489,17 +488,26 @@ def test_detect_reads_a_session_from_a_named_pipe(pipeline, tmp_path):
         return [(out / name).read_bytes() for name in ("trace.csv", "detect_report.json")]
 
     want = detect(pipeline["session"], tmp_path / "file")
-    fifo = tmp_path / "session"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes,
-                              args=(pipeline["session"].read_bytes(),), daemon=True)
-    writer.start()
-    try:
-        got = detect(fifo, tmp_path / "pipe")
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+    got = through_a_pipe(tmp_path / "session", pipeline["session"].read_bytes(),
+                         lambda fifo: detect(fifo, tmp_path / "pipe"))
     assert got == want
+
+
+@pytest.mark.parametrize("later_bad_byte", [False, True], ids=["bad-line", "then-not-utf8"])
+def test_detect_names_a_fault_in_a_named_pipe(later_bad_byte, pipeline, tmp_path, capsys):
+    # the session's writer ends although the fault is on line 3 of over
+    # 1 MiB; detect exits 1 with the fault named and makes no --out
+    data = malformed_session(later_bad_byte)
+    out = tmp_path / "out"
+    status = through_a_pipe(tmp_path / "session", data, lambda fifo: run(
+        "detect", "--model", str(pipeline["model"]), "--session", str(fifo),
+        "--out", str(out)))
+    assert status == 1
+    offset = data.find(b"\xff")
+    want = (f"byte {offset}: not UTF-8 (invalid start byte)"
+            if later_bad_byte else "line 3: non-numeric field")
+    assert f"error: MalformedRow: {want}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_short_session_exits_1(pipeline, tmp_path):

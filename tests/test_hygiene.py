@@ -18,6 +18,7 @@ import importlib
 import importlib.util
 import os
 import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -303,20 +304,46 @@ PERCENT_CONVERSION = re.compile(
     r"%%|%(?:\(\w*\))?[-+ #0]*(?:\d+|\*)?(?:\.(?:\d+|\*))?[eEfFgGr]")
 
 
+# numpy's own routes from floats to text
+NUMPY_FLOAT_TEXT = {"format_float_positional", "format_float_scientific", "savetxt"}
+
+
+def is_float_spec(spec: str) -> bool:
+    """Whether a format spec prints a float: it ends in a float type."""
+    return spec[-1:] in set("eEfFgG%")
+
+
 def float_formats(source: str) -> list[int]:
     """Lines of f-strings that end a CSV row (their last constant part ends in
-    a newline) and give a value a float format spec (`{o:.10f}`), and of
-    `%`-formats whose string constant holds a float or `%r` conversion. A
-    spec in a message is allowed."""
+    a newline) and give a value a float format spec (`{o:.10f}`), of
+    `%`-formats whose string constant holds a float or `%r` conversion, of
+    `format(x, spec)` and `'...'.format(...)` calls with a float spec, and of
+    any use of numpy's float-to-text functions. A spec in a message f-string
+    is allowed. `str(o)` of a float cannot be told from `str(i)` of an int
+    without types, so it is not looked for."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.JoinedStr):
+        name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in NUMPY_FLOAT_TEXT:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "format" and len(node.args) == 2:
+            spec = node.args[1]
+            if isinstance(spec, ast.Constant) and is_float_spec(str(spec.value)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "format" and isinstance(node.func.value, ast.Constant) \
+                and isinstance(node.func.value.value, str):
+            fields = string.Formatter().parse(node.func.value.value)
+            if any(spec and is_float_spec(spec) for _, _, spec, _ in fields):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.JoinedStr):
             constants = [v.value for v in node.values if isinstance(v, ast.Constant)]
             specs = [[c.value for c in v.format_spec.values if isinstance(c, ast.Constant)]
                      for v in node.values
                      if isinstance(v, ast.FormattedValue) and v.format_spec]
             if constants and constants[-1].endswith("\n") and any(
-                    spec and spec[-1][-1:] in set("eEfFgG%") for spec in specs):
+                    spec and is_float_spec(spec[-1]) for spec in specs):
                 lines.append(node.lineno)
         elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
             texts = [c.value for c in ast.walk(node.left)
@@ -359,8 +386,18 @@ def test_the_float_text_scans_find_a_planted_route():
               "s = '%s' % x\n"
               "rows = ''.join(f'{i},{x:{w}.{p}f}\\n' for i, x in rows)\n"
               "n = k % 7\n"
-              "s = '%-8.3f' % x\n")
-    assert float_formats(source) == [1, 4, 5, 6, 9, 11]
+              "s = '%-8.3f' % x\n"
+              "s = format(o, '.10f')\n"
+              "s = format(n, 'd')\n"
+              "row = '{},{:.10f}\\n'.format(i, o)\n"
+              "s = '{}: {}'.format(a, b)\n"
+              "s = '{:>8}'.format(name)\n"
+              "s = np.format_float_positional(o)\n"
+              "s = numpy.format_float_scientific(o, 3)\n"
+              "np.savetxt(fh, values)\n"
+              "from numpy import savetxt\n"
+              "s = '{:{w}.{p}g}'.format(o, w=w, p=p)\n")
+    assert float_formats(source) == [1, 4, 5, 6, 9, 11, 12, 14, 17, 18, 19, 20, 21]
 
 
 def threshold_compares(source: str) -> list[int]:

@@ -8,14 +8,14 @@ import io
 import math
 import os
 import re
-import threading
 import warnings
 from typing import Union
 
 import numpy as np
 import pytest
 
-from conftest import make_recording, split_into
+from conftest import make_recording, malformed_session, split_into, through_a_pipe
+from oracles import reference_load
 from smokewatch import signal
 from smokewatch.errors import (
     EmptyRecording,
@@ -349,7 +349,7 @@ def test_load_csv_reader_equals_the_plain_parse(text, tail, tmp_path, monkeypatc
         "whitespace-only", "whitespace-lines-crlf"])
 def test_load_csv_reads_ascii_rows_with_numpy(text, tmp_path, monkeypatch):
     # no block of these needs the plain parse but a blank one
-    def plain_rows(lines):
+    def plain_rows(lines, first):
         assert not "".join(lines).strip(), lines
         return np.empty((0, 4))
 
@@ -404,6 +404,52 @@ def test_load_csv_equals_the_plain_parse_for_every_ascii_character(row, newline,
     monkeypatch.setattr(signal, "_fast_rows", lambda text: None)
     for text, outcome in zip(texts, got):
         assert outcome == load_file(text, path), repr(text)
+
+
+# Text that splitlines(), float() or numpy's reader may read otherwise, a
+# digit that may unorder the timestamps, and bytes that are not UTF-8: a
+# fuzzed file gets one to three of them, each inserted or written over one
+# byte
+FUZZ_PIECES = [b"x", b",", b"\xff", b"\r", b"\r\n", b" ", b"\t", b"nan", b"-1", b"9", b"\x1f",
+               "\u00e9".encode(), b"\n", "\u2028".encode(), b"1_0", "\ufeff".encode()]
+
+
+def fuzzed_csv(rng: np.random.Generator, rows: int = 100) -> bytes:
+    t = (np.arange(rows) * 0.02).tolist()
+    xyz = rng.normal(size=(rows, 3)).round(3).tolist()
+    text = "".join(f"{a!r},{x!r},{y!r},{z!r}\n" for a, (x, y, z) in zip(t, xyz))
+    data = bytearray(f"{CSV_HEADER}\n{text}".encode())
+    for _ in range(rng.integers(1, 4)):
+        piece = FUZZ_PIECES[rng.integers(len(FUZZ_PIECES))]
+        at = int(rng.integers(len(data)))
+        data[at:at + int(rng.integers(2))] = piece
+    return bytes(data)
+
+
+@pytest.mark.filterwarnings("ignore::smokewatch.signal.SampleRateWarning")
+def test_load_csv_equals_the_whole_file_oracle_on_fuzzed_files(tmp_path, monkeypatch):
+    # 400 seeded files, each read in blocks of 7 and 64 bytes and in one
+    # read: the same arrays bit for bit, or the same error and message, as
+    # the oracle's decode and float() parse of the whole file
+    rng = np.random.default_rng(34)
+    path = tmp_path / "s.csv"
+    whole = signal.READ_CHUNK
+    kinds = set()
+    for _ in range(400):
+        data = fuzzed_csv(rng)
+        try:
+            rec = reference_load(data)
+            want = np.stack([rec.t, rec.x, rec.y, rec.z])
+        except SmokewatchError as exc:
+            want = f"{type(exc).__name__}: {exc}"
+        path.write_bytes(data)
+        for size in (7, 64, whole):
+            monkeypatch.setattr(signal, "READ_CHUNK", size)
+            assert_same_outcome(outcome(path), want)
+        kinds.add(want.split(":")[1].split()[0] if isinstance(want, str) else "loads")
+    # loads, bytes that are not UTF-8, bad headers, bad lines and unordered
+    # timestamps are each among them
+    assert kinds >= {"loads", "byte", "first", "line", "timestamps"}, kinds
 
 
 def test_load_csv_gives_numpy_no_blank_block(tmp_path, monkeypatch):
@@ -538,17 +584,22 @@ def test_load_csv_reads_a_named_pipe(rng, tmp_path):
     # a pipe, which cannot seek, is read in blocks to its end
     rec = make_recording(rng.normal(size=(5000, 3)))
     text = csv_text(rec, tmp_path)
-    path = tmp_path / "pipe"
-    os.mkfifo(path)
-    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
-    writer.start()
-    try:
-        got = load_recording_csv(path)
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+    got = through_a_pipe(tmp_path / "pipe", text.encode(), load_recording_csv)
     assert np.array_equal(np.stack([got.t, got.x, got.y, got.z]),
                           np.stack([rec.t, rec.x, rec.y, rec.z]))
+
+
+@pytest.mark.parametrize("later_bad_byte", [False, True], ids=["bad-line", "then-not-utf8"])
+def test_load_csv_names_a_fault_in_a_named_pipe_and_drains_it(later_bad_byte, tmp_path):
+    # the fault on line 3 is found in the first read; the rest of the pipe,
+    # over 1 MiB, is still read, so the writer ends and a later byte that is
+    # not UTF-8 is the fault named
+    data = malformed_session(later_bad_byte)
+    offset = data.find(b"\xff")
+    want = (f"^byte {offset}: not UTF-8 \\(invalid start byte\\)$"
+            if later_bad_byte else "^line 3: non-numeric field$")
+    with pytest.raises(MalformedRow, match=want):
+        through_a_pipe(tmp_path / "pipe", data, load_recording_csv)
 
 
 FAULTS = {
@@ -613,14 +664,18 @@ def test_load_csv_names_the_fault_in_the_first_block(first, last, tmp_path, monk
 
 @pytest.mark.parametrize("data, want", [
     (csv_bytes(ROWS, header=b"t,x,y,q"),
-     f"MalformedRow: first line must be the header {CSV_HEADER!r}"),
+     f"MalformedRow: first line must be the header {CSV_HEADER!r}, got 't,x,y,q'"),
+    # a byte-order mark, as some spreadsheet exports write, is not accepted
+    (csv_bytes(ROWS, header="\ufefft,x,y,z".encode()),
+     f"MalformedRow: first line must be the header {CSV_HEADER!r}, got '\\ufefft,x,y,z'"),
     (csv_bytes(ROWS, header=b"t,x,y,q")[:-1] + b"\xff",
      "MalformedRow: byte 727: not UTF-8 (invalid start byte)"),
     (csv_bytes(ROWS[:1] + [b" " * 8] * 50), "EmptyRecording: need at least 2 data rows, got 1"),
     # a malformed row is named before the rows are counted
     (csv_bytes([b" " * 8] * 50 + [ROWS[0][:-4] + b" nan"]),
      "MalformedRow: line 52: non-finite field"),
-], ids=["bad-header", "bad-header-then-not-utf8", "one-row", "one-non-finite-row"])
+], ids=["bad-header", "byte-order-mark", "bad-header-then-not-utf8", "one-row",
+        "one-non-finite-row"])
 def test_load_csv_names_file_faults_in_any_block(data, want, tmp_path, monkeypatch):
     assert_loads_as(data, want, tmp_path, monkeypatch)
 
