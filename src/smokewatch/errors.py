@@ -60,10 +60,6 @@ class NumericalFailure(SmokewatchError):
     """Non-finite values encountered during optimization."""
 
 
-class PartFailed(SmokewatchError):
-    """A forked part of a split CSV loop ended without a result."""
-
-
 class SessionTooShort(SmokewatchError):
     """A session has no room for even one full window."""
 

@@ -14,19 +14,18 @@ opens the targets through `atomic_open` and has its caller format
 float a CSV writer prints is turned into text here: detector outputs by
 `output_texts`, at 10 decimals, and samples by `float_reprs`, which calls
 `repr` once per distinct value of a block's column, since samples on a
-sensor's grid repeat. A long CSV write runs in parts (`run_parts`):
-contiguous ranges of blocks, the first run by the caller and each later one
-by a forked child that writes its text and its outcome to unnamed temp
-files, which the caller reads back in order. `part_count` sets how many,
-from the row count and the CPUs this process may run on; nothing
-configures it.
+sensor's grid repeat. A long CSV write runs in parts: contiguous ranges
+of blocks, the first written by the caller and each later one by a forked
+child into unnamed temp files, which the caller copies back in order. A
+part whose child did not exit 0 the caller writes itself. `part_count`
+sets how many parts, from the row count and the CPUs this process may run
+on; nothing configures it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import shutil
 import tempfile
 import threading
@@ -36,8 +35,6 @@ from signal import SIGKILL
 from typing import Callable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
-
-from .errors import PartFailed
 
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
@@ -116,9 +113,18 @@ def write_csv(targets: Sequence[tuple[Union[str, Path], str]], n: int, rows: int
     """Write CSV files in lockstep: each `(path, header)` of targets through
     `atomic_open`, its header line, then for each block lo..hi-1 of
     BLOCK_ROWS of range(n) the texts `format_block(lo, hi)`, one per target
-    in order. The blocks run in `part_count(rows)` parts of whole blocks
-    (fewer if there are fewer blocks) through `run_parts`; an error replaces
-    no target."""
+    in order. An error replaces no target.
+
+    The blocks run in `part_count(rows)` parts of whole blocks (fewer if
+    there are fewer blocks). Part 0 runs here. Each later part runs in a
+    forked child that writes one unnamed temp file per target and ends by
+    `os._exit`, 0 once its files are flushed and 1 on any error, so it never
+    unwinds into the caller's frames. The caller then takes the parts in
+    order: it copies a child's files onto the targets if the child exited 0
+    and otherwise writes that part itself, so a fault that recurs is raised
+    here. On any error every child still running is killed and reaped, and
+    the temp files go with their last descriptor.
+    """
     blocks = -(-n // BLOCK_ROWS)
     parts = max(1, min(part_count(rows), blocks))
     bounds = [min(n, blocks * k // parts * BLOCK_ROWS) for k in range(parts + 1)]
@@ -128,70 +134,42 @@ def write_csv(targets: Sequence[tuple[Union[str, Path], str]], n: int, rows: int
             for fh, text in zip(files, format_block(lo, min(lo + BLOCK_ROWS, end))):
                 fh.write(text)
 
+    children = []  # [pid or None once reaped, part files]
     with ExitStack() as stack:
-        files = []
+        outs = []
         for path, header in targets:
-            files.append(stack.enter_context(atomic_open(path)))
-            files[-1].write(header + "\n")
-        run_parts(write_blocks, bounds, files)
-
-
-def run_parts(work: Callable[[int, int, Sequence[TextIO]], None],
-              bounds: Sequence[int], outs: Sequence[TextIO] = ()) -> None:
-    """work(lo, hi, files) for each part lo..hi-1 of `bounds`, run at once.
-
-    Part 0 runs here with files = outs. Each later part runs in a forked
-    child with files = one unnamed temp file per out; the child pickles what
-    work raises, or None, into one more temp file and ends by `os._exit`, so
-    it never unwinds into the caller's frames. The caller then takes the
-    parts in order: it copies each child's files onto outs in fixed-size
-    chunks and re-raises the first exception. A child that leaves no result
-    raises PartFailed. On any error every child still running is killed and
-    reaped, and the temp files go with their last descriptor.
-    """
-    children = []  # [pid or None once reaped, result file, part files]
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            files = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-                     for _ in outs]
-            result = tempfile.TemporaryFile()
-            children.append([None, result, files])
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    error = None
+            outs.append(stack.enter_context(atomic_open(path)))
+            outs[-1].write(header + "\n")
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                files = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+                         for _ in outs]
+                children.append([None, files])
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
                     try:
-                        work(lo, hi, files)
+                        write_blocks(lo, hi, files)
                         for fh in files:
                             fh.flush()
-                    except BaseException as exc:  # sent to the caller to raise
-                        error = exc
-                    pickle.dump(error, result)
-                    result.flush()
-                finally:
-                    os._exit(0)
-            children[-1][0] = pid
-        work(bounds[0], bounds[1], outs)
-        for k, child in enumerate(children, start=1):
-            pid, result, files = child
-            status = os.waitpid(pid, 0)[1]
-            child[0] = None
-            result.seek(0)
-            try:
-                error = pickle.load(result)
-            except (EOFError, pickle.UnpicklingError):
-                raise PartFailed(
-                    f"part {k} of {len(bounds) - 1} ended without a result "
-                    f"(exit code {os.waitstatus_to_exitcode(status)})") from None
-            if error is not None:
-                raise error
-            for src, dst in zip(files, outs):
-                src.seek(0)
-                shutil.copyfileobj(src, dst)
-    finally:
-        for pid, result, files in children:
-            if pid is not None:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-            for fh in (result, *files):
-                fh.close()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children[-1][0] = pid
+            write_blocks(bounds[0], bounds[1], outs)
+            for child, lo, hi in zip(children, bounds[1:-1], bounds[2:]):
+                status = os.waitpid(child[0], 0)[1]
+                child[0] = None
+                if os.waitstatus_to_exitcode(status) == 0:
+                    for src, dst in zip(child[1], outs):
+                        src.seek(0)
+                        shutil.copyfileobj(src, dst)
+                else:  # killed, out of temp space, or a fault that recurs here
+                    write_blocks(lo, hi, outs)
+        finally:
+            for pid, files in children:
+                if pid is not None:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                for fh in files:
+                    fh.close()

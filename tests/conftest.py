@@ -37,6 +37,20 @@ def split_into(monkeypatch, parts: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
 
 
+def exit_codes(monkeypatch) -> list[int]:
+    """The exit codes of the children `os.waitpid` reaps from now on."""
+    codes = []
+    waitpid = os.waitpid
+
+    def recording(pid, options):
+        reaped = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    monkeypatch.setattr(os, "waitpid", recording)
+    return codes
+
+
 def malformed_session(later_bad_byte: bool = False) -> bytes:
     """A session CSV whose line 3 is malformed, followed by over 1 MiB of good
     rows: more than a pipe's buffer and more than one read. With

@@ -22,7 +22,7 @@ from smokewatch.signal import (
     write_recording_csv,
 )
 
-from conftest import make_recording, malformed_session, split_into, through_a_pipe
+from conftest import exit_codes, make_recording, malformed_session, split_into, through_a_pipe
 
 
 def run(*argv: str) -> int:
@@ -642,21 +642,29 @@ def test_detect_agrees_across_blas_thread_counts(tmp_path):
         assert np.array_equal(one[far, 2], two[far, 2])
 
 
-def test_detect_exits_1_when_a_part_leaves_no_result(pipeline, tmp_path, monkeypatch, capsys):
-    # every later part of each CSV write ends its child before it has a result
+def test_detect_writes_the_parts_its_children_leave(pipeline, tmp_path, monkeypatch):
+    # trace and plot are written in 2 parts of several blocks each; the child
+    # writing the later part prints its first block, then exits 3, and the
+    # caller writes that part: both files are the bytes of a one-part run
+    argv = ["detect", "--model", str(pipeline["model"]), "--session",
+            str(pipeline["session"]), "--plot", "--out"]
+    assert run(*argv, str(tmp_path / "one")) == 0
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", 256)
     split_into(monkeypatch, 2)
-    run_parts = fileio.run_parts
+    parent, printed, output_texts = os.getpid(), [], fileio.output_texts
 
-    def dying(work, bounds, outs=()):
-        return run_parts(lambda lo, hi, files: os._exit(0) if lo else work(lo, hi, files),
-                         bounds, outs)
+    def dying(values):
+        if os.getpid() != parent and printed:
+            os._exit(3)
+        printed.append(None)
+        return output_texts(values)
 
-    monkeypatch.setattr(fileio, "run_parts", dying)
-    out = tmp_path / "d"
-    assert run("detect", "--model", str(pipeline["model"]), "--session",
-               str(pipeline["session"]), "--plot", "--out", str(out)) == 1
-    assert "PartFailed: part 1 of 2 ended without a result (exit code 0)" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    monkeypatch.setattr(fileio, "output_texts", dying)
+    codes = exit_codes(monkeypatch)
+    assert run(*argv, str(tmp_path / "two")) == 0
+    assert codes == [3]
+    for name in ("trace.csv", "plot.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_recording, split_into
+from conftest import exit_codes, make_recording, split_into
 from smokewatch import fileio
 from smokewatch.detect import DetectionTrace, write_plot_csv, write_trace_csv
-from smokewatch.errors import InvalidSize, LengthMismatch, PartFailed
+from smokewatch.errors import InvalidSize, LengthMismatch
 from smokewatch.fileio import BLOCK_ROWS, atomic_open, atomic_write_text
 from smokewatch.signal import load_recording_csv, write_recording_csv
 
@@ -219,17 +219,16 @@ class FailingFile:
 
 
 def failing_in_children(monkeypatch, fail) -> None:
-    """Make every part but the first of each CSV write call fail() first."""
-    run_parts = fileio.run_parts
-
-    def patched(work, bounds, outs=()):
-        def part(lo, hi, files):
-            if lo > bounds[0]:
+    """Make `fileio.float_reprs` and `fileio.output_texts` call fail() first
+    in any process but this one: in the forked children that write the
+    later parts of a CSV write."""
+    parent = os.getpid()
+    for name in ("float_reprs", "output_texts"):
+        def texts(values, original=getattr(fileio, name)):
+            if os.getpid() != parent:
                 fail()
-            return work(lo, hi, files)
-        return run_parts(part, bounds, outs)
-
-    monkeypatch.setattr(fileio, "run_parts", patched)
+            return original(values)
+        monkeypatch.setattr(fileio, name, texts)
 
 
 def disk_full():
@@ -238,10 +237,11 @@ def disk_full():
 
 @pytest.mark.parametrize("allowed, parts", [(0, 1), (2, 1), (1, 3), (None, 2)],
                          ids=["header", "second_block", "first_block_while_children_run",
-                              "child"])
+                              "later_part"])
 def test_a_failing_plot_write_replaces_neither_file(allowed, parts, tmp_path, monkeypatch):
-    # the plot write fails once the trace's temp file holds rows, here or
-    # (allowed None) only in the forked child that writes a later part; both
+    # the plot write fails once the trace's temp file holds rows, or (allowed
+    # None) on the samples of the later part, in the forked child and again
+    # in the caller, which writes that part once the child exits 1; both
     # targets keep their old text, no temp file is left and no child is
     monkeypatch.setattr(fileio, "BLOCK_ROWS", 4)
     split_into(monkeypatch, parts)
@@ -251,7 +251,15 @@ def test_a_failing_plot_write_replaces_neither_file(allowed, parts, tmp_path, mo
     (tmp_path / "p.csv").write_text("old plot\n")
 
     if allowed is None:
-        failing_in_children(monkeypatch, disk_full)
+        float_reprs = fileio.float_reprs
+
+        def failing_past_row_3(values):  # x, y, z of row i are 3i, 3i + 1, 3i + 2
+            if values[0] >= 12:
+                disk_full()
+            return float_reprs(values)
+
+        monkeypatch.setattr(fileio, "float_reprs", failing_past_row_3)
+        codes = exit_codes(monkeypatch)
     else:
         @contextlib.contextmanager
         def failing_plot_open(path):
@@ -261,24 +269,11 @@ def test_a_failing_plot_write_replaces_neither_file(allowed, parts, tmp_path, mo
         monkeypatch.setattr(fileio, "atomic_open", failing_plot_open)
     with pytest.raises(OSError, match="disk full"):
         write_trace_csv(trace, tmp_path / "t.csv", rec, tmp_path / "p.csv")
+    if allowed is None:
+        assert codes == [1]
     assert (tmp_path / "t.csv").read_text() == "old trace\n"
     assert (tmp_path / "p.csv").read_text() == "old plot\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("fail", [lambda: os._exit(3),
-                                  lambda: os.kill(os.getpid(), signal.SIGKILL)],
-                         ids=["exit", "killed"])
-def test_a_child_without_a_result_raises_part_failed(fail, tmp_path, monkeypatch):
-    monkeypatch.setattr(fileio, "BLOCK_ROWS", 4)
-    split_into(monkeypatch, 3)
-    failing_in_children(monkeypatch, fail)
-    rec = make_recording(np.arange(60.0).reshape(20, 3))
-    with pytest.raises(PartFailed, match="^part 1 of 3 ended without a result"):
-        write_recording_csv(rec, tmp_path / "r.csv")
-    assert sorted(p.name for p in tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -296,10 +291,30 @@ def one_part_outputs(tmp_path, name: str) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("reason", ["thread", "one_cpu"])
+@pytest.mark.parametrize("fail, code", [(lambda: os._exit(3), 3),
+                                        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                         -signal.SIGKILL),
+                                        (disk_full, 1)],
+                         ids=["exit", "killed", "raises"])
+def test_a_failed_child_leaves_its_part_to_the_caller(fail, code, tmp_path, monkeypatch):
+    # each write runs in 3 parts; both children of each write die before
+    # their first row, and the caller writes their parts: the same bytes, no
+    # temp file and no child left
+    want = one_part_outputs(tmp_path, "want")
+    split_into(monkeypatch, 3)
+    failing_in_children(monkeypatch, fail)
+    codes = exit_codes(monkeypatch)
+    assert one_part_outputs(tmp_path, "got") == want
+    assert codes == [code] * 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("reason", ["thread", "one_cpu", "no_affinity", "no_fork"])
 def test_no_fork_with_another_thread_or_one_cpu(reason, tmp_path, monkeypatch):
     # a forked child holds only the forking thread, so a second thread keeps
-    # every loop in one part, as one CPU does; the output is the same
+    # every loop in one part, as one CPU does, and so does a host without
+    # os.sched_getaffinity or os.fork; the output is the same
     want = one_part_outputs(tmp_path, "want")
     split_into(monkeypatch, 2)
 
@@ -311,8 +326,10 @@ def test_no_fork_with_another_thread_or_one_cpu(reason, tmp_path, monkeypatch):
     thread = threading.Thread(target=stop.wait)
     if reason == "thread":
         thread.start()
-    else:
+    elif reason == "one_cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, {"no_affinity": "sched_getaffinity", "no_fork": "fork"}[reason])
     try:
         assert one_part_outputs(tmp_path, "got") == want
     finally:

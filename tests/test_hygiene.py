@@ -8,9 +8,9 @@ target. Every package module is also scanned for imported names that it
 never uses, and every error class must be raised somewhere in the package. The package needs numpy alone, so
 importing its CLI must not load scipy. The package root holds only the
 version, `fileio` alone encodes JSON, `metrics` alone compares outputs
-with a threshold, no module sets the umask, `fileio` alone opens, blocks and
-forks for the CSV writers and turns their floats into text, and the README's
-library example runs as written.
+with a threshold, no module sets the umask, `fileio` alone opens, blocks,
+forks and exits for the CSV writers and turns their floats into text, and
+the README's library example runs as written.
 """
 
 import ast
@@ -249,9 +249,10 @@ def test_the_umask_scan_finds_a_call():
 
 
 def csv_writer_names(source: str) -> list[int]:
-    """Lines that name `atomic_open`, `BLOCK_ROWS`, `fork` (as in `os.fork`),
-    `mkdir` or `makedirs`: as a name, an attribute or an imported name."""
-    owned = {"atomic_open", "BLOCK_ROWS", "fork", "mkdir", "makedirs"}
+    """Lines that name `atomic_open`, `BLOCK_ROWS`, `fork` or `_exit` (as in
+    `os.fork`, `os._exit`), `mkdir` or `makedirs`: as a name, an attribute
+    or an imported name."""
+    owned = {"atomic_open", "BLOCK_ROWS", "fork", "_exit", "mkdir", "makedirs"}
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
                   and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
@@ -261,7 +262,8 @@ def csv_writer_names(source: str) -> list[int]:
 def test_only_fileio_opens_writes_blocks_and_forks():
     # one writer: `fileio.write_csv` opens every CSV target, runs the block
     # loop and splits it into parts; `fileio.atomic_open` makes every
-    # directory a write needs
+    # directory a write needs. Only `fileio` ends a process by `os._exit`,
+    # so a forked part's exit code 0 always means a finished part
     found = {p.name: csv_writer_names(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py")) if p.name != "fileio.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -272,8 +274,8 @@ def test_the_writer_scan_finds_a_planted_name():
                             "step = fileio.BLOCK_ROWS\npid = os.fork()\n"
                             "from os import fork\nBLOCK_ROWS = 1\n"
                             "s = 'atomic_open'\nos.forkpty\natomic_write_text(p, s)\n"
-                            "Path(p).mkdir()\nos.makedirs(d)\n"
-                            ) == [1, 2, 3, 4, 5, 9, 10]
+                            "Path(p).mkdir()\nos.makedirs(d)\nos._exit(0)\n"
+                            ) == [1, 2, 3, 4, 5, 9, 10, 11]
 
 
 def repr_names(source: str) -> list[int]:
