@@ -111,7 +111,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import window_outputs  # noqa: E402
 from workloads import long_session  # noqa: E402
 
-MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMode.AVG)
+MODES = tuple(ChannelMode)
 RESTARTS = 10
 REPEATS = 10
 SYNTH_REPEATS = 50

@@ -37,8 +37,6 @@ from .signal import (
     write_recording_csv,
 )
 
-TOOL_VERSION = __version__
-
 
 class UsageError(Exception):
     """Bad options or bad dataset layout; maps to exit code 2."""
@@ -46,7 +44,7 @@ class UsageError(Exception):
 
 def save_manifest(out: Path, command: str, seed: Optional[int], options: dict,
                   inputs: Sequence[str] = (), outputs: Sequence[str] = ()) -> None:
-    doc = {"version": TOOL_VERSION, "command": command, "seed": seed,
+    doc = {"version": __version__, "command": command, "seed": seed,
            "options": options, "inputs": list(inputs), "outputs": list(outputs)}
     write_json(out / f"manifest_{command}.json", doc)
 
@@ -304,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="smokewatch",
         description="Smoking-gesture recognition pipeline: synthesize data, "
                     "train networks, evaluate, and detect over sessions.")
-    parser.add_argument("--version", action="version", version=TOOL_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic gestures or sessions")

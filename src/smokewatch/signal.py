@@ -120,9 +120,6 @@ class ChannelMode(Enum):
         return ({"X": x, "Y": y, "Z": z}[self.value],)
 
 
-ALL_MODES = (ChannelMode.X, ChannelMode.Y, ChannelMode.Z, ChannelMode.XYZ, ChannelMode.AVG)
-
-
 @dataclass(frozen=True, eq=False)
 class SensorRecording:
     """A timestamped 3-axis recording with label and device provenance.

@@ -117,16 +117,6 @@ class GestureTemplate:
                             ("durations", durations), ("deltas", deltas)):
             object.__setattr__(self, name, value)
 
-    def sample_count(self, dur_scale: float) -> int:
-        """Samples in one gesture whose durations are scaled by dur_scale.
-
-        Adds the scaled durations one after another, as the envelope pass's
-        cumsum does, so both see the same total."""
-        total = 0.0
-        for s in self.segments:
-            total += s.duration * dur_scale
-        return max(int(round(total * NOMINAL_RATE_HZ)), 2)
-
 
 # Sensor counts per g of every device: samples lie on a 1 milli-g grid.
 COUNTS_PER_G = 1000
@@ -173,7 +163,9 @@ def _draw_gesture(template: GestureTemplate, profile: DeviceProfile,
         dur_scale += template.duration_jitter * rng.uniform(-1.0, 1.0)
     if template.amplitude_jitter > 0:
         amp_scale += template.amplitude_jitter * rng.uniform(-1.0, 1.0)
-    n = template.sample_count(dur_scale)
+    # the total the envelope pass's row cumsum reaches, bit for bit
+    total = (template.durations * dur_scale).cumsum()[-1]
+    n = max(int(round(total * NOMINAL_RATE_HZ)), 2)
     noise = _normals(rng, template.noise_sigma, n)
     return _Draws(n, noise, _normals(rng, profile.noise_sigma, n), dur_scale, amp_scale)
 

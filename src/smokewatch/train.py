@@ -2,7 +2,8 @@
 
 Full-batch damped least squares on the network output: each epoch solves
 (J'J + mu*I) delta = J'e with e = target - output, accepting a step only when
-it lowers the training sum of squared errors. Every solve goes through
+it lowers the training sum of squared errors, and logging each accepted
+epoch as one record of the report's histories. Every solve goes through
 `damped_step`: one LU solve (`np.linalg.solve`) with no refinement pass, on
 the system `_epoch_system` builds. With fewer training rows than weights
 (every Table-1 fit) the epoch works on the dual system in Gram form
@@ -138,16 +139,8 @@ class TrainReport:
         return len(self.train_sse_history)
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs_run": self.epochs_run,
-            "final_train_sse": self.final_train_sse,
-            "final_val_sse": self.final_val_sse,
-            "stop_reason": self.stop_reason.value,
-            "train_sse_history": list(self.train_sse_history),
-            "val_sse_history": list(self.val_sse_history),
-            "mu_history": list(self.mu_history),
-            "rejected_steps": list(self.rejected_steps),
-        }
+        return {"epochs_run": self.epochs_run, **asdict(self),
+                "stop_reason": self.stop_reason.value}
 
 
 def _half_up(x: float) -> int:
@@ -258,10 +251,12 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
     scaled once. Each epoch builds its damped system once, the Gram matrix JJ'
     (fewer rows than weights) or J'J, then retries `damped_step` with growing
     mu until the training SSE drops; each candidate equals `solve_damped`'s on
-    the epoch's J at that mu, up to rounding on the dual branch. Stops on the
-    SSE goal, on MAX_VAL_FAILURES epochs without a new best validation SSE
-    (restoring the best-validation network), on the epoch limit, or when mu
-    overflows.
+    the epoch's J at that mu, up to rounding on the dual branch. The retry
+    loop only searches: when mu passes MU_MAX its `else` ends the run
+    (MU_OVERFLOW), and an accepted epoch appends one record to the epoch log,
+    whose columns are the report's histories. Also stops on the SSE goal, on
+    MAX_VAL_FAILURES epochs without a new best validation SSE (restoring the
+    best-validation network), or on the epoch limit.
     """
     if max_epochs < 1:
         raise InvalidSize("max_epochs must be >= 1")
@@ -282,10 +277,8 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
     best_val = np.inf
     best_net = net
     val_failures = 0
-    train_hist: list[float] = []
-    val_hist: list[float] = []
-    mu_hist: list[float] = []
-    rejected_hist: list[int] = []
+    # one (train SSE, validation SSE, mu, rejected) record per accepted epoch
+    log: list[tuple[float, float, float, int]] = []
     stop = StopReason.EPOCH_LIMIT
 
     for _ in range(max_epochs):
@@ -296,30 +289,22 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
 
         w = net.to_weight_vector()
         rejected = 0
-        accepted = False
-        while True:
+        while mu <= MU_MAX:
             cand = net.with_weights(w + damped_step(a, rhs, mu, back))
             cand_sse = _sse(cand, xn, targets)
             if np.isfinite(cand_sse) and cand_sse < current_sse:
-                net = cand
-                current_sse = cand_sse
-                mu_hist.append(mu)
-                rejected_hist.append(rejected)
-                mu = max(mu / MU_DEC, MU_FLOOR)
-                accepted = True
                 break
             rejected += 1
             mu *= MU_INC
-            if mu > MU_MAX:
-                break
-        del a, rhs, back  # freed before the next epoch builds its own
-        if not accepted:
+        else:
             stop = StopReason.MU_OVERFLOW
             break
+        del a, rhs, back  # freed before the next epoch builds its own
 
+        net = cand
         val_sse = _sse(net, xn_val, val_set.targets)
-        train_hist.append(current_sse)
-        val_hist.append(val_sse)
+        log.append((cand_sse, val_sse, mu, rejected))
+        mu = max(mu / MU_DEC, MU_FLOOR)
 
         if val_sse < best_val:
             best_val = val_sse
@@ -328,7 +313,7 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
         else:
             val_failures += 1
 
-        if current_sse <= SSE_GOAL:
+        if cand_sse <= SSE_GOAL:
             stop = StopReason.CONVERGED
             break
         if val_failures >= MAX_VAL_FAILURES:
@@ -336,16 +321,10 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
             net = best_net
             break
 
-    report = TrainReport(
-        final_train_sse=_sse(net, xn, targets),
-        final_val_sse=_sse(net, xn_val, val_set.targets),
-        stop_reason=stop,
-        train_sse_history=tuple(train_hist),
-        val_sse_history=tuple(val_hist),
-        mu_history=tuple(mu_hist),
-        rejected_steps=tuple(rejected_hist),
-    )
-    return net, report
+    # the log's columns are the report's four histories
+    histories = tuple(zip(*log)) if log else ((), (), (), ())
+    return net, TrainReport(_sse(net, xn, targets), _sse(net, xn_val, val_set.targets),
+                            stop, *histories)
 
 
 @dataclass(frozen=True)
@@ -384,8 +363,7 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
     if restarts < 1:
         raise InvalidSize("restarts must be >= 1")
     train_split, val_split, _ = partition(dataset, master_seed)
-    nets = []
-    reports = []
+    fits = []
     summaries = []
     for r in range(restarts):
         seed = master_seed ^ r
@@ -393,8 +371,7 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
         acc = metrics.evaluate(mlp.forward_batch(net, train_split.features),
                                train_split.smoking,
                                metrics.DEFAULT_THRESHOLD).accuracy
-        nets.append(net)
-        reports.append(report)
+        fits.append((net, report))
         summaries.append(RestartSummary(
             index=r, seed=seed, train_accuracy=acc,
             epochs_run=report.epochs_run,
@@ -405,7 +382,7 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
         if acc == 1.0:
             break
     best = select_best_restart([s.train_accuracy for s in summaries])
-    return nets[best], reports[best], summaries, best
+    return *fits[best], summaries, best
 
 
 def save_report(report: TrainReport, summaries: Sequence[RestartSummary],

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smokewatch import cli, fileio, metrics, mlp
+from smokewatch import __version__, cli, fileio, metrics, mlp
 from smokewatch.detect import NEAR_THRESHOLD, GestureRanges, save_ranges
 from smokewatch.errors import NumericalFailure
 from smokewatch.signal import (
@@ -70,7 +70,7 @@ def test_synth_gestures_layout_and_manifest(pipeline):
     manifest = json.loads((data / "manifest_synth.json").read_text())
     assert manifest["command"] == "synth"
     assert manifest["seed"] == 3
-    assert manifest["version"] == cli.TOOL_VERSION
+    assert manifest["version"] == __version__
     assert len(manifest["outputs"]) == 12
 
 
@@ -677,7 +677,7 @@ def test_no_command_exits_2():
 
 def test_version_flag_exits_0(capsys):
     assert run("--version") == 0
-    assert cli.TOOL_VERSION in capsys.readouterr().out
+    assert __version__ in capsys.readouterr().out
 
 
 def test_reruns_are_byte_identical(pipeline, tmp_path):

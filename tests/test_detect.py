@@ -30,7 +30,7 @@ from smokewatch.errors import (
     SessionTooShort,
 )
 from smokewatch.fileio import BLOCK_ROWS
-from smokewatch.signal import ALL_MODES, ChannelMode, window_count
+from smokewatch.signal import ChannelMode, window_count
 
 
 def input_size(width: int, mode: ChannelMode) -> int:
@@ -182,7 +182,7 @@ def cut_windows(rec, mode: ChannelMode, starts: np.ndarray, width: int) -> np.nd
 
 
 @pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", tuple(ChannelMode), ids=lambda m: m.value)
 def test_detect_blocks_match_forward_batch_on_cut_windows(mode, stride):
     # window counts just below, at and just above one and two block
     # boundaries; the scaling has dead inputs (lo == hi) that the session
@@ -211,7 +211,7 @@ def test_detect_blocks_match_forward_batch_on_cut_windows(mode, stride):
 
 
 @pytest.mark.parametrize("mode, width", [
-    (mode, width) for mode in ALL_MODES for width in (1, 7, 50, 200)
+    (mode, width) for mode in ChannelMode for width in (1, 7, 50, 200)
     if mode is not ChannelMode.XYZ or width == 200],  # an XYZ net takes 600 inputs
     ids=lambda v: getattr(v, "value", v))
 def test_detect_band_matches_forward_batch_at_row_and_block_ends(mode, width, monkeypatch):
@@ -249,7 +249,7 @@ def test_detect_band_matches_forward_batch_at_row_and_block_ends(mode, width, mo
             assert np.array_equal(trace.decisions[far], want[far] >= 0.5)
 
 
-@pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", tuple(ChannelMode), ids=lambda m: m.value)
 def test_detect_folded_layer_keeps_precision_on_offset_axes(mode):
     # every axis sits at ~1 g with a scaling span of 0.5-1 mg (|mid|/span
     # 1e3-2e3); folding the scaling into the first layer on uncentred raw
@@ -443,6 +443,13 @@ def test_trace_csv_decides_from_the_exact_outputs(tmp_path):
     write_trace_csv(trace, tmp_path / "trace.csv")
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines == ["start,output,smoking", "0,0.5000000000,1", "1,0.5000000000,0"]
+    assert trace.near_threshold_windows == 2
+
+
+def test_near_threshold_means_within_1e_9():
+    # 1e-10 and 5e-10 from the threshold are near, 1e-8 either side is not
+    trace = DetectionTrace(outputs=np.array([0.5 + 1e-10, 0.5 - 5e-10, 0.5 + 1e-8,
+                                             0.5 - 1e-8]), stride=1, threshold=0.5)
     assert trace.near_threshold_windows == 2
 
 

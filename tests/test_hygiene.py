@@ -9,8 +9,9 @@ never uses, and every error class must be raised somewhere in the package. The p
 importing its CLI must not load scipy. The package root holds only the
 version, `fileio` alone encodes JSON, `metrics` alone compares outputs
 with a threshold, no module sets the umask, `fileio` alone opens, blocks,
-forks and exits for the CSV writers and turns their floats into text, and
-the README's library example runs as written.
+forks and exits for the CSV writers and turns their floats into text,
+the README's library example runs as written, and every smokewatch
+command of the CI workflow parses and its Python heredocs compile.
 """
 
 import ast
@@ -18,9 +19,11 @@ import importlib
 import importlib.util
 import os
 import re
+import shlex
 import string
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -445,7 +448,96 @@ def test_the_readme_library_example_runs(capsys):
 
 
 def test_the_tool_version_is_the_package_version():
+    # the package root holds the one copy of the version, and pyproject.toml
+    # reads it from there; a regex, not tomllib: tomllib is new in Python 3.11
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    # a regex, not tomllib: tomllib is new in Python 3.11
-    version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
-    assert cli.TOOL_VERSION == version
+    assert re.search(r'^dynamic = \["version"\]$', pyproject, re.MULTILINE)
+    assert re.search(r'^\[tool\.setuptools\.dynamic\]\n'
+                     r'version = \{attr = "smokewatch\.__version__"\}$',
+                     pyproject, re.MULTILINE)
+    assert not re.search(r'^version = "', pyproject, re.MULTILINE)
+
+
+# The prefixes CI puts before a command, with the words each takes:
+# `timeout DURATION` and `taskset -c CPUS`.
+PREFIX_WORDS = {"timeout": 2, "taskset": 3}
+ENV_ASSIGNMENT = re.compile(r"[A-Za-z_]\w*=\S*")
+REDIRECTION = re.compile(r"\d*(?:>>|&>|<|>)(.*)")
+
+
+def workflow_scripts(text: str) -> tuple[list[list[str]], list[str]]:
+    """The smokewatch command lines and the <<'EOF' heredoc bodies of a
+    workflow, read as text: CI installs no YAML parser.
+
+    Continuation lines are joined first. A command line is one whose first
+    word, after env assignments and `PREFIX_WORDS` prefixes, is smokewatch;
+    it comes back as its arguments with redirections dropped."""
+    commands, heredocs = [], []
+    lines = iter(re.sub(r"\\\n\s*", " ", text).splitlines())
+    for line in lines:
+        if "<<'EOF'" in line:
+            body = []
+            for inner in lines:
+                if inner.strip() == "EOF":
+                    break
+                body.append(inner)
+            heredocs.append(textwrap.dedent("\n".join(body)))
+            continue
+        if not re.search(r"(^|\s)smokewatch\s", line):
+            continue
+        words = shlex.split(line.strip())
+        while words and (ENV_ASSIGNMENT.fullmatch(words[0]) or words[0] in PREFIX_WORDS):
+            words = words[PREFIX_WORDS.get(words[0], 1):]
+        if words[:1] != ["smokewatch"]:
+            continue
+        args = []
+        rest = iter(words[1:])
+        for word in rest:
+            redirection = REDIRECTION.fullmatch(word)
+            if redirection is None:
+                args.append(word)
+            elif not redirection.group(1):
+                next(rest, None)  # the target is the next word
+        commands.append(args)
+    return commands, heredocs
+
+
+def unparsed_commands(commands: list[list[str]]) -> list[str]:
+    """The command lines that `cli.build_parser()` rejects."""
+    bad = []
+    for args in commands:
+        try:
+            cli.build_parser().parse_args(args)
+        except SystemExit:
+            bad.append(" ".join(args))
+    return bad
+
+
+def test_every_ci_command_parses_and_every_ci_heredoc_compiles():
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    commands, heredocs = workflow_scripts(text)
+    # the counts tie the scan to the workflow: a command or heredoc it
+    # misses, or one CI gains, changes them
+    assert (len(commands), len(heredocs)) == (12, 3)
+    assert unparsed_commands(commands) == []
+    for k, body in enumerate(heredocs):
+        compile(body, f"tests.yml heredoc {k}", "exec")
+
+
+def test_the_workflow_scan_finds_a_bad_option_and_a_syntax_error():
+    text = ("      - run: |\n"
+            "          A=1 timeout 60 taskset -c 0 \\\n"
+            "            smokewatch detect --model m.json --session s.csv \\\n"
+            "            --bogus 1 2> err.txt\n"
+            "          smokewatch eval --model m.json --data d >out.txt 2>> log.txt\n"
+            "          test \"$(smokewatch --version)\" = 0.1.0\n"
+            "          python - <<'EOF'\n"
+            "          def f(:\n"
+            "          EOF\n")
+    commands, heredocs = workflow_scripts(text)
+    assert commands == [["detect", "--model", "m.json", "--session", "s.csv", "--bogus", "1"],
+                        ["eval", "--model", "m.json", "--data", "d"]]
+    assert unparsed_commands(commands) == ["detect --model m.json --session s.csv --bogus 1"]
+    assert heredocs == ["def f(:"]
+    with pytest.raises(SyntaxError):
+        compile(heredocs[0], "heredoc", "exec")

@@ -24,6 +24,15 @@ def test_outputs_clamped_to_open_interval():
     assert np.all(lo > 0.0) and np.all(lo <= kernels.OPEN_LO)
 
 
+def test_the_clamp_lifts_only_an_output_that_underflows_to_zero():
+    # the logistic of -800 underflows to 0.0 and is lifted to the smallest
+    # subnormal; that of -710, exp(-710) = 4.476e-309, is subnormal and kept
+    y = kernels.output_layer(np.array([[-800.0], [-710.0]]), np.ones(1), 0.0)
+    assert y[0] == np.nextafter(0.0, 1.0)
+    assert y[1] == np.exp(-710.0)
+    assert y[1] == pytest.approx(4.476e-309, rel=1e-3)
+
+
 def test_logistic_extremes_are_stable():
     w1 = np.zeros((1, 1))
     b1 = np.zeros(1)

@@ -16,7 +16,6 @@ import smokewatch.train as train_mod
 from smokewatch import kernels, mlp, synth
 from smokewatch.errors import EmptyBatch, InvalidSize, NumericalFailure
 from smokewatch.signal import (
-    ALL_MODES,
     ChannelMode,
     GestureClass,
     extract_features,
@@ -62,6 +61,13 @@ def toy_dataset(rng, n=24, p=6, separation=3.0) -> LabeledDataset:
     feats = np.vstack([neg, pos])
     classes = (GestureClass.COUGH,) * half + (GestureClass.SMOKING,) * (n - half)
     return LabeledDataset(mode=ChannelMode.X, features=feats, classes=classes)
+
+
+def primal_split(seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """60 training and 60 validation rows of 2 overlapping features: against
+    the 13 weights of 3 hidden units, the primal branch."""
+    ds = toy_dataset(np.random.default_rng(seed), n=120, p=2, separation=0.3)
+    return ds.subset(np.arange(0, 120, 2)), ds.subset(np.arange(1, 120, 2))
 
 
 # --- solve_damped against closed forms ---------------------------------------
@@ -308,8 +314,7 @@ def test_train_replays_a_primal_epoch_with_rejected_retries(monkeypatch, seed):
     # 60 rows against 13 weights: the primal branch. With mu0 = 1e-12 the
     # first candidates overshoot, so the accepted step is the k-th retry and
     # equals solve_damped's on J at that mu bit for bit
-    ds = toy_dataset(np.random.default_rng(seed), n=120, p=2, separation=0.3)
-    tr, va = ds.subset(np.arange(0, 120, 2)), ds.subset(np.arange(1, 120, 2))
+    tr, va = primal_split(seed)
     monkeypatch.setattr(train_mod, "MU0", 1e-12)
     monkeypatch.setattr(train_mod, "SSE_GOAL", 1e-30)
     net, report = train(tr, va, seed=seed, hidden_size=3, max_epochs=1)
@@ -409,6 +414,84 @@ def test_train_sse_history_non_increasing(rng, monkeypatch):
     _, report = train(tr, va, seed=3, max_epochs=40)
     hist = report.train_sse_history
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
+
+
+def test_mu_overflow_in_the_first_epoch_returns_the_initial_network(rng, monkeypatch):
+    # a zero step leaves the training SSE where it is, so no candidate is
+    # accepted: mu climbs from MU0 by MU_INC until it passes MU_MAX, and the
+    # run ends with no epoch logged
+    mus = []
+
+    def never_accepted(a, rhs, mu, back=None):
+        mus.append(mu)
+        return np.zeros_like(damped_step(a, rhs, mu, back))
+
+    monkeypatch.setattr(train_mod, "damped_step", never_accepted)
+    tr, va, _ = partition(toy_dataset(rng), seed=0)
+    net, report = train(tr, va, seed=2)
+    net0 = replace(mlp.init_network(tr.input_size, mlp.DEFAULT_HIDDEN, rng=2),
+                   norm=mlp.NormParams.from_features(tr.features))
+    assert report.stop_reason is StopReason.MU_OVERFLOW
+    assert report.epochs_run == 0
+    assert (report.train_sse_history, report.val_sse_history, report.mu_history,
+            report.rejected_steps) == ((), (), (), ())
+    assert np.array_equal(net.to_weight_vector(), net0.to_weight_vector())
+    assert (report.final_train_sse, report.final_val_sse) == (sse(net0, tr), sse(net0, va))
+    assert mus[0] == train_mod.MU0
+    assert all(b == a * train_mod.MU_INC for a, b in zip(mus, mus[1:]))
+    assert mus[-1] <= train_mod.MU_MAX < mus[-1] * train_mod.MU_INC
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_mu_overflow_after_accepted_epochs_keeps_the_last_accepted_network(
+        monkeypatch, seed):
+    # with MU_MAX at 0.1 these primal fits reach a point no step below it
+    # improves; the overflow epoch logs nothing and changes no weight, so the
+    # run equals one stopped by the epoch limit just before it
+    monkeypatch.setattr(train_mod, "MU_MAX", 0.1)
+    monkeypatch.setattr(train_mod, "SSE_GOAL", 1e-30)
+    monkeypatch.setattr(train_mod, "MAX_VAL_FAILURES", 1000)
+    tr, va = primal_split(seed)
+    net, report = train(tr, va, seed=seed, hidden_size=3)
+    assert report.stop_reason is StopReason.MU_OVERFLOW
+    assert report.epochs_run >= 2
+    assert max(report.mu_history) <= 0.1
+    assert report.final_train_sse == report.train_sse_history[-1]
+    assert report.final_val_sse == report.val_sse_history[-1]
+    limited, limited_report = train(tr, va, seed=seed, hidden_size=3,
+                                    max_epochs=report.epochs_run)
+    assert limited_report.stop_reason is StopReason.EPOCH_LIMIT
+    assert np.array_equal(net.to_weight_vector(), limited.to_weight_vector())
+    assert replace(report, stop_reason=StopReason.EPOCH_LIMIT) == limited_report
+
+
+def test_validation_stop_restores_the_first_best_validation_network():
+    # MAX_VAL_FAILURES epochs after the first minimum of the validation SSE
+    # the run stops and returns the network of that epoch
+    seed = 3
+    tr, va = primal_split(seed)
+    net, report = train(tr, va, seed=seed, hidden_size=3)
+    assert report.stop_reason is StopReason.VALIDATION_STOP
+    best = int(np.argmin(report.val_sse_history))
+    assert best >= 1
+    assert report.epochs_run == best + 1 + train_mod.MAX_VAL_FAILURES
+    assert report.val_sse_history[-1] != report.val_sse_history[best]
+    assert report.final_val_sse == report.val_sse_history[best]
+    assert report.final_train_sse == report.train_sse_history[best]
+    at_best, _ = train(tr, va, seed=seed, hidden_size=3, max_epochs=best + 1)
+    assert np.array_equal(net.to_weight_vector(), at_best.to_weight_vector())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_mu_stops_falling_at_1e_20(monkeypatch, seed):
+    # 25 epochs accepted at their first candidate divide mu by 10 from 1e-3
+    # down to the floor; checked against the literal 1e-20, not MU_FLOOR
+    monkeypatch.setattr(train_mod, "SSE_GOAL", 1e-30)
+    monkeypatch.setattr(train_mod, "MAX_VAL_FAILURES", 1000)
+    tr, va, _ = partition(toy_dataset(np.random.default_rng(seed)), seed=0)
+    _, report = train(tr, va, seed=seed, max_epochs=25)
+    assert min(report.mu_history) < 1e-12
+    assert min(report.mu_history) == report.mu_history[-1] == 1e-20
 
 
 def test_train_is_deterministic(rng):
@@ -513,7 +596,7 @@ def check_against_full_loop(dataset, restarts, master_seed, report_path, **kw):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 9])
 def test_early_exit_matches_the_full_restart_loop(seed, tmp_path):
     train_corpus, _, _ = synth.generate_table1(master_seed=seed)
-    for dataset in build_datasets(train_corpus, ALL_MODES):
+    for dataset in build_datasets(train_corpus, tuple(ChannelMode)):
         check_against_full_loop(dataset, 10, seed,
                                 tmp_path / f"train_report_{dataset.mode.value}.json")
 
@@ -547,7 +630,7 @@ def test_report_json_shape(rng):
     ds = toy_dataset(rng)
     tr, va, _ = partition(ds, seed=0)
     _, report = train(tr, va, seed=0, max_epochs=4)
-    doc = report.to_json_dict()
+    doc = json.loads(json.dumps(report.to_json_dict()))
     assert doc["epochs_run"] == report.epochs_run
     assert doc["stop_reason"] in {r.value for r in StopReason}
     for key in ("train_sse_history", "val_sse_history", "mu_history", "rejected_steps"):
@@ -594,9 +677,9 @@ def test_build_datasets_resample_once_and_match_per_recording_features(
         return resample_uniform(rec, n)
 
     monkeypatch.setattr(train_mod, "resample_uniform", counted)
-    datasets = build_datasets(recs, ALL_MODES, n=20)
+    datasets = build_datasets(recs, tuple(ChannelMode), n=20)
     assert calls == recs
-    for mode, ds in zip(ALL_MODES, datasets):
+    for mode, ds in zip(ChannelMode, datasets):
         assert ds.mode is mode
         want = np.stack([extract_features(resample_uniform(rec, 20), mode)
                          for rec in recs])
