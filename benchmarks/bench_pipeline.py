@@ -182,8 +182,8 @@ def restart_row(dataset: train.LabeledDataset) -> dict:
     def run():
         return train.train_best_of(dataset, restarts=RESTARTS, master_seed=SEED)
 
-    net, _, summaries, _ = run()
-    return {**best_of(run, REPEATS), "restarts_run": len(summaries),
+    net, _, restarts, _ = run()
+    return {**best_of(run, REPEATS), "restarts_run": len(restarts),
             "equals_full_loop": bool(np.array_equal(net.to_weight_vector(),
                                                     full_loop_weights(dataset)))}
 

@@ -195,14 +195,13 @@ def cmd_train(args) -> None:
             for dataset in train_mod.build_datasets(recordings, modes)]
     out = Path(args.out)
     written = []
-    for mode, (net, report, summaries, selected) in zip(modes, fits):
+    for mode, (net, _, restarts, selected) in zip(modes, fits):
         model_path = out / f"model_{mode.value}.json"
         report_path = out / f"train_report_{mode.value}.json"
         mlp.save_model(net, model_path, threshold=args.threshold)
-        train_mod.save_report(report, summaries, report_path,
-                              selected_index=selected)
+        train_mod.save_report(restarts, report_path, selected_index=selected)
         written += [str(model_path), str(report_path)]
-        acc = summaries[selected].train_accuracy
+        acc = restarts[selected].train_accuracy
         print(f"{mode.value}: restart {selected} selected, "
               f"train accuracy {acc:.3f} -> {model_path}")
     save_manifest(out, "train", args.seed,

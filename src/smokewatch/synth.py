@@ -163,8 +163,11 @@ def _draw_gesture(template: GestureTemplate, profile: DeviceProfile,
         dur_scale += template.duration_jitter * rng.uniform(-1.0, 1.0)
     if template.amplitude_jitter > 0:
         amp_scale += template.amplitude_jitter * rng.uniform(-1.0, 1.0)
-    # the total the envelope pass's row cumsum reaches, bit for bit
-    total = (template.durations * dur_scale).cumsum()[-1]
+    # the total the envelope pass's row cumsum reaches, bit for bit: a plain
+    # loop, since sum() compensates its float adds from Python 3.12 on
+    total = 0.0
+    for segment in template.segments:
+        total += segment.duration * dur_scale
     n = max(int(round(total * NOMINAL_RATE_HZ)), 2)
     noise = _normals(rng, template.noise_sigma, n)
     return _Draws(n, noise, _normals(rng, profile.noise_sigma, n), dur_scale, amp_scale)

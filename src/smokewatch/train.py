@@ -327,18 +327,15 @@ def train(train_set: LabeledDataset, val_set: LabeledDataset, seed: int = 0,
                             stop, *histories)
 
 
-@dataclass(frozen=True)
-class RestartSummary:
-    index: int
+@dataclass(frozen=True, eq=False)
+class Restart:
+    """One restart `train_best_of` ran: its initialization seed, its training
+    accuracy at the default threshold, and the network and report of `train`."""
+
     seed: int
     train_accuracy: float
-    epochs_run: int
-    final_train_sse: float
-    final_val_sse: float
-    stop_reason: StopReason
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "stop_reason": self.stop_reason.value}
+    network: mlp.Network
+    report: TrainReport
 
 
 def select_best_restart(accuracies: Sequence[float]) -> int:
@@ -349,10 +346,11 @@ def select_best_restart(accuracies: Sequence[float]) -> int:
 def train_best_of(dataset: LabeledDataset, restarts: int = 10,
                   master_seed: int = 0, hidden_size: int = mlp.DEFAULT_HIDDEN,
                   max_epochs: int = DEFAULT_MAX_EPOCHS,
-                  ) -> tuple[mlp.Network, TrainReport, list[RestartSummary], int]:
+                  ) -> tuple[mlp.Network, TrainReport, list[Restart], int]:
     """Independent restarts on one fixed partition; keeps the restart with
     the highest training-set accuracy at the default threshold and returns its
-    network, its report, the summary of every restart run and its index.
+    network, its report, the `Restart` record of every restart run (in run
+    order, so a record's index is its restart number) and its index.
 
     Restart r initializes from seed master_seed XOR r, so the outcome does
     not depend on the order restarts execute in. The loop stops after the
@@ -363,33 +361,31 @@ def train_best_of(dataset: LabeledDataset, restarts: int = 10,
     if restarts < 1:
         raise InvalidSize("restarts must be >= 1")
     train_split, val_split, _ = partition(dataset, master_seed)
-    fits = []
-    summaries = []
+    runs: list[Restart] = []
     for r in range(restarts):
         seed = master_seed ^ r
         net, report = train(train_split, val_split, seed, hidden_size, max_epochs)
         acc = metrics.evaluate(mlp.forward_batch(net, train_split.features),
                                train_split.smoking,
                                metrics.DEFAULT_THRESHOLD).accuracy
-        fits.append((net, report))
-        summaries.append(RestartSummary(
-            index=r, seed=seed, train_accuracy=acc,
-            epochs_run=report.epochs_run,
-            final_train_sse=report.final_train_sse,
-            final_val_sse=report.final_val_sse,
-            stop_reason=report.stop_reason,
-        ))
+        runs.append(Restart(seed, acc, net, report))
         if acc == 1.0:
             break
-    best = select_best_restart([s.train_accuracy for s in summaries])
-    return *fits[best], summaries, best
+    best = select_best_restart([run.train_accuracy for run in runs])
+    return runs[best].network, runs[best].report, runs, best
 
 
-def save_report(report: TrainReport, summaries: Sequence[RestartSummary],
-                path: Union[str, Path], selected_index: int) -> None:
-    doc = report.to_json_dict()
-    doc["restarts"] = [s.to_json_dict() for s in summaries]
-    doc["restart_stop"] = ("perfect_train_accuracy" if summaries[-1].train_accuracy == 1.0
+def save_report(restarts: Sequence[Restart], path: Union[str, Path],
+                selected_index: int) -> None:
+    """Write the selected restart's report to path, with one row per restart run."""
+    doc = restarts[selected_index].report.to_json_dict()
+    doc["restarts"] = [{"index": i, "seed": run.seed, "train_accuracy": run.train_accuracy,
+                        "epochs_run": run.report.epochs_run,
+                        "final_train_sse": run.report.final_train_sse,
+                        "final_val_sse": run.report.final_val_sse,
+                        "stop_reason": run.report.stop_reason.value}
+                       for i, run in enumerate(restarts)]
+    doc["restart_stop"] = ("perfect_train_accuracy" if restarts[-1].train_accuracy == 1.0
                            else "restart_limit")
     doc["selected_restart"] = selected_index
     write_json(path, doc)

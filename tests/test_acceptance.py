@@ -68,9 +68,9 @@ def nets(table1):
     out = {}
     for mode in (ChannelMode.X, ChannelMode.Z, ChannelMode.XYZ):
         dataset = build_dataset(train_corpus, mode)
-        net, report, summaries, _ = train_best_of(
+        net, _, restarts, _ = train_best_of(
             dataset, restarts=10, master_seed=MASTER_SEED)
-        out[mode] = (net, summaries)
+        out[mode] = (net, restarts)
     SHARED["nets"] = perf_counter() - t0
     return out
 
@@ -242,8 +242,8 @@ def test_acceptance_4_partition_shape_and_coverage():
 def test_acceptance_5_training_anchor(table1, nets):
     train_corpus, _, _ = table1
     t0 = perf_counter()
-    _, xyz_summaries = nets[ChannelMode.XYZ]
-    xyz_acc = max(s.train_accuracy for s in xyz_summaries)
+    _, xyz_restarts = nets[ChannelMode.XYZ]
+    xyz_acc = max(run.train_accuracy for run in xyz_restarts)
     z_net, _ = nets[ChannelMode.Z]
     z_ds = build_dataset(train_corpus, ChannelMode.Z)
     z_report = metrics.evaluate(mlp.forward_batch(z_net, z_ds.features),

@@ -24,7 +24,6 @@ from smokewatch.signal import (
 from smokewatch.train import (
     MU_FLOOR,
     LabeledDataset,
-    RestartSummary,
     StopReason,
     TrainReport,
     build_dataset,
@@ -521,24 +520,24 @@ def test_select_best_restart_argmax_and_tiebreak():
 
 def test_train_best_of_selects_max_accuracy(rng):
     ds = toy_dataset(rng, n=30, separation=0.4)
-    net, report, summaries, best = train_best_of(
+    net, report, restarts, best = train_best_of(
         ds, restarts=4, master_seed=11, max_epochs=10)
-    assert best == select_best_restart([s.train_accuracy for s in summaries])
-    assert summaries[best].train_accuracy == max(
-        s.train_accuracy for s in summaries)
-    assert report.epochs_run == summaries[best].epochs_run
-    assert [s.seed for s in summaries] == [11 ^ r for r in range(4)]
+    assert best == select_best_restart([run.train_accuracy for run in restarts])
+    assert restarts[best].train_accuracy == max(
+        run.train_accuracy for run in restarts)
+    assert restarts[best].network is net and restarts[best].report is report
+    assert [run.seed for run in restarts] == [11 ^ r for r in range(4)]
 
 
 def test_restart_accuracy_is_the_training_split_accuracy_at_one_half(rng):
     ds = toy_dataset(rng, n=30, separation=0.4)
     tr, va, _ = partition(ds, seed=5)
-    _, _, summaries, _ = train_best_of(ds, restarts=2, master_seed=5, max_epochs=3)
-    for s in summaries:
-        net, _ = train(tr, va, seed=s.seed, max_epochs=3)
+    _, _, restarts, _ = train_best_of(ds, restarts=2, master_seed=5, max_epochs=3)
+    for run in restarts:
+        net, _ = train(tr, va, seed=run.seed, max_epochs=3)
         y = mlp.forward_batch(net, tr.features)
         hits = sum((o >= 0.5) == (c is GestureClass.SMOKING) for o, c in zip(y, tr.classes))
-        assert s.train_accuracy == hits / len(tr)
+        assert run.train_accuracy == hits / len(tr)
 
 
 def test_train_best_of_single_restart_equals_train(rng):
@@ -555,45 +554,57 @@ def test_train_best_of_single_restart_equals_train(rng):
 def full_restart_loop(dataset: LabeledDataset, restarts: int, master_seed: int,
                       max_epochs: int = train_mod.DEFAULT_MAX_EPOCHS):
     """Every restart trained on the `partition` split, with no early exit;
-    returns the networks, their summaries and the index of the highest
-    training accuracy at 0.5, ties going to the lowest index."""
+    returns the networks, their reports, the train report's restart rows
+    built from those reports, and the index of the highest training
+    accuracy at 0.5, ties going to the lowest index."""
     tr, va, _ = partition(dataset, master_seed)
-    nets, summaries = [], []
+    nets, reports, rows = [], [], []
     for r in range(restarts):
         net, report = train(tr, va, master_seed ^ r, max_epochs=max_epochs)
         y = mlp.forward_batch(net, tr.features)
         hits = sum((o >= 0.5) == (c is GestureClass.SMOKING) for o, c in zip(y, tr.classes))
         nets.append(net)
-        summaries.append(RestartSummary(
-            index=r, seed=master_seed ^ r, train_accuracy=hits / len(tr),
-            epochs_run=report.epochs_run, final_train_sse=report.final_train_sse,
-            final_val_sse=report.final_val_sse, stop_reason=report.stop_reason))
-    best = min(range(restarts), key=lambda r: (-summaries[r].train_accuracy, r))
-    return nets, summaries, best
+        reports.append(report)
+        rows.append({"index": r, "seed": master_seed ^ r, "train_accuracy": hits / len(tr),
+                     "epochs_run": report.epochs_run,
+                     "final_train_sse": report.final_train_sse,
+                     "final_val_sse": report.final_val_sse,
+                     "stop_reason": report.stop_reason.value})
+    best = min(range(restarts), key=lambda r: (-rows[r]["train_accuracy"], r))
+    return nets, reports, rows, best
 
 
 def check_against_full_loop(dataset, restarts, master_seed, report_path, **kw):
-    """train_best_of against `full_restart_loop`; returns the restarts run."""
-    nets, want, best = full_restart_loop(dataset, restarts, master_seed, **kw)
-    net, report, summaries, selected = train_best_of(
+    """train_best_of and the train report it saves against
+    `full_restart_loop`; returns the restarts run."""
+    nets, reports, want, best = full_restart_loop(dataset, restarts, master_seed, **kw)
+    net, report, runs, selected = train_best_of(
         dataset, restarts=restarts, master_seed=master_seed, **kw)
     assert selected == best
     assert np.array_equal(net.to_weight_vector(), nets[best].to_weight_vector())
-    assert summaries == want[:len(summaries)]
-    perfect = [s.train_accuracy == 1.0 for s in want]
+    assert report == reports[best]
+    perfect = [row["train_accuracy"] == 1.0 for row in want]
     ran = perfect.index(True) + 1 if True in perfect else restarts
-    assert len(summaries) == ran
-    save_report(report, summaries, report_path, selected)
+    assert len(runs) == ran
+    for r, run in enumerate(runs):
+        assert run.report == reports[r]
+        assert np.array_equal(run.network.to_weight_vector(), nets[r].to_weight_vector())
+    save_report(runs, report_path, selected)
     doc = json.loads(report_path.read_text())
-    assert doc["restart_stop"] == (
+    # items() lists compare key order too
+    assert [list(row.items()) for row in doc.pop("restarts")] == [
+        list(row.items()) for row in want[:ran]]
+    assert doc.pop("restart_stop") == (
         "perfect_train_accuracy" if True in perfect else "restart_limit")
-    assert [r["index"] for r in doc["restarts"]] == list(range(ran))
+    assert doc.pop("selected_restart") == best
+    assert doc == json.loads(json.dumps(reports[best].to_json_dict()))
     return ran
 
 
-# every mode of seeds 0-4 reaches 1.0 at restart 0; seed 9's XYZ first
-# reaches it at restart 1
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 9])
+# every mode of seeds 0-4 and 9 reaches 1.0 at restart 0; seed 6's AVG first
+# reaches it at restart 1, after a restart 0 that stopped on validation at
+# another epoch, so a row read from the other restart's report differs
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 6, 9])
 def test_early_exit_matches_the_full_restart_loop(seed, tmp_path):
     train_corpus, _, _ = synth.generate_table1(master_seed=seed)
     for dataset in build_datasets(train_corpus, tuple(ChannelMode)):
