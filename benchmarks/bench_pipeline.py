@@ -38,6 +38,12 @@ otherwise:
   must equal the text this script builds with plain `repr` for samples and
   the fixed-decimal `"%.10f" % o` for outputs (`text_oracle_equal`), and
   every load must be `array_equal` to the recording;
+- a Table-1-sized trace write (`trace_table1`), on that `long_session`
+  recording's first 3,499 samples: `write_trace_csv` of a stride-1 trace
+  of 3,300 seeded uniform outputs, a Table-1 session's windows, without a
+  plot, best of 20, in one part and in the parts `fileio.part_count` gives
+  this host (`split`), with `files_identical` and `text_oracle_equal` as
+  for the CSV rows above;
 - CSV loads of many short files (`csv_table1_corpus`): seed 7's Table-1
   corpus (training and test gestures and the 10 sessions), each recording
   written by `write_recording_csv` as `smokewatch synth` writes it, then
@@ -126,6 +132,9 @@ CSV_ROWS = 100_000
 CSV_REPEATS = 5
 LINE_ENDS = {"crlf": b"\r\n", "cr": b"\r"}
 DETECT_STRIDES = (1, 3)
+# windows of a stride-1 trace on a Table-1 session (2,998-4,392 samples at seed 7)
+TABLE1_WINDOWS = 3300
+TRACE_REPEATS = 20
 MAX_DETECT_DIFF = 1e-12
 
 
@@ -343,6 +352,33 @@ def csv_rows(xyz: np.ndarray, line_ends: tuple[str, ...] = ()) -> dict:
     return row
 
 
+def trace_table1_row(xyz: np.ndarray) -> dict:
+    """`write_trace_csv` of a stride-1 trace alone on the first
+    TABLE1_WINDOWS + 199 samples of the (CSV_ROWS, 3) session xyz, a Table-1
+    session's size, timed in one part and in the parts `fileio.part_count`
+    gives this host (`split`); the split file must equal the one-part file,
+    and that the text `text_oracle` builds."""
+    samples = TABLE1_WINDOWS + 199
+    rec = signal.SensorRecording(t=np.arange(samples) / signal.NOMINAL_RATE_HZ,
+                                 x=xyz[:samples, 0], y=xyz[:samples, 1], z=xyz[:samples, 2])
+    outputs = np.random.default_rng(SEED).uniform(size=TABLE1_WINDOWS)
+    trace = detect.DetectionTrace(outputs=outputs, stride=1, threshold=0.5)
+    row = {"rows": TABLE1_WINDOWS, "split_parts": fileio.part_count(TABLE1_WINDOWS)}
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, part_rows in (("one_part", CSV_ROWS + 1), ("split", fileio.PART_ROWS)):
+            saved, fileio.PART_ROWS = fileio.PART_ROWS, part_rows
+            out = Path(tmp) / name / "trace.csv"
+            try:
+                row[name] = best_of(lambda: detect.write_trace_csv(trace, out), TRACE_REPEATS)
+            finally:
+                fileio.PART_ROWS = saved
+            files[name] = out.read_bytes()
+    row["files_identical"] = files["split"] == files["one_part"]
+    row["text_oracle_equal"] = files["one_part"] == text_oracle(rec, outputs)["trace.csv"].encode()
+    return row
+
+
 def corpus_load_row() -> dict:
     """Every recording of seed 7's Table-1 corpus written to its own CSV,
     then all the files loaded one by one."""
@@ -411,6 +447,7 @@ def main(argv=None) -> int:
         "csv": csv_rows(np.random.default_rng(SEED).normal(0.0, 0.5, size=(CSV_ROWS, 3))),
         "csv_long_session": csv_rows(session[2], tuple(LINE_ENDS)),
         "csv_table1_corpus": corpus_load_row(),
+        "trace_table1": trace_table1_row(session[2]),
         "detect": detect_rows(datasets, session[0]),
     }
     path = Path(args.out)
@@ -442,6 +479,12 @@ def main(argv=None) -> int:
             print(f"{key}: a CSV write differs from its plain-repr and fixed-decimal "
                   "text", file=sys.stderr)
             code = 1
+    if not run["trace_table1"]["files_identical"]:
+        print("trace_table1: a split write differs from the one-part one", file=sys.stderr)
+        code = 1
+    if not run["trace_table1"]["text_oracle_equal"]:
+        print("trace_table1: a write differs from its fixed-decimal text", file=sys.stderr)
+        code = 1
     if not run["csv_table1_corpus"]["load_equal"]:
         print("csv_table1_corpus: a CSV load differs from its recording", file=sys.stderr)
         code = 1

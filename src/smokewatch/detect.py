@@ -12,11 +12,13 @@ windows' samples, taken from strided views, go through one banded matrix
 Scoring against handpicked ground-truth ranges labels a window smoking iff
 its start index falls inside a range (one `np.searchsorted` maps each start
 to its range), and flags each range as detected when at least one window
-starting inside it fired. The trace and plot CSVs are written in one pass:
-per block of samples, `fileio.output_texts` prints the outputs once for both
-files at 10 decimals (at most 5e-11 off, against NEAR_THRESHOLD's 1e-9), and
-`fileio.float_reprs` each distinct x, y and z value once for the plot; the
-`smoking` column comes from the exact outputs.
+starting inside it fired. The trace and plot CSVs are written in one pass,
+each block of rows built as one character matrix (`fileio.csv_block`) with
+no string per row: per block of samples, `fileio.output_chars` prints the
+outputs once for both files at 10 decimals (at most 5e-11 off, against
+NEAR_THRESHOLD's 1e-9), `fileio.digit_chars` the window starts and sample
+indices, and `fileio.repr_chars` each distinct x, y and z value once for
+the plot; the `smoking` column comes from the exact outputs.
 `fileio.write_csv` owns the block loop and its split into parts, so neither
 file is ever held whole as text.
 """
@@ -33,6 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import fileio, kernels, metrics, mlp
 from .errors import (
     EmptyTrace,
+    InvalidSample,
     InvalidSize,
     LengthMismatch,
     MalformedRanges,
@@ -52,8 +55,8 @@ NEAR_THRESHOLD = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class DetectionTrace:
-    """One network output per window; output k belongs to the window that
-    starts at sample `k * stride`."""
+    """One network output per window, in [0, 1]; output k belongs to the
+    window that starts at sample `k * stride`."""
 
     outputs: np.ndarray
     stride: int
@@ -65,6 +68,9 @@ class DetectionTrace:
             raise LengthMismatch("outputs must be 1-d")
         if self.stride < 1:
             raise InvalidSize("stride must be >= 1")
+        # -0.0 passes: it is printed as "%.10f" prints it
+        if not np.all((self.outputs >= 0.0) & (self.outputs <= 1.0)):
+            raise InvalidSample("outputs must be finite and lie in [0, 1]")
 
     def __len__(self) -> int:
         return self.outputs.shape[0]
@@ -187,11 +193,11 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     trace); given a session and a plot_path, also the rows of
     `write_plot_csv(trace, session, plot_path)`. Per block of sample
     indices the outputs of the windows starting in it are printed once, for
-    both files, by `fileio.output_texts`, the block's samples by
-    `fileio.float_reprs`, and `fileio.write_csv` writes the blocks, so an
+    both files, by `fileio.output_chars`, the block's samples by
+    `fileio.repr_chars`, and `fileio.write_csv` writes the blocks, so an
     error replaces neither target."""
     stride, outputs = trace.stride, trace.outputs
-    smoking = trace.decisions.view(np.int8)
+    smoking = trace.decisions
     last = (len(trace) - 1) * stride
     if plot_path is None:
         n = last + 1 if len(trace) else 0
@@ -202,20 +208,23 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
                 f"a window starts at sample {last} of a {n}-sample session")
 
     def format_block(lo: int, hi: int) -> list[str]:
-        # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride)
-        a, b = -(-lo // stride), min(-(-hi // stride), len(trace))
-        printed = fileio.output_texts(outputs[a:b])
+        # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride);
+        # none (b = a) in a block of plot rows past the last window
+        a = -(-lo // stride)
+        b = max(a, min(-(-hi // stride), len(trace)))
+        printed = fileio.output_chars(outputs[a:b])
         texts = []  # the trace block, then the plot block
         if path is not None:
-            texts.append("".join([f"{s},{o},{d}\n" for s, o, d in
-                                  zip(range(a * stride, b * stride, stride), printed,
-                                      smoking[a:b].tolist())]))
+            texts.append(fileio.csv_block([
+                fileio.digit_chars(np.arange(a * stride, b * stride, stride)), printed,
+                fileio.digit_chars(smoking[a:b])]))
         if plot_path is not None:
-            tails = [""] * (hi - lo)
+            tails = np.zeros((hi - lo, printed.shape[1]), dtype=np.uint8)
             tails[a * stride - lo:b * stride - lo:stride] = printed
-            rows = zip(range(lo, hi), *(fileio.float_reprs(c[lo:hi])
-                                        for c in (session.x, session.y, session.z)), tails)
-            texts.append("".join([f"{i},{x},{y},{z},{t}\n" for i, x, y, z, t in rows]))
+            texts.append(fileio.csv_block([
+                fileio.digit_chars(np.arange(lo, hi)),
+                *fileio.repr_chars([c[lo:hi] for c in (session.x, session.y, session.z)]),
+                tails]))
         return texts
 
     targets = [(target, header) for target, header in

@@ -16,7 +16,8 @@ class MalformedRow(SmokewatchError):
 
 
 class InvalidSample(SmokewatchError, ValueError):
-    """A recording holds a non-finite value or a negative timestamp."""
+    """A recording holds a non-finite value or a negative timestamp, or a
+    detection trace an output outside [0, 1]."""
 
 
 class NonMonotonicTime(SmokewatchError):

@@ -11,10 +11,16 @@ a one-space indent and a final newline, written by `write_json` and read by
 Every CSV file is written by `write_csv`, which owns the block loop: it
 opens the targets through `atomic_open` and has its caller format
 `BLOCK_ROWS` rows at a time, so no writer holds a session as text. Every
-float a CSV writer prints is turned into text here: detector outputs by
-`output_texts`, at 10 decimals, and samples by `float_reprs`, which calls
-`repr` once per distinct value of a block's column, since samples on a
-sensor's grid repeat. A long CSV write runs in parts: contiguous ranges
+number a CSV writer prints is turned into text here. The recording writer
+takes samples as strings from `float_reprs`. The detector's trace and plot
+blocks are built as character matrices, one row per CSV row and one
+NUL-padded column run per field, which `csv_block` joins by commas and
+newlines into the block's text: `digit_chars` gives the integers,
+`output_chars` the detector outputs at exactly the text of `"%.10f"`, and
+`repr_chars` the samples. `float_reprs` calls `repr` once per distinct
+value of a block's column, and `repr_chars` once per distinct value of a
+block's columns together, since samples on a sensor's grid repeat. A long
+CSV write runs in parts: contiguous ranges
 of blocks, the first written by the caller and each later one by a forked
 child into unnamed temp files, which the caller copies back in order. A
 part whose child did not exit 0 the caller writes itself. `part_count`
@@ -38,9 +44,10 @@ import numpy as np
 
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
-# Fewest rows per part of a split CSV write: 16,384 plot rows take about 25
-# ms of CPU to format on 1 milli-g samples (80 ms at full precision; 2-vCPU
-# VM), against about 3 ms to fork a child and read its part back.
+# Fewest rows per part of a split CSV write: 16,384 plot rows take about 8
+# ms of CPU to format on 1 milli-g samples (about 40 ms at full precision;
+# 2-vCPU VM), against about 3 ms to fork a child and 1.5 ms to copy its part
+# back.
 PART_ROWS = 16384
 
 
@@ -48,12 +55,18 @@ PART_ROWS = 16384
 def atomic_open(path: Union[str, Path]) -> Iterator[TextIO]:
     """A UTF-8 text file open for writing in place of `path`: a temp file in
     the same directory, renamed over `path` when the block exits cleanly. On
-    any error the temp file is removed and the target left untouched."""
+    any error the temp file is removed and the target left untouched. A
+    missing directory, with its missing parents, is made when the temp
+    file cannot be opened for the lack of it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # as open(path, "w") does, the kernel takes the umask in force now off 0o666
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    # as open(path, "w") does, the kernel takes the umask in force now off 0o666
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -80,20 +93,109 @@ def read_json(path: Union[str, Path]):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """`repr` of each distinct value of a 1-d float64 array and, per value,
+    the index of its text. Values are told apart by their bits, so -0.0 and
+    0.0 keep their own texts."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return list(map(repr, keys.view(np.float64).tolist())), inverse
+
+
 def float_reprs(values: np.ndarray) -> list[str]:
     """[repr(v) for v in values.tolist()] for a 1-d float64 array, with
-    `repr` called once per distinct value. Values are told apart by their
-    bits, so -0.0 and 0.0 keep their own texts."""
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    `repr` called once per distinct value."""
+    texts, inverse = _distinct_reprs(values)
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def output_texts(values: np.ndarray) -> list[str]:
-    """["%.10f" % v for v in values.tolist()] for a 1-d float64 array, from
-    one `%`-format of the block: outputs seldom repeat, so `float_reprs`
-    would share little. Printing moves an output by at most 5e-11."""
-    return (("%.10f\n" * len(values)) % tuple(values.tolist())).split("\n")[:-1]
+def repr_chars(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """`repr(v)` of each value of each of a block's columns, 1-d float64
+    arrays of one length, as one field of `csv_block` per column, with
+    `repr` called once per distinct value of the block: the axes of a
+    sensor on its grid share most of their values."""
+    texts, inverse = _distinct_reprs(np.concatenate(columns))
+    table = np.array(texts, dtype=bytes)  # NUL-padded to the longest text
+    chars = table[inverse].view(np.uint8).reshape(len(inverse), table.itemsize)
+    return np.split(chars, len(columns))
+
+
+def _put_digits(rest: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """Write the last `chars.shape[1]` decimal digits of each integer of
+    `rest`, zero-padded, into the columns `chars`; return what is left of
+    each integer above them. On 100,000 values `//` and a multiply took
+    0.7 ms on int32 against 3.9 ms on int64, and `np.divmod` 1.9 ms on
+    int32."""
+    for col in range(chars.shape[1] - 1, -1, -1):
+        above = rest // 10
+        chars[:, col] = rest - above * 10 + ord("0")
+        rest = above
+    return rest
+
+
+def digit_chars(values: np.ndarray) -> np.ndarray:
+    """`str(v)` of each integer of a 1-d array of integers >= 0 as a field
+    of `csv_block`."""
+    values = np.asarray(values)
+    width = len(str(int(values.max()))) if len(values) else 1
+    values = values.astype(np.int32 if width < 10 else np.int64)
+    chars = np.empty((len(values), width), dtype=np.uint8)
+    _put_digits(values, chars)
+    # a digit left of the first one v has is a padding NUL
+    chars[:, :-1][values[:, None] < 10 ** np.arange(width - 1, 0, -1, dtype=values.dtype)] = 0
+    return chars
+
+
+# Veltkamp's splitter for float64, 2**27 + 1: v * SPLITTER - (v * SPLITTER -
+# v) keeps the top 26 bits of v's significand
+SPLITTER = 134217729.0
+
+
+def output_chars(values: np.ndarray) -> np.ndarray:
+    """`"%.10f" % v` of each value of a 1-d float64 array as a field of
+    `csv_block`, for values in [0, 1] (-0.0 prints its sign): v * 1e10
+    rounded half-even to an integer, the rounding made on the exact product.
+
+    Dekker's product splits v * 1e10 exactly into p + err, p the float
+    product: 1e10 has 24 significant bits, so its products with the two
+    26-bit halves of v (Veltkamp's split) are exact. The fraction
+    p - floor(p) is exact, and so is it less 1/2 once p >= 1/4; that
+    difference is then a multiple of ulp(p), so when it is not 0 it
+    outweighs |err| <= ulp(p) / 2 (below p = 1/4 it lies near -1/2). The
+    float sum of the two thus has the sign of the exact fraction less 1/2:
+    above 0 rounds up, and 0 is a tie, which goes to the even integer.
+    Rounding `v * 1e10` alone would round some values twice."""
+    values = np.asarray(values, dtype=np.float64)
+    p = values * 1e10
+    big = values * SPLITTER
+    high = big - (big - values)
+    err = (high * 1e10 - p) + (values - high) * 1e10
+    whole = np.floor(p)
+    past_half = (p - whole - 0.5) + err
+    n = whole.astype(np.int64)
+    n += (past_half > 0) | ((past_half == 0) & ((n & 1) == 1))
+    chars = np.empty((len(n), 13), dtype=np.uint8)
+    chars[:, 0] = np.signbit(values) * ord("-")  # or a padding NUL
+    chars[:, 2] = ord(".")
+    upper, lower = np.divmod(n, 100_000)
+    _put_digits(lower.astype(np.int32), chars[:, 8:])
+    chars[:, 1] = _put_digits(upper.astype(np.int32), chars[:, 3:8]) + ord("0")
+    return chars
+
+
+def csv_block(fields: Sequence[np.ndarray]) -> str:
+    """The CSV rows of `fields`, uint8 character matrices with one row per
+    CSV row, each row a field's ASCII text padded with NUL bytes anywhere:
+    the fields of a row joined by "," and ended by a newline, the NULs
+    dropped."""
+    widths = [field.shape[1] for field in fields]
+    block = np.empty((len(fields[0]), sum(widths) + len(fields)), dtype=np.uint8)
+    col = 0
+    for field, width in zip(fields, widths):
+        block[:, col:col + width] = field
+        block[:, col + width] = ord(",")
+        col += width + 1
+    block[:, -1] = ord("\n")
+    return block.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def part_count(rows: int) -> int:

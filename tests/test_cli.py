@@ -651,15 +651,15 @@ def test_detect_writes_the_parts_its_children_leave(pipeline, tmp_path, monkeypa
     assert run(*argv, str(tmp_path / "one")) == 0
     monkeypatch.setattr(fileio, "BLOCK_ROWS", 256)
     split_into(monkeypatch, 2)
-    parent, printed, output_texts = os.getpid(), [], fileio.output_texts
+    parent, printed, output_chars = os.getpid(), [], fileio.output_chars
 
     def dying(values):
         if os.getpid() != parent and printed:
             os._exit(3)
         printed.append(None)
-        return output_texts(values)
+        return output_chars(values)
 
-    monkeypatch.setattr(fileio, "output_texts", dying)
+    monkeypatch.setattr(fileio, "output_chars", dying)
     codes = exit_codes(monkeypatch)
     assert run(*argv, str(tmp_path / "two")) == 0
     assert codes == [3]

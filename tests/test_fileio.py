@@ -19,7 +19,7 @@ import pytest
 from conftest import exit_codes, make_recording, split_into
 from smokewatch import fileio
 from smokewatch.detect import DetectionTrace, write_plot_csv, write_trace_csv
-from smokewatch.errors import InvalidSize, LengthMismatch
+from smokewatch.errors import InvalidSample, InvalidSize, LengthMismatch
 from smokewatch.fileio import BLOCK_ROWS, atomic_open, atomic_write_text
 from smokewatch.signal import load_recording_csv, write_recording_csv
 
@@ -68,6 +68,24 @@ def test_atomic_open_failure_leaves_the_target_alone(tmp_path):
         fh.writelines(chunks())
     assert target.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_atomic_writes_make_a_missing_directory_only(tmp_path, monkeypatch):
+    # a write into a directory that exists calls no os.mkdir; one into a
+    # missing nested directory makes every level of it
+    atomic_write_text(tmp_path / "one" / "two" / "t.txt", "x")
+    assert (tmp_path / "one" / "two" / "t.txt").read_text() == "x"
+    made = []
+    mkdir = os.mkdir
+    monkeypatch.setattr(os, "mkdir", lambda *args, **kw: made.append(args[0]) or mkdir(*args, **kw))
+    atomic_write_text(tmp_path / "one" / "two" / "t.txt", "y")
+    with atomic_open(tmp_path / "u.txt") as fh:
+        fh.write("z")
+    assert made == []
+    assert (tmp_path / "one" / "two" / "t.txt").read_text() == "y"
+    atomic_write_text(tmp_path / "three" / "four" / "t.txt", "w")
+    assert set(made) == {tmp_path / "three", tmp_path / "three" / "four"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one", "three", "u.txt"]
 
 
 # BLOCK_ROWS in the writer oracle, small enough for 5 parts on a short session
@@ -162,29 +180,95 @@ def test_float_reprs_equal_plain_repr(values):
     # a column of a row-major array, as the benchmark's sessions are
     column = np.stack([v, -v]).T[:, 1]
     assert fileio.float_reprs(column) == list(map(repr, column.tolist()))
+    # the plot's fields share one repr per distinct value of the block
+    assert fileio.csv_block(fileio.repr_chars([v, column, v[::-1]])) == "".join(
+        f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(v.tolist(), column.tolist(), v[::-1].tolist()))
+
+
+def printed_outputs(values: np.ndarray) -> list[str]:
+    """The text `fileio.output_chars` gives each value, one line each."""
+    return fileio.csv_block([fileio.output_chars(values)]).split("\n")[:-1]
+
+
+def exact_outputs(values: np.ndarray) -> list[str]:
+    """Each value's exact binary value rounded half-even to 10 decimals."""
+    return [format(Decimal(o).quantize(Decimal("1e-10"), ROUND_HALF_EVEN), "f")
+            for o in values.tolist()]
+
+
+def near(values, ulps: int = 1) -> np.ndarray:
+    """Each of values and its neighbours up to `ulps` floats away."""
+    v = np.asarray(values, dtype=np.float64)
+    out = [v]
+    lo = hi = v
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)
+        out += [lo, hi]
+    return np.concatenate(out)
+
+
+def in_the_domain(values: np.ndarray) -> np.ndarray:
+    return values[(values >= 0.0) & (values <= 1.0)]
 
 
 @pytest.mark.parametrize("values", [
-    np.random.default_rng(4).uniform(0, 1, 10_000),
-    np.arange(1, 2048, 2) / 2048,
-    [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)],
-    [],
-], ids=["uniform", "ties", "edges", "empty"])
-def test_output_texts_round_the_exact_value_half_even(values):
-    # k / 2048 for odd k has 11 decimals ending in 5: a tie at the 10th
-    v = np.array(values, dtype=np.float64)
-    want = [format(Decimal(o).quantize(Decimal("1e-10"), ROUND_HALF_EVEN), "f")
-            for o in v.tolist()]
-    assert fileio.output_texts(v) == want
+    np.random.default_rng(4).uniform(0, 1, 400_000),
+    # k / 2**34 has at most 34 binary places: v * 1e10 = k * 5**10 / 2**24
+    # has a fraction of .5 (a tie) for k an odd multiple of 2**23, and many
+    # other short fractions; k / 2048 for odd k has 11 decimals ending in 5
+    np.arange(0, 2**34 + 1, 2**34 // 200_000 + 1) / 2**34,
+    np.arange(0, 2**34, 2**23) / 2**34,
+    np.arange(0, 2049) / 2048,
+    # v = (k + 1/2) / 1e10 rounded to a float: a hair off a tie either way
+    near((np.random.default_rng(5).integers(0, 10**10, 100_000) + 0.5) / 1e10),
+    np.random.default_rng(6).integers(0, 10**10 + 1, 100_000) / 1e10,
+    # tiny and subnormal outputs print as 0, around 5e-11 as 0 or 1e-10
+    in_the_domain(near([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-11, 5e-11], 3)),
+    np.exp(-np.random.default_rng(7).uniform(0, 700, 100_000)),
+    # around 0.99999999995 as 0.9999999999 or 1.0000000000
+    in_the_domain(near([0.99999999995, 0.99999999985, 0.5, 0.50000000005, 1.0], 3)),
+    np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)]),
+    np.array([]),
+], ids=["uniform", "k_over_2_34", "k_over_2_34_ties", "ties", "near_ties", "ten_decimals",
+        "subnormal", "log_uniform", "near_rounding_edges", "edges", "empty"])
+def test_output_chars_round_the_exact_value_half_even(values):
+    # the cases hold over 10**6 values together
+    want = exact_outputs(values)
+    assert printed_outputs(values) == want
     # a column of a row-major array, as a block of a longer trace is a view
-    column = np.stack([v, -v]).T[:, 0]
-    assert fileio.output_texts(column) == want
+    column = np.stack([values, -values]).T[:, 0]
+    assert printed_outputs(column) == want
 
 
-def test_output_texts_print_a_tie_to_even():
+def test_output_chars_print_a_tie_to_even():
     # 1/2048 = 0.00048828125 and 3/2048 = 0.00146484375 exactly
-    assert fileio.output_texts(np.array([1, 3]) / 2048) == ["0.0004882812",
-                                                            "0.0014648438"]
+    assert printed_outputs(np.array([1, 3]) / 2048) == ["0.0004882812", "0.0014648438"]
+    assert printed_outputs(np.array([-0.0, 1.0])) == ["-0.0000000000", "1.0000000000"]
+
+
+def test_digit_chars_equal_str_at_every_width():
+    # 10**k - 1 and 10**k on either side of each width, up to 10**11: past
+    # the switch from int32 to int64 digits at 10 digits
+    values = np.array([0] + [v for k in range(1, 12) for v in (10**k - 1, 10**k)])
+    got = fileio.csv_block([fileio.digit_chars(values), fileio.digit_chars(values[::-1])])
+    assert got == "".join(f"{a},{b}\n" for a, b in zip(values.tolist(), values[::-1].tolist()))
+    # each prefix's largest value sets the field's width
+    for k in range(len(values)):
+        assert fileio.csv_block([fileio.digit_chars(values[:k + 1])]).split() == \
+            list(map(str, values[:k + 1].tolist()))
+    assert fileio.digit_chars(np.arange(0)).shape == (0, 1)
+
+
+def test_a_plot_past_its_last_window_keeps_every_row(tmp_path):
+    # two windows on a session of several blocks: the blocks after the
+    # first hold no window and print every row with an empty output
+    rec = make_recording(np.zeros((3 * BLOCK_ROWS + 5, 3)))
+    trace = DetectionTrace(outputs=[0.25, 0.75], stride=2, threshold=0.5)
+    write_plot_csv(trace, rec, tmp_path / "p.csv")
+    rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
+    assert rows == ["0,0.0,0.0,0.0,0.2500000000", "1,0.0,0.0,0.0,",
+                    "2,0.0,0.0,0.0,0.7500000000"] + [
+        f"{i},0.0,0.0,0.0," for i in range(3, len(rec))]
 
 
 def test_a_write_runs_in_the_parts_of_the_rows_it_writes(tmp_path, monkeypatch):
@@ -219,11 +303,11 @@ class FailingFile:
 
 
 def failing_in_children(monkeypatch, fail) -> None:
-    """Make `fileio.float_reprs` and `fileio.output_texts` call fail() first
+    """Make `fileio.float_reprs` and `fileio.output_chars` call fail() first
     in any process but this one: in the forked children that write the
     later parts of a CSV write."""
     parent = os.getpid()
-    for name in ("float_reprs", "output_texts"):
+    for name in ("float_reprs", "output_chars"):
         def texts(values, original=getattr(fileio, name)):
             if os.getpid() != parent:
                 fail()
@@ -251,14 +335,14 @@ def test_a_failing_plot_write_replaces_neither_file(allowed, parts, tmp_path, mo
     (tmp_path / "p.csv").write_text("old plot\n")
 
     if allowed is None:
-        float_reprs = fileio.float_reprs
+        repr_chars = fileio.repr_chars
 
-        def failing_past_row_3(values):  # x, y, z of row i are 3i, 3i + 1, 3i + 2
-            if values[0] >= 12:
+        def failing_past_row_3(columns):  # x, y, z of row i are 3i, 3i + 1, 3i + 2
+            if columns[0][0] >= 12:
                 disk_full()
-            return float_reprs(values)
+            return repr_chars(columns)
 
-        monkeypatch.setattr(fileio, "float_reprs", failing_past_row_3)
+        monkeypatch.setattr(fileio, "repr_chars", failing_past_row_3)
         codes = exit_codes(monkeypatch)
     else:
         @contextlib.contextmanager
@@ -337,6 +421,15 @@ def test_no_fork_with_another_thread_or_one_cpu(reason, tmp_path, monkeypatch):
         if thread.ident is not None:
             thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, np.nextafter(1.0, 2.0)])
+def test_trace_rejects_an_output_outside_0_to_1(bad):
+    # the domain of fileio.output_chars; -0.0 and 1.0 lie inside it
+    with pytest.raises(InvalidSample):
+        DetectionTrace(outputs=[0.5, bad], stride=1, threshold=0.5)
+    trace = DetectionTrace(outputs=[-0.0, 0.0, 1.0], stride=1, threshold=0.5)
+    assert np.signbit(trace.outputs).tolist() == [True, False, False]
 
 
 def test_trace_rejects_a_stride_below_1_and_2d_outputs():

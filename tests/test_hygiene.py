@@ -359,8 +359,8 @@ def float_formats(source: str) -> list[int]:
 
 
 def test_only_fileio_turns_csv_floats_into_text():
-    # one route: `fileio.float_reprs` formats every sample a CSV writer
-    # prints, `fileio.output_texts` every detector output
+    # one route: `fileio.float_reprs` and `fileio.repr_chars` format every
+    # sample a CSV writer prints, `fileio.output_chars` every detector output
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     found = {name: repr_names(src) for name, src in sources.items() if name != "fileio.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -518,7 +518,7 @@ def test_every_ci_command_parses_and_every_ci_heredoc_compiles():
     commands, heredocs = workflow_scripts(text)
     # the counts tie the scan to the workflow: a command or heredoc it
     # misses, or one CI gains, changes them
-    assert (len(commands), len(heredocs)) == (12, 3)
+    assert (len(commands), len(heredocs)) == (14, 3)
     assert unparsed_commands(commands) == []
     for k, body in enumerate(heredocs):
         compile(body, f"tests.yml heredoc {k}", "exec")
