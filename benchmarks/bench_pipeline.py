@@ -44,11 +44,13 @@ otherwise:
   plot, best of 20, in one part and in the parts `fileio.part_count` gives
   this host (`split`), with `files_identical` and `text_oracle_equal` as
   for the CSV rows above;
-- CSV loads of many short files (`csv_table1_corpus`): seed 7's Table-1
-  corpus (training and test gestures and the 10 sessions), each recording
-  written by `write_recording_csv` as `smokewatch synth` writes it, then
-  every file loaded one by one by `load_recording_csv`, best of 5, and
-  whether every load is `array_equal` to its recording (`load_equal`);
+- CSV writes and loads of many short files (`csv_table1_corpus`): seed
+  7's Table-1 corpus (training and test gestures and the 10 sessions), each
+  recording written by `write_recording_csv` as `smokewatch synth` writes
+  it, best of 5, and whether every file equals the plain-`repr` text of
+  `text_oracle` (`text_oracle_equal`); then every file loaded one by one by
+  `load_recording_csv`, best of 5, and whether every load is `array_equal`
+  to its recording (`load_equal`);
 - detection on that `long_session` recording (`detect`): `detect_session`
   for the X and XYZ networks `train_best_of` selects, at strides 1 and 3,
   best of 10, against `tests/oracles.py`'s `window_outputs`, which cuts
@@ -287,16 +289,21 @@ def import_row() -> dict:
             "scipy_loaded": out[1] == "True"}
 
 
+def recording_text(rec: signal.SensorRecording) -> str:
+    """The recording CSV of rec, built row by row with plain `repr`."""
+    return "t,x,y,z\n" + "".join(f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(
+        *(a.tolist() for a in (rec.t, rec.x, rec.y, rec.z))))
+
+
 def text_oracle(rec: signal.SensorRecording, outputs: np.ndarray) -> dict:
     """The recording CSV of rec, and the trace and plot CSVs of a stride-1
     trace of outputs at threshold 0.5, built row by row: samples with plain
     `repr`, outputs at the fixed 10 decimals of `"%.10f" % o`."""
-    t, x, y, z = (a.tolist() for a in (rec.t, rec.x, rec.y, rec.z))
+    x, y, z = (a.tolist() for a in (rec.x, rec.y, rec.z))
     out = outputs.tolist()
     tails = ["%.10f" % o for o in out] + [""] * (len(x) - len(out))
     return {
-        "recording.csv": "t,x,y,z\n" + "".join(
-            f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(t, x, y, z)),
+        "recording.csv": recording_text(rec),
         "trace.csv": "start,output,smoking\n" + "".join(
             f"{i},{e},{int(o >= 0.5)}\n" for i, (o, e) in enumerate(zip(out, tails))),
         "plot.csv": "i,x,y,z,output\n" + "".join(
@@ -379,20 +386,27 @@ def trace_table1_row(xyz: np.ndarray) -> dict:
     return row
 
 
-def corpus_load_row() -> dict:
+def corpus_row() -> dict:
     """Every recording of seed 7's Table-1 corpus written to its own CSV,
-    then all the files loaded one by one."""
+    each file checked against `text_oracle`'s text, then all the files
+    loaded one by one."""
     train_c, test_c, sessions = synth.generate_table1(master_seed=SEED)
     recordings = [*train_c, *test_c, *(rec for _, rec, _ in sessions)]
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / f"{k}.csv" for k in range(len(recordings))]
-        for rec, path in zip(recordings, paths):
-            signal.write_recording_csv(rec, path)
-        loaded = []
+
+        def write():
+            for rec, path in zip(recordings, paths):
+                signal.write_recording_csv(rec, path)
+
         row = {"files": len(paths), "rows": sum(map(len, recordings)),
-               "file_bytes": sum(path.stat().st_size for path in paths),
-               "load": best_of(lambda: loaded.append(
-                   [signal.load_recording_csv(path) for path in paths]), CSV_REPEATS)}
+               "write": best_of(write, CSV_REPEATS)}
+        row["text_oracle_equal"] = all(path.read_bytes() == recording_text(rec).encode()
+                                       for rec, path in zip(recordings, paths))
+        loaded = []
+        row["file_bytes"] = sum(path.stat().st_size for path in paths)
+        row["load"] = best_of(lambda: loaded.append(
+            [signal.load_recording_csv(path) for path in paths]), CSV_REPEATS)
     row["load_equal"] = all(np.array_equal(getattr(got, a), getattr(rec, a))
                             for run in loaded for got, rec in zip(run, recordings)
                             for a in "txyz")
@@ -446,7 +460,7 @@ def main(argv=None) -> int:
         "import_cli": import_row(),
         "csv": csv_rows(np.random.default_rng(SEED).normal(0.0, 0.5, size=(CSV_ROWS, 3))),
         "csv_long_session": csv_rows(session[2], tuple(LINE_ENDS)),
-        "csv_table1_corpus": corpus_load_row(),
+        "csv_table1_corpus": corpus_row(),
         "trace_table1": trace_table1_row(session[2]),
         "detect": detect_rows(datasets, session[0]),
     }
@@ -487,6 +501,10 @@ def main(argv=None) -> int:
         code = 1
     if not run["csv_table1_corpus"]["load_equal"]:
         print("csv_table1_corpus: a CSV load differs from its recording", file=sys.stderr)
+        code = 1
+    if not run["csv_table1_corpus"]["text_oracle_equal"]:
+        print("csv_table1_corpus: a CSV write differs from its plain-repr text",
+              file=sys.stderr)
         code = 1
     for key, row in run["detect"].items():
         if row["max_abs_diff"] > MAX_DETECT_DIFF or not row["decisions_equal"]:

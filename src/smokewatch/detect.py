@@ -13,14 +13,14 @@ Scoring against handpicked ground-truth ranges labels a window smoking iff
 its start index falls inside a range (one `np.searchsorted` maps each start
 to its range), and flags each range as detected when at least one window
 starting inside it fired. The trace and plot CSVs are written in one pass,
-each block of rows built as one character matrix (`fileio.csv_block`) with
-no string per row: per block of samples, `fileio.output_chars` prints the
-outputs once for both files at 10 decimals (at most 5e-11 off, against
-NEAR_THRESHOLD's 1e-9), `fileio.digit_chars` the window starts and sample
-indices, and `fileio.repr_chars` each distinct x, y and z value once for
-the plot; the `smoking` column comes from the exact outputs.
-`fileio.write_csv` owns the block loop and its split into parts, so neither
-file is ever held whole as text.
+each block of rows given as character fields with no string per row: per
+block of samples, `fileio.output_chars` prints the outputs once for both
+files at 10 decimals (at most 5e-11 off, against NEAR_THRESHOLD's 1e-9),
+`fileio.digit_chars` the window starts and sample indices, and
+`fileio.repr_chars` each distinct x, y and z value once for the plot; the
+`smoking` column comes from the exact outputs. `fileio.write_csv` owns the
+block loop, its split into parts and the joining of fields into text, so
+neither file is ever held whole as text.
 """
 
 from __future__ import annotations
@@ -207,29 +207,28 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
             raise LengthMismatch(
                 f"a window starts at sample {last} of a {n}-sample session")
 
-    def format_block(lo: int, hi: int) -> list[str]:
+    def block_fields(lo: int, hi: int) -> list[list[np.ndarray]]:
         # windows a..b-1 start in [lo, hi): ceil(lo / stride) <= k < ceil(hi / stride);
         # none (b = a) in a block of plot rows past the last window
         a = -(-lo // stride)
         b = max(a, min(-(-hi // stride), len(trace)))
         printed = fileio.output_chars(outputs[a:b])
-        texts = []  # the trace block, then the plot block
+        fields = []  # the trace block's, then the plot block's
         if path is not None:
-            texts.append(fileio.csv_block([
-                fileio.digit_chars(np.arange(a * stride, b * stride, stride)), printed,
-                fileio.digit_chars(smoking[a:b])]))
+            fields.append([fileio.digit_chars(np.arange(a * stride, b * stride, stride)),
+                           printed, fileio.digit_chars(smoking[a:b])])
         if plot_path is not None:
             tails = np.zeros((hi - lo, printed.shape[1]), dtype=np.uint8)
             tails[a * stride - lo:b * stride - lo:stride] = printed
-            texts.append(fileio.csv_block([
+            fields.append([
                 fileio.digit_chars(np.arange(lo, hi)),
                 *fileio.repr_chars([c[lo:hi] for c in (session.x, session.y, session.z)]),
-                tails]))
-        return texts
+                tails])
+        return fields
 
     targets = [(target, header) for target, header in
                ((path, TRACE_HEADER), (plot_path, PLOT_HEADER)) if target is not None]
-    fileio.write_csv(targets, n, len(trace) if plot_path is None else n, format_block)
+    fileio.write_csv(targets, n, len(trace) if plot_path is None else n, block_fields)
 
 
 def write_plot_csv(trace: DetectionTrace, session: SensorRecording,

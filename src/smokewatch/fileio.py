@@ -9,23 +9,20 @@ a one-space indent and a final newline, written by `write_json` and read by
 `read_json`.
 
 Every CSV file is written by `write_csv`, which owns the block loop: it
-opens the targets through `atomic_open` and has its caller format
-`BLOCK_ROWS` rows at a time, so no writer holds a session as text. Every
-number a CSV writer prints is turned into text here. The recording writer
-takes samples as strings from `float_reprs`. The detector's trace and plot
-blocks are built as character matrices, one row per CSV row and one
-NUL-padded column run per field, which `csv_block` joins by commas and
-newlines into the block's text: `digit_chars` gives the integers,
-`output_chars` the detector outputs at exactly the text of `"%.10f"`, and
-`repr_chars` the samples. `float_reprs` calls `repr` once per distinct
-value of a block's column, and `repr_chars` once per distinct value of a
-block's columns together, since samples on a sensor's grid repeat. A long
-CSV write runs in parts: contiguous ranges
-of blocks, the first written by the caller and each later one by a forked
-child into unnamed temp files, which the caller copies back in order. A
-part whose child did not exit 0 the caller writes itself. `part_count`
-sets how many parts, from the row count and the CPUs this process may run
-on; nothing configures it.
+opens the targets through `atomic_open`, takes from its caller the fields
+of `BLOCK_ROWS` rows at a time and joins them into text by `csv_block`, so
+no writer holds a session as text and every number a CSV file holds is
+turned into text here. A field is a `uint8` character matrix with one row
+per CSV row, each row the field's text padded with NUL bytes:
+`digit_chars` gives the integers, `output_chars` the detector outputs at
+exactly the text of `"%.10f"`, and `repr_chars` the samples, with `repr`
+called once per distinct value of a block's columns together, since
+samples on a sensor's grid repeat. A long CSV write runs in parts:
+contiguous ranges of blocks, the first written by the caller and each
+later one by a forked child into unnamed temp files, which the caller
+copies back in order. A part whose child did not exit 0 the caller writes
+itself. `part_count` sets how many parts, from the row count and the CPUs
+this process may run on; nothing configures it.
 """
 
 from __future__ import annotations
@@ -45,9 +42,9 @@ import numpy as np
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
 # Fewest rows per part of a split CSV write: 16,384 plot rows take about 8
-# ms of CPU to format on 1 milli-g samples (about 40 ms at full precision;
-# 2-vCPU VM), against about 3 ms to fork a child and 1.5 ms to copy its part
-# back.
+# ms of CPU to format and write on 1 milli-g samples, and recording rows
+# about 12 ms (about 45 and 50 ms at full precision; 2-vCPU VM), against
+# about 3 ms to fork a child and 1.5 ms to copy its part back.
 PART_ROWS = 16384
 
 
@@ -93,27 +90,14 @@ def read_json(path: Union[str, Path]):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """`repr` of each distinct value of a 1-d float64 array and, per value,
-    the index of its text. Values are told apart by their bits, so -0.0 and
-    0.0 keep their own texts."""
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return list(map(repr, keys.view(np.float64).tolist())), inverse
-
-
-def float_reprs(values: np.ndarray) -> list[str]:
-    """[repr(v) for v in values.tolist()] for a 1-d float64 array, with
-    `repr` called once per distinct value."""
-    texts, inverse = _distinct_reprs(values)
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
 def repr_chars(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
     """`repr(v)` of each value of each of a block's columns, 1-d float64
     arrays of one length, as one field of `csv_block` per column, with
     `repr` called once per distinct value of the block: the axes of a
-    sensor on its grid share most of their values."""
-    texts, inverse = _distinct_reprs(np.concatenate(columns))
+    sensor on its grid share most of their values. Values are told apart by
+    their bits, so -0.0 and 0.0 keep their own texts."""
+    keys, inverse = np.unique(np.concatenate(columns).view(np.int64), return_inverse=True)
+    texts = list(map(repr, keys.view(np.float64).tolist()))
     table = np.array(texts, dtype=bytes)  # NUL-padded to the longest text
     chars = table[inverse].view(np.uint8).reshape(len(inverse), table.itemsize)
     return np.split(chars, len(columns))
@@ -195,7 +179,7 @@ def csv_block(fields: Sequence[np.ndarray]) -> str:
         block[:, col + width] = ord(",")
         col += width + 1
     block[:, -1] = ord("\n")
-    return block.tobytes().replace(b"\0", b"").decode("ascii")
+    return block.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def part_count(rows: int) -> int:
@@ -211,11 +195,13 @@ def part_count(rows: int) -> int:
 
 
 def write_csv(targets: Sequence[tuple[Union[str, Path], str]], n: int, rows: int,
-              format_block: Callable[[int, int], Sequence[str]]) -> None:
+              block_fields: Callable[[int, int], Sequence[Sequence[np.ndarray]]]) -> None:
     """Write CSV files in lockstep: each `(path, header)` of targets through
     `atomic_open`, its header line, then for each block lo..hi-1 of
-    BLOCK_ROWS of range(n) the texts `format_block(lo, hi)`, one per target
-    in order. An error replaces no target.
+    BLOCK_ROWS of range(n) the rows `csv_block` makes of the fields
+    `block_fields(lo, hi)` gives, one list of fields per target in order
+    (from `digit_chars`, `output_chars` and `repr_chars`). An error replaces
+    no target.
 
     The blocks run in `part_count(rows)` parts of whole blocks (fewer if
     there are fewer blocks). Part 0 runs here. Each later part runs in a
@@ -233,8 +219,8 @@ def write_csv(targets: Sequence[tuple[Union[str, Path], str]], n: int, rows: int
 
     def write_blocks(first: int, end: int, files: Sequence[TextIO]) -> None:
         for lo in range(first, end, BLOCK_ROWS):
-            for fh, text in zip(files, format_block(lo, min(lo + BLOCK_ROWS, end))):
-                fh.write(text)
+            for fh, fields in zip(files, block_fields(lo, min(lo + BLOCK_ROWS, end))):
+                fh.write(csv_block(fields))
 
     children = []  # [pid or None once reaped, part files]
     with ExitStack() as stack:

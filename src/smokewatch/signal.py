@@ -13,9 +13,9 @@ negative timestamp, and the first malformed line in file order is the
 error. A block's lines go to numpy's C reader (`np.loadtxt`) when they are
 plain ASCII with no malformed line, and otherwise to a per-line `float()`
 parse, the reference behaviour, which raises MalformedRow at that line. The
-writer formats one block of rows at a time, each float column through
-`fileio.float_reprs`, for `fileio.write_csv`, which owns the block loop and
-its split into parts. So memory for a session holds its arrays, not its
+writer hands `fileio.write_csv`, which owns the block loop, its split into
+parts and the text, one block of rows at a time as the character fields of
+`fileio.repr_chars`. So memory for a session holds its arrays, not its
 text.
 """
 
@@ -305,17 +305,16 @@ def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClas
 
 def write_recording_csv(recording: SensorRecording, path: Union[str, Path]) -> None:
     """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n)
-    through `fileio.write_csv`. Each block's t, x, y and z columns are
-    formatted by `fileio.float_reprs`, which calls `repr` once per distinct
-    value: samples on a sensor's grid repeat within a block."""
+    through `fileio.write_csv`. Each block's t, x, y and z columns go to
+    one `fileio.repr_chars` call, which calls `repr` once per distinct value
+    of the four: samples on a sensor's grid repeat within a block."""
     cols = (recording.t, recording.x, recording.y, recording.z)
 
-    def format_block(lo: int, hi: int) -> list[str]:
-        rows = zip(*(fileio.float_reprs(c[lo:hi]) for c in cols))
-        return ["".join([f"{t},{x},{y},{z}\n" for t, x, y, z in rows])]
+    def block_fields(lo: int, hi: int) -> list[list[np.ndarray]]:
+        return [fileio.repr_chars([c[lo:hi] for c in cols])]
 
     n = len(recording)
-    fileio.write_csv([(path, CSV_HEADER)], n, n, format_block)
+    fileio.write_csv([(path, CSV_HEADER)], n, n, block_fields)
 
 
 def resample_uniform(recording: SensorRecording,

@@ -167,22 +167,38 @@ def test_writers_equal_one_shot_formatting_on_the_milli_g_grid(n, parts, tmp_pat
     assert_writers_equal_one_shot_formatting(rec, n, parts, outputs, tmp_path, monkeypatch)
 
 
+def repr_rows(*columns: np.ndarray) -> str:
+    """One row per index of the columns: each value's plain `repr`, joined
+    by commas and ended by a newline."""
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in zip(*(c.tolist() for c in columns)))
+
+
 @pytest.mark.parametrize("values", [
     [-0.0, 0.0, 0.0, -0.0],
     [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308, -0.0, 0.0],
     np.round(np.random.default_rng(3).normal(0.0, 0.004, 5000), 3),
     [0.1],
     [],
-], ids=["signed-zeros", "extremes", "repeats", "one", "empty"])
+    # repr's switch points to and from an exponent, each with its neighbours
+    [1e16, -1e16, np.nextafter(1e16, 0), np.nextafter(1e-5, 0), 1e-5,
+     np.nextafter(1e-5, 1), -1e-5, np.finfo(np.float64).max, -np.finfo(np.float64).max],
+], ids=["signed-zeros", "extremes", "repeats", "one", "empty", "switch-points"])
 def test_float_reprs_equal_plain_repr(values):
     v = np.array(values, dtype=np.float64)
-    assert fileio.float_reprs(v) == list(map(repr, v.tolist()))
+    assert fileio.csv_block(fileio.repr_chars([v])) == repr_rows(v)
     # a column of a row-major array, as the benchmark's sessions are
     column = np.stack([v, -v]).T[:, 1]
-    assert fileio.float_reprs(column) == list(map(repr, column.tolist()))
+    assert fileio.csv_block(fileio.repr_chars([column])) == repr_rows(column)
     # the plot's fields share one repr per distinct value of the block
-    assert fileio.csv_block(fileio.repr_chars([v, column, v[::-1]])) == "".join(
-        f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(v.tolist(), column.tolist(), v[::-1].tolist()))
+    assert fileio.csv_block(fileio.repr_chars([v, column, v[::-1]])) == repr_rows(
+        v, column, v[::-1])
+    # and a recording block's four, with a strictly increasing t of
+    # full-precision gaps next to them, as the recording writer makes it
+    t = np.cumsum(np.random.default_rng(4).uniform(0.015, 0.025, len(v)))
+    assert np.all(np.diff(t) > 0)
+    assert fileio.csv_block(fileio.repr_chars([t, v, column, v[::-1]])) == repr_rows(
+        t, v, column, v[::-1])
 
 
 def printed_outputs(values: np.ndarray) -> list[str]:
@@ -303,11 +319,11 @@ class FailingFile:
 
 
 def failing_in_children(monkeypatch, fail) -> None:
-    """Make `fileio.float_reprs` and `fileio.output_chars` call fail() first
+    """Make `fileio.repr_chars` and `fileio.output_chars` call fail() first
     in any process but this one: in the forked children that write the
     later parts of a CSV write."""
     parent = os.getpid()
-    for name in ("float_reprs", "output_chars"):
+    for name in ("repr_chars", "output_chars"):
         def texts(values, original=getattr(fileio, name)):
             if os.getpid() != parent:
                 fail()

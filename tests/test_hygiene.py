@@ -252,10 +252,10 @@ def test_the_umask_scan_finds_a_call():
 
 
 def csv_writer_names(source: str) -> list[int]:
-    """Lines that name `atomic_open`, `BLOCK_ROWS`, `fork` or `_exit` (as in
-    `os.fork`, `os._exit`), `mkdir` or `makedirs`: as a name, an attribute
-    or an imported name."""
-    owned = {"atomic_open", "BLOCK_ROWS", "fork", "_exit", "mkdir", "makedirs"}
+    """Lines that name `atomic_open`, `BLOCK_ROWS`, `csv_block`, `fork` or
+    `_exit` (as in `os.fork`, `os._exit`), `mkdir` or `makedirs`: as a name,
+    an attribute or an imported name."""
+    owned = {"atomic_open", "BLOCK_ROWS", "csv_block", "fork", "_exit", "mkdir", "makedirs"}
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
                   and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
@@ -264,7 +264,7 @@ def csv_writer_names(source: str) -> list[int]:
 
 def test_only_fileio_opens_writes_blocks_and_forks():
     # one writer: `fileio.write_csv` opens every CSV target, runs the block
-    # loop and splits it into parts; `fileio.atomic_open` makes every
+    # loop, joins each block's fields into text and splits it into parts; `fileio.atomic_open` makes every
     # directory a write needs. Only `fileio` ends a process by `os._exit`,
     # so a forked part's exit code 0 always means a finished part
     found = {p.name: csv_writer_names(p.read_text(encoding="utf-8"))
@@ -278,7 +278,8 @@ def test_the_writer_scan_finds_a_planted_name():
                             "from os import fork\nBLOCK_ROWS = 1\n"
                             "s = 'atomic_open'\nos.forkpty\natomic_write_text(p, s)\n"
                             "Path(p).mkdir()\nos.makedirs(d)\nos._exit(0)\n"
-                            ) == [1, 2, 3, 4, 5, 9, 10, 11]
+                            "text = fileio.csv_block(fields)\n"
+                            ) == [1, 2, 3, 4, 5, 9, 10, 11, 12]
 
 
 def repr_names(source: str) -> list[int]:
@@ -359,8 +360,8 @@ def float_formats(source: str) -> list[int]:
 
 
 def test_only_fileio_turns_csv_floats_into_text():
-    # one route: `fileio.float_reprs` and `fileio.repr_chars` format every
-    # sample a CSV writer prints, `fileio.output_chars` every detector output
+    # one route: `fileio.repr_chars` formats every sample a CSV writer
+    # prints, `fileio.output_chars` every detector output
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     found = {name: repr_names(src) for name, src in sources.items() if name != "fileio.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -518,7 +519,7 @@ def test_every_ci_command_parses_and_every_ci_heredoc_compiles():
     commands, heredocs = workflow_scripts(text)
     # the counts tie the scan to the workflow: a command or heredoc it
     # misses, or one CI gains, changes them
-    assert (len(commands), len(heredocs)) == (14, 3)
+    assert (len(commands), len(heredocs)) == (14, 4)
     assert unparsed_commands(commands) == []
     for k, body in enumerate(heredocs):
         compile(body, f"tests.yml heredoc {k}", "exec")

@@ -481,6 +481,25 @@ def test_validation_stop_restores_the_first_best_validation_network():
     assert np.array_equal(net.to_weight_vector(), at_best.to_weight_vector())
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_validation_sse_that_only_ties_its_best_stops_at_the_first_epoch(
+        monkeypatch, seed):
+    # a tie is no new best: held at 1.0, the validation SSE is best at epoch
+    # 0 and fails at every epoch after, so the run stops MAX_VAL_FAILURES
+    # epochs later and returns the epoch-0 network
+    tr, va = primal_split(seed)
+    sse = train_mod._sse
+    monkeypatch.setattr(train_mod, "_sse", lambda net, xn, targets:
+                        1.0 if targets is va.targets else sse(net, xn, targets))
+    monkeypatch.setattr(train_mod, "SSE_GOAL", 1e-30)
+    net, report = train(tr, va, seed=seed, hidden_size=3)
+    assert report.stop_reason is StopReason.VALIDATION_STOP
+    assert report.epochs_run == 1 + train_mod.MAX_VAL_FAILURES
+    assert report.val_sse_history == (1.0,) * report.epochs_run
+    first, _ = train(tr, va, seed=seed, hidden_size=3, max_epochs=1)
+    assert np.array_equal(net.to_weight_vector(), first.to_weight_vector())
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_mu_stops_falling_at_1e_20(monkeypatch, seed):
     # 25 epochs accepted at their first candidate divide mu by 10 from 1e-3
