@@ -51,6 +51,12 @@ otherwise:
   `text_oracle` (`text_oracle_equal`); then every file loaded one by one by
   `load_recording_csv`, best of 5, and whether every load is `array_equal`
   to its recording (`load_equal`);
+- samples on the 10^-4 grid (`repr_grid_oracle`): 10,120,003 values, every
+  50 Hz timestamp k / 50 up to one day, k / 10^4 for |k| below each power
+  of ten up to 10^15 and seeded samples of a few g on the 1 milli-g grid,
+  padded with zeros to recording blocks of BLOCK_ROWS rows of four columns. Each block's `fileio.repr_chars` text must
+  equal its plain `repr` text (`mismatched_blocks` 0); `chars_s` and
+  `repr_s` are the wall times of the two, one pass;
 - detection on that `long_session` recording (`detect`): `detect_session`
   for the X and XYZ networks `train_best_of` selects, at strides 1 and 3,
   best of 10, against `tests/oracles.py`'s `window_outputs`, which cuts
@@ -78,7 +84,8 @@ than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
 a mode's `train_best_of` network differs from the full loop's, when a
 split CSV write differs from the one-part one, when a CSV write differs
 from its plain-`repr` and fixed-decimal text, when a CSV load differs from
-the recording it was written from, or when a detection differs from the
+the recording it was written from, when a grid block's text differs from
+plain `repr` (`repr_grid_oracle`), or when a detection differs from the
 per-window oracle, so a run of it is an equivalence check. The
 smokewatch sources are the ones the script imports, so
 `PYTHONPATH=<other checkout>/src` measures another tree.
@@ -413,6 +420,31 @@ def corpus_row() -> dict:
     return row
 
 
+def grid_oracle_row() -> dict:
+    """`fileio.repr_chars` against plain `repr` on values of the 10^-4 grid,
+    a recording block of four columns at a time."""
+    rng = np.random.default_rng(SEED)
+    values = np.concatenate(
+        [np.arange(86_400 * 50 + 1) / 50]
+        + [rng.integers(-10**e + 1, 10**e, 300_000) / 1e4 for e in range(16)]
+        + [np.array([-(10**15 - 1), 10**15 - 1]) / 1e4,
+           np.round(rng.normal(0.0, 2.0, 1_000_000) * 1000) / 1000])
+    block = 4 * fileio.BLOCK_ROWS
+    values = np.concatenate([values, np.zeros(-len(values) % block)])
+    row = {"values": len(values), "blocks": len(values) // block, "mismatched_blocks": 0,
+           "chars_s": 0.0, "repr_s": 0.0}
+    for lo in range(0, len(values), block):
+        cols = values[lo:lo + block].reshape(4, -1)
+        t0 = perf_counter()
+        got = fileio.csv_block(fileio.repr_chars(list(cols)))
+        t1 = perf_counter()
+        want = "".join(f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(*cols.tolist()))
+        row["chars_s"] += t1 - t0
+        row["repr_s"] += perf_counter() - t1
+        row["mismatched_blocks"] += got != want
+    return row
+
+
 def detect_rows(datasets: dict, session: signal.SensorRecording) -> dict:
     """detect_session on the session for the X and XYZ networks, each
     stride's outputs against the per-window oracle's."""
@@ -462,6 +494,7 @@ def main(argv=None) -> int:
         "csv_long_session": csv_rows(session[2], tuple(LINE_ENDS)),
         "csv_table1_corpus": corpus_row(),
         "trace_table1": trace_table1_row(session[2]),
+        "repr_grid_oracle": grid_oracle_row(),
         "detect": detect_rows(datasets, session[0]),
     }
     path = Path(args.out)
@@ -505,6 +538,10 @@ def main(argv=None) -> int:
     if not run["csv_table1_corpus"]["text_oracle_equal"]:
         print("csv_table1_corpus: a CSV write differs from its plain-repr text",
               file=sys.stderr)
+        code = 1
+    if run["repr_grid_oracle"]["mismatched_blocks"]:
+        print(f"repr_grid_oracle: {run['repr_grid_oracle']['mismatched_blocks']} grid blocks "
+              "differ from their plain-repr text", file=sys.stderr)
         code = 1
     for key, row in run["detect"].items():
         if row["max_abs_diff"] > MAX_DETECT_DIFF or not row["decisions_equal"]:

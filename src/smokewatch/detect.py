@@ -17,10 +17,10 @@ each block of rows given as character fields with no string per row: per
 block of samples, `fileio.output_chars` prints the outputs once for both
 files at 10 decimals (at most 5e-11 off, against NEAR_THRESHOLD's 1e-9),
 `fileio.digit_chars` the window starts and sample indices, and
-`fileio.repr_chars` each distinct x, y and z value once for the plot; the
-`smoking` column comes from the exact outputs. `fileio.write_csv` owns the
-block loop, its split into parts and the joining of fields into text, so
-neither file is ever held whole as text.
+`fileio.repr_chars` the x, y and z values for the plot; the `smoking`
+column comes from the exact outputs. `fileio.write_csv` owns the block
+loop, its split into parts and the joining of fields into text, so neither
+file is ever held whole as text.
 """
 
 from __future__ import annotations

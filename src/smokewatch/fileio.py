@@ -15,14 +15,15 @@ no writer holds a session as text and every number a CSV file holds is
 turned into text here. A field is a `uint8` character matrix with one row
 per CSV row, each row the field's text padded with NUL bytes:
 `digit_chars` gives the integers, `output_chars` the detector outputs at
-exactly the text of `"%.10f"`, and `repr_chars` the samples, with `repr`
-called once per distinct value of a block's columns together, since
-samples on a sensor's grid repeat. A long CSV write runs in parts:
-contiguous ranges of blocks, the first written by the caller and each
-later one by a forked child into unnamed temp files, which the caller
-copies back in order. A part whose child did not exit 0 the caller writes
-itself. `part_count` sets how many parts, from the row count and the CPUs
-this process may run on; nothing configures it.
+exactly the text of `"%.10f"`, and `repr_chars` the samples at exactly the
+text of `repr`: by integer arithmetic for a block of values on the 10^-4
+grid, as every recording this package writes is, and otherwise with `repr`
+called once per distinct value of a block's columns together. A long CSV
+write runs in parts: contiguous ranges of blocks, the first written by the
+caller and each later one by a forked child into unnamed temp files, which
+the caller copies back in order. A part whose child did not exit 0 the
+caller writes itself. `part_count` sets how many parts, from the row count
+and the CPUs this process may run on; nothing configures it.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ import numpy as np
 
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
-# Fewest rows per part of a split CSV write: 16,384 plot rows take about 8
+# Fewest rows per part of a split CSV write: 16,384 plot rows take about 6
 # ms of CPU to format and write on 1 milli-g samples, and recording rows
-# about 12 ms (about 45 and 50 ms at full precision; 2-vCPU VM), against
-# about 3 ms to fork a child and 1.5 ms to copy its part back.
+# about 5 ms (about 50 and 55 ms at full precision; 2-vCPU VM), against
+# about 3 ms to fork a child and 1 ms to copy its part back.
 PART_ROWS = 16384
 
 
@@ -92,15 +93,56 @@ def read_json(path: Union[str, Path]):
 
 def repr_chars(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
     """`repr(v)` of each value of each of a block's columns, 1-d float64
-    arrays of one length, as one field of `csv_block` per column, with
-    `repr` called once per distinct value of the block: the axes of a
-    sensor on its grid share most of their values. Values are told apart by
-    their bits, so -0.0 and 0.0 keep their own texts."""
-    keys, inverse = np.unique(np.concatenate(columns).view(np.int64), return_inverse=True)
-    texts = list(map(repr, keys.view(np.float64).tolist()))
-    table = np.array(texts, dtype=bytes)  # NUL-padded to the longest text
-    chars = table[inverse].view(np.uint8).reshape(len(inverse), table.itemsize)
+    arrays of one length, as one field of `csv_block` per column.
+
+    A block whose every value lies on the 10^-4 grid is printed by integer
+    arithmetic (`_grid_chars`), the samples and timestamps of every recording
+    this package writes among them. Any other block calls `repr` once per
+    distinct value of the block, values told apart by their bits, so -0.0
+    and 0.0 keep their own texts."""
+    values = np.concatenate(columns)
+    # v * 1e4 overflows to inf for |v| near the largest double, off the grid
+    with np.errstate(over="ignore"):
+        n = np.rint(values * 1e4)
+        on_grid = bool(np.all((n / 1e4 == values) & (np.abs(n) < 1e15)))
+    if on_grid:
+        chars = _grid_chars(values, n)
+    else:
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = list(map(repr, keys.view(np.float64).tolist()))
+        table = np.array(texts, dtype=bytes)  # NUL-padded to the longest text
+        chars = table[inverse].view(np.uint8).reshape(len(inverse), table.itemsize)
     return np.split(chars, len(columns))
+
+
+def _grid_chars(values: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """`repr(v)` of each value of a 1-d float64 array as a field of
+    `csv_block`, for values on the 10^-4 grid: n, the values times 1e4 as
+    integral floats with |n| < 10^15, where each n / 1e4 == v.
+
+    The division of two exact doubles is correctly rounded, so that equality
+    says v is the double nearest n * 10^-4, a decimal of at most 15
+    significant digits. It is then the only decimal of at most 15 digits
+    that rounds to v (DBL_DIG is 15), which makes it the shortest text that
+    reads back as v: `repr`'s digits. For n != 0, 1e-4 <= |v| < 1e11, and
+    `repr` prints such a v without an exponent, as the sign (from the sign
+    bit, so -0.0 keeps its "-"), the whole part, a point and the four
+    decimals with their trailing zeros dropped after the first; a finer
+    grid would reach values `repr` prints with an exponent."""
+    scaled = np.abs(n).astype(np.int64)
+    whole = scaled // 10_000
+    frac = (scaled - whole * 10_000).astype(np.int32)
+    whole_chars = digit_chars(whole)
+    width = whole_chars.shape[1]
+    chars = np.empty((width + 6, len(n)), dtype=np.uint8).T  # each column contiguous
+    chars[:, 0] = np.signbit(values) * ord("-")  # or a padding NUL
+    chars[:, 1:width + 1] = whole_chars
+    chars[:, width + 1] = ord(".")
+    _put_digits(frac, chars[:, width + 2:])
+    # a decimal past the first with only zeros from it on is a padding NUL
+    for col, unit in zip(range(width + 3, width + 6), (1000, 100, 10)):
+        chars[:, col] *= frac // unit * unit != frac
+    return chars
 
 
 def _put_digits(rest: np.ndarray, chars: np.ndarray) -> np.ndarray:
@@ -122,10 +164,11 @@ def digit_chars(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     width = len(str(int(values.max()))) if len(values) else 1
     values = values.astype(np.int32 if width < 10 else np.int64)
-    chars = np.empty((len(values), width), dtype=np.uint8)
+    chars = np.empty((width, len(values)), dtype=np.uint8).T  # each column contiguous
     _put_digits(values, chars)
     # a digit left of the first one v has is a padding NUL
-    chars[:, :-1][values[:, None] < 10 ** np.arange(width - 1, 0, -1, dtype=values.dtype)] = 0
+    for col in range(width - 1):
+        chars[:, col] *= values >= 10 ** (width - 1 - col)
     return chars
 
 

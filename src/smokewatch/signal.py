@@ -306,8 +306,9 @@ def load_recording_csv(path: Union[str, Path], label: GestureClass = GestureClas
 def write_recording_csv(recording: SensorRecording, path: Union[str, Path]) -> None:
     """Write the bit-exact CSV form (header `t,x,y,z`, repr floats, \\n)
     through `fileio.write_csv`. Each block's t, x, y and z columns go to
-    one `fileio.repr_chars` call, which calls `repr` once per distinct value
-    of the four: samples on a sensor's grid repeat within a block."""
+    one `fileio.repr_chars` call, which prints a block on the 10^-4 grid,
+    as synthetic timestamps and samples are, by integer arithmetic, and
+    calls `repr` once per distinct value of the four otherwise."""
     cols = (recording.t, recording.x, recording.y, recording.z)
 
     def block_fields(lo: int, hi: int) -> list[list[np.ndarray]]:

@@ -10,6 +10,7 @@ import os
 import signal
 import stat
 import threading
+import warnings
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -199,6 +200,64 @@ def test_float_reprs_equal_plain_repr(values):
     assert np.all(np.diff(t) > 0)
     assert fileio.csv_block(fileio.repr_chars([t, v, column, v[::-1]])) == repr_rows(
         t, v, column, v[::-1])
+
+
+def counted_reprs(monkeypatch) -> list[float]:
+    """Make `fileio`'s `repr` the builtin one that records each value it is
+    called on, in a list it returns."""
+    calls = []
+    monkeypatch.setattr(fileio, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    return calls
+
+
+EDGE_OF_GRID = [-0.0, 0.0, 1e-4, -1e-4, 99999999999.9999, -99999999999.9999, 0.1, 1.0]
+GRID_BLOCKS = {
+    # k / 10**4 for |k| below each power of ten up to 10**15: every width of
+    # the whole part, and fractions of one to four decimals
+    "k_over_1e4": np.concatenate(
+        [np.random.default_rng(e).integers(-10**e + 1, 10**e, 40_000) / 1e4
+         for e in range(16)] + [np.array([-(10**15 - 1), 10**15 - 1]) / 1e4]),
+    # 50 Hz timestamps, k / 50, up to one day
+    "timestamps": np.arange(0, 86_400 * 50 + 1, 17) / 50,
+    # samples of a few g on the 1 milli-g grid, as synth rounds them
+    "milli_g": np.round(np.random.default_rng(8).normal(0.0, 2.0, 100_000) * 1000) / 1000,
+    "edges": np.array(EDGE_OF_GRID),
+    "empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_BLOCKS))
+def test_grid_blocks_equal_plain_repr_without_calling_it(name, monkeypatch):
+    # the cases hold over 10**6 values together
+    v = GRID_BLOCKS[name]
+    calls = counted_reprs(monkeypatch)
+    assert fileio.csv_block(fileio.repr_chars([v])) == repr_rows(v)
+    # a recording block's four columns, the last a row-major array's column
+    w = v[::4]
+    cols = [w, -w, w[::-1], np.stack([w, -w]).T[:, 0]]
+    assert fileio.csv_block(fileio.repr_chars(cols)) == repr_rows(*cols)
+    assert calls == []
+
+
+@pytest.mark.parametrize("odd", [
+    np.nextafter(0.1, 1.0), np.nextafter(99999999999.9999, 0.0), 5e-5, 1e11,
+    # the double nearest 876861030114.8979, whose repr has 15 digits
+    8768610301148979 / 1e4,
+    np.inf, -np.inf, np.nan, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+], ids=["nextafter", "nextafter_top", "half_step", "1e11", "16_digits", "inf", "-inf", "nan",
+        "max", "-max"])
+def test_one_value_off_the_grid_takes_the_block_off_it(odd, monkeypatch):
+    rng = np.random.default_rng(9)
+    v = np.concatenate([EDGE_OF_GRID, rng.integers(-10**8, 10**8, 2000) / 1e4])
+    cols = [v, -v, v[::-1], v[::-1].copy()]
+    cols[3][rng.integers(len(v))] = odd
+    calls = counted_reprs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fileio.csv_block(fileio.repr_chars(cols))
+    assert got == repr_rows(*cols)
+    # one repr per distinct value of the block
+    assert len(calls) == len(np.unique(np.concatenate(cols).view(np.int64)))
 
 
 def printed_outputs(values: np.ndarray) -> list[str]:
