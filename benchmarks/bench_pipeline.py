@@ -29,21 +29,17 @@ otherwise:
   `long_session` at seed 7 as this tree's `synth.generate_sessions` makes
   it (`csv_long_session`; a tree that synthesizes other samples writes
   other text). For each, best of 5: `write_trace_csv` of a stride-1 trace
-  with its plot and `write_recording_csv`, each in one part and in the
-  parts `fileio.part_count` gives this host (`split`), then
-  `load_recording_csv` of the recording file as the tree runs it (for
-  `csv_long_session` also of its CRLF and CR-only copies, `load_crlf` and
-  `load_cr`), and the size of that file; every split file must be
-  byte-identical to the one-part file, the recording, trace and plot files
-  must equal the text this script builds with plain `repr` for samples and
+  with its plot and `write_recording_csv`, then `load_recording_csv` of
+  the recording file (for `csv_long_session` also of its CRLF and CR-only
+  copies, `load_crlf` and `load_cr`), and the size of that file; the
+  recording, trace and plot files must equal the text this script builds with plain `repr` for samples and
   the fixed-decimal `"%.10f" % o` for outputs (`text_oracle_equal`), and
   every load must be `array_equal` to the recording;
 - a Table-1-sized trace write (`trace_table1`), on that `long_session`
   recording's first 3,499 samples: `write_trace_csv` of a stride-1 trace
   of 3,300 seeded uniform outputs, a Table-1 session's windows, without a
-  plot, best of 20, in one part and in the parts `fileio.part_count` gives
-  this host (`split`), with `files_identical` and `text_oracle_equal` as
-  for the CSV rows above;
+  plot, best of 20 (`write_trace`), with `text_oracle_equal` as for the
+  CSV rows above;
 - CSV writes and loads of many short files (`csv_table1_corpus`): seed
   7's Table-1 corpus (training and test gestures and the 10 sessions), each
   recording written by `write_recording_csv` as `smokewatch synth` writes
@@ -69,10 +65,10 @@ otherwise:
 
 Every best-of figure also records the CPU time of each repeat
 (`cpu_min_s`, `cpu_median_s`): user plus system time of this process and of
-its reaped children, so the forked parts of a split CSV write count. CPU
-time does not remove a shared host's drift in speed: on a 2-vCPU VM one CSV
-figure read from 0.30 to 0.57 s of CPU across ten runs of one tree, so two
-trees compare by medians over several alternating runs.
+its reaped children. CPU time does not remove a shared host's drift in
+speed: on a 2-vCPU VM one CSV figure read from 0.30 to 0.57 s of CPU across
+ten runs of one tree, so two trees compare by medians over several
+alternating runs.
 
 Each run is stored under its `--label` in the output file, keeping the other
 labels, so one file holds the numbers from before and after a change:
@@ -82,8 +78,7 @@ labels, so one file holds the numbers from before and after a change:
 The script exits 1 when the Gram step and the oracle step differ by more
 than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
 a mode's `train_best_of` network differs from the full loop's, when a
-split CSV write differs from the one-part one, when a CSV write differs
-from its plain-`repr` and fixed-decimal text, when a CSV load differs from
+CSV write differs from its plain-`repr` and fixed-decimal text, when a CSV load differs from
 the recording it was written from, when a grid block's text differs from
 plain `repr` (`repr_grid_oracle`), or when a detection differs from the
 per-window oracle, so a run of it is an equivalence check. The
@@ -149,8 +144,9 @@ MAX_DETECT_DIFF = 1e-12
 
 def cpu_time() -> float:
     """User plus system CPU seconds of this process and its reaped children,
-    so the forked parts of a split CSV write count. `getrusage` reports
-    microseconds, where `os.times()` ticks in 10 ms on Linux."""
+    so a tree whose CSV writes fork (as trees before `one-path-after` did)
+    is measured whole. `getrusage` reports microseconds, where `os.times()`
+    ticks in 10 ms on Linux."""
     return sum(r.ru_utime + r.ru_stime
                for r in map(resource.getrusage, (resource.RUSAGE_SELF,
                                                  resource.RUSAGE_CHILDREN)))
@@ -319,77 +315,58 @@ def text_oracle(rec: signal.SensorRecording, outputs: np.ndarray) -> dict:
 
 
 def csv_rows(xyz: np.ndarray, line_ends: tuple[str, ...] = ()) -> dict:
-    """CSV writes of the (CSV_ROWS, 3) session xyz in one part and split,
-    then its load, and the load of a copy of the recording file for each of
-    `line_ends` (keys of LINE_ENDS) with that line end in place of each \n.
+    """CSV writes of the (CSV_ROWS, 3) session xyz, then its load, and the
+    load of a copy of the recording file for each of `line_ends` (keys of
+    LINE_ENDS) with that line end in place of each \n.
 
     The session lies on the 50 Hz grid, and the trace is one seeded uniform
-    output per stride-1 window of 200 samples. One part is forced by raising
-    `fileio.PART_ROWS` above the row count. The load runs at the tree's own
-    `PART_ROWS`, as the CLI runs it.
+    output per stride-1 window of 200 samples.
     """
     rec = signal.SensorRecording(t=np.arange(CSV_ROWS) / signal.NOMINAL_RATE_HZ,
                                  x=xyz[:, 0], y=xyz[:, 1], z=xyz[:, 2])
     outputs = np.random.default_rng(SEED).uniform(size=CSV_ROWS - 199)
     trace = detect.DetectionTrace(outputs=outputs, stride=1, threshold=0.5)
-    splits = {"one_part": CSV_ROWS + 1, "split": fileio.PART_ROWS}
-    row = {"rows": CSV_ROWS, "split_parts": fileio.part_count(CSV_ROWS)}
-    files = {}
+    row = {"rows": CSV_ROWS}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, part_rows in splits.items():
-            fileio.PART_ROWS = part_rows
-            out = Path(tmp) / name
-            row[name] = {
-                "write_trace_plot": best_of(lambda: detect.write_trace_csv(
-                    trace, out / "trace.csv", rec, out / "plot.csv"), CSV_REPEATS),
-                "write_recording": best_of(lambda: signal.write_recording_csv(
-                    rec, out / "recording.csv"), CSV_REPEATS),
-            }
-            files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        fileio.PART_ROWS = splits["split"]
-        src = Path(tmp) / "one_part" / "recording.csv"
+        out = Path(tmp)
+        row["write_trace_plot"] = best_of(lambda: detect.write_trace_csv(
+            trace, out / "trace.csv", rec, out / "plot.csv"), CSV_REPEATS)
+        row["write_recording"] = best_of(lambda: signal.write_recording_csv(
+            rec, out / "recording.csv"), CSV_REPEATS)
+        row["text_oracle_equal"] = all(
+            (out / name).read_bytes() == text.encode()
+            for name, text in text_oracle(rec, outputs).items())
+        src = out / "recording.csv"
         loaded = []
         row["load"] = best_of(lambda: loaded.append(signal.load_recording_csv(src)),
                               CSV_REPEATS)
         for name in line_ends:
-            copy = Path(tmp) / f"recording-{name}.csv"
+            copy = out / f"recording-{name}.csv"
             copy.write_bytes(src.read_bytes().replace(b"\n", LINE_ENDS[name]))
             row[f"load_{name}"] = best_of(
                 lambda: loaded.append(signal.load_recording_csv(copy)), CSV_REPEATS)
         row["load_equal"] = all(np.array_equal(getattr(got, a), getattr(rec, a))
                                 for got in loaded for a in "txyz")
         row["file_bytes"] = src.stat().st_size
-    row["files_identical"] = files["split"] == files["one_part"]
-    row["text_oracle_equal"] = all(
-        files["one_part"][name] == text.encode()
-        for name, text in text_oracle(rec, outputs).items())
     return row
 
 
 def trace_table1_row(xyz: np.ndarray) -> dict:
     """`write_trace_csv` of a stride-1 trace alone on the first
     TABLE1_WINDOWS + 199 samples of the (CSV_ROWS, 3) session xyz, a Table-1
-    session's size, timed in one part and in the parts `fileio.part_count`
-    gives this host (`split`); the split file must equal the one-part file,
-    and that the text `text_oracle` builds."""
+    session's size; the file must equal the text `text_oracle` builds."""
     samples = TABLE1_WINDOWS + 199
     rec = signal.SensorRecording(t=np.arange(samples) / signal.NOMINAL_RATE_HZ,
                                  x=xyz[:samples, 0], y=xyz[:samples, 1], z=xyz[:samples, 2])
     outputs = np.random.default_rng(SEED).uniform(size=TABLE1_WINDOWS)
     trace = detect.DetectionTrace(outputs=outputs, stride=1, threshold=0.5)
-    row = {"rows": TABLE1_WINDOWS, "split_parts": fileio.part_count(TABLE1_WINDOWS)}
-    files = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, part_rows in (("one_part", CSV_ROWS + 1), ("split", fileio.PART_ROWS)):
-            saved, fileio.PART_ROWS = fileio.PART_ROWS, part_rows
-            out = Path(tmp) / name / "trace.csv"
-            try:
-                row[name] = best_of(lambda: detect.write_trace_csv(trace, out), TRACE_REPEATS)
-            finally:
-                fileio.PART_ROWS = saved
-            files[name] = out.read_bytes()
-    row["files_identical"] = files["split"] == files["one_part"]
-    row["text_oracle_equal"] = files["one_part"] == text_oracle(rec, outputs)["trace.csv"].encode()
+        out = Path(tmp) / "trace.csv"
+        row = {"rows": TABLE1_WINDOWS,
+               "write_trace": best_of(lambda: detect.write_trace_csv(trace, out),
+                                      TRACE_REPEATS)}
+        row["text_oracle_equal"] = (out.read_bytes()
+                                    == text_oracle(rec, outputs)["trace.csv"].encode())
     return row
 
 
@@ -516,9 +493,6 @@ def main(argv=None) -> int:
             code = 1
     for key in ("csv", "csv_long_session"):
         csv = run[key]
-        if not csv["files_identical"]:
-            print(f"{key}: a split CSV write differs from the one-part one", file=sys.stderr)
-            code = 1
         if not csv["load_equal"]:
             print(f"{key}: a CSV load differs from its recording", file=sys.stderr)
             code = 1
@@ -526,9 +500,6 @@ def main(argv=None) -> int:
             print(f"{key}: a CSV write differs from its plain-repr and fixed-decimal "
                   "text", file=sys.stderr)
             code = 1
-    if not run["trace_table1"]["files_identical"]:
-        print("trace_table1: a split write differs from the one-part one", file=sys.stderr)
-        code = 1
     if not run["trace_table1"]["text_oracle_equal"]:
         print("trace_table1: a write differs from its fixed-decimal text", file=sys.stderr)
         code = 1

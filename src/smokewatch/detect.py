@@ -19,8 +19,8 @@ files at 10 decimals (at most 5e-11 off, against NEAR_THRESHOLD's 1e-9),
 `fileio.digit_chars` the window starts and sample indices, and
 `fileio.repr_chars` the x, y and z values for the plot; the `smoking`
 column comes from the exact outputs. `fileio.write_csv` owns the block
-loop, its split into parts and the joining of fields into text, so neither
-file is ever held whole as text.
+loop and the joining of fields into text, so neither file is ever held
+whole as text.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
 
     targets = [(target, header) for target, header in
                ((path, TRACE_HEADER), (plot_path, PLOT_HEADER)) if target is not None]
-    fileio.write_csv(targets, n, len(trace) if plot_path is None else n, block_fields)
+    fileio.write_csv(targets, n, block_fields)
 
 
 def write_plot_csv(trace: DetectionTrace, session: SensorRecording,

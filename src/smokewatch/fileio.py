@@ -1,4 +1,4 @@
-"""Atomic file writes, the CSV block writer and its parts, and the JSON format.
+"""Atomic file writes, the CSV block writer and the JSON format.
 
 `atomic_open` yields a temp file that replaces its target only on a clean
 exit, so several files can be written in lockstep and an error leaves every
@@ -18,35 +18,21 @@ per CSV row, each row the field's text padded with NUL bytes:
 exactly the text of `"%.10f"`, and `repr_chars` the samples at exactly the
 text of `repr`: by integer arithmetic for a block of values on the 10^-4
 grid, as every recording this package writes is, and otherwise with `repr`
-called once per distinct value of a block's columns together. A long CSV
-write runs in parts: contiguous ranges of blocks, the first written by the
-caller and each later one by a forked child into unnamed temp files, which
-the caller copies back in order. A part whose child did not exit 0 the
-caller writes itself. `part_count` sets how many parts, from the row count
-and the CPUs this process may run on; nothing configures it.
+called once per distinct value of a block's columns together.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
-import threading
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from signal import SIGKILL
 from typing import Callable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
 # Rows per formatted CSV block: a block of plot rows is about 0.4 MiB of text.
 BLOCK_ROWS = 4096
-# Fewest rows per part of a split CSV write: 16,384 plot rows take about 6
-# ms of CPU to format and write on 1 milli-g samples, and recording rows
-# about 5 ms (about 50 and 55 ms at full precision; 2-vCPU VM), against
-# about 3 ms to fork a child and 1 ms to copy its part back.
-PART_ROWS = 16384
 
 
 @contextmanager
@@ -225,82 +211,19 @@ def csv_block(fields: Sequence[np.ndarray]) -> str:
     return block.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def part_count(rows: int) -> int:
-    """How many parts a CSV write of `rows` rows runs in: one per CPU
-    this process may run on, each of at least PART_ROWS rows. 1 without
-    `os.fork` or `os.sched_getaffinity`, and while another thread runs,
-    since a forked child holds only the forking thread and would find any
-    lock another thread held locked for good."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // PART_ROWS))
-
-
-def write_csv(targets: Sequence[tuple[Union[str, Path], str]], n: int, rows: int,
+def write_csv(targets: Sequence[tuple[Union[str, Path], str]], n: int,
               block_fields: Callable[[int, int], Sequence[Sequence[np.ndarray]]]) -> None:
     """Write CSV files in lockstep: each `(path, header)` of targets through
     `atomic_open`, its header line, then for each block lo..hi-1 of
     BLOCK_ROWS of range(n) the rows `csv_block` makes of the fields
     `block_fields(lo, hi)` gives, one list of fields per target in order
     (from `digit_chars`, `output_chars` and `repr_chars`). An error replaces
-    no target.
-
-    The blocks run in `part_count(rows)` parts of whole blocks (fewer if
-    there are fewer blocks). Part 0 runs here. Each later part runs in a
-    forked child that writes one unnamed temp file per target and ends by
-    `os._exit`, 0 once its files are flushed and 1 on any error, so it never
-    unwinds into the caller's frames. The caller then takes the parts in
-    order: it copies a child's files onto the targets if the child exited 0
-    and otherwise writes that part itself, so a fault that recurs is raised
-    here. On any error every child still running is killed and reaped, and
-    the temp files go with their last descriptor.
-    """
-    blocks = -(-n // BLOCK_ROWS)
-    parts = max(1, min(part_count(rows), blocks))
-    bounds = [min(n, blocks * k // parts * BLOCK_ROWS) for k in range(parts + 1)]
-
-    def write_blocks(first: int, end: int, files: Sequence[TextIO]) -> None:
-        for lo in range(first, end, BLOCK_ROWS):
-            for fh, fields in zip(files, block_fields(lo, min(lo + BLOCK_ROWS, end))):
-                fh.write(csv_block(fields))
-
-    children = []  # [pid or None once reaped, part files]
+    no target."""
     with ExitStack() as stack:
         outs = []
         for path, header in targets:
             outs.append(stack.enter_context(atomic_open(path)))
             outs[-1].write(header + "\n")
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                files = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-                         for _ in outs]
-                children.append([None, files])
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        write_blocks(lo, hi, files)
-                        for fh in files:
-                            fh.flush()
-                        code = 0
-                    finally:
-                        os._exit(code)
-                children[-1][0] = pid
-            write_blocks(bounds[0], bounds[1], outs)
-            for child, lo, hi in zip(children, bounds[1:-1], bounds[2:]):
-                status = os.waitpid(child[0], 0)[1]
-                child[0] = None
-                if os.waitstatus_to_exitcode(status) == 0:
-                    for src, dst in zip(child[1], outs):
-                        src.seek(0)
-                        shutil.copyfileobj(src, dst)
-                else:  # killed, out of temp space, or a fault that recurs here
-                    write_blocks(lo, hi, outs)
-        finally:
-            for pid, files in children:
-                if pid is not None:
-                    os.kill(pid, SIGKILL)
-                    os.waitpid(pid, 0)
-                for fh in files:
-                    fh.close()
+        for lo in range(0, n, BLOCK_ROWS):
+            for fh, fields in zip(outs, block_fields(lo, min(lo + BLOCK_ROWS, n))):
+                fh.write(csv_block(fields))

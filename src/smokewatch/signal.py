@@ -13,8 +13,8 @@ negative timestamp, and the first malformed line in file order is the
 error. A block's lines go to numpy's C reader (`np.loadtxt`) when they are
 plain ASCII with no malformed line, and otherwise to a per-line `float()`
 parse, the reference behaviour, which raises MalformedRow at that line. The
-writer hands `fileio.write_csv`, which owns the block loop, its split into
-parts and the text, one block of rows at a time as the character fields of
+writer hands `fileio.write_csv`, which owns the block loop and the text,
+one block of rows at a time as the character fields of
 `fileio.repr_chars`. So memory for a session holds its arrays, not its
 text.
 """
@@ -314,8 +314,7 @@ def write_recording_csv(recording: SensorRecording, path: Union[str, Path]) -> N
     def block_fields(lo: int, hi: int) -> list[list[np.ndarray]]:
         return [fileio.repr_chars([c[lo:hi] for c in cols])]
 
-    n = len(recording)
-    fileio.write_csv([(path, CSV_HEADER)], n, n, block_fields)
+    fileio.write_csv([(path, CSV_HEADER)], len(recording), block_fields)
 
 
 def resample_uniform(recording: SensorRecording,

@@ -484,6 +484,9 @@ def _template_from_dict(cls: GestureClass, doc: dict) -> GestureTemplate:
 
 
 def _profile_from_dict(name: str, doc: dict) -> DeviceProfile:
+    # a profile name is one field of a corpus file name, class__profile__index.csv
+    if not name or "__" in name or "/" in name or "\\" in name:
+        raise ValueError(f"profile name {name!r} is empty or holds '__', '/' or '\\'")
     keys = ("offset", "scale", "noise_sigma")
     return DeviceProfile(name, **{k: doc[k] for k in keys if k in doc})
 
@@ -499,8 +502,9 @@ def load_synth_config(path: Union[str, Path]):
     omitted entries keep their defaults. Durations are finite and > 0;
     levels, rest, offset and scale hold 3 finite values each, and scale
     factors are > 0; noise sigmas are finite and >= 0; duration_jitter lies
-    in [0, 1) and amplitude_jitter is finite and >= 0. Raises
-    MalformedConfig for anything else.
+    in [0, 1) and amplitude_jitter is finite and >= 0. A profile name is
+    not empty and holds no "__", "/" or "\\", since it is a field of the
+    corpus file names. Raises MalformedConfig for anything else.
     """
     try:
         doc = read_json(path)

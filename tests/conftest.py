@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from smokewatch import fileio, mlp
+from smokewatch import mlp
 from smokewatch.signal import ChannelMode, GestureClass, SensorRecording
 
 
@@ -27,28 +27,6 @@ def make_recording(values: np.ndarray, rate: float = 50.0,
 def tiny_network(input_size: int, hidden_size: int, seed: int,
                  mode: ChannelMode = ChannelMode.X) -> mlp.Network:
     return mlp.init_network(input_size, hidden_size, rng=seed, mode=mode)
-
-
-def split_into(monkeypatch, parts: int) -> None:
-    """Make every CSV write run in `parts` parts, or one per block when it
-    has fewer: a part may hold a single row, and the process sees `parts`
-    CPUs."""
-    monkeypatch.setattr(fileio, "PART_ROWS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
-
-
-def exit_codes(monkeypatch) -> list[int]:
-    """The exit codes of the children `os.waitpid` reaps from now on."""
-    codes = []
-    waitpid = os.waitpid
-
-    def recording(pid, options):
-        reaped = waitpid(pid, options)
-        codes.append(os.waitstatus_to_exitcode(reaped[1]))
-        return reaped
-
-    monkeypatch.setattr(os, "waitpid", recording)
-    return codes
 
 
 def malformed_session(later_bad_byte: bool = False) -> bytes:

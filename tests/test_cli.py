@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smokewatch import __version__, cli, fileio, metrics, mlp
+from smokewatch import __version__, cli, metrics, mlp
 from smokewatch.detect import NEAR_THRESHOLD, GestureRanges, save_ranges
 from smokewatch.errors import NumericalFailure
 from smokewatch.signal import (
@@ -22,7 +22,7 @@ from smokewatch.signal import (
     write_recording_csv,
 )
 
-from conftest import exit_codes, make_recording, malformed_session, split_into, through_a_pipe
+from conftest import make_recording, malformed_session, through_a_pipe
 
 
 def run(*argv: str) -> int:
@@ -202,6 +202,20 @@ def test_synth_malformed_config_exits_1_before_writing(tmp_path, capsys, text):
     out = tmp_path / "out"
     assert run("synth", "--gestures", "cough=1", "--config", str(cfg),
                "--out", str(out)) == 1
+    assert "error: MalformedConfig:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["", "a__b", "a/b", "a\\b"],
+                         ids=["empty", "double-underscore", "slash", "backslash"])
+def test_synth_profile_name_the_corpus_cannot_hold_exits_1(tmp_path, capsys, name):
+    # the name is a field of class__profile__index.csv: train could not read
+    # the file back, or would not find it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profiles": {name: {"offset": [0, 0, 0.5]}}}))
+    out = tmp_path / "out"
+    assert run("synth", "--gestures", "smoking=1", "--profile", name,
+               "--config", str(cfg), "--out", str(out)) == 1
     assert "error: MalformedConfig:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -480,7 +494,7 @@ def test_detect_window_arithmetic(pipeline, tmp_path):
 
 
 def test_detect_reads_a_session_from_a_named_pipe(pipeline, tmp_path):
-    # a pipe has no size to cut, so it is read in one part; the trace and
+    # a pipe, which cannot seek, is read in blocks to its end; the trace and
     # the report equal those of the same session read from its file
     def detect(session, out):
         assert run("detect", "--model", str(pipeline["model"]), "--session", str(session),
@@ -578,19 +592,11 @@ def test_detect_ranges_must_end_inside_the_session(pipeline, tmp_path, capsys):
     assert f"range [{n - 300}, {n + 1}] ends past" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["one-part", "split"])
-def test_detect_memory_is_flat_in_the_session_length(split, tmp_path, monkeypatch):
+def test_detect_memory_is_flat_in_the_session_length(tmp_path):
     # an XYZ detect --ranges --plot holds the session's arrays (about 70 B
     # per sample) but never its text; holding the text cost about 555 B per
-    # sample, 111 MiB at 200,000 samples. The session loads in this process.
-    # tracemalloc sees only this process, not the forked children that write
-    # the later parts of a split write, so the one-part run is the one that
-    # bounds the block code those children run; the split run bounds what
-    # the caller holds while it copies their text.
-    if split:
-        split_into(monkeypatch, 2)
-    else:
-        monkeypatch.setattr(fileio, "PART_ROWS", 10**9)
+    # sample, 111 MiB at 200,000 samples. The session loads and both CSVs
+    # are written in this process.
     rng = np.random.default_rng(3)
     xyz = rng.normal(0.0, 0.5, size=(200_000, 3))
     model = tmp_path / "model.json"
@@ -640,33 +646,6 @@ def test_detect_agrees_across_blas_thread_counts(tmp_path):
         assert np.max(np.abs(one[:, 1] - two[:, 1])) <= 1e-12
         far = np.abs(one[:, 1] - metrics.DEFAULT_THRESHOLD) > NEAR_THRESHOLD
         assert np.array_equal(one[far, 2], two[far, 2])
-
-
-def test_detect_writes_the_parts_its_children_leave(pipeline, tmp_path, monkeypatch):
-    # trace and plot are written in 2 parts of several blocks each; the child
-    # writing the later part prints its first block, then exits 3, and the
-    # caller writes that part: both files are the bytes of a one-part run
-    argv = ["detect", "--model", str(pipeline["model"]), "--session",
-            str(pipeline["session"]), "--plot", "--out"]
-    assert run(*argv, str(tmp_path / "one")) == 0
-    monkeypatch.setattr(fileio, "BLOCK_ROWS", 256)
-    split_into(monkeypatch, 2)
-    parent, printed, output_chars = os.getpid(), [], fileio.output_chars
-
-    def dying(values):
-        if os.getpid() != parent and printed:
-            os._exit(3)
-        printed.append(None)
-        return output_chars(values)
-
-    monkeypatch.setattr(fileio, "output_chars", dying)
-    codes = exit_codes(monkeypatch)
-    assert run(*argv, str(tmp_path / "two")) == 0
-    assert codes == [3]
-    for name in ("trace.csv", "plot.csv"):
-        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # --- shared behavior ----------------------------------------------------------

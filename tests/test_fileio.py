@@ -1,15 +1,13 @@
-"""Atomic writes, the block-formatted CSV writers and their split into parts.
+"""Atomic writes and the block-formatted CSV writers.
 
 Writer oracle: the one-shot formatting of each CSV, one f-string per row
 joined into a single text, written here independently of the writers' block
-loops and of how they are split into parts. The output formatter's oracle is
-the exact binary value of each output rounded half-even by `decimal`."""
+loop. The output formatter's oracle is the exact binary value of each output
+rounded half-even by `decimal`."""
 
 import contextlib
 import os
-import signal
 import stat
-import threading
 import warnings
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
@@ -17,12 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import exit_codes, make_recording, split_into
+from conftest import make_recording
 from smokewatch import fileio
 from smokewatch.detect import DetectionTrace, write_plot_csv, write_trace_csv
 from smokewatch.errors import InvalidSample, InvalidSize, LengthMismatch
 from smokewatch.fileio import BLOCK_ROWS, atomic_open, atomic_write_text
-from smokewatch.signal import load_recording_csv, write_recording_csv
+from smokewatch.signal import write_recording_csv
 
 
 def mode_of(path) -> int:
@@ -89,33 +87,25 @@ def test_atomic_writes_make_a_missing_directory_only(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one", "three", "u.txt"]
 
 
-# BLOCK_ROWS in the writer oracle, small enough for 5 parts on a short session
+# BLOCK_ROWS in the writer oracle, small enough for 6 blocks on a short session
 B = 16
 
 
-def assert_writers_equal_one_shot_formatting(rec, n, parts, draw, tmp_path,
-                                            monkeypatch):
+def assert_writers_equal_one_shot_formatting(rec, n, draw, tmp_path, monkeypatch):
     """The recording, trace and plot CSVs of rec equal plain `repr` text,
     but for the output column, which equals `"%.10f" % o`.
 
     The session has max(n, 2) rows (a recording needs 2) and windows start
     at 0, stride, 2*stride, ... below n, with draw(k) as the outputs of k
     windows; strides of B - 1 and B put a window on the last and on the
-    first row of a block, and so on the first row of every later part, and
-    one of B + 1 leaves blocks with no window. The trace and plot CSVs are
-    written alone and together, each in up to `parts` parts (runs of whole
-    blocks: the 6 blocks of the longest session take every part count).
+    first row of a block, and one of B + 1 leaves blocks with no window. The
+    trace and plot CSVs are written alone and together.
     """
     monkeypatch.setattr(fileio, "BLOCK_ROWS", B)
-    split_into(monkeypatch, parts)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     t, x, y, z = (a.tolist() for a in (rec.t, rec.x, rec.y, rec.z))
     want_recording = "\n".join(["t,x,y,z"] + [
         f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in zip(t, x, y, z)]) + "\n"
     write_recording_csv(rec, tmp_path / "r.csv")
-    assert len(forks) == min(parts, -(-len(rec) // B)) - 1
     assert (tmp_path / "r.csv").read_bytes() == want_recording.encode()
 
     for stride in (1, 3, B - 1, B, B + 1):
@@ -137,20 +127,17 @@ def assert_writers_equal_one_shot_formatting(rec, n, parts, draw, tmp_path,
             assert (tmp_path / f"{name}.csv").read_bytes() == want.encode(), (stride, name)
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 5 * B + 3])
-def test_writers_equal_one_shot_formatting(n, parts, tmp_path, monkeypatch):
+def test_writers_equal_one_shot_formatting(n, tmp_path, monkeypatch):
     # full-precision samples and outputs: every value is distinct
     rng = np.random.default_rng(n)
     rec = make_recording(rng.normal(size=(max(n, 2), 3)))
-    assert_writers_equal_one_shot_formatting(rec, n, parts, lambda k: rng.uniform(0, 1, k),
+    assert_writers_equal_one_shot_formatting(rec, n, lambda k: rng.uniform(0, 1, k),
                                              tmp_path, monkeypatch)
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 5 * B + 3])
-def test_writers_equal_one_shot_formatting_on_the_milli_g_grid(n, parts, tmp_path,
-                                                               monkeypatch):
+def test_writers_equal_one_shot_formatting_on_the_milli_g_grid(n, tmp_path, monkeypatch):
     # samples of a few milli-g on the 1 milli-g grid, as synth writes them:
     # a few dozen distinct values, each repeated within a block and across
     # blocks, with -0.0 (from rounding, and planted every 5 rows) next to
@@ -165,7 +152,7 @@ def test_writers_equal_one_shot_formatting_on_the_milli_g_grid(n, parts, tmp_pat
         out[::7], out[1::7] = -0.0, 0.0
         return out
 
-    assert_writers_equal_one_shot_formatting(rec, n, parts, outputs, tmp_path, monkeypatch)
+    assert_writers_equal_one_shot_formatting(rec, n, outputs, tmp_path, monkeypatch)
 
 
 def repr_rows(*columns: np.ndarray) -> str:
@@ -346,24 +333,6 @@ def test_a_plot_past_its_last_window_keeps_every_row(tmp_path):
         f"{i},0.0,0.0,0.0," for i in range(3, len(rec))]
 
 
-def test_a_write_runs_in_the_parts_of_the_rows_it_writes(tmp_path, monkeypatch):
-    # at the real PART_ROWS on 4 CPUs: a trace alone is sized by its 9,951
-    # rows and runs in one part, though its windows span 39,801 samples; with
-    # a plot it is sized by the 40,000 session rows, part_count(40,000) = 2
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    rec = make_recording(np.random.default_rng(9).normal(size=(40_000, 3)))
-    trace = DetectionTrace(outputs=np.random.default_rng(10).uniform(0, 1, 9951),
-                           stride=4, threshold=0.5)
-    write_trace_csv(trace, tmp_path / "alone.csv")
-    assert len(forks) == 0
-    write_trace_csv(trace, tmp_path / "t.csv", rec, tmp_path / "p.csv")
-    assert len(forks) == 1
-    assert (tmp_path / "alone.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
-
-
 class FailingFile:
     """A text file whose writes fail after the first `allowed` ones."""
 
@@ -377,125 +346,27 @@ class FailingFile:
         self.fh.write(text)
 
 
-def failing_in_children(monkeypatch, fail) -> None:
-    """Make `fileio.repr_chars` and `fileio.output_chars` call fail() first
-    in any process but this one: in the forked children that write the
-    later parts of a CSV write."""
-    parent = os.getpid()
-    for name in ("repr_chars", "output_chars"):
-        def texts(values, original=getattr(fileio, name)):
-            if os.getpid() != parent:
-                fail()
-            return original(values)
-        monkeypatch.setattr(fileio, name, texts)
-
-
-def disk_full():
-    raise OSError("disk full")
-
-
-@pytest.mark.parametrize("allowed, parts", [(0, 1), (2, 1), (1, 3), (None, 2)],
-                         ids=["header", "second_block", "first_block_while_children_run",
-                              "later_part"])
-def test_a_failing_plot_write_replaces_neither_file(allowed, parts, tmp_path, monkeypatch):
-    # the plot write fails once the trace's temp file holds rows, or (allowed
-    # None) on the samples of the later part, in the forked child and again
-    # in the caller, which writes that part once the child exits 1; both
-    # targets keep their old text, no temp file is left and no child is
+@pytest.mark.parametrize("allowed", [0, 2], ids=["header", "second_block"])
+def test_a_failing_plot_write_replaces_neither_file(allowed, tmp_path, monkeypatch):
+    # the plot write fails once the trace's temp file holds rows; both
+    # targets keep their old text and no temp file is left
     monkeypatch.setattr(fileio, "BLOCK_ROWS", 4)
-    split_into(monkeypatch, parts)
     rec = make_recording(np.arange(30.0).reshape(10, 3))
     trace = DetectionTrace(outputs=np.linspace(0, 1, 8), stride=1, threshold=0.5)
     (tmp_path / "t.csv").write_text("old trace\n")
     (tmp_path / "p.csv").write_text("old plot\n")
 
-    if allowed is None:
-        repr_chars = fileio.repr_chars
+    @contextlib.contextmanager
+    def failing_plot_open(path):
+        with atomic_open(path) as fh:  # this module's binding: the original
+            yield FailingFile(fh, allowed) if Path(path).name == "p.csv" else fh
 
-        def failing_past_row_3(columns):  # x, y, z of row i are 3i, 3i + 1, 3i + 2
-            if columns[0][0] >= 12:
-                disk_full()
-            return repr_chars(columns)
-
-        monkeypatch.setattr(fileio, "repr_chars", failing_past_row_3)
-        codes = exit_codes(monkeypatch)
-    else:
-        @contextlib.contextmanager
-        def failing_plot_open(path):
-            with atomic_open(path) as fh:  # this module's binding: the original
-                yield FailingFile(fh, allowed) if Path(path).name == "p.csv" else fh
-
-        monkeypatch.setattr(fileio, "atomic_open", failing_plot_open)
+    monkeypatch.setattr(fileio, "atomic_open", failing_plot_open)
     with pytest.raises(OSError, match="disk full"):
         write_trace_csv(trace, tmp_path / "t.csv", rec, tmp_path / "p.csv")
-    if allowed is None:
-        assert codes == [1]
     assert (tmp_path / "t.csv").read_text() == "old trace\n"
     assert (tmp_path / "p.csv").read_text() == "old plot\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def one_part_outputs(tmp_path, name: str) -> dict[str, bytes]:
-    """The bytes of a recording, trace and plot of 4 blocks written to
-    tmp_path/name; the recording must load back equal."""
-    rec = make_recording(np.random.default_rng(5).normal(size=(4 * BLOCK_ROWS, 3)))
-    trace = DetectionTrace(outputs=np.linspace(0, 1, len(rec) - 7), stride=1, threshold=0.5)
-    out = tmp_path / name
-    write_recording_csv(rec, out / "r.csv")
-    write_trace_csv(trace, out / "t.csv", rec, out / "p.csv")
-    back = load_recording_csv(out / "r.csv")
-    assert all(np.array_equal(getattr(back, a), getattr(rec, a)) for a in "txyz")
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-
-@pytest.mark.parametrize("fail, code", [(lambda: os._exit(3), 3),
-                                        (lambda: os.kill(os.getpid(), signal.SIGKILL),
-                                         -signal.SIGKILL),
-                                        (disk_full, 1)],
-                         ids=["exit", "killed", "raises"])
-def test_a_failed_child_leaves_its_part_to_the_caller(fail, code, tmp_path, monkeypatch):
-    # each write runs in 3 parts; both children of each write die before
-    # their first row, and the caller writes their parts: the same bytes, no
-    # temp file and no child left
-    want = one_part_outputs(tmp_path, "want")
-    split_into(monkeypatch, 3)
-    failing_in_children(monkeypatch, fail)
-    codes = exit_codes(monkeypatch)
-    assert one_part_outputs(tmp_path, "got") == want
-    assert codes == [code] * 4
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("reason", ["thread", "one_cpu", "no_affinity", "no_fork"])
-def test_no_fork_with_another_thread_or_one_cpu(reason, tmp_path, monkeypatch):
-    # a forked child holds only the forking thread, so a second thread keeps
-    # every loop in one part, as one CPU does, and so does a host without
-    # os.sched_getaffinity or os.fork; the output is the same
-    want = one_part_outputs(tmp_path, "want")
-    split_into(monkeypatch, 2)
-
-    def fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", fork)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if reason == "thread":
-        thread.start()
-    elif reason == "one_cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    else:
-        monkeypatch.delattr(os, {"no_affinity": "sched_getaffinity", "no_fork": "fork"}[reason])
-    try:
-        assert one_part_outputs(tmp_path, "got") == want
-    finally:
-        stop.set()
-        if thread.ident is not None:
-            thread.join(timeout=10)
-    assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, np.nextafter(1.0, 2.0)])

@@ -8,10 +8,11 @@ target. Every package module is also scanned for imported names that it
 never uses, and every error class must be raised somewhere in the package. The package needs numpy alone, so
 importing its CLI must not load scipy. The package root holds only the
 version, `fileio` alone encodes JSON, `metrics` alone compares outputs
-with a threshold, no module sets the umask, `fileio` alone opens, blocks,
-forks and exits for the CSV writers and turns their floats into text,
-the README's library example runs as written, and every smokewatch
-command of the CI workflow parses and its Python heredocs compile.
+with a threshold, no module sets the umask, `fileio` alone opens and
+blocks for the CSV writers and turns their floats into text, no module
+forks, reaps or ends a process by `os._exit`, the README's library
+example runs as written, and every smokewatch command of the CI workflow
+parses and its Python heredocs compile.
 """
 
 import ast
@@ -251,22 +252,25 @@ def test_the_umask_scan_finds_a_call():
                        "from os import umask\numask(0o22)\nos.umask\n") == [2, 3, 5]
 
 
-def csv_writer_names(source: str) -> list[int]:
-    """Lines that name `atomic_open`, `BLOCK_ROWS`, `csv_block`, `fork` or
-    `_exit` (as in `os.fork`, `os._exit`), `mkdir` or `makedirs`: as a name,
-    an attribute or an imported name."""
-    owned = {"atomic_open", "BLOCK_ROWS", "csv_block", "fork", "_exit", "mkdir", "makedirs"}
+def named_lines(source: str, names: set[str]) -> list[int]:
+    """Lines that name one of `names`: as a name, an attribute or an
+    imported name."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
                   and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
-                  in owned)
+                  in names)
 
 
-def test_only_fileio_opens_writes_blocks_and_forks():
+def csv_writer_names(source: str) -> list[int]:
+    """Lines that name `atomic_open`, `BLOCK_ROWS`, `csv_block`, `mkdir` or
+    `makedirs`."""
+    return named_lines(source, {"atomic_open", "BLOCK_ROWS", "csv_block", "mkdir", "makedirs"})
+
+
+def test_only_fileio_opens_and_writes_blocks():
     # one writer: `fileio.write_csv` opens every CSV target, runs the block
-    # loop, joins each block's fields into text and splits it into parts; `fileio.atomic_open` makes every
-    # directory a write needs. Only `fileio` ends a process by `os._exit`,
-    # so a forked part's exit code 0 always means a finished part
+    # loop and joins each block's fields into text; `fileio.atomic_open`
+    # makes every directory a write needs
     found = {p.name: csv_writer_names(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py")) if p.name != "fileio.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -279,15 +283,31 @@ def test_the_writer_scan_finds_a_planted_name():
                             "s = 'atomic_open'\nos.forkpty\natomic_write_text(p, s)\n"
                             "Path(p).mkdir()\nos.makedirs(d)\nos._exit(0)\n"
                             "text = fileio.csv_block(fields)\n"
-                            ) == [1, 2, 3, 4, 5, 9, 10, 11, 12]
+                            ) == [1, 2, 5, 9, 10, 12]
+
+
+def process_names(source: str) -> list[int]:
+    """Lines that name `fork`, `waitpid` or `_exit` (as in `os.fork`,
+    `os.waitpid`, `os._exit`)."""
+    return named_lines(source, {"fork", "waitpid", "_exit"})
+
+
+def test_no_module_forks():
+    # every write, and everything else, runs in the calling process
+    found = {p.name: process_names(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_fork_scan_finds_a_planted_name():
+    assert process_names("pid = os.fork()\nfrom os import fork\nos.forkpty\n"
+                         "os.waitpid(pid, 0)\nfrom os import waitpid as reap\n"
+                         "os._exit(0)\nfork_count = 1\n") == [1, 2, 4, 5, 6]
 
 
 def repr_names(source: str) -> list[int]:
-    """Lines that name `repr`: as a name, an attribute or an imported name."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-                  and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
-                  == "repr")
+    """Lines that name `repr`."""
+    return named_lines(source, {"repr"})
 
 
 def repr_rows(source: str) -> list[int]:
@@ -459,9 +479,9 @@ def test_the_tool_version_is_the_package_version():
     assert not re.search(r'^version = "', pyproject, re.MULTILINE)
 
 
-# The prefixes CI puts before a command, with the words each takes:
-# `timeout DURATION` and `taskset -c CPUS`.
-PREFIX_WORDS = {"timeout": 2, "taskset": 3}
+# The prefix CI puts before a command, with the words it takes:
+# `timeout DURATION`.
+PREFIX_WORDS = {"timeout": 2}
 ENV_ASSIGNMENT = re.compile(r"[A-Za-z_]\w*=\S*")
 REDIRECTION = re.compile(r"\d*(?:>>|&>|<|>)(.*)")
 
@@ -519,7 +539,7 @@ def test_every_ci_command_parses_and_every_ci_heredoc_compiles():
     commands, heredocs = workflow_scripts(text)
     # the counts tie the scan to the workflow: a command or heredoc it
     # misses, or one CI gains, changes them
-    assert (len(commands), len(heredocs)) == (14, 4)
+    assert (len(commands), len(heredocs)) == (12, 4)
     assert unparsed_commands(commands) == []
     for k, body in enumerate(heredocs):
         compile(body, f"tests.yml heredoc {k}", "exec")
@@ -527,7 +547,7 @@ def test_every_ci_command_parses_and_every_ci_heredoc_compiles():
 
 def test_the_workflow_scan_finds_a_bad_option_and_a_syntax_error():
     text = ("      - run: |\n"
-            "          A=1 timeout 60 taskset -c 0 \\\n"
+            "          A=1 timeout 60 \\\n"
             "            smokewatch detect --model m.json --session s.csv \\\n"
             "            --bogus 1 2> err.txt\n"
             "          smokewatch eval --model m.json --data d >out.txt 2>> log.txt\n"

@@ -6,7 +6,6 @@ independently of np.interp.
 
 import io
 import math
-import os
 import re
 import warnings
 from typing import Union
@@ -14,7 +13,7 @@ from typing import Union
 import numpy as np
 import pytest
 
-from conftest import make_recording, malformed_session, split_into, through_a_pipe
+from conftest import make_recording, malformed_session, through_a_pipe
 from oracles import reference_load
 from smokewatch import signal
 from smokewatch.errors import (
@@ -462,7 +461,7 @@ def test_load_csv_gives_numpy_no_blank_block(tmp_path, monkeypatch):
                    np.array([[0.0, 0.02], [1, 1], [2, 2], [3, 3]]))
 
 
-# --- CSV ingestion in blocks, and writes in parts ------------------------------
+# --- CSV ingestion in blocks -------------------------------------------------
 
 # 30 rows of one width, so that a fault written over a row moves no block cut
 ROWS = [f"{k * 0.02:8.4f},0.25,0.50,1.00".encode() for k in range(30)]
@@ -529,21 +528,14 @@ def milli_g_xyz():
     return np.concatenate([np.stack([r.x, r.y, r.z], axis=1) for _, r, _ in sessions])[:100_000]
 
 
-def test_milli_g_session_round_trips_in_any_part_count(milli_g_xyz, tmp_path, monkeypatch):
-    # written in 1, 2 or 3 parts, the session is the same bytes and loads
-    # back bit for bit
+def test_milli_g_session_round_trips_in_any_part_count(milli_g_xyz, tmp_path):
+    # the written session loads back bit for bit
     rec = make_recording(milli_g_xyz)
-    written = []
-    for parts in (1, 2, 3):
-        path = tmp_path / f"s{parts}.csv"
-        with monkeypatch.context() as m:
-            split_into(m, parts)
-            write_recording_csv(rec, path)
-            got = load_recording_csv(path)
-        for name in "txyz":
-            assert np.array_equal(getattr(got, name), getattr(rec, name)), (parts, name)
-        written.append(path.read_bytes())
-    assert written[1] == written[0] and written[2] == written[0]
+    path = tmp_path / "s.csv"
+    write_recording_csv(rec, path)
+    got = load_recording_csv(path)
+    for name in "txyz":
+        assert np.array_equal(getattr(got, name), getattr(rec, name)), name
 
 
 def test_load_csv_cuts_cr_only_lines_into_read_sized_blocks(milli_g_xyz, tmp_path):
@@ -561,23 +553,6 @@ def test_load_csv_cuts_cr_only_lines_into_read_sized_blocks(milli_g_xyz, tmp_pat
     a, b = load_recording_csv(lf), load_recording_csv(cr)
     for name in "txyz":
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-
-
-def test_a_session_loads_without_a_fork_and_writes_in_parts(milli_g_xyz, tmp_path,
-                                                            monkeypatch):
-    # on 4 CPUs at the real PART_ROWS: the 100,000-row milli-g session is
-    # written in 4 parts, 3 of them by forked children, and loaded by the
-    # calling process alone
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    rec = make_recording(milli_g_xyz)
-    path = tmp_path / "s.csv"
-    write_recording_csv(rec, path)
-    assert len(forks) == 3
-    assert load_recording_csv(path).z.tobytes() == rec.z.tobytes()
-    assert len(forks) == 3
 
 
 def test_load_csv_reads_a_named_pipe(rng, tmp_path):
