@@ -91,7 +91,8 @@ def test_atomic_writes_make_a_missing_directory_only(tmp_path, monkeypatch):
 B = 16
 
 
-def assert_writers_equal_one_shot_formatting(rec, n, draw, tmp_path, monkeypatch):
+def assert_writers_equal_one_shot_formatting(rec, n, stride, draw, tmp_path,
+                                            monkeypatch):
     """The recording, trace and plot CSVs of rec equal plain `repr` text,
     but for the output column, which equals `"%.10f" % o`.
 
@@ -108,36 +109,37 @@ def assert_writers_equal_one_shot_formatting(rec, n, draw, tmp_path, monkeypatch
     write_recording_csv(rec, tmp_path / "r.csv")
     assert (tmp_path / "r.csv").read_bytes() == want_recording.encode()
 
-    for stride in (1, 3, B - 1, B, B + 1):
-        starts = list(range(0, n, stride))
-        trace = DetectionTrace(outputs=draw(len(starts)), stride=stride,
-                               threshold=0.5)
-        outputs = dict(zip(starts, trace.outputs.tolist()))
-        want_trace = "\n".join(["start,output,smoking"] + [
-            f"{i},{'%.10f' % o},{int(o >= 0.5)}" for i, o in outputs.items()]) + "\n"
-        want_plot = "\n".join(["i,x,y,z,output"] + [
-            f"{i},{b!r},{c!r},{d!r},{'%.10f' % outputs[i] if i in outputs else ''}"
-            for i, (b, c, d) in enumerate(zip(x, y, z))]) + "\n"
+    starts = list(range(0, n, stride))
+    trace = DetectionTrace(outputs=draw(len(starts)), stride=stride, threshold=0.5)
+    outputs = dict(zip(starts, trace.outputs.tolist()))
+    want_trace = "\n".join(["start,output,smoking"] + [
+        f"{i},{'%.10f' % o},{int(o >= 0.5)}" for i, o in outputs.items()]) + "\n"
+    want_plot = "\n".join(["i,x,y,z,output"] + [
+        f"{i},{b!r},{c!r},{d!r},{'%.10f' % outputs[i] if i in outputs else ''}"
+        for i, (b, c, d) in enumerate(zip(x, y, z))]) + "\n"
 
-        write_trace_csv(trace, tmp_path / "t.csv")
-        write_plot_csv(trace, rec, tmp_path / "p.csv")
-        write_trace_csv(trace, tmp_path / "t2.csv", rec, tmp_path / "p2.csv")
-        for name, want in (("t", want_trace), ("p", want_plot),
-                           ("t2", want_trace), ("p2", want_plot)):
-            assert (tmp_path / f"{name}.csv").read_bytes() == want.encode(), (stride, name)
+    write_trace_csv(trace, tmp_path / "t.csv")
+    write_plot_csv(trace, rec, tmp_path / "p.csv")
+    write_trace_csv(trace, tmp_path / "t2.csv", rec, tmp_path / "p2.csv")
+    for name, want in (("t", want_trace), ("p", want_plot),
+                       ("t2", want_trace), ("p2", want_plot)):
+        assert (tmp_path / f"{name}.csv").read_bytes() == want.encode(), name
 
 
+@pytest.mark.parametrize("stride", [1, 3, B - 1, B, B + 1])
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 5 * B + 3])
-def test_writers_equal_one_shot_formatting(n, tmp_path, monkeypatch):
+def test_writers_equal_one_shot_formatting(n, stride, tmp_path, monkeypatch):
     # full-precision samples and outputs: every value is distinct
     rng = np.random.default_rng(n)
     rec = make_recording(rng.normal(size=(max(n, 2), 3)))
-    assert_writers_equal_one_shot_formatting(rec, n, lambda k: rng.uniform(0, 1, k),
+    assert_writers_equal_one_shot_formatting(rec, n, stride, lambda k: rng.uniform(0, 1, k),
                                              tmp_path, monkeypatch)
 
 
+@pytest.mark.parametrize("stride", [1, 3, B - 1, B, B + 1])
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 5 * B + 3])
-def test_writers_equal_one_shot_formatting_on_the_milli_g_grid(n, tmp_path, monkeypatch):
+def test_writers_equal_one_shot_formatting_on_the_milli_g_grid(n, stride, tmp_path,
+                                                               monkeypatch):
     # samples of a few milli-g on the 1 milli-g grid, as synth writes them:
     # a few dozen distinct values, each repeated within a block and across
     # blocks, with -0.0 (from rounding, and planted every 5 rows) next to
@@ -152,7 +154,7 @@ def test_writers_equal_one_shot_formatting_on_the_milli_g_grid(n, tmp_path, monk
         out[::7], out[1::7] = -0.0, 0.0
         return out
 
-    assert_writers_equal_one_shot_formatting(rec, n, outputs, tmp_path, monkeypatch)
+    assert_writers_equal_one_shot_formatting(rec, n, stride, outputs, tmp_path, monkeypatch)
 
 
 def repr_rows(*columns: np.ndarray) -> str:
