@@ -60,8 +60,14 @@ otherwise:
   |difference| of the outputs (`max_abs_diff`, at most MAX_DETECT_DIFF)
   and whether the decisions agree on every window farther than
   `detect.NEAR_THRESHOLD` from the threshold (`decisions_equal`);
-- the environment: Python and numpy versions, nproc and the BLAS thread
-  variables.
+- detection with its writes on that recording (`detect_write`), as
+  `smokewatch detect --plot` runs them, for the same networks and strides,
+  20 alternating runs each of the band blocks inline and on the worker
+  thread, the path forced by `detect.PIPELINE_BLOCKS`, and whether both
+  paths wrote the same trace and plot bytes (`files_equal`; null on a tree
+  that has no pipeline);
+- the environment: Python and numpy versions, nproc, the CPUs this process
+  may use and the BLAS thread variables.
 
 Every best-of figure also records the CPU time of each repeat
 (`cpu_min_s`, `cpu_median_s`): user plus system time of this process and of
@@ -80,8 +86,9 @@ than MAX_REL_DIFF, when the primal step leaves the SVD oracle's bound, when
 a mode's `train_best_of` network differs from the full loop's, when a
 CSV write differs from its plain-`repr` and fixed-decimal text, when a CSV load differs from
 the recording it was written from, when a grid block's text differs from
-plain `repr` (`repr_grid_oracle`), or when a detection differs from the
-per-window oracle, so a run of it is an equivalence check. The
+plain `repr` (`repr_grid_oracle`), when a detection differs from the
+per-window oracle, or when the pipelined detection writes other bytes than
+the inline one, so a run of it is an equivalence check. The
 smokewatch sources are the ones the script imports, so
 `PYTHONPATH=<other checkout>/src` measures another tree.
 
@@ -139,6 +146,7 @@ DETECT_STRIDES = (1, 3)
 # windows of a stride-1 trace on a Table-1 session (2,998-4,392 samples at seed 7)
 TABLE1_WINDOWS = 3300
 TRACE_REPEATS = 20
+DETECT_WRITE_REPEATS = 20
 MAX_DETECT_DIFF = 1e-12
 
 
@@ -153,14 +161,23 @@ def cpu_time() -> float:
 
 
 def best_of(fn, repeats: int) -> dict:
-    times, cpu = [], []
+    return alternating({"": fn}, repeats)[""]
+
+
+def alternating(fns: dict, repeats: int) -> dict:
+    """`best_of`'s figures for each function of fns, the functions run in
+    turn, `repeats` times over."""
+    times = {key: ([], []) for key in fns}
     for _ in range(repeats):
-        c0, t0 = cpu_time(), perf_counter()
-        fn()
-        times.append(perf_counter() - t0)
-        cpu.append(cpu_time() - c0)
-    return {"min_s": min(times), "median_s": statistics.median(times),
-            "cpu_min_s": min(cpu), "cpu_median_s": statistics.median(cpu), "n": repeats}
+        for key, fn in fns.items():
+            c0, t0 = cpu_time(), perf_counter()
+            fn()
+            times[key][0].append(perf_counter() - t0)
+            times[key][1].append(cpu_time() - c0)
+    return {key: {"min_s": min(wall), "median_s": statistics.median(wall),
+                  "cpu_min_s": min(cpu), "cpu_median_s": statistics.median(cpu),
+                  "n": repeats}
+            for key, (wall, cpu) in times.items()}
 
 
 def synth_row() -> dict:
@@ -422,12 +439,11 @@ def grid_oracle_row() -> dict:
     return row
 
 
-def detect_rows(datasets: dict, session: signal.SensorRecording) -> dict:
+def detect_rows(nets: dict, session: signal.SensorRecording) -> dict:
     """detect_session on the session for the X and XYZ networks, each
     stride's outputs against the per-window oracle's."""
     rows = {}
-    for mode in (ChannelMode.X, ChannelMode.XYZ):
-        net = train.train_best_of(datasets[mode], restarts=RESTARTS, master_seed=SEED)[0]
+    for mode, net in nets.items():
         for stride in DETECT_STRIDES:
             run = partial(detect.detect_session, net, session, stride=stride)
             trace, want = run(), window_outputs(net, session, stride)
@@ -443,6 +459,46 @@ def detect_rows(datasets: dict, session: signal.SensorRecording) -> dict:
     return rows
 
 
+def detect_write_rows(nets: dict, session: signal.SensorRecording) -> dict:
+    """`smokewatch detect --plot`'s detection and writes on the session for
+    the X and XYZ networks at each stride, in-process: `detect.detection`
+    with `write_trace_csv` inside it, with PIPELINE_BLOCKS set so that the
+    band blocks run inline and so that they run on the worker (which also
+    needs two usable CPUs), in alternating runs; whether the two paths wrote
+    the same trace and plot bytes. A tree without `detect.detection` runs
+    `detect_session` then `write_trace_csv`, inline only, and compares
+    nothing (`files_equal` null)."""
+    pipelines = hasattr(detect, "detection")
+    least = getattr(detect, "PIPELINE_BLOCKS", None)
+    paths = {"inline": sys.maxsize, "pipelined": 1} if pipelines else {"inline": None}
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode, net in nets.items():
+            for stride in DETECT_STRIDES:
+                outs = {path: Path(tmp, f"{mode.value}{stride}-{path}") for path in paths}
+
+                def run(path, out):
+                    if not pipelines:
+                        detect.write_trace_csv(detect.detect_session(net, session, stride),
+                                               out / "trace.csv", session, out / "plot.csv")
+                        return
+                    detect.PIPELINE_BLOCKS = paths[path]
+                    try:
+                        with detect.detection(net, session, stride) as trace:
+                            detect.write_trace_csv(trace, out / "trace.csv", session,
+                                                   out / "plot.csv")
+                    finally:
+                        detect.PIPELINE_BLOCKS = least
+
+                row = alternating({path: partial(run, path, out) for path, out in outs.items()},
+                                  DETECT_WRITE_REPEATS)
+                files = [{name: (out / name).read_bytes() for name in ("trace.csv", "plot.csv")}
+                         for out in outs.values()]
+                row["files_equal"] = all(f == files[0] for f in files) if pipelines else None
+                rows[f"{mode.value}_stride{stride}"] = row
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key to store this run under")
@@ -452,12 +508,15 @@ def main(argv=None) -> int:
     recordings, _, _ = synth.generate_table1(master_seed=SEED)
     datasets = {mode: train.build_dataset(recordings, mode) for mode in MODES}
     session = long_session(SEED, CSV_ROWS)
+    nets = {mode: train.train_best_of(datasets[mode], restarts=RESTARTS, master_seed=SEED)[0]
+            for mode in (ChannelMode.X, ChannelMode.XYZ)}
     run = {
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
             "threads": {v: os.environ[v] for v in THREAD_VARS},
         },
         "seed": SEED,
@@ -472,7 +531,8 @@ def main(argv=None) -> int:
         "csv_table1_corpus": corpus_row(),
         "trace_table1": trace_table1_row(session[2]),
         "repr_grid_oracle": grid_oracle_row(),
-        "detect": detect_rows(datasets, session[0]),
+        "detect": detect_rows(nets, session[0]),
+        "detect_write": detect_write_rows(nets, session[0]),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -519,6 +579,11 @@ def main(argv=None) -> int:
             print(f"detect {key}: outputs differ from the per-window oracle by "
                   f"{row['max_abs_diff']:.3g} (> {MAX_DETECT_DIFF:g}) or decide "
                   f"otherwise", file=sys.stderr)
+            code = 1
+    for key, row in run["detect_write"].items():
+        if row["files_equal"] is False:
+            print(f"detect_write {key}: the pipelined run wrote other trace or plot bytes "
+                  "than the inline run", file=sys.stderr)
             code = 1
     svd = run["primal_step"]["svd_oracle"]
     if svd["max_rel_err"] > svd["bound"]:

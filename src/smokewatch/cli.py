@@ -6,8 +6,12 @@ directories hold one recording CSV per gesture named
 ground-truth file; every run writes `manifest_<command>.json` next to its
 outputs. Directories, `--out` included, come from the writes, so a command
 that fails before its first write leaves none; `train` fits every mode
-before it writes. All files are written atomically and all commands are
-deterministic given their manifest, so reruns are byte-identical.
+before it writes. On a long session `detect` runs its network while it
+writes the trace and plot (`detect.detection`), so an output that is not
+finite raises InvalidSample during the writes: `--out` may then be left
+empty, but no file in it is written or replaced. All files are written
+atomically and all commands are deterministic given their manifest, so
+reruns are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure. Out-of-range
 numeric options are usage errors, raised before any input is read; the
@@ -238,12 +242,12 @@ def cmd_detect(args) -> None:
         raise MalformedRanges(
             f"range {list(truth.ranges[-1])} ends past the session's "
             f"{len(session)} samples")
-    trace = detect_mod.detect_session(network, session, stride=args.stride,
-                                      threshold=threshold)
     out = Path(args.out)
     trace_path = out / "trace.csv"
     plot_path = out / "plot.csv" if args.plot else None
-    detect_mod.write_trace_csv(trace, trace_path, session, plot_path)
+    with detect_mod.detection(network, session, stride=args.stride,
+                              threshold=threshold) as trace:
+        detect_mod.write_trace_csv(trace, trace_path, session, plot_path)
     written = [str(trace_path)]
     inputs = [str(args.model), str(args.session)]
     if truth is not None:

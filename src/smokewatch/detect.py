@@ -20,14 +20,25 @@ files at 10 decimals (at most 5e-11 off, against NEAR_THRESHOLD's 1e-9),
 `fileio.repr_chars` the x, y and z values for the plot; the `smoking`
 column comes from the exact outputs. `fileio.write_csv` owns the block
 loop and the joining of fields into text, so neither file is ever held
-whole as text.
+whole as text. Within `detection` the band blocks of a long session run on
+one worker thread while those writes format the rows of the blocks already
+done: the BLAS product releases the GIL, the formatting holds it. On the
+100,000-sample `long_session` session (`benchmarks/bench_pipeline.py`'s
+`detect_write`, 2-vCPU VM, one BLAS thread) that took detection plus the
+trace and plot writes from 51 to 41 ms (X) and from 75 to 51 ms (XYZ) at
+stride 1, and from 33 to 30 and 43 to 33 ms at stride 3. The outputs
+cannot change: each block is the same single-threaded product on the same
+shapes, wherever it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,6 +62,13 @@ BLOCK_WINDOWS = 4096
 # Outputs this close to the threshold could flip under a last-bit change of
 # the arithmetic; the detect report counts them.
 NEAR_THRESHOLD = 1e-9
+# Fewest blocks of the band that `detection` runs on a worker thread. A
+# detect plus --plot write took, inline against pipelined (2-vCPU VM, one
+# BLAS thread, medians of 21 and of 31 alternating runs): at 6 blocks X 20.5
+# -> 17.9 and 21.1 -> 17.0 ms, XYZ 23.4 -> 20.0 and 25.7 -> 20.7 ms; at 5
+# blocks X 14.4 -> 12.8 but 13.6 -> 13.8 ms; at 2 blocks (a Table-1
+# session has 1 or 2) X 8.8 -> 9.4 ms
+PIPELINE_BLOCKS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +79,8 @@ class DetectionTrace:
     outputs: np.ndarray
     stride: int
     threshold: float
+    # set by `detection` only: returns once outputs[:k] are final and checked
+    _wait: Optional[Callable[[int], None]] = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outputs", np.asarray(self.outputs, dtype=np.float64))
@@ -68,12 +88,18 @@ class DetectionTrace:
             raise LengthMismatch("outputs must be 1-d")
         if self.stride < 1:
             raise InvalidSize("stride must be >= 1")
-        # -0.0 passes: it is printed as "%.10f" prints it
-        if not np.all((self.outputs >= 0.0) & (self.outputs <= 1.0)):
-            raise InvalidSample("outputs must be finite and lie in [0, 1]")
+        if self._wait is None:
+            _check_outputs(self.outputs)
 
     def __len__(self) -> int:
         return self.outputs.shape[0]
+
+    def ready(self, windows: int) -> np.ndarray:
+        """`outputs`, the first `windows` of them final; inside `detection`
+        the band blocks past them may still be running."""
+        if self._wait is not None:
+            self._wait(windows)
+        return self.outputs
 
     @property
     def starts(self) -> np.ndarray:
@@ -125,11 +151,10 @@ class GestureRanges:
         return np.where(k % 2 == 1, k // 2, -1)
 
 
-def detect_session(network: mlp.Network, session: SensorRecording,
-                   stride: int = 1,
-                   threshold: float = metrics.DEFAULT_THRESHOLD) -> DetectionTrace:
-    """Run the network over every full rolling window of the session; the
-    window is the network's per-signal input length (`Network.window`)."""
+def _layout(network: mlp.Network, session: SensorRecording, stride: int,
+            threshold: float) -> tuple[int, int, int]:
+    """Check a detection's arguments; return its window count, the windows
+    per row of the band and the rows of the band per block."""
     width = network.window
     if stride < 1:
         raise InvalidSize("stride must be >= 1")
@@ -137,11 +162,22 @@ def detect_session(network: mlp.Network, session: SensorRecording,
     if len(session) < width:
         raise SessionTooShort(
             f"session has {len(session)} samples, window needs {width}")
-
-    n = window_count(len(session), width, stride)
     # windows per row of the band: its multiply-adds on zeros, (per_row - 1)
     # * stride / width of the useful ones, stay at or below 25%
     per_row = 1 + width // (4 * stride)
+    return (window_count(len(session), width, stride), per_row,
+            max(1, BLOCK_WINDOWS // per_row))
+
+
+def _band_blocks(network: mlp.Network, session: SensorRecording, stride: int,
+                 threshold: float) -> tuple[np.ndarray, int, list[Callable[[], None]]]:
+    """The outputs array of a detection, its window count n, and one function
+    per block of the band, in window order, that fills the block's own slice
+    of outputs and raises InvalidSample unless that slice's windows below n
+    are finite and in [0, 1]. outputs[:n] are the windows' outputs once
+    every block has run."""
+    n, per_row, step = _layout(network, session, stride, threshold)
+    width = network.window
     rows = -(-n // per_row)
     row_len = (per_row - 1) * stride + width
     used = (n - 1) * stride + width
@@ -154,14 +190,78 @@ def detect_session(network: mlp.Network, session: SensorRecording,
         np.subtract(s[:used], c, out=padded[:used])
         views.append(sliding_window_view(padded, row_len)[::per_row * stride])
     band = kernels.window_band(w, len(signals), stride, per_row)
-    step = max(1, BLOCK_WINDOWS // per_row)
     outputs = np.empty(rows * per_row)
-    for lo in range(0, rows, step):
+
+    def block(lo: int) -> None:
         hi = min(lo + step, rows)
         outputs[lo * per_row:hi * per_row] = kernels.band_forward(
             band, b, network.w2, network.b2,
             np.concatenate([v[lo:hi] for v in views], axis=1))
+        _check_outputs(outputs[lo * per_row:min(hi * per_row, n)])
+
+    return outputs, n, [partial(block, lo) for lo in range(0, rows, step)]
+
+
+def _check_outputs(outputs: np.ndarray) -> None:
+    # -0.0 passes: it is printed as "%.10f" prints it
+    if not np.all((outputs >= 0.0) & (outputs <= 1.0)):
+        raise InvalidSample("outputs must be finite and lie in [0, 1]")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def detect_session(network: mlp.Network, session: SensorRecording,
+                   stride: int = 1,
+                   threshold: float = metrics.DEFAULT_THRESHOLD) -> DetectionTrace:
+    """Run the network over every full rolling window of the session; the
+    window is the network's per-signal input length (`Network.window`)."""
+    outputs, n, blocks = _band_blocks(network, session, stride, threshold)
+    for block in blocks:
+        block()
     return DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold)
+
+
+@contextmanager
+def detection(network: mlp.Network, session: SensorRecording, stride: int = 1,
+              threshold: float = metrics.DEFAULT_THRESHOLD) -> Iterator[DetectionTrace]:
+    """`detect_session`'s trace, for a `with` body that writes it by
+    `write_trace_csv`.
+
+    With at least PIPELINE_BLOCKS blocks of the band and two usable CPUs,
+    the blocks run in order on one worker thread while the body runs, each
+    filling its own slice of the trace's outputs, and the trace is pending:
+    `DetectionTrace.ready(k)` waits for the blocks that cover its first k
+    windows and raises what they raised, so the writes format each block
+    of rows as soon as its windows are done. Any other detection is
+    `detect_session`'s, run before the body. On leaving the body the
+    worker's pending blocks are cancelled and the worker is joined; on a
+    clean exit every block has first run and checked its outputs."""
+    n, per_row, step = _layout(network, session, stride, threshold)
+    if -(-n // (per_row * step)) < PIPELINE_BLOCKS or _usable_cpus() < 2:
+        yield detect_session(network, session, stride, threshold)
+        return
+    outputs, n, blocks = _band_blocks(network, session, stride, threshold)
+    # imported here, so that a process that never pipelines does not load it
+    # (it and its imports, logging among them, hold 0.7 MiB resident)
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        done = [pool.submit(block) for block in blocks]
+
+        def wait(windows: int) -> None:
+            for future in done[:-(-windows // (per_row * step))]:
+                future.result()
+
+        yield DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold,
+                             _wait=wait)
+        wait(n)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def score_trace(trace: DetectionTrace,
@@ -195,9 +295,10 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     indices the outputs of the windows starting in it are printed once, for
     both files, by `fileio.output_chars`, the block's samples by
     `fileio.repr_chars`, and `fileio.write_csv` writes the blocks, so an
-    error replaces neither target."""
-    stride, outputs = trace.stride, trace.outputs
-    smoking = trace.decisions
+    error replaces neither target. Each block reads its outputs through
+    `DetectionTrace.ready`, so within `detection` it waits only for the band
+    blocks that cover its windows."""
+    stride = trace.stride
     last = (len(trace) - 1) * stride
     if plot_path is None:
         n = last + 1 if len(trace) else 0
@@ -212,11 +313,13 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
         # none (b = a) in a block of plot rows past the last window
         a = -(-lo // stride)
         b = max(a, min(-(-hi // stride), len(trace)))
-        printed = fileio.output_chars(outputs[a:b])
+        outputs = trace.ready(b)[a:b]
+        printed = fileio.output_chars(outputs)
         fields = []  # the trace block's, then the plot block's
         if path is not None:
             fields.append([fileio.digit_chars(np.arange(a * stride, b * stride, stride)),
-                           printed, fileio.digit_chars(smoking[a:b])])
+                           printed,
+                           fileio.digit_chars(metrics.decide(outputs, trace.threshold))])
         if plot_path is not None:
             tails = np.zeros((hi - lo, printed.shape[1]), dtype=np.uint8)
             tails[a * stride - lo:b * stride - lo:stride] = printed

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from smokewatch import __version__, cli, metrics, mlp
+from smokewatch import detect as detect_mod
 from smokewatch.detect import NEAR_THRESHOLD, GestureRanges, save_ranges
 from smokewatch.errors import NumericalFailure
 from smokewatch.signal import (
@@ -618,6 +620,34 @@ def test_detect_memory_is_flat_in_the_session_length(tmp_path):
             tracemalloc.stop()
     assert peaks[200_000] < 24 * 2**20
     assert peaks[200_000] - peaks[100_000] < 10 * 2**20
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pipelined", "inline"])
+def test_detect_fails_on_an_output_that_is_not_finite(cpus, tmp_path, capsys, monkeypatch):
+    # samples near +-1e308 overflow the first layer of the windows that hold
+    # them, late in an 8-block session, and give NaN outputs. With two CPUs
+    # the worker's block raises while the writes run (they have made
+    # --out); with one, detect_session raises before any write. Either way
+    # detect exits 1 naming InvalidSample, leaves no file and no thread
+    values = np.round(np.random.default_rng(4).normal(0.0, 0.5, size=(33_000, 3)), 3)
+    values[30_000:30_100] = [1e308, -1e308, 1e308]
+    values[30_001:30_100:2] *= -1
+    session = tmp_path / "s.csv"
+    write_recording_csv(make_recording(values), session)
+    model = tmp_path / "model.json"
+    mlp.save_model(mlp.init_network(600, mlp.DEFAULT_HIDDEN, rng=1, mode=ChannelMode.XYZ),
+                   model)
+    monkeypatch.setattr(detect_mod, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    before = threading.active_count()
+    assert run("detect", "--model", str(model), "--session", str(session), "--plot",
+               "--out", str(out)) == 1
+    assert threading.active_count() == before
+    assert capsys.readouterr().err.startswith("error: InvalidSample: ")
+    assert out.exists() == (cpus == 2)
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_detect_agrees_across_blas_thread_counts(tmp_path):

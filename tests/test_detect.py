@@ -1,6 +1,9 @@
 """Rolling-window detection: trace construction, truth labeling, scoring
 against ground-truth ranges, and the plot/trace serializations."""
 
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +12,7 @@ import pytest
 
 from conftest import make_recording, tiny_network
 from oracles import forward
-from smokewatch import detect, mlp
+from smokewatch import detect, fileio, kernels, mlp
 from smokewatch.detect import (
     BLOCK_WINDOWS,
     NEAR_THRESHOLD,
@@ -267,6 +270,107 @@ def test_detect_folded_layer_keeps_precision_on_offset_axes(mode):
     assert np.max(np.abs(trace.outputs - want)) <= 1e-12
     assert not np.any(np.abs(want - 0.5) <= NEAR_THRESHOLD)
     assert np.array_equal(trace.decisions, want >= 0.5)
+
+
+def detect_and_write(net, rec, stride, out, plot, cpus, least, monkeypatch):
+    """Run `detection` with `_usable_cpus` reading cpus and PIPELINE_BLOCKS
+    at least, and write its trace (and plot) under out; (outputs, whether
+    the worker ran, the files under out)."""
+    monkeypatch.setattr(detect, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(detect, "PIPELINE_BLOCKS", least)
+    before = threading.active_count()
+    with detect.detection(net, rec, stride=stride) as trace:
+        pipelined = trace._wait is not None
+        write_trace_csv(trace, out / "trace.csv", rec, out / "plot.csv" if plot else None)
+    assert threading.active_count() == before
+    return trace.outputs.copy(), pipelined, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switched every 10 us; the interpreter's interval restored after."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 60])  # 60 > width / 4: one window per band row
+@pytest.mark.parametrize("mode", [ChannelMode.X, ChannelMode.XYZ, ChannelMode.AVG],
+                         ids=lambda m: m.value)
+def test_pipelined_detection_writes_the_inline_bytes(mode, stride, tmp_path, monkeypatch,
+                                                  fast_switching):
+    # band blocks of about 128 windows and write blocks of 300 rows, so that
+    # row blocks wait on band blocks at many offsets, each band block slowed
+    # by 2 ms, so that the writes run ahead of the worker, and threads
+    # switched every 10 us; sessions one window below and one above
+    # PIPELINE_BLOCKS band blocks. Inline is one usable CPU; two run the
+    # worker on the session above the minimum, and on the one below once the
+    # minimum is lowered to 1
+    band_forward = kernels.band_forward
+    monkeypatch.setattr(kernels, "band_forward",
+                        lambda *args: time.sleep(0.002) or band_forward(*args))
+    monkeypatch.setattr(detect, "BLOCK_WINDOWS", 128)
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", 300)
+    least = detect.PIPELINE_BLOCKS
+    width = 200
+    net = tiny_network(input_size(width, mode), 4, seed=5, mode=mode)
+    per_row = 1 + width // (4 * stride)
+    block = max(1, 128 // per_row) * per_row
+    for n in ((least - 1) * block, (least - 1) * block + 1):
+        rng = np.random.default_rng(n)
+        samples = (n - 1) * stride + width + stride - 1  # past the last window, unread
+        rec = make_recording(np.round(rng.normal(0.0, 0.5, (samples, 3)), 3))
+        for plot in (False, True):
+            runs = {key: detect_and_write(net, rec, stride, tmp_path / f"{n}-{plot}-{key}",
+                                          plot, cpus, blocks, monkeypatch)
+                    for key, cpus, blocks in (("inline", 1, least), ("gate", 2, least),
+                                              ("forced", 2, 1))}
+            assert len(runs["inline"][0]) == n
+            assert sorted(runs["inline"][2]) == ["plot.csv", "trace.csv"][not plot:]
+            assert [runs[k][1] for k in ("inline", "gate", "forced")] == [False, n % block == 1, True]
+            for key in ("gate", "forced"):
+                assert runs[key][0].tobytes() == runs["inline"][0].tobytes()
+                assert runs[key][2] == runs["inline"][2]
+
+
+def test_pipelined_detection_at_full_block_size(tmp_path, monkeypatch):
+    # one session of PIPELINE_BLOCKS blocks of BLOCK_WINDOWS windows at stride
+    # 1, with the plot: the writes' 4,096-row blocks against 4,080-window
+    # band blocks
+    width = 200
+    per_row = 1 + width // 4
+    n = (detect.PIPELINE_BLOCKS - 1) * (BLOCK_WINDOWS // per_row * per_row) + 1
+    rec = make_recording(np.round(np.random.default_rng(8).normal(0.0, 0.5, (n + width - 1, 3)), 3))
+    net = tiny_network(width, mlp.DEFAULT_HIDDEN, seed=2)
+    least = detect.PIPELINE_BLOCKS
+    inline = detect_and_write(net, rec, 1, tmp_path / "inline", True, 1, least, monkeypatch)
+    pipelined = detect_and_write(net, rec, 1, tmp_path / "pipe", True, 2, least, monkeypatch)
+    assert (inline[1], pipelined[1]) == (False, True)
+    assert inline[0].tobytes() == pipelined[0].tobytes()
+    assert inline[2] == pipelined[2]
+
+
+def test_pipelined_detection_joins_its_worker_when_the_write_fails(tmp_path, monkeypatch):
+    # the trace's directory is a file, so the write fails at once; the
+    # worker's pending blocks (30, each slowed by 10 ms) are cancelled and
+    # the worker is joined before the error leaves `detection`
+    monkeypatch.setattr(detect, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(detect, "BLOCK_WINDOWS", 128)
+    run = []
+    band_forward = kernels.band_forward
+    monkeypatch.setattr(kernels, "band_forward",
+                        lambda *args: run.append(time.sleep(0.01)) or band_forward(*args))
+    rec = make_recording(np.random.default_rng(3).normal(size=(30 * 102 + 199, 3)))
+    net = tiny_network(200, 4, seed=5)
+    (tmp_path / "file").write_text("")
+    before = threading.active_count()
+    with pytest.raises(NotADirectoryError):
+        with detect.detection(net, rec) as trace:
+            assert trace._wait is not None
+            write_trace_csv(trace, tmp_path / "file" / "trace.csv")
+    assert threading.active_count() == before
+    assert len(run) < 30
 
 
 def test_detect_memory_does_not_grow_with_the_session(rng):

@@ -479,9 +479,9 @@ def test_the_tool_version_is_the_package_version():
     assert not re.search(r'^version = "', pyproject, re.MULTILINE)
 
 
-# The prefix CI puts before a command, with the words it takes:
-# `timeout DURATION`.
-PREFIX_WORDS = {"timeout": 2}
+# The prefixes CI puts before a command, with the words each takes:
+# `timeout DURATION` and `taskset -c CPUS`.
+PREFIX_WORDS = {"timeout": 2, "taskset": 3}
 ENV_ASSIGNMENT = re.compile(r"[A-Za-z_]\w*=\S*")
 REDIRECTION = re.compile(r"\d*(?:>>|&>|<|>)(.*)")
 
@@ -539,7 +539,7 @@ def test_every_ci_command_parses_and_every_ci_heredoc_compiles():
     commands, heredocs = workflow_scripts(text)
     # the counts tie the scan to the workflow: a command or heredoc it
     # misses, or one CI gains, changes them
-    assert (len(commands), len(heredocs)) == (12, 4)
+    assert (len(commands), len(heredocs)) == (14, 4)
     assert unparsed_commands(commands) == []
     for k, body in enumerate(heredocs):
         compile(body, f"tests.yml heredoc {k}", "exec")

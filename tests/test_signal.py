@@ -528,7 +528,7 @@ def milli_g_xyz():
     return np.concatenate([np.stack([r.x, r.y, r.z], axis=1) for _, r, _ in sessions])[:100_000]
 
 
-def test_milli_g_session_round_trips_in_any_part_count(milli_g_xyz, tmp_path):
+def test_milli_g_session_round_trips_bit_for_bit(milli_g_xyz, tmp_path):
     # the written session loads back bit for bit
     rec = make_recording(milli_g_xyz)
     path = tmp_path / "s.csv"
