@@ -461,8 +461,8 @@ def detect_rows(nets: dict, session: signal.SensorRecording) -> dict:
 
 def detect_write_rows(nets: dict, session: signal.SensorRecording) -> dict:
     """`smokewatch detect --plot`'s detection and writes on the session for
-    the X and XYZ networks at each stride, in-process: `detect.detection`
-    with `write_trace_csv` inside it, with PIPELINE_BLOCKS set so that the
+    the X and XYZ networks at each stride, in-process: `detect.detection`,
+    which makes the `write_trace_csv` call, with PIPELINE_BLOCKS set so that the
     band blocks run inline and so that they run on the worker (which also
     needs two usable CPUs), in alternating runs; whether the two paths wrote
     the same trace and plot bytes. A tree without `detect.detection` runs
@@ -484,9 +484,8 @@ def detect_write_rows(nets: dict, session: signal.SensorRecording) -> dict:
                         return
                     detect.PIPELINE_BLOCKS = paths[path]
                     try:
-                        with detect.detection(net, session, stride) as trace:
-                            detect.write_trace_csv(trace, out / "trace.csv", session,
-                                                   out / "plot.csv")
+                        detect.detection(net, session, out / "trace.csv", out / "plot.csv",
+                                         stride)
                     finally:
                         detect.PIPELINE_BLOCKS = least
 

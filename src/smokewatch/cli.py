@@ -6,10 +6,10 @@ directories hold one recording CSV per gesture named
 ground-truth file; every run writes `manifest_<command>.json` next to its
 outputs. Directories, `--out` included, come from the writes, so a command
 that fails before its first write leaves none; `train` fits every mode
-before it writes. On a long session `detect` runs its network while it
-writes the trace and plot (`detect.detection`), so an output that is not
-finite raises InvalidSample during the writes: `--out` may then be left
-empty, but no file in it is written or replaced. All files are written
+before it writes. A network output that is not finite raises InvalidSample
+(no numpy warning); a long session's `detect` raises it during its writes
+(`detect.detection`), which may leave `--out` empty but write or replace
+no file in it. All files are written
 atomically and all commands are deterministic given their manifest, so
 reruns are byte-identical.
 
@@ -245,9 +245,8 @@ def cmd_detect(args) -> None:
     out = Path(args.out)
     trace_path = out / "trace.csv"
     plot_path = out / "plot.csv" if args.plot else None
-    with detect_mod.detection(network, session, stride=args.stride,
-                              threshold=threshold) as trace:
-        detect_mod.write_trace_csv(trace, trace_path, session, plot_path)
+    trace = detect_mod.detection(network, session, trace_path, plot_path,
+                                 stride=args.stride, threshold=threshold)
     written = [str(trace_path)]
     inputs = [str(args.model), str(args.session)]
     if truth is not None:

@@ -20,13 +20,10 @@ files at 10 decimals (at most 5e-11 off, against NEAR_THRESHOLD's 1e-9),
 `fileio.repr_chars` the x, y and z values for the plot; the `smoking`
 column comes from the exact outputs. `fileio.write_csv` owns the block
 loop and the joining of fields into text, so neither file is ever held
-whole as text. Within `detection` the band blocks of a long session run on
-one worker thread while those writes format the rows of the blocks already
-done: the BLAS product releases the GIL, the formatting holds it. On the
-100,000-sample `long_session` session (`benchmarks/bench_pipeline.py`'s
-`detect_write`, 2-vCPU VM, one BLAS thread) that took detection plus the
-trace and plot writes from 51 to 41 ms (X) and from 75 to 51 ms (XYZ) at
-stride 1, and from 33 to 30 and 43 to 33 ms at stride 3. The outputs
+whole as text. `detection` runs the band blocks of a long session on one
+worker thread while it writes them, so the writes format the rows of the
+blocks already done: the BLAS product releases the GIL, the formatting
+holds it (timings in README, "Detection beside the writes"). The outputs
 cannot change: each block is the same single-threaded product on the same
 shapes, wherever it runs.
 """
@@ -34,11 +31,10 @@ shapes, wherever it runs.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,7 +42,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import fileio, kernels, metrics, mlp
 from .errors import (
     EmptyTrace,
-    InvalidSample,
     InvalidSize,
     LengthMismatch,
     MalformedRanges,
@@ -79,7 +74,7 @@ class DetectionTrace:
     outputs: np.ndarray
     stride: int
     threshold: float
-    # set by `detection` only: returns once outputs[:k] are final and checked
+    # set within `detection` only: returns once outputs[:k] are final and checked
     _wait: Optional[Callable[[int], None]] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -89,17 +84,10 @@ class DetectionTrace:
         if self.stride < 1:
             raise InvalidSize("stride must be >= 1")
         if self._wait is None:
-            _check_outputs(self.outputs)
+            kernels.check_outputs(self.outputs)
 
     def __len__(self) -> int:
         return self.outputs.shape[0]
-
-    def ready(self, windows: int) -> np.ndarray:
-        """`outputs`, the first `windows` of them final; inside `detection`
-        the band blocks past them may still be running."""
-        if self._wait is not None:
-            self._wait(windows)
-        return self.outputs
 
     @property
     def starts(self) -> np.ndarray:
@@ -194,18 +182,15 @@ def _band_blocks(network: mlp.Network, session: SensorRecording, stride: int,
 
     def block(lo: int) -> None:
         hi = min(lo + step, rows)
-        outputs[lo * per_row:hi * per_row] = kernels.band_forward(
-            band, b, network.w2, network.b2,
-            np.concatenate([v[lo:hi] for v in views], axis=1))
-        _check_outputs(outputs[lo * per_row:min(hi * per_row, n)])
+        # a sample near +-1e308 overflows; check_outputs names it. The error
+        # state is per thread, so it is set where the block runs
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs[lo * per_row:hi * per_row] = kernels.band_forward(
+                band, b, network.w2, network.b2,
+                np.concatenate([v[lo:hi] for v in views], axis=1))
+        kernels.check_outputs(outputs[lo * per_row:min(hi * per_row, n)])
 
     return outputs, n, [partial(block, lo) for lo in range(0, rows, step)]
-
-
-def _check_outputs(outputs: np.ndarray) -> None:
-    # -0.0 passes: it is printed as "%.10f" prints it
-    if not np.all((outputs >= 0.0) & (outputs <= 1.0)):
-        raise InvalidSample("outputs must be finite and lie in [0, 1]")
 
 
 def _usable_cpus() -> int:
@@ -226,42 +211,43 @@ def detect_session(network: mlp.Network, session: SensorRecording,
     return DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold)
 
 
-@contextmanager
-def detection(network: mlp.Network, session: SensorRecording, stride: int = 1,
-              threshold: float = metrics.DEFAULT_THRESHOLD) -> Iterator[DetectionTrace]:
-    """`detect_session`'s trace, for a `with` body that writes it by
-    `write_trace_csv`.
-
-    With at least PIPELINE_BLOCKS blocks of the band and two usable CPUs,
-    the blocks run in order on one worker thread while the body runs, each
-    filling its own slice of the trace's outputs, and the trace is pending:
-    `DetectionTrace.ready(k)` waits for the blocks that cover its first k
-    windows and raises what they raised, so the writes format each block
-    of rows as soon as its windows are done. Any other detection is
-    `detect_session`'s, run before the body. On leaving the body the
-    worker's pending blocks are cancelled and the worker is joined; on a
-    clean exit every block has first run and checked its outputs."""
+def detection(network: mlp.Network, session: SensorRecording, path: Union[str, Path, None],
+              plot_path: Union[str, Path, None] = None, stride: int = 1,
+              threshold: float = metrics.DEFAULT_THRESHOLD) -> DetectionTrace:
+    """`detect_session`'s trace, written by `write_trace_csv(trace, path,
+    session, plot_path)`. With at least PIPELINE_BLOCKS band blocks and two
+    usable CPUs the blocks run in order on one worker thread during the
+    write, and each block of rows waits for the band blocks that cover its
+    windows and raises what they raised; otherwise `detect_session` runs
+    first. On an error the pending blocks are cancelled, the worker is
+    joined and no target is replaced."""
     n, per_row, step = _layout(network, session, stride, threshold)
-    if -(-n // (per_row * step)) < PIPELINE_BLOCKS or _usable_cpus() < 2:
-        yield detect_session(network, session, stride, threshold)
-        return
-    outputs, n, blocks = _band_blocks(network, session, stride, threshold)
-    # imported here, so that a process that never pipelines does not load it
-    # (it and its imports, logging among them, hold 0.7 MiB resident)
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(max_workers=1)
+    pool = None
     try:
-        done = [pool.submit(block) for block in blocks]
+        if -(-n // (per_row * step)) < PIPELINE_BLOCKS or _usable_cpus() < 2:
+            trace = detect_session(network, session, stride, threshold)
+        else:
+            # imported here, so that a process that never pipelines does not load
+            # it (it and its imports, logging among them, hold 0.7 MiB resident)
+            from concurrent.futures import ThreadPoolExecutor
+            outputs, n, blocks = _band_blocks(network, session, stride, threshold)
+            pool = ThreadPoolExecutor(max_workers=1)
+            done = [pool.submit(block) for block in blocks]
 
-        def wait(windows: int) -> None:
-            for future in done[:-(-windows // (per_row * step))]:
-                future.result()
+            def wait(windows: int) -> None:
+                for future in done[:-(-windows // (per_row * step))]:
+                    future.result()
 
-        yield DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold,
-                             _wait=wait)
-        wait(n)
+            trace = DetectionTrace(outputs=outputs[:n], stride=stride,
+                                   threshold=threshold, _wait=wait)
+        write_trace_csv(trace, path, session, plot_path)
+        if pool is not None:
+            wait(n)
+            trace = DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold)
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return trace
 
 
 def score_trace(trace: DetectionTrace,
@@ -295,9 +281,8 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     indices the outputs of the windows starting in it are printed once, for
     both files, by `fileio.output_chars`, the block's samples by
     `fileio.repr_chars`, and `fileio.write_csv` writes the blocks, so an
-    error replaces neither target. Each block reads its outputs through
-    `DetectionTrace.ready`, so within `detection` it waits only for the band
-    blocks that cover its windows."""
+    error replaces neither target. Within `detection` each block waits only
+    for the band blocks that cover its windows."""
     stride = trace.stride
     last = (len(trace) - 1) * stride
     if plot_path is None:
@@ -313,7 +298,9 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
         # none (b = a) in a block of plot rows past the last window
         a = -(-lo // stride)
         b = max(a, min(-(-hi // stride), len(trace)))
-        outputs = trace.ready(b)[a:b]
+        if trace._wait is not None:
+            trace._wait(b)
+        outputs = trace.outputs[a:b]
         printed = fileio.output_chars(outputs)
         fields = []  # the trace block's, then the plot block's
         if path is not None:

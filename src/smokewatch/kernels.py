@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidSample
+
 # Outputs are clamped to the open interval (0, 1); the logistic saturates to
 # exactly 0.0/1.0 in float64 for |z| beyond ~37.
 OPEN_LO = float(np.nextafter(0.0, 1.0))
@@ -38,6 +40,13 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 def output_layer(h, w2, b2):
     """Outputs in the open interval (0, 1) for hidden activations h (m, hidden)."""
     return np.clip(_logistic(h @ w2 + b2), OPEN_LO, OPEN_HI)
+
+
+def check_outputs(outputs: np.ndarray) -> None:
+    """InvalidSample unless every output is finite and in [0, 1] (an input
+    near +-1e308 gives NaN); -0.0 passes, printed as "%.10f" prints it."""
+    if not np.all((outputs >= 0.0) & (outputs <= 1.0)):
+        raise InvalidSample("outputs must be finite and lie in [0, 1]")
 
 
 def batch_forward(w1, b1, w2, b2, xn):

@@ -169,9 +169,12 @@ def scaled_inputs(network: Network, raw) -> np.ndarray:
 
 
 def forward_batch(network: Network, features: np.ndarray) -> np.ndarray:
-    """Outputs for a (n, input_size) matrix of raw feature vectors."""
-    return kernels.batch_forward(network.w1, network.b1, network.w2,
-                                 network.b2, scaled_inputs(network, features))
+    """Outputs for raw (n, input_size) features; InvalidSample if one is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = kernels.batch_forward(network.w1, network.b1, network.w2,
+                                        network.b2, scaled_inputs(network, features))
+    kernels.check_outputs(outputs)
+    return outputs
 
 
 def save_model(network: Network, path: Union[str, Path],

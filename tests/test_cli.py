@@ -433,6 +433,24 @@ def test_eval_malformed_model_exits_1(pipeline, tmp_path, capsys, edit, error):
     assert f"error: {error}:" in capsys.readouterr().err
 
 
+def test_eval_fails_on_an_output_that_is_not_finite(tmp_path, capsys):
+    # x = +1e308 at sample 50 and -1e308 at sample 120 of a smoking
+    # recording overflow the input scaling, and the output is NaN. eval
+    # exits 1 naming InvalidSample and writes nothing; pyproject's
+    # error::RuntimeWarning turns a numpy warning that escapes into another
+    # error
+    values = np.round(np.random.default_rng(0).normal(0.0, 0.5, size=(200, 3)), 3)
+    values[50, 0], values[120, 0] = 1e308, -1e308
+    data = tmp_path / "data"
+    write_recording_csv(make_recording(values), data / "smoking__watch-a__000.csv")
+    model = tmp_path / "model.json"
+    mlp.save_model(mlp.init_network(200, mlp.DEFAULT_HIDDEN, rng=1), model)
+    out = tmp_path / "out"
+    assert run("eval", "--model", str(model), "--data", str(data), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidSample: ")
+    assert not out.exists()
+
+
 # --- detect ------------------------------------------------------------------
 
 def test_detect_scored_run(pipeline, tmp_path):
@@ -622,15 +640,15 @@ def test_detect_memory_is_flat_in_the_session_length(tmp_path):
     assert peaks[200_000] - peaks[100_000] < 10 * 2**20
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pipelined", "inline"])
 def test_detect_fails_on_an_output_that_is_not_finite(cpus, tmp_path, capsys, monkeypatch):
     # samples near +-1e308 overflow the first layer of the windows that hold
     # them, late in an 8-block session, and give NaN outputs. With two CPUs
     # the worker's block raises while the writes run (they have made
     # --out); with one, detect_session raises before any write. Either way
-    # detect exits 1 naming InvalidSample, leaves no file and no thread
+    # detect exits 1 naming InvalidSample, leaves no file and no thread,
+    # and no numpy warning escapes: pyproject's error::RuntimeWarning would
+    # turn it into another error
     values = np.round(np.random.default_rng(4).normal(0.0, 0.5, size=(33_000, 3)), 3)
     values[30_000:30_100] = [1e308, -1e308, 1e308]
     values[30_001:30_100:2] *= -1

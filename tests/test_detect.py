@@ -27,6 +27,7 @@ from smokewatch.detect import (
 )
 from smokewatch.errors import (
     EmptyTrace,
+    InvalidSample,
     InvalidSize,
     InvalidThreshold,
     MalformedRanges,
@@ -133,6 +134,20 @@ def test_detect_session_exact_width_gives_one_window(rng):
     trace = detect_session(zero_network(25), rec)
     assert len(trace) == 1
     assert trace.starts[0] == 0
+
+
+@pytest.mark.parametrize("mode", tuple(ChannelMode), ids=lambda m: m.value)
+def test_detect_names_an_overflow_with_no_numpy_warning(mode, rng):
+    # every axis at +1e308 and -1e308 on alternate samples: AVG's mean and
+    # every mode's first layer overflow and the outputs are not finite.
+    # InvalidSample, and no RuntimeWarning, which pyproject turns into an
+    # error
+    values = rng.normal(size=(700, 3))
+    values[300:400] = 1e308
+    values[301:400:2] *= -1
+    net = tiny_network(input_size(200, mode), 4, seed=5, mode=mode)
+    with pytest.raises(InvalidSample):
+        detect_session(net, make_recording(values))
 
 
 def test_detect_validates_options(rng):
@@ -274,16 +289,22 @@ def test_detect_folded_layer_keeps_precision_on_offset_axes(mode):
 
 def detect_and_write(net, rec, stride, out, plot, cpus, least, monkeypatch):
     """Run `detection` with `_usable_cpus` reading cpus and PIPELINE_BLOCKS
-    at least, and write its trace (and plot) under out; (outputs, whether
-    the worker ran, the files under out)."""
+    at least, writing its trace (and plot) under out; (outputs, whether
+    the worker ran, the files under out). The worker ran iff `detection`
+    did not call `detect_session`; its outputs must equal that call's."""
     monkeypatch.setattr(detect, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(detect, "PIPELINE_BLOCKS", least)
+    inline = []
+    monkeypatch.setattr(detect, "detect_session",
+                        lambda *args: inline.append(1) or detect_session(*args))
     before = threading.active_count()
-    with detect.detection(net, rec, stride=stride) as trace:
-        pipelined = trace._wait is not None
-        write_trace_csv(trace, out / "trace.csv", rec, out / "plot.csv" if plot else None)
+    trace = detect.detection(net, rec, out / "trace.csv", out / "plot.csv" if plot else None,
+                             stride=stride)
     assert threading.active_count() == before
-    return trace.outputs.copy(), pipelined, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert trace._wait is None
+    if not inline:
+        assert trace.outputs.tobytes() == detect_session(net, rec, stride).outputs.tobytes()
+    return trace.outputs.copy(), not inline, {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 @pytest.fixture
@@ -354,8 +375,10 @@ def test_pipelined_detection_at_full_block_size(tmp_path, monkeypatch):
 def test_pipelined_detection_joins_its_worker_when_the_write_fails(tmp_path, monkeypatch):
     # the trace's directory is a file, so the write fails at once; the
     # worker's pending blocks (30, each slowed by 10 ms) are cancelled and
-    # the worker is joined before the error leaves `detection`
+    # the worker is joined before the error leaves `detection`, which runs
+    # no inline detect_session
     monkeypatch.setattr(detect, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(detect, "detect_session", None)
     monkeypatch.setattr(detect, "BLOCK_WINDOWS", 128)
     run = []
     band_forward = kernels.band_forward
@@ -366,9 +389,7 @@ def test_pipelined_detection_joins_its_worker_when_the_write_fails(tmp_path, mon
     (tmp_path / "file").write_text("")
     before = threading.active_count()
     with pytest.raises(NotADirectoryError):
-        with detect.detection(net, rec) as trace:
-            assert trace._wait is not None
-            write_trace_csv(trace, tmp_path / "file" / "trace.csv")
+        detect.detection(net, rec, tmp_path / "file" / "trace.csv")
     assert threading.active_count() == before
     assert len(run) < 30
 

@@ -460,12 +460,16 @@ def test_the_package_root_binds_only_its_version():
     assert (bound, others) == (["__version__"], [])
 
 
-def test_the_readme_library_example_runs(capsys):
+def test_the_readme_library_example_runs(capsys, tmp_path, monkeypatch):
+    # the example writes files under out/: run it in an empty directory
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
     assert "accuracy" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "out" / "detect").iterdir()) == [
+        "plot.csv", "trace.csv"]
 
 
 def test_the_tool_version_is_the_package_version():
@@ -480,8 +484,8 @@ def test_the_tool_version_is_the_package_version():
 
 
 # The prefixes CI puts before a command, with the words each takes:
-# `timeout DURATION` and `taskset -c CPUS`.
-PREFIX_WORDS = {"timeout": 2, "taskset": 3}
+# `timeout DURATION`, `taskset -c CPUS` and the shell function `huge`.
+PREFIX_WORDS = {"timeout": 2, "taskset": 3, "huge": 1}
 ENV_ASSIGNMENT = re.compile(r"[A-Za-z_]\w*=\S*")
 REDIRECTION = re.compile(r"\d*(?:>>|&>|<|>)(.*)")
 
@@ -491,8 +495,9 @@ def workflow_scripts(text: str) -> tuple[list[list[str]], list[str]]:
     workflow, read as text: CI installs no YAML parser.
 
     Continuation lines are joined first. A command line is one whose first
-    word, after env assignments and `PREFIX_WORDS` prefixes, is smokewatch;
-    it comes back as its arguments with redirections dropped."""
+    word, after env assignments and `PREFIX_WORDS` prefixes, is smokewatch,
+    or python with `-m smokewatch.cli`; it comes back as its arguments
+    with redirections dropped."""
     commands, heredocs = [], []
     lines = iter(re.sub(r"\\\n\s*", " ", text).splitlines())
     for line in lines:
@@ -504,11 +509,13 @@ def workflow_scripts(text: str) -> tuple[list[list[str]], list[str]]:
                 body.append(inner)
             heredocs.append(textwrap.dedent("\n".join(body)))
             continue
-        if not re.search(r"(^|\s)smokewatch\s", line):
+        if not re.search(r"(^|\s)smokewatch(\.cli)?\s", line):
             continue
         words = shlex.split(line.strip())
         while words and (ENV_ASSIGNMENT.fullmatch(words[0]) or words[0] in PREFIX_WORDS):
             words = words[PREFIX_WORDS.get(words[0], 1):]
+        if words[:1] == ["python"] and "smokewatch.cli" in words:
+            words = ["smokewatch", *words[words.index("smokewatch.cli") + 1:]]
         if words[:1] != ["smokewatch"]:
             continue
         args = []
@@ -539,7 +546,7 @@ def test_every_ci_command_parses_and_every_ci_heredoc_compiles():
     commands, heredocs = workflow_scripts(text)
     # the counts tie the scan to the workflow: a command or heredoc it
     # misses, or one CI gains, changes them
-    assert (len(commands), len(heredocs)) == (14, 4)
+    assert (len(commands), len(heredocs)) == (17, 5)
     assert unparsed_commands(commands) == []
     for k, body in enumerate(heredocs):
         compile(body, f"tests.yml heredoc {k}", "exec")
