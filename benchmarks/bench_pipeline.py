@@ -99,6 +99,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -461,14 +462,15 @@ def detect_rows(nets: dict, session: signal.SensorRecording) -> dict:
 
 def detect_write_rows(nets: dict, session: signal.SensorRecording) -> dict:
     """`smokewatch detect --plot`'s detection and writes on the session for
-    the X and XYZ networks at each stride, in-process: `detect.detection`,
-    which makes the `write_trace_csv` call, with PIPELINE_BLOCKS set so that the
-    band blocks run inline and so that they run on the worker (which also
-    needs two usable CPUs), in alternating runs; whether the two paths wrote
-    the same trace and plot bytes. A tree without `detect.detection` runs
-    `detect_session` then `write_trace_csv`, inline only, and compares
-    nothing (`files_equal` null)."""
-    pipelines = hasattr(detect, "detection")
+    the X and XYZ networks at each stride, in-process: `detect_session` with
+    a path and a plot_path, which makes the `write_trace_csv` call, with
+    PIPELINE_BLOCKS set so that the band blocks run inline and so that they
+    run on the worker (which also needs two usable CPUs), in alternating
+    runs; whether the two paths wrote the same trace and plot bytes. A tree
+    whose `detect_session` takes no plot_path runs it then
+    `write_trace_csv`, inline only, and compares nothing (`files_equal`
+    null)."""
+    pipelines = "plot_path" in inspect.signature(detect.detect_session).parameters
     least = getattr(detect, "PIPELINE_BLOCKS", None)
     paths = {"inline": sys.maxsize, "pipelined": 1} if pipelines else {"inline": None}
     rows = {}
@@ -484,8 +486,8 @@ def detect_write_rows(nets: dict, session: signal.SensorRecording) -> dict:
                         return
                     detect.PIPELINE_BLOCKS = paths[path]
                     try:
-                        detect.detection(net, session, out / "trace.csv", out / "plot.csv",
-                                         stride)
+                        detect.detect_session(net, session, stride, path=out / "trace.csv",
+                                              plot_path=out / "plot.csv")
                     finally:
                         detect.PIPELINE_BLOCKS = least
 

@@ -8,10 +8,9 @@ outputs. Directories, `--out` included, come from the writes, so a command
 that fails before its first write leaves none; `train` fits every mode
 before it writes. A network output that is not finite raises InvalidSample
 (no numpy warning); a long session's `detect` raises it during its writes
-(`detect.detection`), which may leave `--out` empty but write or replace
-no file in it. All files are written
-atomically and all commands are deterministic given their manifest, so
-reruns are byte-identical.
+(`detect.detect_session`), which may leave `--out` empty but write or
+replace no file in it. All files are written atomically and all commands
+are deterministic given their manifest, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure. Out-of-range
 numeric options are usage errors, raised before any input is read; the
@@ -245,8 +244,8 @@ def cmd_detect(args) -> None:
     out = Path(args.out)
     trace_path = out / "trace.csv"
     plot_path = out / "plot.csv" if args.plot else None
-    trace = detect_mod.detection(network, session, trace_path, plot_path,
-                                 stride=args.stride, threshold=threshold)
+    trace = detect_mod.detect_session(network, session, args.stride, threshold,
+                                      trace_path, plot_path)
     written = [str(trace_path)]
     inputs = [str(args.model), str(args.session)]
     if truth is not None:

@@ -20,12 +20,12 @@ files at 10 decimals (at most 5e-11 off, against NEAR_THRESHOLD's 1e-9),
 `fileio.repr_chars` the x, y and z values for the plot; the `smoking`
 column comes from the exact outputs. `fileio.write_csv` owns the block
 loop and the joining of fields into text, so neither file is ever held
-whole as text. `detection` runs the band blocks of a long session on one
-worker thread while it writes them, so the writes format the rows of the
-blocks already done: the BLAS product releases the GIL, the formatting
-holds it (timings in README, "Detection beside the writes"). The outputs
-cannot change: each block is the same single-threaded product on the same
-shapes, wherever it runs.
+whole as text. Given paths, `detect_session` also writes the trace, and
+on a long session it runs the band blocks on one worker thread during the
+writes, so the writes format the rows of the blocks already done: the
+BLAS product releases the GIL, the formatting holds it (timings in README,
+"Detection beside the writes"). The outputs cannot change: each block is
+the same single-threaded product on the same shapes, wherever it runs.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ BLOCK_WINDOWS = 4096
 # Outputs this close to the threshold could flip under a last-bit change of
 # the arithmetic; the detect report counts them.
 NEAR_THRESHOLD = 1e-9
-# Fewest blocks of the band that `detection` runs on a worker thread. A
-# detect plus --plot write took, inline against pipelined (2-vCPU VM, one
-# BLAS thread, medians of 21 and of 31 alternating runs): at 6 blocks X 20.5
-# -> 17.9 and 21.1 -> 17.0 ms, XYZ 23.4 -> 20.0 and 25.7 -> 20.7 ms; at 5
-# blocks X 14.4 -> 12.8 but 13.6 -> 13.8 ms; at 2 blocks (a Table-1
-# session has 1 or 2) X 8.8 -> 9.4 ms
+# Fewest blocks of the band that a writing `detect_session` runs on a
+# worker thread. A detect plus --plot write took, inline against pipelined
+# (2-vCPU VM, one BLAS thread, medians of 21 and of 31 alternating runs): at
+# 6 blocks X 20.5 -> 17.9 and 21.1 -> 17.0 ms, XYZ 23.4 -> 20.0 and 25.7 ->
+# 20.7 ms; at 5 blocks X 14.4 -> 12.8 but 13.6 -> 13.8 ms; at 2 blocks (a
+# Table-1 session has 1 or 2) X 8.8 -> 9.4 ms
 PIPELINE_BLOCKS = 6
 
 
@@ -74,7 +74,8 @@ class DetectionTrace:
     outputs: np.ndarray
     stride: int
     threshold: float
-    # set within `detection` only: returns once outputs[:k] are final and checked
+    # set within a pipelined `detect_session` only: returns once outputs[:k]
+    # are final and checked
     _wait: Optional[Callable[[int], None]] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -139,10 +140,13 @@ class GestureRanges:
         return np.where(k % 2 == 1, k // 2, -1)
 
 
-def _layout(network: mlp.Network, session: SensorRecording, stride: int,
-            threshold: float) -> tuple[int, int, int]:
-    """Check a detection's arguments; return its window count, the windows
-    per row of the band and the rows of the band per block."""
+def _band_blocks(network: mlp.Network, session: SensorRecording, stride: int,
+                 threshold: float) -> tuple[np.ndarray, int, int, list[Callable[[], None]]]:
+    """Check a detection's arguments; return its outputs array, its window
+    count n, the windows per block of the band, and one function per block,
+    in window order, that fills the block's own slice of outputs and raises
+    InvalidSample unless that slice's windows below n are finite and in
+    [0, 1]. outputs[:n] are the windows' outputs once every block has run."""
     width = network.window
     if stride < 1:
         raise InvalidSize("stride must be >= 1")
@@ -153,19 +157,8 @@ def _layout(network: mlp.Network, session: SensorRecording, stride: int,
     # windows per row of the band: its multiply-adds on zeros, (per_row - 1)
     # * stride / width of the useful ones, stay at or below 25%
     per_row = 1 + width // (4 * stride)
-    return (window_count(len(session), width, stride), per_row,
-            max(1, BLOCK_WINDOWS // per_row))
-
-
-def _band_blocks(network: mlp.Network, session: SensorRecording, stride: int,
-                 threshold: float) -> tuple[np.ndarray, int, list[Callable[[], None]]]:
-    """The outputs array of a detection, its window count n, and one function
-    per block of the band, in window order, that fills the block's own slice
-    of outputs and raises InvalidSample unless that slice's windows below n
-    are finite and in [0, 1]. outputs[:n] are the windows' outputs once
-    every block has run."""
-    n, per_row, step = _layout(network, session, stride, threshold)
-    width = network.window
+    step = max(1, BLOCK_WINDOWS // per_row)
+    n = window_count(len(session), width, stride)
     rows = -(-n // per_row)
     row_len = (per_row - 1) * stride + width
     used = (n - 1) * stride + width
@@ -190,7 +183,7 @@ def _band_blocks(network: mlp.Network, session: SensorRecording, stride: int,
                 np.concatenate([v[lo:hi] for v in views], axis=1))
         kernels.check_outputs(outputs[lo * per_row:min(hi * per_row, n)])
 
-    return outputs, n, [partial(block, lo) for lo in range(0, rows, step)]
+    return outputs, n, per_row * step, [partial(block, lo) for lo in range(0, rows, step)]
 
 
 def _usable_cpus() -> int:
@@ -201,53 +194,46 @@ def _usable_cpus() -> int:
 
 
 def detect_session(network: mlp.Network, session: SensorRecording,
-                   stride: int = 1,
-                   threshold: float = metrics.DEFAULT_THRESHOLD) -> DetectionTrace:
+                   stride: int = 1, threshold: float = metrics.DEFAULT_THRESHOLD,
+                   path: Union[str, Path, None] = None,
+                   plot_path: Union[str, Path, None] = None) -> DetectionTrace:
     """Run the network over every full rolling window of the session; the
-    window is the network's per-signal input length (`Network.window`)."""
-    outputs, n, blocks = _band_blocks(network, session, stride, threshold)
-    for block in blocks:
-        block()
-    return DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold)
-
-
-def detection(network: mlp.Network, session: SensorRecording, path: Union[str, Path, None],
-              plot_path: Union[str, Path, None] = None, stride: int = 1,
-              threshold: float = metrics.DEFAULT_THRESHOLD) -> DetectionTrace:
-    """`detect_session`'s trace, written by `write_trace_csv(trace, path,
-    session, plot_path)`. With at least PIPELINE_BLOCKS band blocks and two
-    usable CPUs the blocks run in order on one worker thread during the
-    write, and each block of rows waits for the band blocks that cover its
-    windows and raises what they raised; otherwise `detect_session` runs
-    first. On an error the pending blocks are cancelled, the worker is
-    joined and no target is replaced."""
-    n, per_row, step = _layout(network, session, stride, threshold)
-    pool = None
+    window is the network's per-signal input length (`Network.window`).
+    Given a path or a plot_path, also write the trace by
+    `write_trace_csv(trace, path, session, plot_path)`. With at least
+    PIPELINE_BLOCKS band blocks and two usable CPUs the blocks then run in
+    order on one worker thread during the write, and each block of rows
+    waits for the band blocks that cover its windows and raises what they
+    raised; otherwise every block runs before the write. On an error the
+    pending blocks are cancelled, the worker is joined and no target is
+    replaced."""
+    outputs, n, per_block, blocks = _band_blocks(network, session, stride, threshold)
+    writes = path is not None or plot_path is not None
+    if not writes or len(blocks) < PIPELINE_BLOCKS or _usable_cpus() < 2:
+        while blocks:  # popped, so that the band is freed before the writes
+            blocks.pop(0)()
+        trace = DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold)
+        if writes:
+            write_trace_csv(trace, path, session, plot_path)
+        return trace
+    # imported here, so that a process that never pipelines does not load
+    # it (it and its imports, logging among them, hold 0.7 MiB resident)
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=1)
     try:
-        if -(-n // (per_row * step)) < PIPELINE_BLOCKS or _usable_cpus() < 2:
-            trace = detect_session(network, session, stride, threshold)
-        else:
-            # imported here, so that a process that never pipelines does not load
-            # it (it and its imports, logging among them, hold 0.7 MiB resident)
-            from concurrent.futures import ThreadPoolExecutor
-            outputs, n, blocks = _band_blocks(network, session, stride, threshold)
-            pool = ThreadPoolExecutor(max_workers=1)
-            done = [pool.submit(block) for block in blocks]
+        done = [pool.submit(block) for block in blocks]
 
-            def wait(windows: int) -> None:
-                for future in done[:-(-windows // (per_row * step))]:
-                    future.result()
+        def wait(windows: int) -> None:
+            for future in done[:-(-windows // per_block)]:
+                future.result()
 
-            trace = DetectionTrace(outputs=outputs[:n], stride=stride,
-                                   threshold=threshold, _wait=wait)
-        write_trace_csv(trace, path, session, plot_path)
-        if pool is not None:
-            wait(n)
-            trace = DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold)
+        write_trace_csv(DetectionTrace(outputs=outputs[:n], stride=stride,
+                                       threshold=threshold, _wait=wait),
+                        path, session, plot_path)
+        wait(n)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return trace
+        pool.shutdown(cancel_futures=True)
+    return DetectionTrace(outputs=outputs[:n], stride=stride, threshold=threshold)
 
 
 def score_trace(trace: DetectionTrace,
@@ -281,8 +267,8 @@ def write_trace_csv(trace: DetectionTrace, path: Union[str, Path, None],
     indices the outputs of the windows starting in it are printed once, for
     both files, by `fileio.output_chars`, the block's samples by
     `fileio.repr_chars`, and `fileio.write_csv` writes the blocks, so an
-    error replaces neither target. Within `detection` each block waits only
-    for the band blocks that cover its windows."""
+    error replaces neither target. Within a pipelined `detect_session` each
+    block waits only for the band blocks that cover its windows."""
     stride = trace.stride
     last = (len(trace) - 1) * stride
     if plot_path is None:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smokewatch import __version__, cli, metrics, mlp
+from smokewatch import __version__, cli, kernels, metrics, mlp
 from smokewatch import detect as detect_mod
 from smokewatch.detect import NEAR_THRESHOLD, GestureRanges, save_ranges
 from smokewatch.errors import NumericalFailure
@@ -21,6 +21,7 @@ from smokewatch.signal import (
     ChannelMode,
     GestureClass,
     load_recording_csv,
+    window_count,
     write_recording_csv,
 )
 
@@ -666,6 +667,40 @@ def test_detect_fails_on_an_output_that_is_not_finite(cpus, tmp_path, capsys, mo
     assert capsys.readouterr().err.startswith("error: InvalidSample: ")
     assert out.exists() == (cpus == 2)
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pipelined", "inline"])
+def test_detect_calls_the_traced_detect_functions_once(cpus, tmp_path, monkeypatch):
+    # smokebench's tracer wraps detect.detect_session and detect.write_trace_csv
+    # under their module names; a detect --plot on a session of
+    # PIPELINE_BLOCKS band blocks calls each once, whether its blocks run on
+    # the worker thread (two CPUs) or inline (one)
+    width = 200
+    per_row = 1 + width // 4
+    n = (detect_mod.PIPELINE_BLOCKS - 1) * (detect_mod.BLOCK_WINDOWS // per_row * per_row) + 1
+    samples = n + width - 1
+    values = np.round(np.random.default_rng(9).normal(0.0, 0.5, size=(samples, 3)), 3)
+    session = tmp_path / "s.csv"
+    write_recording_csv(make_recording(values), session)
+    model = tmp_path / "model.json"
+    mlp.save_model(mlp.init_network(width, mlp.DEFAULT_HIDDEN, rng=1), model)
+    monkeypatch.setattr(detect_mod, "_usable_cpus", lambda: cpus)
+    calls = {"detect_session": [], "write_trace_csv": []}
+    for name, log in calls.items():
+        fn = getattr(detect_mod, name)
+        monkeypatch.setattr(detect_mod, name,
+                            lambda *a, fn=fn, log=log, **k: log.append(fn(*a, **k)) or log[-1])
+    threads = set()
+    band_forward = kernels.band_forward
+    monkeypatch.setattr(kernels, "band_forward",
+                        lambda *a: threads.add(threading.get_ident()) or band_forward(*a))
+    out = tmp_path / "out"
+    assert run("detect", "--model", str(model), "--session", str(session), "--plot",
+               "--out", str(out)) == 0
+    assert [len(log) for log in calls.values()] == [1, 1]
+    assert len(calls["detect_session"][0]) == window_count(samples, width, 1) == n
+    assert len((out / "trace.csv").read_text().splitlines()) == n + 1
+    assert bool(threads - {threading.get_ident()}) == (cpus == 2)
 
 
 def test_detect_agrees_across_blas_thread_counts(tmp_path):

@@ -288,23 +288,27 @@ def test_detect_folded_layer_keeps_precision_on_offset_axes(mode):
 
 
 def detect_and_write(net, rec, stride, out, plot, cpus, least, monkeypatch):
-    """Run `detection` with `_usable_cpus` reading cpus and PIPELINE_BLOCKS
-    at least, writing its trace (and plot) under out; (outputs, whether
-    the worker ran, the files under out). The worker ran iff `detection`
-    did not call `detect_session`; its outputs must equal that call's."""
+    """Run `detect_session` with `_usable_cpus` reading cpus and
+    PIPELINE_BLOCKS at least, writing its trace (and plot) under out;
+    (outputs, whether the worker ran, the files under out). The worker ran
+    iff a band block ran on another thread than this one; its outputs must
+    equal those of a `detect_session` that writes nothing."""
     monkeypatch.setattr(detect, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(detect, "PIPELINE_BLOCKS", least)
-    inline = []
-    monkeypatch.setattr(detect, "detect_session",
-                        lambda *args: inline.append(1) or detect_session(*args))
+    threads = set()
+    band_forward = kernels.band_forward
+    monkeypatch.setattr(kernels, "band_forward",
+                        lambda *args: threads.add(threading.get_ident()) or band_forward(*args))
     before = threading.active_count()
-    trace = detect.detection(net, rec, out / "trace.csv", out / "plot.csv" if plot else None,
-                             stride=stride)
+    trace = detect_session(net, rec, stride, path=out / "trace.csv",
+                           plot_path=out / "plot.csv" if plot else None)
+    monkeypatch.setattr(kernels, "band_forward", band_forward)
     assert threading.active_count() == before
     assert trace._wait is None
-    if not inline:
+    worker = bool(threads - {threading.get_ident()})
+    if worker:
         assert trace.outputs.tobytes() == detect_session(net, rec, stride).outputs.tobytes()
-    return trace.outputs.copy(), not inline, {p.name: p.read_bytes() for p in out.iterdir()}
+    return trace.outputs.copy(), worker, {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 @pytest.fixture
@@ -375,23 +379,24 @@ def test_pipelined_detection_at_full_block_size(tmp_path, monkeypatch):
 def test_pipelined_detection_joins_its_worker_when_the_write_fails(tmp_path, monkeypatch):
     # the trace's directory is a file, so the write fails at once; the
     # worker's pending blocks (30, each slowed by 10 ms) are cancelled and
-    # the worker is joined before the error leaves `detection`, which runs
-    # no inline detect_session
+    # the worker is joined before the error leaves `detect_session`, which
+    # runs no band block on this thread
     monkeypatch.setattr(detect, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(detect, "detect_session", None)
     monkeypatch.setattr(detect, "BLOCK_WINDOWS", 128)
     run = []
     band_forward = kernels.band_forward
     monkeypatch.setattr(kernels, "band_forward",
-                        lambda *args: run.append(time.sleep(0.01)) or band_forward(*args))
+                        lambda *args: run.append(threading.get_ident()) or time.sleep(0.01)
+                        or band_forward(*args))
     rec = make_recording(np.random.default_rng(3).normal(size=(30 * 102 + 199, 3)))
     net = tiny_network(200, 4, seed=5)
     (tmp_path / "file").write_text("")
     before = threading.active_count()
     with pytest.raises(NotADirectoryError):
-        detect.detection(net, rec, tmp_path / "file" / "trace.csv")
+        detect_session(net, rec, path=tmp_path / "file" / "trace.csv")
     assert threading.active_count() == before
     assert len(run) < 30
+    assert threading.get_ident() not in run
 
 
 def test_detect_memory_does_not_grow_with_the_session(rng):

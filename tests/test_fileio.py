@@ -174,7 +174,7 @@ def repr_rows(*columns: np.ndarray) -> str:
     [1e16, -1e16, np.nextafter(1e16, 0), np.nextafter(1e-5, 0), 1e-5,
      np.nextafter(1e-5, 1), -1e-5, np.finfo(np.float64).max, -np.finfo(np.float64).max],
 ], ids=["signed-zeros", "extremes", "repeats", "one", "empty", "switch-points"])
-def test_float_reprs_equal_plain_repr(values):
+def test_repr_chars_equal_plain_repr(values):
     v = np.array(values, dtype=np.float64)
     assert fileio.csv_block(fileio.repr_chars([v])) == repr_rows(v)
     # a column of a row-major array, as the benchmark's sessions are
